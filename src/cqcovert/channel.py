@@ -11,12 +11,19 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.optimize
 
-from .divergences import SUPPORT_TOL, trace_distance, validate_distribution
+from .divergences import (
+    SUPPORT_TOL,
+    relative_entropy,
+    trace_distance,
+    validate_distribution,
+)
 from .errors import (
     DegenerateChannel,
     DimensionMismatch,
@@ -28,6 +35,7 @@ from .operators import (
     DensityOperator,
     make_density,
     matrix_from_json,
+    matrix_inv_sqrt,
     matrix_to_json,
     require_hermitian,
     support_projector,
@@ -95,6 +103,11 @@ class CqChannelPair:
     def dim_willie(self) -> int:
         return self.willie_states[0].dim
 
+    @cached_property
+    def summary(self) -> "ChannelSummary":
+        """Single-letter quantities of the pair, computed once per channel."""
+        return ChannelSummary(self)
+
     def to_json(self) -> dict:
         return {
             "bob": [matrix_to_json(s.matrix) for s in self.bob_states],
@@ -134,8 +147,66 @@ def load_channel(path: str) -> CqChannelPair:
     return channel_from_json(doc)
 
 
-def _relation(state: DensityOperator, innocent_proj: np.ndarray) -> SupportRelation:
-    inside = float(np.trace(innocent_proj @ state.matrix).real)
+class SideSummary:
+    """Single-letter quantities of one side (Bob or Willie), each computed on first use."""
+
+    def __init__(self, states: tuple[DensityOperator, ...]):
+        self.states = states
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        """Projector onto the support of the innocent state."""
+        return support_projector(self.states[0])
+
+    @cached_property
+    def inside(self) -> np.ndarray:
+        """Mass ``Tr{P_0 state_x}`` inside the innocent support, for every symbol x."""
+        return np.array([float(np.trace(self.projector @ s.matrix).real)
+                         for s in self.states])
+
+    @cached_property
+    def divergences(self) -> np.ndarray:
+        """``D(state_x || state_0)`` in nats for the non-innocent symbols (inf on a leak)."""
+        return np.array([relative_entropy(s, self.states[0]) for s in self.states[1:]])
+
+
+class ChannelSummary:
+    """Per-side :class:`SideSummary` plus Willie's chi-squared Gram matrix;
+    vectors over the non-innocent symbols line up with ``ptilde``."""
+
+    def __init__(self, channel: CqChannelPair):
+        self.bob = SideSummary(channel.bob_states)
+        self.willie = SideSummary(channel.willie_states)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """``Q_xy = Re Tr{D_x rho_0^+ D_y}`` with ``D_x = willie_x - willie_0``, so
+        that ``chi2(sum_x p_x willie_x || willie_0) = p^T Q p``.  Built as ``L^T L``
+        from the real-vectorized ``D_x rho_0^{-1/2}``, so it is symmetric PSD."""
+        rho0 = self.willie.states[0]
+        root = matrix_inv_sqrt(rho0.matrix, rho0.rank_tolerance)
+        cols = [((s.matrix - rho0.matrix) @ root).ravel() for s in self.willie.states[1:]]
+        factor = np.column_stack([np.concatenate([c.real, c.imag]) for c in cols])
+        return factor.T @ factor
+
+    @staticmethod
+    def weighted(ptilde, values) -> float:
+        """``sum_x ptilde_x values_x`` left to right, skipping ``ptilde_x = 0``: a
+        zero-weight symbol adds nothing, even when its value is infinite."""
+        if len(ptilde) != len(values):
+            raise DimensionMismatch(
+                f"ptilde has {len(ptilde)} entries for {len(values)} symbols")
+        return sum(pi * v for pi, v in zip(ptilde, values) if pi != 0)
+
+    def chi2(self, p: np.ndarray) -> float:
+        """Chi-squared divergence of Willie's ``p``-mixture from the innocent
+        state; inf when the mixture leaks more than ``SUPPORT_TOL`` outside."""
+        if self.weighted(p, 1.0 - self.willie.inside[1:]) > SUPPORT_TOL:
+            return math.inf
+        return max(0.0, float(p @ self.gram @ p))
+
+
+def _relation(inside: float) -> SupportRelation:
     if 1.0 - inside <= SUPPORT_TOL:
         return SupportRelation.CONTAINED
     if inside <= SUPPORT_TOL:
@@ -145,13 +216,8 @@ def _relation(state: DensityOperator, innocent_proj: np.ndarray) -> SupportRelat
 
 def support_relations(channel: CqChannelPair) -> list[tuple[SupportRelation, SupportRelation]]:
     """Per non-innocent symbol: (Bob relation, Willie relation) to the innocent support."""
-    p_bob = support_projector(channel.bob_states[0])
-    p_willie = support_projector(channel.willie_states[0])
-    return [
-        (_relation(channel.bob_states[x], p_bob),
-         _relation(channel.willie_states[x], p_willie))
-        for x in channel.non_innocent
-    ]
+    bob, willie = channel.summary.bob.inside, channel.summary.willie.inside
+    return [(_relation(bob[x]), _relation(willie[x])) for x in channel.non_innocent]
 
 
 def mixture_feasibility(rho0: DensityOperator, non_innocent: list[DensityOperator],

@@ -36,6 +36,7 @@ from .coding import (
 from .divergences import trace_distance
 from .errors import InputError, ParseError, RegimeError, ResourceError, WrongRegime
 from .scaling import (
+    OBJECTIVES,
     admissible_symbols,
     optimize_ptilde,
     product_measurement_coefficients,
@@ -87,8 +88,7 @@ def _load_json(path: str, what: str) -> dict:
         raise ParseError(f"invalid JSON in {what} file {path}: {exc}") from exc
 
 
-def _default_srl_ptilde(channel) -> np.ndarray:
-    symbols = admissible_symbols(channel)
+def _uniform_ptilde(channel, symbols) -> np.ndarray:
     p = np.zeros(channel.alphabet_size - 1)
     for x in symbols:
         p[x - 1] = 1.0 / len(symbols)
@@ -121,19 +121,20 @@ def cmd_coefficients(args) -> int:
             raise ParseError("--optimize and --povm cannot be combined; "
                              "optimize works on the joint-measurement coefficients")
         if args.optimize:
-            objective, weight = args.optimize, 0.5
-            if objective.startswith("tradeoff"):
-                parts = objective.split(":")
-                objective = "tradeoff"
-                if len(parts) == 2:
-                    weight = float(parts[1])
-            ptilde, report = optimize_ptilde(channel, objective, weight=weight,
-                                             seed=args.seed)
+            objective, *fields = args.optimize.split(":")
+            if objective not in OBJECTIVES or len(fields) > (1 if objective == "tradeoff" else 0):
+                raise ParseError("--optimize expects max-message, min-key or "
+                                 f"tradeoff[:w], got {args.optimize!r}")
+            try:
+                weights = [float(v) for v in fields]
+            except ValueError as exc:
+                raise ParseError(f"--optimize tradeoff weight must be a number: {exc}") from exc
+            ptilde, report = optimize_ptilde(channel, objective, *weights)
         else:
             if args.ptilde:
                 ptilde = np.asarray(_parse_floats(args.ptilde, "--ptilde"))
             else:
-                ptilde = _default_srl_ptilde(channel)
+                ptilde = _uniform_ptilde(channel, admissible_symbols(channel))
             if args.povm:
                 povm = povm_from_json(_load_json(args.povm, "POVM"))
                 report = product_measurement_coefficients(channel, povm, ptilde)
@@ -155,9 +156,7 @@ def cmd_coefficients(args) -> int:
         if args.ptilde:
             ptilde = np.asarray(_parse_floats(args.ptilde, "--ptilde"))
         else:
-            ptilde = np.zeros(channel.alphabet_size - 1)
-            for x in verdict.sqrtnlogn_symbols:
-                ptilde[x - 1] = 1.0 / len(verdict.sqrtnlogn_symbols)
+            ptilde = _uniform_ptilde(channel, verdict.sqrtnlogn_symbols)
         report = sqrtnlogn_coefficient(channel, ptilde)
         doc = report.to_json()
         doc["unit"] = unit  # the leading constant is base-invariant
@@ -252,7 +251,10 @@ def cmd_verify(args) -> int:
 
 def cmd_nogo(args) -> int:
     channel = load_channel(args.channel)
-    n = _parse_ints(args.n, "--n")[0] if args.n else 2
+    blocklengths = _parse_ints(args.n, "--n") if args.n else [2]
+    if len(blocklengths) != 1 or blocklengths[0] < 1:
+        raise ParseError(f"--n expects one blocklength >= 1, got {args.n!r}")
+    n = blocklengths[0]
     distances = [(trace_distance(channel.willie_states[x], channel.willie_states[0]), x)
                  for x in channel.non_innocent]
     _, x_star = max(distances)

@@ -18,10 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import CqChannelPair, average_states, uniform_nontrivial_ptilde
+from .channel import CqChannelPair, uniform_nontrivial_ptilde
 from .divergences import (
     SUPPORT_TOL,
-    chi_squared,
     helstrom_error,
     relative_entropy,
     validate_distribution,
@@ -41,7 +40,6 @@ from .operators import (
     eigenvalue_clusters,
     hermitian_part,
     kron_power,
-    support_projector,
 )
 
 
@@ -395,10 +393,9 @@ def code_sizes(channel: CqChannelPair, ptilde, n: int, gamma: float,
     (1 - varsigma) D_bob]^+`` rounded up to counts >= 1.
     """
     p = validate_distribution(ptilde)
-    d_bob = sum(pi * relative_entropy(channel.bob_states[x], channel.bob_states[0])
-                for pi, x in zip(p, channel.non_innocent))
-    d_willie = sum(pi * relative_entropy(channel.willie_states[x], channel.willie_states[0])
-                   for pi, x in zip(p, channel.non_innocent))
+    summary = channel.summary
+    d_bob = summary.weighted(p, summary.bob.divergences)
+    d_willie = summary.weighted(p, summary.willie.divergences)
     if not (math.isfinite(d_bob) and math.isfinite(d_willie)):
         raise ValidationError("code sizing needs finite divergences: "
                               "supports must be contained for weighted symbols")
@@ -413,11 +410,6 @@ def code_sizes(channel: CqChannelPair, ptilde, n: int, gamma: float,
 def _trial_seed(master: int, n: int, trial: int) -> int:
     return int(np.random.SeedSequence((master, n, trial)).generate_state(
         1, dtype=np.uint64)[0])
-
-
-def _weighted_bob_divergence(channel: CqChannelPair, p: np.ndarray) -> float:
-    return sum(pi * relative_entropy(channel.bob_states[x], channel.bob_states[0])
-               for pi, x in zip(p, channel.non_innocent))
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialReport]:
@@ -441,7 +433,7 @@ def run_experiment(config: ExperimentConfig) -> list[TrialReport]:
         if config.k_override is not None:
             k = config.k_override
         a = ((1.0 - config.nu) * (1.0 - config.mu) * config.gamma * math.sqrt(n)
-             * _weighted_bob_divergence(channel, p))
+             * channel.summary.weighted(p, channel.summary.bob.divergences))
         basis = ProductBasis(channel.bob_states[0], n)
         innocent_block = kron_power(channel.willie_states[0], n)
         note = "gamma=0: no signaling" if config.gamma == 0 else ""
@@ -489,8 +481,7 @@ def select_best(reports: Sequence[TrialReport], delta_target: float,
 
 def default_epsilon_target(channel: CqChannelPair, ptilde, gamma: float) -> float:
     """Quadratic covertness prediction gamma^2 chi^2(avg non-innocent || innocent) / 2."""
-    _, willie_avg = average_states(channel, ptilde)
-    return gamma ** 2 * chi_squared(willie_avg, channel.willie_states[0]) / 2.0
+    return gamma ** 2 * channel.summary.chi2(validate_distribution(ptilde)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -531,18 +522,14 @@ def nogo_experiment(channel: CqChannelPair, codebook: Codebook,
     """
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
-    p0_willie = support_projector(channel.willie_states[0])
+    inside_willie = channel.summary.willie.inside
     for x in channel.non_innocent:
-        inside = float(np.trace(p0_willie @ channel.willie_states[x].matrix).real)
-        if 1.0 - inside <= SUPPORT_TOL:
+        if 1.0 - inside_willie[x] <= SUPPORT_TOL:
             raise NoLeakage(f"willie[{x}] support is contained in the innocent support")
     for x in range(channel.alphabet_size):
         if channel.bob_states[x].rank != 1:
             raise ValidationError(f"bob[{x}] must be pure for the fidelity bound")
 
-    inside_willie = np.array([
-        float(np.trace(p0_willie @ channel.willie_states[x].matrix).real)
-        for x in range(channel.alphabet_size)])
     sigma0 = channel.bob_states[0].matrix
     overlap_bob = np.array([
         float(np.trace(sigma0 @ channel.bob_states[x].matrix).real)

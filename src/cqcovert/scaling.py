@@ -4,11 +4,14 @@ converse bounds.
 The square-root-law coefficients are ratios of weighted relative entropies to
 the square root of half the chi-squared divergence of the average
 non-innocent adversary state.  All values are in nats; display conversion is
-the CLI's concern.
+the CLI's concern.  Weighted sums skip symbols of zero weight, so a symbol
+that ``ptilde`` does not use never contributes, even if its divergence is
+infinite.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,13 +22,13 @@ from .channel import (
     Povm,
     ScenarioClass,
     ScenarioReport,
-    average_states,
+    SupportRelation,
     classify_scenario,
     induce_dmc,
     support_relations,
-    SupportRelation,
 )
 from .divergences import (
+    SUPPORT_TOL,
     chi_squared,
     holevo_information,
     relative_entropy,
@@ -43,11 +46,11 @@ from .operators import (
     DensityOperator,
     hermitian_part,
     matrix_pinv,
-    support_projector,
 )
 
 CLASSICAL_ZERO = 1e-12
 CLASSICAL_LEAK_TOL = 1e-9
+OBJECTIVES = ("max-message", "min-key", "tradeoff")
 
 
 @dataclass(frozen=True)
@@ -91,17 +94,20 @@ def _require_regime(channel: CqChannelPair, wanted: ScenarioClass) -> ScenarioRe
     return verdict
 
 
-def _check_ptilde_support(channel: CqChannelPair, p: np.ndarray) -> None:
+def _srl_ptilde(channel: CqChannelPair, ptilde) -> np.ndarray:
+    # a validated ptilde on a SquareRootLaw channel, weighting admissible symbols only
+    p = validate_distribution(ptilde)
+    _require_regime(channel, ScenarioClass.SQUARE_ROOT_LAW)
     admissible = set(admissible_symbols(channel))
     for weight, x in zip(p, channel.non_innocent):
         if weight > 0 and x not in admissible:
             raise WrongRegime(f"ptilde puts weight on symbol {x} whose supports "
                               "are not contained")
+    return p
 
 
 def _chi_squared_denominator(channel: CqChannelPair, p: np.ndarray) -> float:
-    _, willie_avg = average_states(channel, p)
-    chi2 = chi_squared(willie_avg, channel.willie_states[0])
+    chi2 = channel.summary.chi2(p)
     if not math.isfinite(chi2) or chi2 <= 0.0:
         raise ZeroChiSquared(f"chi-squared denominator {chi2!r}; the innocent "
                              "state must not be a mixture of the weighted symbols")
@@ -111,35 +117,15 @@ def _chi_squared_denominator(channel: CqChannelPair, p: np.ndarray) -> float:
 def _coefficient_pair(channel: CqChannelPair, p: np.ndarray) -> tuple[float, float]:
     # (message, key) coefficients without the regime gate
     denom = math.sqrt(_chi_squared_denominator(channel, p) / 2.0)
-    d_bob = sum(pi * relative_entropy(channel.bob_states[x], channel.bob_states[0])
-                for pi, x in zip(p, channel.non_innocent))
-    d_willie = sum(pi * relative_entropy(channel.willie_states[x],
-                                         channel.willie_states[0])
-                   for pi, x in zip(p, channel.non_innocent))
+    summary = channel.summary
+    d_bob = summary.weighted(p, summary.bob.divergences)
+    d_willie = summary.weighted(p, summary.willie.divergences)
     return d_bob / denom, max(0.0, d_willie - d_bob) / denom
-
-
-def message_coefficient(channel: CqChannelPair, ptilde) -> float:
-    """Optimal message-length coefficient sum p(x) D(bob_x||bob_0) / sqrt(chi2/2)."""
-    p = validate_distribution(ptilde)
-    _require_regime(channel, ScenarioClass.SQUARE_ROOT_LAW)
-    _check_ptilde_support(channel, p)
-    return _coefficient_pair(channel, p)[0]
-
-
-def key_coefficient(channel: CqChannelPair, ptilde) -> float:
-    """Key-length coefficient [sum p(x)(D_willie - D_bob)]^+ / sqrt(chi2/2)."""
-    p = validate_distribution(ptilde)
-    _require_regime(channel, ScenarioClass.SQUARE_ROOT_LAW)
-    _check_ptilde_support(channel, p)
-    return _coefficient_pair(channel, p)[1]
 
 
 def scaling_report(channel: CqChannelPair, ptilde) -> ScalingReport:
     """Both square-root-law coefficients at a given input distribution."""
-    p = validate_distribution(ptilde)
-    _require_regime(channel, ScenarioClass.SQUARE_ROOT_LAW)
-    _check_ptilde_support(channel, p)
+    p = _srl_ptilde(channel, ptilde)
     message, key = _coefficient_pair(channel, p)
     return ScalingReport(message_coeff=message, key_coeff=key,
                          ptilde=p, regime=ScenarioClass.SQUARE_ROOT_LAW)
@@ -163,16 +149,13 @@ def product_measurement_coefficients(channel: CqChannelPair, povm: Povm,
     the denominator keeps the quantum chi-squared divergence at Willie.
     Never better than the joint-measurement coefficients.
     """
-    p = validate_distribution(ptilde)
-    _require_regime(channel, ScenarioClass.SQUARE_ROOT_LAW)
-    _check_ptilde_support(channel, p)
+    p = _srl_ptilde(channel, ptilde)
     chi2 = _chi_squared_denominator(channel, p)
     dmc = induce_dmc(list(channel.bob_states), povm)
-    kl = {x: _classical_kl(dmc[x], dmc[0]) for x in channel.non_innocent}
-    num = sum(pi * kl[x] for pi, x in zip(p, channel.non_innocent))
-    gap = sum(pi * (relative_entropy(channel.willie_states[x], channel.willie_states[0])
-                    - kl[x])
-              for pi, x in zip(p, channel.non_innocent))
+    kl = np.array([_classical_kl(dmc[x], dmc[0]) for x in channel.non_innocent])
+    summary = channel.summary
+    num = summary.weighted(p, kl)
+    gap = summary.weighted(p, summary.willie.divergences - kl)
     denom = math.sqrt(chi2 / 2.0)
     return ScalingReport(message_coeff=num / denom,
                          key_coeff=max(0.0, gap) / denom,
@@ -210,14 +193,12 @@ def sqrtnlogn_coefficient(channel: CqChannelPair, ptilde) -> SqrtnLognReport:
     """
     p = validate_distribution(ptilde)
     _require_regime(channel, ScenarioClass.SQRT_N_LOG_N)
+    summary = channel.summary
     for weight, x in zip(p, channel.non_innocent):
-        if weight > 0 and not supports_contained(channel.willie_states[x],
-                                                 channel.willie_states[0]):
+        if weight > 0 and 1.0 - summary.willie.inside[x] > SUPPORT_TOL:
             raise WrongRegime(f"ptilde puts weight on symbol {x} leaking at Willie")
     chi2 = _chi_squared_denominator(channel, p)
-    p0 = support_projector(channel.bob_states[0])
-    bob_avg, _ = average_states(channel, p)
-    kappa = 1.0 - float(np.trace(p0 @ bob_avg.matrix).real)
+    kappa = 1.0 - summary.weighted(p, summary.bob.inside[1:])
     kappa = min(max(kappa, 0.0), 1.0)
     return SqrtnLognReport(
         kappa=kappa,
@@ -228,88 +209,61 @@ def sqrtnlogn_coefficient(channel: CqChannelPair, ptilde) -> SqrtnLognReport:
     )
 
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, len(u) + 1)
-    cond = u + (1.0 - css) / idx > 0
-    rho = idx[cond][-1]
-    shift = (1.0 - css[rho - 1]) / rho
-    return np.maximum(v + shift, 0.0)
-
-
 def optimize_ptilde(channel: CqChannelPair, objective: str,
-                    weight: float = 0.5, restarts: int = 20,
-                    seed: int = 0) -> tuple[np.ndarray, ScalingReport]:
-    """Heuristic search for a good input distribution on the simplex.
+                    weight: float = 0.5) -> tuple[np.ndarray, ScalingReport]:
+    """Certified optimal input distribution on the admissible simplex.
 
     Objectives: ``"max-message"`` maximizes the message coefficient,
     ``"min-key"`` minimizes the key coefficient, ``"tradeoff"`` maximizes
-    message minus ``weight`` times key.  Projected-gradient ascent with step
-    halving from ``restarts`` random starts plus the uniform start; the
-    objective is a ratio of a linear form to the square root of a quadratic
-    form and may be non-concave, so the result is best-found, not certified.
+    message minus ``weight`` (>= 0) times key.  With ``d`` Bob's divergences,
+    ``w`` Willie's minus Bob's and ``Q`` the chi-squared Gram matrix, each
+    objective is ``min(a.p, b.p) / sqrt(p.Q.p / 2)``: ``a = b = d``
+    (max-message), ``a = 0, b = -w`` (min-key), ``a = d, b = d - weight w``
+    (tradeoff).  Its maximum lies at a vertex or at a stationary point inside
+    a face of the simplex, possibly cut by ``w.p = 0``; on a face that point
+    solves one small linear system.  Every face of the admissible symbols is
+    enumerated (2^k of them for k symbols), the true objective is evaluated
+    at every feasible candidate and every vertex, and the first best is kept,
+    so the result is the global optimum.
     """
-    if objective not in ("max-message", "min-key", "tradeoff"):
+    if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
+    if not (math.isfinite(weight) and weight >= 0.0):
+        raise ValueError(f"tradeoff weight must be finite and >= 0, got {weight!r}")
     _require_regime(channel, ScenarioClass.SQUARE_ROOT_LAW)
-    admissible = admissible_symbols(channel)
-    if not admissible:
-        raise WrongRegime("no symbol with both supports contained")
-    slots = {x: i for i, x in enumerate(channel.non_innocent)}
+    admissible = [x - 1 for x in admissible_symbols(channel)]  # never empty here
+    summary = channel.summary
+    d = summary.bob.divergences[admissible]
+    w = summary.willie.divergences[admissible] - d
+    q = summary.gram[np.ix_(admissible, admissible)]
+    a, b = {"max-message": (d, d), "min-key": (np.zeros_like(w), -w),
+            "tradeoff": (d, d - weight * w)}[objective]
 
-    def embed(q: np.ndarray) -> np.ndarray:
-        full = np.zeros(channel.alphabet_size - 1)
-        for value, x in zip(q, admissible):
-            full[slots[x]] = value
-        return full
-
-    def score(q: np.ndarray) -> float:
-        message, key = _coefficient_pair(channel, embed(project_simplex(q)))
-        if objective == "max-message":
-            return message
-        if objective == "min-key":
-            return -key
-        return message - weight * key
+    def value(p: np.ndarray) -> float:
+        chi2 = float(p @ q @ p)
+        return min(a @ p, b @ p) / math.sqrt(chi2 / 2.0) if chi2 > 0.0 else -math.inf
 
     k = len(admissible)
-    if k == 1:
-        best = np.ones(1)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        starts = [np.full(k, 1.0 / k)]
-        starts += [rng.dirichlet(np.ones(k)) for _ in range(restarts)]
-        best, best_val = None, -math.inf
-        h = 1e-7
-        for start in starts:
-            q = start.copy()
-            val = score(q)
-            step = 0.25
-            for _ in range(500):
-                grad = np.empty(k)
-                for i in range(k):
-                    bump = np.zeros(k)
-                    bump[i] = h
-                    grad[i] = (score(q + bump) - score(q - bump)) / (2 * h)
-                while step > 1e-12:
-                    candidate = project_simplex(q + step * grad)
-                    cand_val = score(candidate)
-                    if cand_val > val:
-                        break
-                    step /= 2.0
-                else:
-                    break  # no ascent along the gradient at the smallest step
-                gain = cand_val - val
-                q, val = candidate, cand_val
-                step = min(step * 2.0, 1.0)
-                if gain < 1e-9:
-                    break
-            if val > best_val + 1e-15:
-                best, best_val = project_simplex(q), val
-        best = best if best is not None else np.full(k, 1.0 / k)
-
-    p_full = embed(project_simplex(best))
+    candidates = list(np.eye(k))  # the vertices
+    for size in range(1, k + 1):
+        for face in itertools.combinations(range(k), size):
+            s = list(face)
+            # stationary points on the face: Q_SS z = c_S, or with w.z = 0
+            # active, [[Q_SS, w_S], [w_S^T, 0]] [z; multiplier] = [c_S; 0]
+            kkt = np.block([[q[np.ix_(s, s)], w[s, None]], [w[None, s], np.zeros((1, 1))]])
+            for c in ((a,) if a is b else (a, b)):
+                for matrix, rhs in ((kkt[:size, :size], c[s]), (kkt, np.append(c[s], 0.0))):
+                    try:
+                        z = np.linalg.solve(matrix, rhs)[:size]
+                    except np.linalg.LinAlgError:
+                        continue  # singular: no isolated stationary point here
+                    if z.sum() != 0.0 and np.all(z / z.sum() >= 0.0):
+                        p = np.zeros(k)
+                        p[s] = z / z.sum()
+                        candidates.append(p)
+    best = candidates[int(np.argmax([value(p) for p in candidates]))]
+    p_full = np.zeros(channel.alphabet_size - 1)
+    p_full[admissible] = best
     return p_full, scaling_report(channel, p_full)
 
 
@@ -354,12 +308,9 @@ def converse_bounds(channel: CqChannelPair, ptilde, mu: float, n: int,
     p_bar = np.concatenate([[1.0 - mu], mu * p])
     chi_bob = holevo_information(p_bar, list(channel.bob_states))
     chi_willie = holevo_information(p_bar, list(channel.willie_states))
-    linear_bob = mu * sum(
-        pi * relative_entropy(channel.bob_states[x], channel.bob_states[0])
-        for pi, x in zip(p, channel.non_innocent))
-    linear_willie = mu * sum(
-        pi * relative_entropy(channel.willie_states[x], channel.willie_states[0])
-        for pi, x in zip(p, channel.non_innocent))
+    summary = channel.summary
+    linear_bob = mu * summary.weighted(p, summary.bob.divergences)
+    linear_willie = mu * summary.weighted(p, summary.willie.divergences)
 
     def mix(states):
         m = (1.0 - mu) * states[0].matrix

@@ -2,12 +2,22 @@ import numpy as np
 import pytest
 
 from cqcovert import CqChannelPair
-from cqcovert.operators import diagonal_state
+from cqcovert.operators import DensityOperator, diagonal_state, ginibre_state, hermitian_part
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def willie_leak_channel():
+    """Square-root-law channel whose symbol 2 leaks at Willie only (infinite D)."""
+    return CqChannelPair(
+        bob_states=(diagonal_state([0.9, 0.1]), diagonal_state([0.8, 0.2]),
+                    diagonal_state([0.5, 0.5])),
+        willie_states=(diagonal_state([0.9, 0.1, 0.0]), diagonal_state([0.6, 0.4, 0.0]),
+                       diagonal_state([0.3, 0.3, 0.4])))
 
 
 @pytest.fixture
@@ -38,3 +48,33 @@ def classical_chi2(p, q):
 def random_probs(dim, gen):
     v = gen.random(dim) + 1e-3
     return v / v.sum()
+
+
+def diluted_ginibre_channel(seed, dim, k, willie_stronger, leak=False):
+    """Seeded channel pair built from Ginibre states rho_0, ..., rho_k.
+
+    Bob's and Willie's states for symbol x are rho_x diluted towards rho_0 by
+    random amounts in [0.1, 0.6].  With ``willie_stronger`` Willie's states
+    are not diluted, so every Willie divergence exceeds Bob's.  With ``leak``
+    every state lives on the first dim - 1 levels (rank-deficient innocent
+    states) and an extra symbol 2 is inserted whose full-rank Willie state
+    leaks; its Bob state repeats symbol 1's.
+    """
+    gen = np.random.default_rng(seed)
+
+    def embed(m):
+        return np.pad(m, (0, 1)) if leak else m
+
+    base = [embed(ginibre_state(dim - leak, gen).matrix) for _ in range(k + 1)]
+    t_bob = gen.uniform(0.1, 0.6, k)
+    t_willie = np.zeros(k) if willie_stronger else gen.uniform(0.1, 0.6, k)
+    bob = [base[0]] + [(1 - t) * m + t * base[0] for t, m in zip(t_bob, base[1:])]
+    willie = [base[0]] + [(1 - t) * m + t * base[0] for t, m in zip(t_willie, base[1:])]
+    if leak:
+        bob.insert(2, bob[1])
+        willie.insert(2, ginibre_state(dim, gen).matrix)
+
+    def states(matrices):
+        return tuple(DensityOperator(hermitian_part(m)) for m in matrices)
+
+    return CqChannelPair(bob_states=states(bob), willie_states=states(willie))

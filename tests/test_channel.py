@@ -1,13 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from conftest import diluted_ginibre_channel
 from cqcovert.channel import (
     CqChannelPair,
     Povm,
     ScenarioClass,
     SupportRelation,
+    average_states,
     channel_from_json,
     classify_scenario,
     induce_dmc,
@@ -16,7 +19,7 @@ from cqcovert.channel import (
     support_relations,
     weak_covert_budget,
 )
-from cqcovert.divergences import chi_squared
+from cqcovert.divergences import chi_squared, relative_entropy
 from cqcovert.errors import (
     DegenerateChannel,
     DimensionMismatch,
@@ -104,6 +107,49 @@ class TestSupportRelations:
         ch = _diag_channel([[1, 0, 0], [0.5, 0.5, 0]], [[1, 0, 0], [0.5, 0.5, 0]])
         rels = support_relations(ch)
         assert rels == [(SupportRelation.OVERLAPPING, SupportRelation.OVERLAPPING)]
+
+
+def _summary_channels():
+    """Seeded Ginibre channels: qubit k=3 and k=5, qutrit k=6, one whose
+    symbol 2 leaks at Willie, and the same with the sides swapped (so Bob's
+    innocent state is rank-deficient and Bob's symbol 2 leaks)."""
+    leak = diluted_ginibre_channel(11, 3, 4, False, leak=True)
+    return [diluted_ginibre_channel(13, 2, 3, False), diluted_ginibre_channel(11, 2, 5, False),
+            diluted_ginibre_channel(16, 3, 6, False), leak,
+            CqChannelPair(bob_states=leak.willie_states, willie_states=leak.bob_states)]
+
+
+class TestChannelSummary:
+    @pytest.mark.parametrize("index", range(5))
+    def test_divergences_equal_relative_entropy(self, index):
+        ch = _summary_channels()[index]
+        for side, states in ((ch.summary.bob, ch.bob_states),
+                             (ch.summary.willie, ch.willie_states)):
+            direct = [relative_entropy(s, states[0]) for s in states[1:]]
+            assert side.divergences.tolist() == direct
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_chi2_matches_chi_squared_of_the_mixture(self, index):
+        ch = _summary_channels()[index]
+        k = ch.alphabet_size - 1
+        gen = np.random.default_rng(index)
+        points = list(np.eye(k)) + list(gen.dirichlet(np.ones(k), size=20))
+        leaky = np.eye(k)[:2].mean(axis=0)   # weight on symbol 2
+        for p in points + [leaky]:
+            direct = chi_squared(average_states(ch, p)[1], ch.willie_states[0])
+            got = ch.summary.chi2(p)
+            if math.isinf(direct):
+                assert math.isinf(got)
+            else:
+                assert abs(got - direct) <= 1e-12 * direct
+
+    def test_wrong_length_ptilde(self):
+        ch = _summary_channels()[0]
+        with pytest.raises(DimensionMismatch):
+            ch.summary.chi2(np.array([0.5, 0.5]))
+
+    def test_cached_once_per_channel(self, canonical_channel):
+        assert canonical_channel.summary is canonical_channel.summary
 
 
 class TestMixtureFeasibility:

@@ -36,6 +36,13 @@ def leaking_path(tmp_path):
     return _write_channel(tmp_path / "leaking.json", bob, willie)
 
 
+@pytest.fixture
+def willie_leak_path(tmp_path, willie_leak_channel):
+    path = tmp_path / "willie_leak.json"
+    path.write_text(json.dumps(willie_leak_channel.to_json()))
+    return str(path)
+
+
 class TestClassify:
     def test_json_report(self, canonical_path, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -120,6 +127,29 @@ class TestCoefficients:
         assert doc["kappa"] == pytest.approx(0.5, abs=1e-10)
 
 
+    @pytest.mark.parametrize("value", ["tradeoff:1:2", "tradeoff:heavy", "tradeoff:",
+                                       "max-message:1", "maximize-everything"])
+    def test_malformed_optimize_exits_2(self, tmp_path, value):
+        bob = [np.diag([0.9, 0.1]), np.diag([0.85, 0.15]), np.diag([0.3, 0.7])]
+        willie = [np.diag([0.9, 0.1]), np.diag([0.6, 0.4]), np.diag([0.8, 0.2])]
+        path = _write_channel(tmp_path / "three.json", bob, willie)
+        assert main(["coefficients", "--channel", path, "--optimize", value]) == 2
+
+    def test_wrong_length_ptilde_exits_2(self, tmp_path):
+        bob = [np.diag([0.9, 0.1]), np.diag([0.85, 0.15]), np.diag([0.3, 0.7]),
+               np.diag([0.5, 0.5])]
+        path = _write_channel(tmp_path / "four.json", bob, bob)
+        assert main(["coefficients", "--channel", path, "--ptilde", "0.5,0.5"]) == 2
+
+    def test_zero_weight_leaking_symbol(self, willie_leak_path, capsys):
+        assert main(["coefficients", "--channel", willie_leak_path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ptilde"] == [1.0, 0.0]
+        d_bob = 0.8 * math.log(0.8 / 0.9) + 0.2 * math.log(2.0)
+        d_willie = 0.6 * math.log(0.6 / 0.9) + 0.4 * math.log(4.0)
+        assert doc["key_coeff"] == pytest.approx((d_willie - d_bob) / math.sqrt(0.5), abs=1e-12)
+
+
 class TestSimulate:
     ARGS = ["--n", "2,3", "--gamma", "0.5", "--trials", "2", "--seed", "11",
             "--format", "csv"]
@@ -144,6 +174,10 @@ class TestSimulate:
         monkeypatch.setenv("CQCOVERT_DIM_CAP", "16")
         assert main(["simulate", "--channel", canonical_path, "--n", "2,5",
                      "--gamma", "0.5", "--trials", "1"]) == 4
+
+    def test_zero_weight_leaking_symbol(self, willie_leak_path):
+        assert main(["simulate", "--channel", willie_leak_path, "--n", "2", "--gamma", "0.5",
+                     "--trials", "1", "--ptilde", "1,0", "--format", "csv"]) == 0
 
     def test_json_format(self, canonical_path, capsys):
         assert main(["simulate", "--channel", canonical_path, "--n", "2",
@@ -181,6 +215,10 @@ class TestNogo:
 
     def test_contained_channel_exits_3(self, canonical_path):
         assert main(["nogo", "--channel", canonical_path]) == 3
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_blocklength_exits_2(self, leaking_path, n):
+        assert main(["nogo", "--channel", leaking_path, "--n", n]) == 2
 
     def test_explicit_epsilon(self, leaking_path, capsys):
         assert main(["nogo", "--channel", leaking_path, "--epsilon", "0.001"]) == 0

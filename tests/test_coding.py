@@ -310,6 +310,16 @@ class TestCodeSizes:
         assert m == math.ceil(math.exp(log_m_raw) - 1e-12)
         assert k >= 1
 
+    def test_zero_weight_leaking_symbol_is_ignored(self, willie_leak_channel):
+        # symbol 2 leaks at Willie (infinite divergence) but carries no weight
+        ch = willie_leak_channel
+        d_bob = relative_entropy(ch.bob_states[1], ch.bob_states[0])
+        d_willie = relative_entropy(ch.willie_states[1], ch.willie_states[0])
+        m, k, log_m_raw, log_k_raw = code_sizes(ch, [1.0, 0.0], n=9, gamma=0.5, varsigma=0.3)
+        assert log_m_raw == pytest.approx(0.7 * 0.5 * 3 * d_bob, abs=1e-12)
+        assert log_k_raw == pytest.approx(0.5 * 3 * (1.3 * d_willie - 0.7 * d_bob), abs=1e-12)
+        assert k == math.ceil(math.exp(log_k_raw) - 1e-12)
+
     def test_gamma_zero(self, canonical_channel):
         m, k, log_m_raw, log_k_raw = code_sizes(canonical_channel, [1.0],
                                                 n=4, gamma=0.0, varsigma=0.3)

@@ -1,12 +1,24 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import classical_kl
-from cqcovert.channel import CqChannelPair, Povm, ScenarioClass
+from conftest import classical_kl, diluted_ginibre_channel
+from cqcovert.channel import (
+    CqChannelPair,
+    Povm,
+    ScenarioClass,
+    average_states,
+    classify_scenario,
+)
 from cqcovert.divergences import chi_squared, holevo_information, relative_entropy
-from cqcovert.errors import AlphaOutOfRadius, SupportViolation, WrongRegime
+from cqcovert.errors import (
+    AlphaOutOfRadius,
+    DimensionMismatch,
+    SupportViolation,
+    WrongRegime,
+)
 from cqcovert.operators import (
     DensityOperator,
     diagonal_state,
@@ -16,14 +28,12 @@ from cqcovert.operators import (
 )
 from cqcovert.scaling import (
     ScalingReport,
+    admissible_symbols,
     converse_bounds,
     expansion_check,
     expansion_radius,
-    key_coefficient,
-    message_coefficient,
     optimize_ptilde,
     product_measurement_coefficients,
-    project_simplex,
     scaling_report,
     sqrtnlogn_coefficient,
 )
@@ -37,19 +47,19 @@ def _diag_channel(bob_probs, willie_probs):
 
 class TestCoefficients:
     def test_canonical_message_coefficient(self, canonical_channel):
-        coeff = message_coefficient(canonical_channel, [1.0])
+        coeff = scaling_report(canonical_channel, [1.0]).message_coeff
         expected = classical_kl([0.6, 0.4], [0.9, 0.1]) / math.sqrt(0.5)
         assert coeff == pytest.approx(expected, abs=1e-12)
         assert coeff == pytest.approx(0.440159, abs=1e-5)
 
     def test_identical_sides_need_no_key(self, canonical_channel):
-        assert key_coefficient(canonical_channel, [1.0]) == 0.0
+        assert scaling_report(canonical_channel, [1.0]).key_coeff == 0.0
 
     def test_bob_copy_of_willie_has_zero_key(self):
         # per-symbol cancellation inside the clamp
         ch = _diag_channel([[0.9, 0.1], [0.6, 0.4], [0.5, 0.5]],
                            [[0.9, 0.1], [0.6, 0.4], [0.5, 0.5]])
-        assert key_coefficient(ch, [0.3, 0.7]) == 0.0
+        assert scaling_report(ch, [0.3, 0.7]).key_coeff == 0.0
 
     def test_stronger_adversary_needs_key(self):
         # Willie's divergence exceeds Bob's symbol-wise
@@ -58,21 +68,38 @@ class TestCoefficients:
         d_bob = classical_kl([0.8, 0.2], [0.9, 0.1])
         d_willie = classical_kl([0.6, 0.4], [0.9, 0.1])
         chi2 = 0.09 / 0.9 + 0.09 / 0.1
-        coeff = key_coefficient(ch, [1.0])
+        coeff = scaling_report(ch, [1.0]).key_coeff
         assert coeff == pytest.approx((d_willie - d_bob) / math.sqrt(chi2 / 2), abs=1e-12)
         assert coeff > 0
 
     def test_key_clamps_to_zero_when_bob_is_better(self):
         ch = _diag_channel(bob_probs=[[0.9, 0.1], [0.3, 0.7]],
                            willie_probs=[[0.9, 0.1], [0.8, 0.2]])
-        assert key_coefficient(ch, [1.0]) == 0.0
+        assert scaling_report(ch, [1.0]).key_coeff == 0.0
+
+    def test_zero_weight_leaking_symbol_adds_nothing(self, willie_leak_channel):
+        # symbol 2's infinite divergence must not turn the weighted sums into
+        # 0 * inf = NaN when ptilde leaves it out
+        report = scaling_report(willie_leak_channel, [1.0, 0.0])
+        d_bob = classical_kl([0.8, 0.2], [0.9, 0.1])
+        d_willie = classical_kl([0.6, 0.4], [0.9, 0.1])
+        chi2 = 0.09 / 0.9 + 0.09 / 0.1
+        assert report.key_coeff == pytest.approx((d_willie - d_bob) / math.sqrt(chi2 / 2),
+                                                 abs=1e-12)
+        assert report.message_coeff == pytest.approx(d_bob / math.sqrt(chi2 / 2), abs=1e-12)
+
+    def test_wrong_length_ptilde(self):
+        ch = _diag_channel(bob_probs=[[0.9, 0.1], [0.8, 0.2], [0.3, 0.7], [0.5, 0.5]],
+                           willie_probs=[[0.9, 0.1], [0.6, 0.4], [0.35, 0.65], [0.5, 0.5]])
+        with pytest.raises(DimensionMismatch):
+            scaling_report(ch, [0.5, 0.5])
 
     def test_wrong_regime_rejected(self):
         ch = _diag_channel(
             bob_probs=[[0.5, 0.5], [0.9, 0.1], [0.2, 0.8]],
             willie_probs=[[0.5, 0.5], [0.7, 0.3], [0.3, 0.7]])
         with pytest.raises(WrongRegime, match="ConstantRate"):
-            message_coefficient(ch, [0.5, 0.5])
+            scaling_report(ch, [0.5, 0.5])
 
     def test_base_change_scales_both_coefficients(self):
         ch = _diag_channel(bob_probs=[[0.9, 0.1], [0.8, 0.2]],
@@ -96,9 +123,9 @@ class TestProductMeasurement:
         povm = Povm(elements=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
         report = product_measurement_coefficients(canonical_channel, povm, [1.0])
         assert report.message_coeff == pytest.approx(
-            message_coefficient(canonical_channel, [1.0]), abs=1e-12)
+            scaling_report(canonical_channel, [1.0]).message_coeff, abs=1e-12)
         assert report.key_coeff == pytest.approx(
-            key_coefficient(canonical_channel, [1.0]), abs=1e-12)
+            scaling_report(canonical_channel, [1.0]).key_coeff, abs=1e-12)
 
     def test_trivial_measurement_conveys_nothing(self, canonical_channel):
         povm = Povm(elements=(np.eye(2),))
@@ -116,7 +143,7 @@ class TestProductMeasurement:
         ch = CqChannelPair(
             bob_states=(diagonal_state([0.9, 0.1]), sig),
             willie_states=(diagonal_state([0.9, 0.1]), diagonal_state([0.6, 0.4])))
-        joint = message_coefficient(ch, [1.0])
+        joint = scaling_report(ch, [1.0]).message_coeff
         for _ in range(25):
             v = haar_unitary(2, rng)
             povm = Povm(elements=tuple(np.outer(v[:, i], v[:, i].conj())
@@ -158,25 +185,25 @@ class TestOptimizePtilde:
         ptilde, report = optimize_ptilde(canonical_channel, "max-message")
         assert ptilde == pytest.approx([1.0])
         assert report.message_coeff == pytest.approx(
-            message_coefficient(canonical_channel, [1.0]), abs=1e-12)
+            scaling_report(canonical_channel, [1.0]).message_coeff, abs=1e-12)
 
     def test_identical_symbols_make_objective_flat(self):
         ch = _diag_channel(bob_probs=[[0.9, 0.1], [0.6, 0.4], [0.6, 0.4]],
                            willie_probs=[[0.9, 0.1], [0.6, 0.4], [0.6, 0.4]])
-        _, report = optimize_ptilde(ch, "max-message", restarts=5)
+        _, report = optimize_ptilde(ch, "max-message")
         for p in ([1.0, 0.0], [0.0, 1.0], [0.37, 0.63]):
-            assert message_coefficient(ch, p) == pytest.approx(
+            assert scaling_report(ch, p).message_coeff == pytest.approx(
                 report.message_coeff, abs=1e-9)
 
     def test_dominating_symbol_takes_all_mass(self):
         # symbol 2 has larger Bob divergence and smaller chi-squared footprint
         ch = _diag_channel(bob_probs=[[0.9, 0.1], [0.85, 0.15], [0.3, 0.7]],
                            willie_probs=[[0.9, 0.1], [0.6, 0.4], [0.8, 0.2]])
-        ptilde, report = optimize_ptilde(ch, "max-message", restarts=10, seed=4)
+        ptilde, report = optimize_ptilde(ch, "max-message")
         # independent 1e-3 grid search oracle
         best_val, best_p = -1.0, None
         for t in np.linspace(0.0, 1.0, 1001):
-            val = message_coefficient(ch, [t, 1 - t])
+            val = scaling_report(ch, [t, 1 - t]).message_coeff
             if val > best_val:
                 best_val, best_p = val, (t, 1 - t)
         assert report.message_coeff == pytest.approx(best_val, abs=1e-5)
@@ -185,8 +212,8 @@ class TestOptimizePtilde:
     def test_min_key_objective(self):
         ch = _diag_channel(bob_probs=[[0.9, 0.1], [0.8, 0.2], [0.3, 0.7]],
                            willie_probs=[[0.9, 0.1], [0.6, 0.4], [0.35, 0.65]])
-        ptilde, report = optimize_ptilde(ch, "min-key", restarts=10, seed=1)
-        grid_best = min(key_coefficient(ch, [t, 1 - t])
+        ptilde, report = optimize_ptilde(ch, "min-key")
+        grid_best = min(scaling_report(ch, [t, 1 - t]).key_coeff
                         for t in np.linspace(0.0, 1.0, 1001))
         assert report.key_coeff == pytest.approx(grid_best, abs=1e-5)
 
@@ -196,18 +223,91 @@ class TestOptimizePtilde:
         with pytest.raises(ValueError):
             optimize_ptilde(ch, "maximize-everything")
 
+    def test_negative_tradeoff_weight(self, canonical_channel):
+        with pytest.raises(ValueError):
+            optimize_ptilde(canonical_channel, "tradeoff", -1.0)
 
-class TestProjectSimplex:
-    def test_already_on_simplex(self):
-        p = np.array([0.2, 0.3, 0.5])
-        assert project_simplex(p) == pytest.approx(p, abs=1e-12)
 
-    def test_projection_properties(self, rng):
-        for _ in range(100):
-            v = rng.standard_normal(5) * 3
-            p = project_simplex(v)
-            assert p.min() >= 0
-            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+# Seeded channels for the exact optimizer: (seed, dim, k, willie_stronger, leak).
+# qubit k=5 has a rank-deficient Gram matrix (rank 3); the "leak" channels
+# insert a symbol 2 that leaks at Willie.  With willie_stronger every w_x > 0,
+# so min-key is positive; the mixed variants of qubit-k3 and qutrit-k6 put the
+# tradeoff optimum on the cut w.p = 0.
+OPTIMIZER_CHANNELS = {
+    "qubit-k3": (13, 2, 3, False, False),
+    "qubit-k3-willie-stronger": (13, 2, 3, True, False),
+    "qubit-k5": (11, 2, 5, False, False),
+    "qubit-k5-willie-stronger": (11, 2, 5, True, False),
+    "qutrit-k6": (16, 3, 6, False, False),
+    "qutrit-k6-willie-stronger": (11, 3, 6, True, False),
+    "leak": (11, 3, 4, False, True),
+    "leak-willie-stronger": (11, 3, 4, True, True),
+}
+
+
+@pytest.fixture(params=sorted(OPTIMIZER_CHANNELS))
+def optimizer_case(request):
+    """A channel with its admissible slots, d_bob, w = d_willie - d_bob and the
+    chi-squared Gram matrix, all from the direct functions (Q by polarization)."""
+    ch = diluted_ginibre_channel(*OPTIMIZER_CHANNELS[request.param])
+    assert classify_scenario(ch).scenario is ScenarioClass.SQUARE_ROOT_LAW
+    adm = [x - 1 for x in admissible_symbols(ch)]
+    b0, w0 = ch.bob_states[0], ch.willie_states[0]
+    d = np.array([relative_entropy(ch.bob_states[i + 1], b0) for i in adm])
+    w = np.array([relative_entropy(ch.willie_states[i + 1], w0) for i in adm]) - d
+
+    def chi2(p_adm):
+        p = np.zeros(ch.alphabet_size - 1)
+        p[adm] = p_adm
+        return chi_squared(average_states(ch, p)[1], w0)
+
+    e = np.eye(len(adm))
+    q = np.array([[2 * chi2((e[i] + e[j]) / 2) - (chi2(e[i]) + chi2(e[j])) / 2
+                   for j in range(len(adm))] for i in range(len(adm))])
+    return ch, adm, d, w, q
+
+
+class TestExactOptimizer:
+    def test_max_message_matches_qp_oracle_and_kkt(self, optimizer_case):
+        ch, adm, d, w, q = optimizer_case
+        ptilde, report = optimize_ptilde(ch, "max-message")
+        # min p^T Q p s.t. d.p = 1, p >= 0: on its support S the optimum is
+        # z = Q_SS^-1 d_S with coefficient sqrt(2 d_S.z)
+        oracle = 0.0
+        for size in range(1, len(adm) + 1):
+            for support in itertools.combinations(range(len(adm)), size):
+                s = list(support)
+                if np.linalg.matrix_rank(q[np.ix_(s, s)]) < size:
+                    continue
+                z = np.linalg.solve(q[np.ix_(s, s)], d[s])
+                if np.all(z >= 0):
+                    oracle = max(oracle, math.sqrt(2.0 * float(d[s] @ z)))
+        assert report.message_coeff == pytest.approx(oracle, rel=1e-9)
+        assert np.all(np.delete(ptilde, adm) == 0.0)
+        p = ptilde[adm]
+        chi2 = p @ q @ p
+        g = d * chi2 - (d @ p) * (q @ p)
+        scale = np.abs(d).max() * chi2 + abs(d @ p) * np.abs(q @ p).max()
+        on = p > 0
+        assert np.abs(g[on]).max() <= 1e-9 * scale
+        assert np.all(g[~on] <= 1e-9 * scale)
+
+    def test_min_key_is_the_vertex_formula(self, optimizer_case):
+        ch, adm, d, w, q = optimizer_case
+        _, report = optimize_ptilde(ch, "min-key")
+        want = float(np.min(np.maximum(w, 0.0) / np.sqrt(np.diag(q) / 2.0)))
+        assert report.key_coeff == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.5, 5.0])
+    def test_tradeoff_beats_samples_and_vertices(self, optimizer_case, lam):
+        ch, adm, d, w, q = optimizer_case
+        _, report = optimize_ptilde(ch, "tradeoff", lam)
+        best = report.message_coeff - lam * report.key_coeff
+        gen = np.random.default_rng(5)
+        points = np.vstack([np.eye(len(adm)), gen.dirichlet(np.ones(len(adm)), size=100_000)])
+        denom = np.sqrt(np.einsum("ij,jk,ik->i", points, q, points) / 2.0)
+        values = (points @ d - lam * np.maximum(points @ w, 0.0)) / denom
+        assert values.max() <= best + 1e-12 * max(1.0, abs(best))
 
 
 class TestConverseBounds:
