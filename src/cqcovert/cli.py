@@ -153,6 +153,10 @@ def cmd_coefficients(args) -> int:
         return 0
 
     if verdict.scenario is ScenarioClass.SQRT_N_LOG_N:
+        for flag, value in (("--optimize", args.optimize), ("--povm", args.povm)):
+            if value:
+                raise WrongRegime(f"{flag} needs a SquareRootLaw channel; this channel "
+                                  "is SqrtNLogN, where only the kappa constant applies")
         if args.ptilde:
             ptilde = np.asarray(_parse_floats(args.ptilde, "--ptilde"))
         else:

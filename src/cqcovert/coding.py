@@ -27,7 +27,6 @@ from .divergences import (
 )
 from .errors import (
     AlphaOutOfRange,
-    DimensionCapExceeded,
     IndexMismatch,
     NoLeakage,
     ValidationError,
@@ -36,28 +35,17 @@ from .operators import (
     DEFAULT_RANK_TOL,
     DensityOperator,
     ZERO_EIGENVALUE_TOL,
-    dimension_cap,
     eigenvalue_clusters,
     hermitian_part,
+    kron_chain,
     kron_power,
 )
 
 
-def _check_block_dim(dim: int, n: int) -> int:
-    out = dim ** n
-    cap = dimension_cap()
-    if out > cap:
-        raise DimensionCapExceeded(f"block dimension {dim}^{n} = {out} exceeds cap {cap}")
-    return out
-
-
 def product_state(states: Sequence[DensityOperator], symbols: Sequence[int]) -> DensityOperator:
     """Tensor product state of per-use outputs, channel use 1 leftmost."""
-    _check_block_dim(states[0].dim, len(symbols))
-    m = states[symbols[0]].matrix
-    for x in symbols[1:]:
-        m = np.kron(m, states[x].matrix)
-    return DensityOperator(m, rank_tolerance=states[0].rank_tolerance)
+    return DensityOperator(kron_chain([states[x].matrix for x in symbols]),
+                           rank_tolerance=states[0].rank_tolerance)
 
 
 @dataclass(frozen=True)
@@ -124,39 +112,24 @@ class ProductBasis:
     """
 
     def __init__(self, state: DensityOperator, n: int):
-        _check_block_dim(state.dim, n)
         spec = state.spectrum
         single = np.where(spec.eigenvalues > state.rank_tolerance, spec.eigenvalues, 0.0)
         self.n = n
         self.single_dim = state.dim
         self.single_vectors = spec.eigenvectors
-        values = single
-        for _ in range(n - 1):
-            values = np.kron(values, single)
-        self.eigenvalues = values
-        ids = eigenvalue_clusters(values)
-        self.cluster_mask = ids[:, None] == ids[None, :]
+        self.eigenvalues = kron_chain([single] * n)
+        ids = eigenvalue_clusters(self.eigenvalues)
         self.clusters = [np.flatnonzero(ids == c) for c in range(ids.max() + 1)]
-
-    def rotate_single(self, matrix: np.ndarray) -> np.ndarray:
-        """Conjugate a single-use operator into the single-use eigenbasis."""
-        u = self.single_vectors
-        return u.conj().T @ matrix @ u
 
     def rotated_block(self, states: Sequence[DensityOperator],
                       symbols: Sequence[int]) -> np.ndarray:
         """Product block state expressed in the rotated basis (O(dim^2))."""
-        out = self.rotate_single(states[symbols[0]].matrix)
-        for x in symbols[1:]:
-            out = np.kron(out, self.rotate_single(states[x].matrix))
-        return out
-
-    def pinch_rotated(self, rotated: np.ndarray) -> np.ndarray:
-        """Dephase a rotated-basis operator across the eigenvalue clusters."""
-        return rotated * self.cluster_mask
+        u = self.single_vectors
+        return kron_chain([u.conj().T @ states[x].matrix @ u for x in symbols])
 
     def to_original_basis(self, rotated: np.ndarray) -> np.ndarray:
-        """Conjugate back: (u^(x) n) rotated (u^(x) n)^dagger without forming u^(x) n."""
+        """Conjugate back to the computational basis without forming u^(x) n:
+        (u^(x) n) rotated (u^(x) n)^dagger.  Trial scoring never needs it."""
         half = _kron_apply_left(self.single_vectors, self.n, rotated)
         return _kron_apply_left(self.single_vectors, self.n, half.conj().T).conj().T
 
@@ -173,9 +146,14 @@ def _kron_apply_left(u: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecoderPovm:
-    """Sub-POVM decoder: per-message elements plus an implicit failure element."""
+    """Sub-POVM decoder: per-message elements plus an implicit failure element.
+
+    The elements are written in the product eigenbasis ``basis``, or in the
+    computational basis when it is None.
+    """
 
     elements: tuple[np.ndarray, ...]
+    basis: ProductBasis | None = None
 
     @property
     def dim(self) -> int:
@@ -208,13 +186,13 @@ def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
 
     Everything after the pinching is block-diagonal over the innocent
     state's eigenvalue clusters, so the spectral work is done cluster by
-    cluster in the rotated basis.
+    cluster in the rotated basis, and the elements are returned in that
+    basis (``DecoderPovm.basis``).
     """
     if a < 0:
         raise ValidationError(f"threshold exponent a must be >= 0, got {a}")
     if not 0 <= key < codebook.k_count:
         raise IndexMismatch(f"key {key} outside 0..{codebook.k_count - 1}")
-    _check_block_dim(channel.dim_bob, codebook.n)
     if basis is None:
         basis = ProductBasis(channel.bob_states[0], codebook.n)
     elif (basis.single_dim != channel.dim_bob
@@ -247,17 +225,14 @@ def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
         for b, idx in enumerate(basis.clusters):
             norm = norm_blocks[b]
             rotated_element[np.ix_(idx, idx)] = norm @ projector_blocks[m][b] @ norm
-        elements.append(hermitian_part(basis.to_original_basis(rotated_element)))
-    return DecoderPovm(elements=tuple(elements))
-
-
-def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(a * b.T).real)
+        elements.append(hermitian_part(rotated_element))
+    return DecoderPovm(elements=tuple(elements), basis=basis)
 
 
 def exact_pe_bob(codebook: Codebook, channel: CqChannelPair,
                  decoder: DecoderPovm, key: int = 0) -> float:
-    """Exact average decoding error (1/M) sum_m (1 - Tr{element_m state_m})."""
+    """Exact average decoding error (1/M) sum_m (1 - Tr{element_m state_m}),
+    with each codeword state built in the decoder's basis."""
     if len(decoder.elements) != codebook.m_count:
         raise IndexMismatch(f"decoder has {len(decoder.elements)} elements "
                             f"for {codebook.m_count} messages")
@@ -265,14 +240,17 @@ def exact_pe_bob(codebook: Codebook, channel: CqChannelPair,
         raise IndexMismatch(f"key {key} outside 0..{codebook.k_count - 1}")
     total = 0.0
     for m in range(codebook.m_count):
-        sig = product_state(channel.bob_states, codebook.codeword(m, key))
-        total += 1.0 - _trace_product(decoder.elements[m], sig.matrix)
+        symbols = codebook.codeword(m, key)
+        if decoder.basis is None:
+            sig = product_state(channel.bob_states, symbols).matrix
+        else:
+            sig = decoder.basis.rotated_block(channel.bob_states, symbols)
+        total += 1.0 - float(np.sum(decoder.elements[m] * sig.T).real)
     return min(max(total / codebook.m_count, 0.0), 1.0)
 
 
 def willie_average_state(codebook: Codebook, channel: CqChannelPair) -> DensityOperator:
     """Uniform mixture of the adversary's codeword block states."""
-    _check_block_dim(channel.dim_willie, codebook.n)
     rows = codebook.m_count * codebook.k_count
     acc = None
     for row in codebook.symbols:
@@ -424,8 +402,8 @@ def run_experiment(config: ExperimentConfig) -> list[TrialReport]:
 
     tasks = []
     for n in config.n_list:
-        _check_block_dim(channel.dim_bob, n)
-        _check_block_dim(channel.dim_willie, n)
+        basis = ProductBasis(channel.bob_states[0], n)
+        innocent_block = kron_power(channel.willie_states[0], n)
         m, k, log_m_raw, log_k_raw = code_sizes(channel, p, n, config.gamma,
                                                 config.varsigma)
         if config.m_override is not None:
@@ -434,8 +412,6 @@ def run_experiment(config: ExperimentConfig) -> list[TrialReport]:
             k = config.k_override
         a = ((1.0 - config.nu) * (1.0 - config.mu) * config.gamma * math.sqrt(n)
              * channel.summary.weighted(p, channel.summary.bob.divergences))
-        basis = ProductBasis(channel.bob_states[0], n)
-        innocent_block = kron_power(channel.willie_states[0], n)
         note = "gamma=0: no signaling" if config.gamma == 0 else ""
         for t in range(config.trials):
             tasks.append((n, m, k, log_m_raw, log_k_raw, a, basis,

@@ -64,13 +64,14 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     Both logarithms follow the pseudo-function-on-support convention.
     """
     _check_dims(rho, sigma)
-    if not supports_contained(rho, sigma):
-        return math.inf
     spec_s = sigma.spectrum
     on = spec_s.eigenvalues > sigma.rank_tolerance
     v = spec_s.eigenvectors[:, on]
-    # <v_j| rho |v_j> weights for the cross term Tr{rho log sigma}
+    # <v_j| rho |v_j> weights: they sum to Tr{P_sigma rho}, and they give the
+    # cross term Tr{rho log sigma}
     weights = np.einsum("ij,ij->j", v.conj(), rho.matrix @ v).real
+    if 1.0 - float(np.sum(weights)) > SUPPORT_TOL:
+        return math.inf
     cross = float(np.sum(weights * np.log(spec_s.eigenvalues[on])))
     return _clip(-von_neumann_entropy(rho) - cross)
 

@@ -18,6 +18,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -155,13 +156,25 @@ def make_density(entries: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOL) 
     return DensityOperator(matrix=m, rank_tolerance=float(rank_tolerance))
 
 
-def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    """Kronecker product of two states; left factor is the earlier channel use."""
-    out_dim = a.dim * b.dim
+def kron_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product of matrices or vectors, leftmost factor first.
+
+    The package's one Kronecker builder: the product of the leading
+    dimensions is checked against the dimension cap before any allocation.
+    """
+    out_dim = math.prod(f.shape[0] for f in factors)
     cap = dimension_cap()
     if out_dim > cap:
-        raise DimensionCapExceeded(f"product dimension {out_dim} exceeds cap {cap}")
-    return DensityOperator(np.kron(a.matrix, b.matrix),
+        raise DimensionCapExceeded(f"Kronecker product dimension {out_dim} exceeds cap {cap}")
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.kron(out, f)
+    return out
+
+
+def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
+    """Kronecker product of two states; left factor is the earlier channel use."""
+    return DensityOperator(kron_chain([a.matrix, b.matrix]),
                            rank_tolerance=max(a.rank_tolerance, b.rank_tolerance))
 
 
@@ -169,14 +182,7 @@ def kron_power(a: DensityOperator, n: int) -> DensityOperator:
     """n-fold Kronecker power of a state (n >= 1)."""
     if n < 1:
         raise DimensionMismatch(f"kron power requires n >= 1, got {n}")
-    out_dim = a.dim ** n
-    cap = dimension_cap()
-    if out_dim > cap:
-        raise DimensionCapExceeded(f"dimension {a.dim}^{n} = {out_dim} exceeds cap {cap}")
-    m = a.matrix
-    for _ in range(n - 1):
-        m = np.kron(m, a.matrix)
-    return DensityOperator(m, rank_tolerance=a.rank_tolerance)
+    return DensityOperator(kron_chain([a.matrix] * n), rank_tolerance=a.rank_tolerance)
 
 
 def partial_trace(joint: DensityOperator, dims: tuple[int, int], keep: str) -> DensityOperator:

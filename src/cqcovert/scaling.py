@@ -37,6 +37,7 @@ from .divergences import (
 )
 from .errors import (
     AlphaOutOfRadius,
+    ResourceError,
     SupportViolation,
     SupportViolationClassical,
     WrongRegime,
@@ -50,6 +51,7 @@ from .operators import (
 
 CLASSICAL_ZERO = 1e-12
 CLASSICAL_LEAK_TOL = 1e-9
+MAX_OPTIMIZE_SYMBOLS = 16  # optimize_ptilde enumerates 2^k faces: about 8 s at k = 16
 OBJECTIVES = ("max-message", "min-key", "tradeoff")
 
 
@@ -224,7 +226,8 @@ def optimize_ptilde(channel: CqChannelPair, objective: str,
     solves one small linear system.  Every face of the admissible symbols is
     enumerated (2^k of them for k symbols), the true objective is evaluated
     at every feasible candidate and every vertex, and the first best is kept,
-    so the result is the global optimum.
+    so the result is the global optimum.  More than ``MAX_OPTIMIZE_SYMBOLS``
+    admissible symbols raise ``ResourceError`` before any face is visited.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -232,6 +235,10 @@ def optimize_ptilde(channel: CqChannelPair, objective: str,
         raise ValueError(f"tradeoff weight must be finite and >= 0, got {weight!r}")
     _require_regime(channel, ScenarioClass.SQUARE_ROOT_LAW)
     admissible = [x - 1 for x in admissible_symbols(channel)]  # never empty here
+    if len(admissible) > MAX_OPTIMIZE_SYMBOLS:
+        raise ResourceError(f"optimizing over {len(admissible)} admissible symbols "
+                            f"enumerates 2^{len(admissible)} faces; the limit is "
+                            f"{MAX_OPTIMIZE_SYMBOLS} symbols")
     summary = channel.summary
     d = summary.bob.divergences[admissible]
     w = summary.willie.divergences[admissible] - d

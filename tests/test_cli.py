@@ -126,6 +126,23 @@ class TestCoefficients:
         assert doc["regime"] == "SqrtNLogN"
         assert doc["kappa"] == pytest.approx(0.5, abs=1e-10)
 
+    @pytest.mark.parametrize("flag, value", [("--optimize", "max-message"),
+                                             ("--povm", "/nonexistent.json")])
+    def test_sqrtnlogn_channel_rejects_flag(self, tmp_path, capsys, flag, value):
+        bob = [np.diag([1.0, 0.0]), np.diag([0.5, 0.5])]
+        willie = [np.diag([0.9, 0.1]), np.diag([0.6, 0.4])]
+        path = _write_channel(tmp_path / "snl.json", bob, willie)
+        assert main(["coefficients", "--channel", path, flag, value]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
+    def test_too_many_optimized_symbols_exits_4(self, tmp_path):
+        probs = [[0.9, 0.1]] + [[0.3 + 0.02 * x, 0.7 - 0.02 * x] for x in range(17)]
+        path = _write_channel(tmp_path / "wide.json", [np.diag(p) for p in probs],
+                              [np.diag(p) for p in probs])
+        assert main(["coefficients", "--channel", path, "--optimize", "max-message"]) == 4
+
 
     @pytest.mark.parametrize("value", ["tradeoff:1:2", "tradeoff:heavy", "tradeoff:",
                                        "max-message:1", "maximize-everything"])

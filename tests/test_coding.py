@@ -106,13 +106,15 @@ class TestSrmDecoder:
         innocent = kron_power(canonical_channel.bob_states[0], 3).matrix
         projector = spectral_projection_nonneg(
             pinching(innocent, block) - math.exp(0.2) * innocent, strict=True)
-        assert np.linalg.norm(decoder.elements[0] - projector) <= 1e-9
+        element = decoder.basis.to_original_basis(decoder.elements[0])
+        assert np.linalg.norm(element - projector) <= 1e-9
 
     def test_diagonal_channel_gives_diagonal_decoder(self, canonical_channel):
         cb = sample_codebook(canonical_channel, n=4, m_count=3, k_count=1,
                              gamma=0.6, ptilde=[1.0], seed=2)
         decoder = build_srm_decoder(cb, canonical_channel, a=0.3)
         for e in decoder.elements:
+            e = decoder.basis.to_original_basis(e)
             off_diag = e - np.diag(np.diag(e))
             assert np.linalg.norm(off_diag) <= 1e-10
 
@@ -166,6 +168,61 @@ class TestSrmDecoder:
                              gamma=0.5, ptilde=[1.0], seed=0)
         with pytest.raises(IndexMismatch):
             build_srm_decoder(cb, canonical_channel, a=0.1, key=1)
+
+
+class TestDecoderBasis:
+    """Decoders live in the innocent state's product eigenbasis; mapped back
+    to the computational basis they match a dense construction."""
+
+    @staticmethod
+    def _channel():
+        from cqcovert.operators import ginibre_state
+        gen = np.random.default_rng(2024)
+        return CqChannelPair(
+            bob_states=(ginibre_state(2, gen), ginibre_state(2, gen)),
+            willie_states=(ginibre_state(2, gen), ginibre_state(2, gen)))
+
+    @staticmethod
+    def _dense_srm(cb, ch, a):
+        from cqcovert.operators import matrix_inv_sqrt, pinching, spectral_projection_nonneg
+        innocent = kron_power(ch.bob_states[0], cb.n).matrix
+        projectors = []
+        for m in range(cb.m_count):
+            block = np.ones((1, 1), dtype=complex)
+            for x in cb.codeword(m, 0):
+                block = np.kron(block, ch.bob_states[x].matrix)
+            projectors.append(spectral_projection_nonneg(
+                pinching(innocent, block) - math.exp(a) * innocent, strict=True))
+        if cb.m_count == 1:
+            return projectors
+        norm = matrix_inv_sqrt(sum(projectors))
+        return [norm @ proj @ norm for proj in projectors]
+
+    @pytest.mark.parametrize("m_count", [1, 3])
+    def test_original_basis_elements_match_dense_oracle(self, m_count):
+        ch = self._channel()
+        assert np.linalg.norm(ch.bob_states[0].matrix @ ch.bob_states[1].matrix
+                              - ch.bob_states[1].matrix @ ch.bob_states[0].matrix) > 1e-3
+        for seed in range(5):
+            cb = sample_codebook(ch, n=3, m_count=m_count, k_count=1,
+                                 gamma=0.9, ptilde=[1.0], seed=seed)
+            decoder = build_srm_decoder(cb, ch, a=0.15)
+            assert isinstance(decoder.basis, ProductBasis)
+            for mine, oracle in zip(decoder.elements, self._dense_srm(cb, ch, 0.15)):
+                assert np.linalg.norm(decoder.basis.to_original_basis(mine) - oracle) <= 1e-9
+
+    def test_pe_is_the_same_in_either_basis(self):
+        ch = self._channel()
+        for seed in range(5):
+            cb = sample_codebook(ch, n=3, m_count=3, k_count=2,
+                                 gamma=0.9, ptilde=[1.0], seed=seed)
+            for key in range(2):
+                decoder = build_srm_decoder(cb, ch, a=0.15, key=key)
+                original = DecoderPovm(elements=tuple(
+                    decoder.basis.to_original_basis(e) for e in decoder.elements))
+                assert original.basis is None
+                assert exact_pe_bob(cb, ch, decoder, key=key) == pytest.approx(
+                    exact_pe_bob(cb, ch, original, key=key), abs=1e-12)
 
 
 class TestExactPeBob:

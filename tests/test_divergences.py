@@ -21,6 +21,7 @@ from cqcovert.errors import DimensionMismatch, SupportViolation
 from cqcovert.operators import (
     diagonal_state,
     ginibre_state,
+    haar_unitary,
     kron_power,
     make_density,
     matrix_power,
@@ -279,3 +280,15 @@ def test_supports_contained_is_directional():
     big = diagonal_state([0.5, 0.5])
     assert supports_contained(small, big)
     assert not supports_contained(big, small)
+
+
+@pytest.mark.parametrize("t, finite", [(2e-9, False), (5e-10, True)])
+def test_relative_entropy_containment_threshold(t, finite):
+    # rank-2 qutrit sigma in a Haar-random basis; rho leaks mass t onto its kernel
+    u = haar_unitary(3, np.random.default_rng(31))
+    sigma = DensityOperator(hermitian_part(u @ np.diag([0.7, 0.3, 0.0]) @ u.conj().T))
+    kernel = u[:, 2]
+    rho = DensityOperator(hermitian_part(
+        (1 - t) * sigma.matrix + t * np.outer(kernel, kernel.conj())))
+    d = relative_entropy(rho, sigma)
+    assert math.isfinite(d) == finite == supports_contained(rho, sigma)

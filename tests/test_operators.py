@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cqcovert.coding import ProductBasis, product_state
 from cqcovert.errors import (
     DimensionCapExceeded,
     DimensionMismatch,
@@ -14,6 +15,7 @@ from cqcovert.operators import (
     diagonal_state,
     eigenvalue_clusters,
     ginibre_state,
+    kron_chain,
     kron_power,
     make_density,
     matrix_from_json,
@@ -113,6 +115,11 @@ class TestTensor:
         rho = ginibre_state(3, rng)
         assert abs(np.trace(kron_power(rho, 3).matrix).real - 1.0) <= 1e-9
 
+    def test_kron_chain_matches_nested_kron(self, rng):
+        a, b, c = (ginibre_state(d, rng).matrix for d in (2, 3, 2))
+        assert np.array_equal(kron_chain([a, b, c]), np.kron(np.kron(a, b), c))
+        assert np.array_equal(kron_chain([np.array([1.0, 2.0])] * 2), [1.0, 2.0, 2.0, 4.0])
+
     def test_dimension_cap(self, monkeypatch):
         monkeypatch.setenv("CQCOVERT_DIM_CAP", "8")
         rho = diagonal_state([0.5, 0.5])
@@ -121,6 +128,13 @@ class TestTensor:
             kron_power(rho, 4)
         with pytest.raises(DimensionCapExceeded):
             tensor(kron_power(rho, 3), rho)
+        states = (rho, diagonal_state([0.9, 0.1]))
+        product_state(states, [0, 1, 1])
+        ProductBasis(rho, 3)
+        with pytest.raises(DimensionCapExceeded):
+            product_state(states, [0, 1, 1, 0])
+        with pytest.raises(DimensionCapExceeded):
+            ProductBasis(rho, 4)
 
 
 class TestPartialTrace:

@@ -16,6 +16,7 @@ from cqcovert.divergences import chi_squared, holevo_information, relative_entro
 from cqcovert.errors import (
     AlphaOutOfRadius,
     DimensionMismatch,
+    ResourceError,
     SupportViolation,
     WrongRegime,
 )
@@ -27,6 +28,7 @@ from cqcovert.operators import (
     hermitian_part,
 )
 from cqcovert.scaling import (
+    MAX_OPTIMIZE_SYMBOLS,
     ScalingReport,
     admissible_symbols,
     converse_bounds,
@@ -226,6 +228,19 @@ class TestOptimizePtilde:
     def test_negative_tradeoff_weight(self, canonical_channel):
         with pytest.raises(ValueError):
             optimize_ptilde(canonical_channel, "tradeoff", -1.0)
+
+    def test_too_many_symbols_is_a_resource_error(self, monkeypatch):
+        # 17 admissible diagonal symbols: refused before any face is enumerated
+        probs = [[0.9, 0.1]] + [[0.3 + 0.02 * x, 0.7 - 0.02 * x] for x in range(17)]
+        ch = _diag_channel(bob_probs=probs, willie_probs=probs)
+        assert len(admissible_symbols(ch)) == MAX_OPTIMIZE_SYMBOLS + 1 == 17
+
+        def no_enumeration(*args):
+            raise AssertionError("faces enumerated")
+
+        monkeypatch.setattr(itertools, "combinations", no_enumeration)
+        with pytest.raises(ResourceError):
+            optimize_ptilde(ch, "max-message")
 
 
 # Seeded channels for the exact optimizer: (seed, dim, k, willie_stronger, leak).
