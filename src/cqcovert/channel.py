@@ -21,6 +21,7 @@ import scipy.optimize
 from .divergences import (
     SUPPORT_TOL,
     relative_entropy,
+    support_leak,
     trace_distance,
     validate_distribution,
 )
@@ -38,7 +39,6 @@ from .operators import (
     matrix_inv_sqrt,
     matrix_to_json,
     require_hermitian,
-    support_projector,
 )
 
 MIXTURE_RESIDUAL_TOL = 1e-8
@@ -154,15 +154,9 @@ class SideSummary:
         self.states = states
 
     @cached_property
-    def projector(self) -> np.ndarray:
-        """Projector onto the support of the innocent state."""
-        return support_projector(self.states[0])
-
-    @cached_property
     def inside(self) -> np.ndarray:
         """Mass ``Tr{P_0 state_x}`` inside the innocent support, for every symbol x."""
-        return np.array([float(np.trace(self.projector @ s.matrix).real)
-                         for s in self.states])
+        return np.array([1.0 - support_leak(s, self.states[0]) for s in self.states])
 
     @cached_property
     def divergences(self) -> np.ndarray:
@@ -289,9 +283,8 @@ def _bob_pair_disjoint(channel: CqChannelPair) -> bool:
     # exists x != x' (both non-innocent) with orthogonal Bob supports
     symbols = list(channel.non_innocent)
     for i, x in enumerate(symbols):
-        p_x = support_projector(channel.bob_states[x])
         for x2 in symbols[i + 1:]:
-            if float(np.trace(p_x @ channel.bob_states[x2].matrix).real) <= SUPPORT_TOL:
+            if support_leak(channel.bob_states[x2], channel.bob_states[x]) >= 1.0 - SUPPORT_TOL:
                 return True
     return False
 

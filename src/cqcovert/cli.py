@@ -46,6 +46,7 @@ from .scaling import (
 from .verify import SUITES, run_suites
 
 SIMULATE_HEADER = "n,gamma,seed,logM_nats,logK_nats,pe_bob,covert_D_nats,pe_willie"
+COEFFICIENTS_HEADER = "regime,message_coeff,key_coeff,kappa,unit,ptilde"
 NOGO_HEADER = "epsilon,c_min,pe_willie,bob_bound,admissible_fraction,pair_bound"
 
 
@@ -62,6 +63,16 @@ def _write(text: str, out: str | None) -> None:
                 fh.write(text)
         except OSError as exc:
             raise ParseError(f"cannot write {out}: {exc}") from exc
+
+
+def _emit(args, doc, csv_lines: list[str]) -> int:
+    """Write ``doc`` as JSON or ``csv_lines`` as CSV, as ``--format`` asks."""
+    if args.format == "json":
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    else:
+        text = "\n".join(csv_lines) + "\n"
+    _write(text, args.out)
+    return 0
 
 
 def _parse_floats(raw: str, flag: str) -> list[float]:
@@ -99,15 +110,10 @@ def cmd_classify(args) -> int:
     channel = load_channel(args.channel)
     report = classify_scenario(channel)
     doc = report.to_json()
-    if args.format == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    else:
-        refinements = ";".join(doc["refinements"])
-        symbols = ";".join(str(s) for s in doc["sqrtnlogn_symbols"])
-        text = ("class,refinements,sqrtnlogn_symbols\n"
-                f"{doc['class']},{refinements},{symbols}\n")
-    _write(text, args.out)
-    return 0
+    refinements = ";".join(doc["refinements"])
+    symbols = ";".join(str(s) for s in doc["sqrtnlogn_symbols"])
+    return _emit(args, doc, ["class,refinements,sqrtnlogn_symbols",
+                             f"{doc['class']},{refinements},{symbols}"])
 
 
 def cmd_coefficients(args) -> int:
@@ -142,15 +148,10 @@ def cmd_coefficients(args) -> int:
                 report = scaling_report(channel, ptilde)
         doc = report.to_json(unit)
         doc["optimized"] = args.optimize or None
-        if args.format == "json":
-            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        else:
-            text = ("regime,message_coeff,key_coeff,kappa,unit,ptilde\n"
-                    f"{doc['regime']},{_fmt(doc['message_coeff'])},"
-                    f"{_fmt(doc['key_coeff'])},,{unit},"
-                    f"{';'.join(_fmt(v) for v in doc['ptilde'])}\n")
-        _write(text, args.out)
-        return 0
+        return _emit(args, doc, [COEFFICIENTS_HEADER,
+                                 f"{doc['regime']},{_fmt(doc['message_coeff'])},"
+                                 f"{_fmt(doc['key_coeff'])},,{unit},"
+                                 f"{';'.join(_fmt(v) for v in doc['ptilde'])}"])
 
     if verdict.scenario is ScenarioClass.SQRT_N_LOG_N:
         for flag, value in (("--optimize", args.optimize), ("--povm", args.povm)):
@@ -164,15 +165,10 @@ def cmd_coefficients(args) -> int:
         report = sqrtnlogn_coefficient(channel, ptilde)
         doc = report.to_json()
         doc["unit"] = unit  # the leading constant is base-invariant
-        if args.format == "json":
-            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        else:
-            text = ("regime,message_coeff,key_coeff,kappa,unit,ptilde\n"
-                    f"{doc['regime']},{_fmt(doc['leading_constant'])},,"
-                    f"{_fmt(doc['kappa'])},{unit},"
-                    f"{';'.join(_fmt(v) for v in doc['ptilde'])}\n")
-        _write(text, args.out)
-        return 0
+        return _emit(args, doc, [COEFFICIENTS_HEADER,
+                                 f"{doc['regime']},{_fmt(doc['leading_constant'])},,"
+                                 f"{_fmt(doc['kappa'])},{unit},"
+                                 f"{';'.join(_fmt(v) for v in doc['ptilde'])}"])
 
     raise WrongRegime(f"channel classified {verdict.scenario.value}; scaling "
                       "coefficients require SquareRootLaw or SqrtNLogN "
@@ -191,6 +187,9 @@ def cmd_simulate(args) -> int:
         ptilde = np.asarray(_parse_floats(args.ptilde, "--ptilde"))
     else:
         ptilde = uniform_nontrivial_ptilde(channel)
+    for flag, value in (("--delta", args.delta), ("--epsilon", args.epsilon)):
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise ParseError(f"{flag} must be a finite number >= 0, got {value!r}")
     epsilon = args.epsilon
     if epsilon is None:
         epsilon = default_epsilon_target(channel, ptilde, args.gamma)
@@ -209,24 +208,15 @@ def cmd_simulate(args) -> int:
         group = [r for r in reports if r.n == n]
         summaries.append(select_best(group, config.delta_target, epsilon))
 
-    if args.format == "json":
-        doc = {"trials": [r.to_json() for r in reports],
-               "summaries": [s.to_json() for s in summaries],
-               "delta_target": config.delta_target,
-               "epsilon_target": epsilon}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = [SIMULATE_HEADER]
-        by_n = {n: [] for n in n_list}
-        for r in reports:
-            by_n[r.n].append(r)
-        for n, summary in zip(n_list, summaries):
-            for r in by_n[n]:
-                lines.append(_trial_csv_row(r))
-            lines.append(_trial_csv_row(summary))
-        text = "\n".join(lines) + "\n"
-    _write(text, args.out)
-    return 0
+    doc = {"trials": [r.to_json() for r in reports],
+           "summaries": [s.to_json() for s in summaries],
+           "delta_target": config.delta_target,
+           "epsilon_target": epsilon}
+    lines = [SIMULATE_HEADER]
+    for n, summary in zip(n_list, summaries):
+        lines += [_trial_csv_row(r) for r in reports if r.n == n]
+        lines.append(_trial_csv_row(summary))
+    return _emit(args, doc, lines)
 
 
 def _trial_csv_row(r) -> str:
@@ -275,17 +265,10 @@ def cmd_nogo(args) -> int:
         grid = [probe.c_min / f for f in (64.0, 32.0, 16.0, 8.0)]
     rows = [nogo_experiment(channel, codebook, e) for e in grid]
 
-    if args.format == "json":
-        text = json.dumps([r.to_json() for r in rows], indent=2, sort_keys=True) + "\n"
-    else:
-        lines = [NOGO_HEADER]
-        for r in rows:
-            lines.append(",".join(_fmt(v) for v in (
-                r.epsilon, r.c_min, r.pe_willie, r.bob_bound,
-                r.admissible_fraction, r.pair_bound)))
-        text = "\n".join(lines) + "\n"
-    _write(text, args.out)
-    return 0
+    return _emit(args, [r.to_json() for r in rows],
+                 [NOGO_HEADER] + [",".join(_fmt(v) for v in (
+                     r.epsilon, r.c_min, r.pe_willie, r.bob_bound,
+                     r.admissible_fraction, r.pair_bound)) for r in rows])
 
 
 def build_parser() -> argparse.ArgumentParser:

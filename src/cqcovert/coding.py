@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from .divergences import (
 )
 from .errors import (
     AlphaOutOfRange,
+    DimensionMismatch,
     IndexMismatch,
     NoLeakage,
     ValidationError,
@@ -34,11 +36,11 @@ from .errors import (
 from .operators import (
     DEFAULT_RANK_TOL,
     DensityOperator,
+    Spectrum,
     ZERO_EIGENVALUE_TOL,
     eigenvalue_clusters,
     hermitian_part,
     kron_chain,
-    kron_power,
 )
 
 
@@ -112,14 +114,28 @@ class ProductBasis:
     """
 
     def __init__(self, state: DensityOperator, n: int):
+        if n < 1:
+            raise DimensionMismatch(f"product basis requires n >= 1, got {n}")
         spec = state.spectrum
         single = np.where(spec.eigenvalues > state.rank_tolerance, spec.eigenvalues, 0.0)
         self.n = n
         self.single_dim = state.dim
         self.single_vectors = spec.eigenvectors
+        self.rank_tolerance = state.rank_tolerance
         self.eigenvalues = kron_chain([single] * n)
         ids = eigenvalue_clusters(self.eigenvalues)
         self.clusters = [np.flatnonzero(ids == c) for c in range(ids.max() + 1)]
+
+    @cached_property
+    def state(self) -> DensityOperator:
+        """The n-fold state in this basis: diagonal, with its spectrum read off
+        the product eigenvalues instead of an eigensolve."""
+        block = DensityOperator(np.diag(self.eigenvalues), rank_tolerance=self.rank_tolerance)
+        order = np.argsort(-self.eigenvalues, kind="stable")
+        # what DensityOperator.spectrum (a cached_property) would cache
+        vars(block)["spectrum"] = Spectrum(eigenvalues=self.eigenvalues[order],
+                                           eigenvectors=np.eye(self.eigenvalues.size)[:, order])
+        return block
 
     def rotated_block(self, states: Sequence[DensityOperator],
                       symbols: Sequence[int]) -> np.ndarray:
@@ -128,20 +144,19 @@ class ProductBasis:
         return kron_chain([u.conj().T @ states[x].matrix @ u for x in symbols])
 
     def to_original_basis(self, rotated: np.ndarray) -> np.ndarray:
-        """Conjugate back to the computational basis without forming u^(x) n:
-        (u^(x) n) rotated (u^(x) n)^dagger.  Trial scoring never needs it."""
-        half = _kron_apply_left(self.single_vectors, self.n, rotated)
-        return _kron_apply_left(self.single_vectors, self.n, half.conj().T).conj().T
+        """Conjugate back to the computational basis: (u^(x) n) rotated
+        (u^(x) n)^dagger.  Trial scoring never needs it."""
+        u = kron_chain([self.single_vectors] * self.n)
+        return u @ rotated @ u.conj().T
 
 
-def _kron_apply_left(u: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
-    """Multiply (u^(x) n) @ x using axis-wise contractions, O(n d^2 dim)."""
-    d = u.shape[0]
-    cols = x.shape[1]
-    t = x.reshape((d,) * n + (cols,))
-    for axis in range(n):
-        t = np.moveaxis(np.tensordot(u, t, axes=(1, axis)), 0, axis)
-    return t.reshape(d ** n, cols)
+def _block(states: Sequence[DensityOperator], symbols: Sequence[int],
+           basis: ProductBasis | None) -> np.ndarray:
+    """Product block state of a codeword, in ``basis`` or, when it is None,
+    in the computational basis."""
+    if basis is None:
+        return product_state(states, symbols).matrix
+    return basis.rotated_block(states, symbols)
 
 
 @dataclass(frozen=True)
@@ -158,10 +173,6 @@ class DecoderPovm:
     @property
     def dim(self) -> int:
         return self.elements[0].shape[0]
-
-    @property
-    def failure_element(self) -> np.ndarray:
-        return np.eye(self.dim) - sum(self.elements)
 
     def validate(self, tol: float = 1e-8) -> None:
         """Check PSD elements and sum bounded by identity within ``tol``."""
@@ -240,41 +251,36 @@ def exact_pe_bob(codebook: Codebook, channel: CqChannelPair,
         raise IndexMismatch(f"key {key} outside 0..{codebook.k_count - 1}")
     total = 0.0
     for m in range(codebook.m_count):
-        symbols = codebook.codeword(m, key)
-        if decoder.basis is None:
-            sig = product_state(channel.bob_states, symbols).matrix
-        else:
-            sig = decoder.basis.rotated_block(channel.bob_states, symbols)
+        sig = _block(channel.bob_states, codebook.codeword(m, key), decoder.basis)
         total += 1.0 - float(np.sum(decoder.elements[m] * sig.T).real)
     return min(max(total / codebook.m_count, 0.0), 1.0)
 
 
-def willie_average_state(codebook: Codebook, channel: CqChannelPair) -> DensityOperator:
-    """Uniform mixture of the adversary's codeword block states."""
+def willie_average_state(codebook: Codebook, channel: CqChannelPair,
+                         basis: ProductBasis | None = None) -> DensityOperator:
+    """Uniform mixture of the adversary's codeword block states, written in
+    ``basis`` or, when it is None, in the computational basis."""
     rows = codebook.m_count * codebook.k_count
     acc = None
     for row in codebook.symbols:
-        m = product_state(channel.willie_states, row).matrix
+        m = _block(channel.willie_states, row, basis)
         acc = m if acc is None else acc + m
     return DensityOperator(hermitian_part(acc / rows),
                            rank_tolerance=channel.willie_states[0].rank_tolerance)
 
 
 def covertness_report(codebook: Codebook, channel: CqChannelPair,
-                      innocent_block: DensityOperator | None = None,
-                      ) -> tuple[float, float]:
+                      basis: ProductBasis | None = None) -> tuple[float, float]:
     """Exact covertness divergence (nats) and optimal detector error.
 
-    Compares the average adversary state against the innocent block state;
-    ``innocent_block`` may be passed in to share its cached spectrum across
-    trials.
+    Compares the average adversary state against the innocent block state,
+    both written in ``basis``: the product eigenbasis of the adversary's
+    innocent state, built here when None and shared across trials otherwise.
     """
-    rho_bar = willie_average_state(codebook, channel)
-    if innocent_block is None:
-        innocent_block = kron_power(channel.willie_states[0], codebook.n)
-    d = relative_entropy(rho_bar, innocent_block)
-    pe = helstrom_error(rho_bar, innocent_block)
-    return d, pe
+    if basis is None:
+        basis = ProductBasis(channel.willie_states[0], codebook.n)
+    rho_bar = willie_average_state(codebook, channel, basis)
+    return relative_entropy(rho_bar, basis.state), helstrom_error(rho_bar, basis.state)
 
 
 @dataclass(frozen=True)
@@ -402,8 +408,8 @@ def run_experiment(config: ExperimentConfig) -> list[TrialReport]:
 
     tasks = []
     for n in config.n_list:
-        basis = ProductBasis(channel.bob_states[0], n)
-        innocent_block = kron_power(channel.willie_states[0], n)
+        bob_basis = ProductBasis(channel.bob_states[0], n)
+        willie_basis = ProductBasis(channel.willie_states[0], n)
         m, k, log_m_raw, log_k_raw = code_sizes(channel, p, n, config.gamma,
                                                 config.varsigma)
         if config.m_override is not None:
@@ -414,17 +420,17 @@ def run_experiment(config: ExperimentConfig) -> list[TrialReport]:
              * channel.summary.weighted(p, channel.summary.bob.divergences))
         note = "gamma=0: no signaling" if config.gamma == 0 else ""
         for t in range(config.trials):
-            tasks.append((n, m, k, log_m_raw, log_k_raw, a, basis,
-                          innocent_block, _trial_seed(config.seed, n, t), note))
+            tasks.append((n, m, k, log_m_raw, log_k_raw, a, bob_basis,
+                          willie_basis, _trial_seed(config.seed, n, t), note))
 
     def run_one(task) -> TrialReport:
-        n, m, k, log_m_raw, log_k_raw, a, basis, innocent_block, seed, note = task
+        n, m, k, log_m_raw, log_k_raw, a, bob_basis, willie_basis, seed, note = task
         codebook = sample_codebook(channel, n, m, k, config.gamma, p, seed)
         pe_values = []
         for key in range(k):
-            decoder = build_srm_decoder(codebook, channel, a, key=key, basis=basis)
+            decoder = build_srm_decoder(codebook, channel, a, key=key, basis=bob_basis)
             pe_values.append(exact_pe_bob(codebook, channel, decoder, key=key))
-        covert_d, pe_willie = covertness_report(codebook, channel, innocent_block)
+        covert_d, pe_willie = covertness_report(codebook, channel, willie_basis)
         return TrialReport(n=n, gamma=config.gamma, seed=seed, m_count=m, k_count=k,
                            log_m_raw=log_m_raw, log_k_raw=log_k_raw,
                            pe_bob=float(np.mean(pe_values)), covert_d=covert_d,
@@ -441,15 +447,21 @@ def select_best(reports: Sequence[TrialReport], delta_target: float,
     """Code with the smallest normalized worst criterion.
 
     Minimizes ``max(pe_bob / delta_target, covert_d / epsilon_target)``; ties
-    break towards the earliest report.
+    break towards the earliest report.  Against a zero target a zero
+    criterion scores 0 and a positive one inf.
     """
     if not reports:
         raise ValidationError("select_best needs at least one report")
 
+    def ratio(value: float, target: float) -> float:
+        if target == 0:
+            return 0.0 if value == 0 else math.inf
+        return value / target
+
     def score(r: TrialReport) -> float:
         if not math.isfinite(r.covert_d):
             return math.inf
-        return max(r.pe_bob / delta_target, r.covert_d / epsilon_target)
+        return max(ratio(r.pe_bob, delta_target), ratio(r.covert_d, epsilon_target))
 
     best = min(range(len(reports)), key=lambda i: (score(reports[i]), i))
     return reports[best]

@@ -19,7 +19,6 @@ from .operators import (
     hermitian_part,
     matrix_log,
     matrix_power,
-    support_projector,
 )
 
 SUPPORT_TOL = 1e-9   # Tr{(I - P_sigma) rho} below this declares containment
@@ -37,11 +36,22 @@ def _clip(value: float) -> float:
     return value
 
 
+def _support_weights(rho: DensityOperator, sigma: DensityOperator,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Weights ``<v_j| rho |v_j>`` over the eigenvectors v_j of ``sigma``
+    above its rank tolerance, and those eigenvalues.  The weights sum to
+    ``Tr{P_sigma rho}``, the mass of ``rho`` inside the support of ``sigma``."""
+    spec = sigma.spectrum
+    on = spec.eigenvalues > sigma.rank_tolerance
+    v = spec.eigenvectors[:, on]
+    return np.einsum("ij,ij->j", v.conj(), rho.matrix @ v).real, spec.eigenvalues[on]
+
+
 def support_leak(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Probability mass of ``rho`` outside the support of ``sigma``."""
     _check_dims(rho, sigma)
-    p = support_projector(sigma)
-    return max(0.0, 1.0 - float(np.trace(p @ rho.matrix).real))
+    weights, _ = _support_weights(rho, sigma)
+    return max(0.0, 1.0 - float(np.sum(weights)))
 
 
 def supports_contained(rho: DensityOperator, sigma: DensityOperator,
@@ -64,15 +74,11 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     Both logarithms follow the pseudo-function-on-support convention.
     """
     _check_dims(rho, sigma)
-    spec_s = sigma.spectrum
-    on = spec_s.eigenvalues > sigma.rank_tolerance
-    v = spec_s.eigenvectors[:, on]
-    # <v_j| rho |v_j> weights: they sum to Tr{P_sigma rho}, and they give the
-    # cross term Tr{rho log sigma}
-    weights = np.einsum("ij,ij->j", v.conj(), rho.matrix @ v).real
+    # the support weights also give the cross term Tr{rho log sigma}
+    weights, eigenvalues = _support_weights(rho, sigma)
     if 1.0 - float(np.sum(weights)) > SUPPORT_TOL:
         return math.inf
-    cross = float(np.sum(weights * np.log(spec_s.eigenvalues[on])))
+    cross = float(np.sum(weights * np.log(eigenvalues)))
     return _clip(-von_neumann_entropy(rho) - cross)
 
 
@@ -131,10 +137,12 @@ def pinsker_gap(rho: DensityOperator, sigma: DensityOperator) -> float:
 
 
 def validate_distribution(probs, tol: float = 1e-12) -> np.ndarray:
-    """Check a probability vector (nonnegative, sums to 1 within ``tol``)."""
+    """Check a probability vector (finite, nonnegative, sums to 1 within ``tol``)."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise ValueError(f"expected a 1-d probability vector, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"non-finite probability in {p.tolist()!r}")
     if p.min() < 0:
         raise ValueError(f"negative probability {p.min()!r}")
     if abs(p.sum() - 1.0) > tol:

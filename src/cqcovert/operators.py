@@ -274,21 +274,16 @@ def eigenvalue_clusters(eigenvalues: np.ndarray, cluster_tol: float = CLUSTER_TO
     """Group near-degenerate eigenvalues into clusters.
 
     Adjacent sorted eigenvalues merge when their gap is at most
-    ``cluster_tol * max(1, |w_i|, |w_j|)``.  Returns an integer cluster id
-    per entry of ``eigenvalues`` (in the given order).
+    ``cluster_tol * max(|w_i|, |w_j|)``, so exact ties (exact zeros included)
+    always share a cluster.  Returns an integer cluster id per entry of
+    ``eigenvalues`` (in the given order).
     """
     w = np.asarray(eigenvalues, dtype=float)
     order = np.argsort(w)
     ws = w[order]
-    ids_sorted = np.zeros(len(ws), dtype=int)
-    current = 0
-    for i in range(1, len(ws)):
-        scale = max(1.0, abs(ws[i - 1]), abs(ws[i]))
-        if ws[i] - ws[i - 1] > cluster_tol * scale:
-            current += 1
-        ids_sorted[i] = current
+    gaps = np.diff(ws) > cluster_tol * np.maximum(np.abs(ws[:-1]), np.abs(ws[1:]))
     ids = np.empty(len(ws), dtype=int)
-    ids[order] = ids_sorted
+    ids[order] = np.concatenate([[0], np.cumsum(gaps)])
     return ids
 
 

@@ -158,6 +158,17 @@ class TestCoefficients:
         path = _write_channel(tmp_path / "four.json", bob, bob)
         assert main(["coefficients", "--channel", path, "--ptilde", "0.5,0.5"]) == 2
 
+    @pytest.mark.parametrize("command", ["coefficients", "simulate"])
+    def test_non_finite_ptilde_exits_2(self, tmp_path, capsys, command):
+        bob = [np.diag([0.9, 0.1]), np.diag([0.6, 0.4]), np.diag([0.3, 0.7]),
+               np.diag([0.5, 0.5])]
+        path = _write_channel(tmp_path / "four.json", bob, bob)
+        extra = ["--n", "2", "--trials", "1"] if command == "simulate" else []
+        assert main([command, "--channel", path, "--ptilde", "nan,0.5,0.5"] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err and "Traceback" not in captured.err
+
     def test_zero_weight_leaking_symbol(self, willie_leak_path, capsys):
         assert main(["coefficients", "--channel", willie_leak_path]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -195,6 +206,34 @@ class TestSimulate:
     def test_zero_weight_leaking_symbol(self, willie_leak_path):
         assert main(["simulate", "--channel", willie_leak_path, "--n", "2", "--gamma", "0.5",
                      "--trials", "1", "--ptilde", "1,0", "--format", "csv"]) == 0
+
+    @pytest.mark.parametrize("n", ["0", "-1", "2,0"])
+    def test_nonpositive_blocklength_exits_2(self, canonical_path, capsys, n):
+        assert main(["simulate", "--channel", canonical_path, "--n", n,
+                     "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n >= 1" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flags", [["--gamma", "0"], ["--delta", "0"],
+                                       ["--epsilon", "0"]])
+    def test_zero_targets_select_a_code(self, canonical_path, capsys, flags):
+        assert main(["simulate", "--channel", canonical_path, "--n", "2", "--trials", "2",
+                     "--format", "csv"] + flags) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        lines = captured.out.strip().splitlines()
+        assert len(lines) == 1 + 2 + 1
+        assert lines[-1] in lines[1:3]
+
+    @pytest.mark.parametrize("flag, value", [("--delta", "-0.1"), ("--delta", "inf"),
+                                             ("--epsilon", "-1"), ("--epsilon", "nan")])
+    def test_bad_target_exits_2(self, canonical_path, capsys, flag, value):
+        assert main(["simulate", "--channel", canonical_path, "--n", "2", "--trials", "1",
+                     flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err and "Traceback" not in captured.err
 
     def test_json_format(self, canonical_path, capsys):
         assert main(["simulate", "--channel", canonical_path, "--n", "2",

@@ -9,6 +9,7 @@ from cqcovert.coding import (
     DecoderPovm,
     ExperimentConfig,
     ProductBasis,
+    TrialReport,
     build_srm_decoder,
     code_sizes,
     covertness_report,
@@ -340,6 +341,83 @@ class TestCovertness:
         assert pe == pytest.approx(expected, abs=1e-10)
 
 
+class TestWillieProductBasis:
+    """Covertness scored in the product eigenbasis of Willie's innocent state
+    agrees with a dense computational-basis oracle against kron_power."""
+
+    @staticmethod
+    def _dense(cb, ch):
+        rho_bar = willie_average_state(cb, ch)
+        block = kron_power(ch.willie_states[0], cb.n)
+        return relative_entropy(rho_bar, block), helstrom_error(rho_bar, block)
+
+    def _assert_agrees(self, cb, ch, finite=True):
+        d, pe = covertness_report(cb, ch)
+        d_dense, pe_dense = self._dense(cb, ch)
+        assert math.isfinite(d_dense) is finite
+        if finite:
+            assert d == pytest.approx(d_dense, rel=1e-10)
+        else:
+            assert d == math.inf
+        assert pe == pytest.approx(pe_dense, abs=1e-12)
+
+    @pytest.mark.parametrize("dim, n_values", [(2, range(2, 7)), (3, range(2, 5))])
+    def test_noncommuting_ginibre_pairs(self, dim, n_values):
+        from cqcovert.operators import ginibre_state
+        for seed in range(3):
+            gen = np.random.default_rng(100 + seed)
+            ch = CqChannelPair(
+                bob_states=(ginibre_state(dim, gen), ginibre_state(dim, gen)),
+                willie_states=(ginibre_state(dim, gen), ginibre_state(dim, gen)))
+            w0, w1 = (s.matrix for s in ch.willie_states)
+            assert np.linalg.norm(w0 @ w1 - w1 @ w0) > 1e-3
+            for n in n_values:
+                cb = sample_codebook(ch, n=n, m_count=3, k_count=2, gamma=0.9,
+                                     ptilde=[1.0], seed=seed)
+                self._assert_agrees(cb, ch)
+
+    def test_rank_deficient_innocent_state_with_leaking_symbol(self):
+        from cqcovert.operators import ginibre_state
+        gen = np.random.default_rng(7)
+        innocent = ginibre_state(3, gen, rank=2)
+        ch = CqChannelPair(bob_states=(diagonal_state([0.9, 0.1]), diagonal_state([0.5, 0.5])),
+                           willie_states=(innocent, ginibre_state(3, gen)))
+        assert ProductBasis(innocent, 3).eigenvalues.min() == 0.0
+        cb = Codebook(n=3, m_count=2, k_count=1, gamma=0.5, seed=0, ptilde=np.array([1.0]),
+                      symbols=np.array([[0, 0, 0], [0, 1, 0]]))
+        self._assert_agrees(cb, ch, finite=False)
+
+    def test_product_eigenvalues_below_rank_tolerance(self):
+        # lambda_min = 0.05: 0.05^8 is below the 1e-10 rank tolerance, 0.05^6 is not
+        from cqcovert.operators import haar_unitary
+        u = haar_unitary(2, np.random.default_rng(3))
+        innocent = DensityOperator(hermitian_part((u * [0.95, 0.05]) @ u.conj().T))
+        signal = DensityOperator(hermitian_part(u @ np.array([[0.1, 0.2], [0.2, 0.9]])
+                                                @ u.conj().T))
+        ch = CqChannelPair(bob_states=(innocent, signal), willie_states=(innocent, signal))
+        for n, finite in ((6, True), (8, False)):
+            symbols = np.array([[1] * n, [0] * (n - 1) + [1], [0] * n])
+            cb = Codebook(n=n, m_count=3, k_count=1, gamma=0.5, seed=0,
+                          ptilde=np.array([1.0]), symbols=symbols)
+            self._assert_agrees(cb, ch, finite=finite)
+
+    def test_state_is_the_diagonal_innocent_block(self, monkeypatch):
+        from cqcovert import operators
+        from cqcovert.operators import ginibre_state
+        single = ginibre_state(2, np.random.default_rng(5))
+        basis = ProductBasis(single, 4)
+        monkeypatch.setattr(operators, "spectral_decomposition",
+                            lambda a: pytest.fail("ProductBasis.state ran an eigensolve"))
+        state = basis.state
+        assert state is basis.state
+        spec = state.spectrum
+        assert np.all(np.diff(spec.eigenvalues) <= 0)
+        assert np.linalg.norm(spec.reconstruct() - np.diag(basis.eigenvalues)) <= 1e-15
+        assert np.linalg.norm(basis.to_original_basis(state.matrix)
+                              - kron_power(single, 4).matrix) <= 1e-12
+        assert state.rank_tolerance == single.rank_tolerance
+
+
 class TestIidCovertnessBound:
     def test_quadratic_bound_is_exact_inequality(self, canonical_channel):
         # n D(mixture^n) = n D(single mixture) <= gamma^2 chi^2 with no slack
@@ -431,6 +509,15 @@ class TestRunExperiment:
         scores = [max(r.pe_bob / 0.5, r.covert_d / 0.125) for r in reports]
         assert max(best.pe_bob / 0.5, best.covert_d / 0.125) == pytest.approx(
             min(scores), abs=1e-12)
+
+    def test_select_best_against_zero_targets(self):
+        def report(pe_bob, covert_d):
+            return TrialReport(n=2, gamma=0.0, seed=0, m_count=1, k_count=1,
+                               log_m_raw=0.0, log_k_raw=0.0, pe_bob=pe_bob,
+                               covert_d=covert_d, pe_willie=0.5)
+        reports = [report(0.2, 0.1), report(0.3, 0.0), report(0.1, 0.0)]
+        assert select_best(reports, delta_target=0.5, epsilon_target=0.0) is reports[2]
+        assert select_best(reports, delta_target=0.0, epsilon_target=0.0) is reports[0]
 
     def test_default_epsilon_target(self, canonical_channel):
         assert default_epsilon_target(canonical_channel, [1.0], 0.5) \

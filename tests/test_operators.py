@@ -297,6 +297,29 @@ def test_eigenvalue_clusters_merges_near_ties():
     assert ids[0] != ids[2]
 
 
+def test_eigenvalue_clusters_are_relative_below_one():
+    ids = eigenvalue_clusters(np.array([1e-12, 2e-12, 0.0, 0.0, 1e-12 * (1 + 1e-12)]))
+    assert ids[0] != ids[1]
+    assert ids[2] == ids[3] != ids[0]
+    assert ids[4] == ids[0]
+
+
+@pytest.mark.parametrize("probs, n, count", [
+    ([0.9, 0.1], 10, 11),
+    ([0.9, 0.1], 12, 13),
+    ([0.97, 0.03], 8, 9),
+    ([1.0, 0.0], 4, 2),   # the exact zero products share one cluster
+])
+def test_product_basis_has_one_cluster_per_distinct_product(probs, n, count):
+    assert len(ProductBasis(diagonal_state(probs), n).clusters) == count
+
+
+def test_product_basis_needs_a_positive_blocklength():
+    for n in (0, -1):
+        with pytest.raises(DimensionMismatch):
+            ProductBasis(diagonal_state([0.9, 0.1]), n)
+
+
 def test_matrix_json_roundtrip(rng):
     a = random_hermitian(3, rng)
     doc = matrix_to_json(a)
