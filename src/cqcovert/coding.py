@@ -74,6 +74,10 @@ class Codebook:
     def codeword(self, m: int, k: int) -> np.ndarray:
         return self.symbols[m * self.k_count + k]
 
+    def codewords(self, k: int) -> np.ndarray:
+        """The M codewords under key k, in message order."""
+        return self.symbols[k::self.k_count]
+
 
 def sample_codebook(channel: CqChannelPair, n: int, m_count: int, k_count: int,
                     gamma: float, ptilde, seed: int) -> Codebook:
@@ -119,22 +123,31 @@ class ProductBasis:
         spec = state.spectrum
         single = np.where(spec.eigenvalues > state.rank_tolerance, spec.eigenvalues, 0.0)
         self.n = n
-        self.single_dim = state.dim
+        self.single_state = state
         self.single_vectors = spec.eigenvectors
-        self.rank_tolerance = state.rank_tolerance
         self.eigenvalues = kron_chain([single] * n)
         ids = eigenvalue_clusters(self.eigenvalues)
         self.clusters = [np.flatnonzero(ids == c) for c in range(ids.max() + 1)]
+
+    def require(self, state: DensityOperator, n: int, party: str) -> None:
+        """Raise ``IndexMismatch`` unless this is the basis of ``state`` at blocklength n."""
+        same = (self.single_state is state
+                or np.array_equal(self.single_state.matrix, state.matrix))
+        if self.n != n or not same:
+            raise IndexMismatch(f"basis is not the product eigenbasis of {party}'s "
+                                f"innocent state at n={n}")
 
     @cached_property
     def state(self) -> DensityOperator:
         """The n-fold state in this basis: diagonal, with its spectrum read off
         the product eigenvalues instead of an eigensolve."""
-        block = DensityOperator(np.diag(self.eigenvalues), rank_tolerance=self.rank_tolerance)
+        block = DensityOperator(np.diag(self.eigenvalues),
+                                rank_tolerance=self.single_state.rank_tolerance)
         order = np.argsort(-self.eigenvalues, kind="stable")
         # what DensityOperator.spectrum (a cached_property) would cache
         vars(block)["spectrum"] = Spectrum(eigenvalues=self.eigenvalues[order],
-                                           eigenvectors=np.eye(self.eigenvalues.size)[:, order])
+                                           eigenvectors=np.eye(self.eigenvalues.size)[:, order],
+                                           permutation=order)
         return block
 
     def rotated_block(self, states: Sequence[DensityOperator],
@@ -159,31 +172,79 @@ def _block(states: Sequence[DensityOperator], symbols: Sequence[int],
     return basis.rotated_block(states, symbols)
 
 
-@dataclass(frozen=True)
+def _cluster_blocks(states: Sequence[DensityOperator], rows: np.ndarray,
+                    basis: ProductBasis | None, clusters) -> tuple:
+    """Per codeword row, the diagonal blocks of its product state over
+    ``clusters``: ``out[m][b]`` is row m's state on ``clusters[b]``.  Each
+    row's state is built once."""
+    return tuple(tuple(full[np.ix_(idx, idx)] for idx in clusters)
+                 for full in (_block(states, row, basis) for row in rows))
+
+
 class DecoderPovm:
     """Sub-POVM decoder: per-message elements plus an implicit failure element.
 
-    The elements are written in the product eigenbasis ``basis``, or in the
-    computational basis when it is None.
+    Every element is block-diagonal over ``clusters``, index sets that
+    partition the space, and is held as its blocks: ``blocks[m][b]`` is
+    element m on ``clusters[b]``.  ``build_srm_decoder`` gives blocks over
+    the pinching clusters of its product eigenbasis ``basis``, written in
+    that basis.  A decoder given by full ``elements`` (written in ``basis``,
+    or in the computational basis when it is None) is the one-cluster case.
+    The full matrices ``elements`` are assembled only when asked for.
+
+    ``source`` is ``(states, rows, blocks)``: the single-use states and the
+    codeword rows the decoder was built for, with ``_cluster_blocks`` of
+    them, so scoring the same codewords reuses them.
     """
 
-    elements: tuple[np.ndarray, ...]
-    basis: ProductBasis | None = None
+    def __init__(self, elements: Sequence[np.ndarray] | None = None,
+                 basis: ProductBasis | None = None, *,
+                 blocks: tuple | None = None, source: tuple | None = None):
+        if blocks is None:
+            vars(self)["elements"] = tuple(elements)
+            blocks = tuple((e,) for e in self.elements)
+            self.clusters = [np.arange(self.elements[0].shape[0])]
+        else:
+            self.clusters = basis.clusters
+        self.blocks = blocks
+        self.basis = basis
+        self.source = source
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return sum(idx.size for idx in self.clusters)
+
+    @cached_property
+    def elements(self) -> tuple[np.ndarray, ...]:
+        """The elements as full matrices, zero off the cluster blocks."""
+        out = []
+        for element in self.blocks:
+            full = np.zeros((self.dim, self.dim), dtype=complex)
+            for idx, block in zip(self.clusters, element):
+                full[np.ix_(idx, idx)] = block
+            out.append(full)
+        return tuple(out)
+
+    def codeword_blocks(self, states: Sequence[DensityOperator], rows: np.ndarray) -> tuple:
+        """``_cluster_blocks`` of the codeword ``rows`` in this decoder's basis."""
+        if self.source is not None:
+            built_states, built_rows, blocks = self.source
+            if built_states is states and np.array_equal(built_rows, rows):
+                return blocks
+        return _cluster_blocks(states, rows, self.basis, self.clusters)
 
     def validate(self, tol: float = 1e-8) -> None:
-        """Check PSD elements and sum bounded by identity within ``tol``."""
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, e in enumerate(self.elements):
-            if np.linalg.eigvalsh(e).min() < -tol:
+        """Check PSD elements and sum bounded by identity within ``tol``,
+        cluster block by cluster block."""
+        for b in range(len(self.clusters)):
+            stack = np.stack([element[b] for element in self.blocks])
+            lowest = np.linalg.eigvalsh(stack).min(axis=1)
+            if lowest.min() < -tol:
+                i = int(np.argmax(lowest < -tol))
                 raise ValidationError(f"decoder element {i} not PSD within {tol:.0e}")
-            total += e
-        excess = np.linalg.eigvalsh(total).max() - 1.0
-        if excess > tol:
-            raise ValidationError(f"decoder sum exceeds identity by {excess:.3e}")
+            excess = np.linalg.eigvalsh(stack.sum(axis=0)).max() - 1.0
+            if excess > tol:
+                raise ValidationError(f"decoder sum exceeds identity by {excess:.3e}")
 
 
 def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
@@ -196,9 +257,10 @@ def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
     inverse square root of their sum, which yields a valid sub-POVM.
 
     Everything after the pinching is block-diagonal over the innocent
-    state's eigenvalue clusters, so the spectral work is done cluster by
-    cluster in the rotated basis, and the elements are returned in that
-    basis (``DecoderPovm.basis``).
+    state's eigenvalue clusters, so each codeword state is built once in the
+    rotated basis, cut into its cluster blocks, and the spectral work and
+    the returned elements stay in those blocks (``DecoderPovm.blocks``, in
+    the basis ``DecoderPovm.basis``).
     """
     if a < 0:
         raise ValidationError(f"threshold exponent a must be >= 0, got {a}")
@@ -206,66 +268,64 @@ def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
         raise IndexMismatch(f"key {key} outside 0..{codebook.k_count - 1}")
     if basis is None:
         basis = ProductBasis(channel.bob_states[0], codebook.n)
-    elif (basis.single_dim != channel.dim_bob
-          or basis.eigenvalues.size != channel.dim_bob ** codebook.n):
-        raise IndexMismatch("basis does not match the channel and blocklength")
+    else:
+        basis.require(channel.bob_states[0], codebook.n, "Bob")
     threshold = math.exp(a) * basis.eigenvalues
+    rows = codebook.codewords(key)
+    sigma = _cluster_blocks(channel.bob_states, rows, basis, basis.clusters)
 
-    dim = channel.dim_bob ** codebook.n
-    projector_blocks = [dict() for _ in range(codebook.m_count)]
-    total_blocks = {}
-    for m in range(codebook.m_count):
-        rotated = basis.rotated_block(channel.bob_states, codebook.codeword(m, key))
-        for b, idx in enumerate(basis.clusters):
-            block = rotated[np.ix_(idx, idx)] - np.diag(threshold[idx])
-            w, v = np.linalg.eigh(hermitian_part(block))
-            keep = v[:, w > ZERO_EIGENVALUE_TOL]
-            proj = keep @ keep.conj().T
-            projector_blocks[m][b] = proj
-            total_blocks[b] = total_blocks.get(b, 0) + proj
-
-    norm_blocks = {}
-    for b, total in total_blocks.items():
-        w, v = np.linalg.eigh(hermitian_part(total))
+    per_cluster = []
+    for b, idx in enumerate(basis.clusters):
+        shift = np.diag(threshold[idx])
+        w, v = np.linalg.eigh(np.stack([hermitian_part(s[b] - shift) for s in sigma]))
+        keep = [vm[:, wm > ZERO_EIGENVALUE_TOL] for wm, vm in zip(w, v)]
+        projectors = [k @ k.conj().T for k in keep]
+        w, v = np.linalg.eigh(hermitian_part(sum(projectors)))
         inv_sqrt_w = np.where(w > DEFAULT_RANK_TOL, w, np.inf) ** -0.5
-        norm_blocks[b] = (v * inv_sqrt_w) @ v.conj().T
-
-    elements = []
-    for m in range(codebook.m_count):
-        rotated_element = np.zeros((dim, dim), dtype=complex)
-        for b, idx in enumerate(basis.clusters):
-            norm = norm_blocks[b]
-            rotated_element[np.ix_(idx, idx)] = norm @ projector_blocks[m][b] @ norm
-        elements.append(hermitian_part(rotated_element))
-    return DecoderPovm(elements=tuple(elements), basis=basis)
+        norm = (v * inv_sqrt_w) @ v.conj().T
+        per_cluster.append([hermitian_part(norm @ p @ norm) for p in projectors])
+    return DecoderPovm(blocks=tuple(zip(*per_cluster)), basis=basis,
+                       source=(channel.bob_states, rows, sigma))
 
 
 def exact_pe_bob(codebook: Codebook, channel: CqChannelPair,
                  decoder: DecoderPovm, key: int = 0) -> float:
     """Exact average decoding error (1/M) sum_m (1 - Tr{element_m state_m}),
-    with each codeword state built in the decoder's basis."""
-    if len(decoder.elements) != codebook.m_count:
-        raise IndexMismatch(f"decoder has {len(decoder.elements)} elements "
+    with each trace summed over the decoder's cluster blocks,
+    ``Tr{E_m sigma_m} = sum_b Tr{E_m^b sigma_m^b}``."""
+    if len(decoder.blocks) != codebook.m_count:
+        raise IndexMismatch(f"decoder has {len(decoder.blocks)} elements "
                             f"for {codebook.m_count} messages")
     if not 0 <= key < codebook.k_count:
         raise IndexMismatch(f"key {key} outside 0..{codebook.k_count - 1}")
+    sigma = decoder.codeword_blocks(channel.bob_states, codebook.codewords(key))
     total = 0.0
-    for m in range(codebook.m_count):
-        sig = _block(channel.bob_states, codebook.codeword(m, key), decoder.basis)
-        total += 1.0 - float(np.sum(decoder.elements[m] * sig.T).real)
+    for element, state in zip(decoder.blocks, sigma):
+        total += 1.0 - sum(float(np.sum(e * s.T).real) for e, s in zip(element, state))
     return min(max(total / codebook.m_count, 0.0), 1.0)
 
 
 def willie_average_state(codebook: Codebook, channel: CqChannelPair,
                          basis: ProductBasis | None = None) -> DensityOperator:
     """Uniform mixture of the adversary's codeword block states, written in
-    ``basis`` or, when it is None, in the computational basis."""
-    rows = codebook.m_count * codebook.k_count
+    ``basis`` or, when it is None, in the computational basis.  Each distinct
+    codeword row is built once and weighted by its multiplicity, in the order
+    of first occurrence."""
+    if basis is not None:
+        basis.require(channel.willie_states[0], codebook.n, "Willie")
+    rows = codebook.symbols
+    _, first, counts = np.unique(rows, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(first)
     acc = None
-    for row in codebook.symbols:
-        m = _block(channel.willie_states, row, basis)
-        acc = m if acc is None else acc + m
-    return DensityOperator(hermitian_part(acc / rows),
+    for i, c in zip(first[order], counts[order]):
+        term = _block(channel.willie_states, rows[i], basis)
+        term = term if c == 1 else c * term
+        if acc is None:
+            acc = np.array(term)  # a copy: the block may be read-only
+        else:
+            acc += term
+    acc /= len(rows)
+    return DensityOperator(hermitian_part(acc),
                            rank_tolerance=channel.willie_states[0].rank_tolerance)
 
 

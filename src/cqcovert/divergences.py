@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, SupportViolation
+from .errors import DimensionMismatch, InvalidDistribution, SupportViolation
 from .operators import (
     DensityOperator,
     hermitian_part,
@@ -40,11 +40,17 @@ def _support_weights(rho: DensityOperator, sigma: DensityOperator,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Weights ``<v_j| rho |v_j>`` over the eigenvectors v_j of ``sigma``
     above its rank tolerance, and those eigenvalues.  The weights sum to
-    ``Tr{P_sigma rho}``, the mass of ``rho`` inside the support of ``sigma``."""
+    ``Tr{P_sigma rho}``, the mass of ``rho`` inside the support of ``sigma``.
+    When the eigenvectors are unit vectors the weights are diagonal entries
+    of ``rho``, read without a matrix product."""
     spec = sigma.spectrum
     on = spec.eigenvalues > sigma.rank_tolerance
-    v = spec.eigenvectors[:, on]
-    return np.einsum("ij,ij->j", v.conj(), rho.matrix @ v).real, spec.eigenvalues[on]
+    if spec.permutation is not None:
+        weights = rho.matrix.diagonal().real[spec.permutation[on]]
+    else:
+        v = spec.eigenvectors[:, on]
+        weights = np.einsum("ij,ij->j", v.conj(), rho.matrix @ v).real
+    return weights, spec.eigenvalues[on]
 
 
 def support_leak(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -61,8 +67,13 @@ def supports_contained(rho: DensityOperator, sigma: DensityOperator,
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
-    """Entropy -Tr{rho log rho} in nats."""
-    w = rho.eigenvalues
+    """Entropy -Tr{rho log rho} in nats.
+
+    Needs the eigenvalues only: a spectrum already cached on ``rho`` is
+    reused, otherwise they come from ``eigvalsh`` without eigenvectors.
+    """
+    spectrum = vars(rho).get("spectrum")
+    w = np.linalg.eigvalsh(rho.matrix)[::-1] if spectrum is None else spectrum.eigenvalues
     w = w[w > rho.rank_tolerance]
     return float(-np.sum(w * np.log(w)))
 
@@ -118,7 +129,7 @@ def helstrom_error(rho_bar: DensityOperator, rho0: DensityOperator,
     _check_dims(rho_bar, rho0)
     p1, p0 = priors
     if p1 < 0 or p0 < 0 or abs(p1 + p0 - 1.0) > 1e-12:
-        raise ValueError(f"priors must be a probability pair, got {priors}")
+        raise InvalidDistribution(f"priors must be a probability pair, got {priors}")
     w = np.linalg.eigvalsh(p1 * rho_bar.matrix - p0 * rho0.matrix)
     err = 0.5 * (1.0 - float(np.sum(np.abs(w))))
     return min(max(err, 0.0), 1.0)
@@ -137,16 +148,17 @@ def pinsker_gap(rho: DensityOperator, sigma: DensityOperator) -> float:
 
 
 def validate_distribution(probs, tol: float = 1e-12) -> np.ndarray:
-    """Check a probability vector (finite, nonnegative, sums to 1 within ``tol``)."""
+    """Check a probability vector (finite, nonnegative, sums to 1 within
+    ``tol``); a failure raises ``InvalidDistribution``, a ``ValueError``."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size < 1:
-        raise ValueError(f"expected a 1-d probability vector, got shape {p.shape}")
+        raise InvalidDistribution(f"expected a 1-d probability vector, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
-        raise ValueError(f"non-finite probability in {p.tolist()!r}")
+        raise InvalidDistribution(f"non-finite probability in {p.tolist()!r}")
     if p.min() < 0:
-        raise ValueError(f"negative probability {p.min()!r}")
+        raise InvalidDistribution(f"negative probability {p.min()!r}")
     if abs(p.sum() - 1.0) > tol:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
+        raise InvalidDistribution(f"probabilities sum to {p.sum()!r}, not 1")
     return p
 
 

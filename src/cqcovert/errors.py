@@ -21,6 +21,16 @@ class ResourceError(CqcError):
     """A configured resource limit would be exceeded (CLI exit 4)."""
 
 
+# --- input checks that also stay ValueErrors for library callers ---
+
+class InvalidDistribution(InputError, ValueError):
+    """A probability vector or prior pair that is not a distribution."""
+
+
+class InvalidParameter(InputError, ValueError):
+    """A scalar parameter or option outside its allowed values."""
+
+
 # --- operator construction / algebra ---
 
 class NotHermitian(InputError):

@@ -77,10 +77,14 @@ class Spectrum:
     """Eigendecomposition with eigenvalues sorted in descending order.
 
     ``eigenvectors[:, i]`` is the unit eigenvector for ``eigenvalues[i]``.
+    ``permutation`` is set when the operator is diagonal: the eigenvectors
+    are then the standard unit vectors, ``eigenvectors[:, i]`` being
+    ``e_{permutation[i]}``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    permutation: np.ndarray | None = None
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors

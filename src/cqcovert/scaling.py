@@ -37,6 +37,7 @@ from .divergences import (
 )
 from .errors import (
     AlphaOutOfRadius,
+    InvalidParameter,
     ResourceError,
     SupportViolation,
     SupportViolationClassical,
@@ -230,9 +231,9 @@ def optimize_ptilde(channel: CqChannelPair, objective: str,
     admissible symbols raise ``ResourceError`` before any face is visited.
     """
     if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
+        raise InvalidParameter(f"unknown objective {objective!r}")
     if not (math.isfinite(weight) and weight >= 0.0):
-        raise ValueError(f"tradeoff weight must be finite and >= 0, got {weight!r}")
+        raise InvalidParameter(f"tradeoff weight must be finite and >= 0, got {weight!r}")
     _require_regime(channel, ScenarioClass.SQUARE_ROOT_LAW)
     admissible = [x - 1 for x in admissible_symbols(channel)]  # never empty here
     if len(admissible) > MAX_OPTIMIZE_SYMBOLS:
@@ -309,9 +310,9 @@ def converse_bounds(channel: CqChannelPair, ptilde, mu: float, n: int,
     """
     p = validate_distribution(ptilde)
     if not 0.0 <= mu < 1.0:
-        raise ValueError(f"mu must lie in [0, 1), got {mu}")
+        raise InvalidParameter(f"mu must lie in [0, 1), got {mu}")
     if not 0.0 <= delta < 1.0:
-        raise ValueError(f"delta must lie in [0, 1), got {delta}")
+        raise InvalidParameter(f"delta must lie in [0, 1), got {delta}")
     p_bar = np.concatenate([[1.0 - mu], mu * p])
     chi_bob = holevo_information(p_bar, list(channel.bob_states))
     chi_willie = holevo_information(p_bar, list(channel.willie_states))

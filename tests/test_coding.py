@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cqcovert.channel import CqChannelPair
 from cqcovert.coding import (
@@ -609,3 +610,154 @@ class TestNogoExperiment:
                       ptilde=np.array([1.0]), symbols=symbols)
         with pytest.raises(ValidationError):
             nogo_experiment(ch, cb, epsilon=0.01)
+
+
+def _ginibre_pair(dim, seed):
+    """Seeded Ginibre channel pair whose innocent and signal states do not
+    commute at either receiver."""
+    from cqcovert.operators import ginibre_state
+    gen = np.random.default_rng(seed)
+    ch = CqChannelPair(
+        bob_states=(ginibre_state(dim, gen), ginibre_state(dim, gen)),
+        willie_states=(ginibre_state(dim, gen), ginibre_state(dim, gen)))
+    for s0, s1 in (ch.bob_states, ch.willie_states):
+        assert np.linalg.norm(s0.matrix @ s1.matrix - s1.matrix @ s0.matrix) > 1e-6
+    return ch
+
+
+def _dense_pinched_srm(cb, ch, a, key):
+    """Pinched square-root measurement built densely in the computational basis."""
+    from cqcovert.operators import matrix_inv_sqrt, pinching, spectral_projection_nonneg
+    innocent = kron_power(ch.bob_states[0], cb.n).matrix
+    projectors = []
+    for m in range(cb.m_count):
+        block = np.ones((1, 1), dtype=complex)
+        for x in cb.codeword(m, key):
+            block = np.kron(block, ch.bob_states[x].matrix)
+        projectors.append(spectral_projection_nonneg(
+            pinching(innocent, block) - math.exp(a) * innocent, strict=True))
+    norm = matrix_inv_sqrt(sum(projectors))
+    return [norm @ proj @ norm for proj in projectors]
+
+
+ginibre_cases = given(dim=st.sampled_from([2, 3]), n=st.integers(2, 5),
+                      seed=st.integers(0, 2 ** 31 - 1))
+seeded = settings(max_examples=12, deadline=None, derandomize=True)
+
+
+class TestNonCommutingInvariants:
+    """Block decoders and Willie's scoring on seeded non-commuting Ginibre
+    qubit and qutrit pairs (n <= 5), whose product bases have several
+    pinching clusters."""
+
+    @staticmethod
+    def _codebook(ch, n, m_count, k_count, seed):
+        if ch.dim_bob == 3 and n > 4:
+            m_count = 2  # keeps the dense qutrit oracle at D = 243 quick
+        return sample_codebook(ch, n=n, m_count=m_count, k_count=k_count, gamma=0.9,
+                               ptilde=[1.0], seed=seed)
+
+    @seeded
+    @ginibre_cases
+    def test_block_decoder_matches_dense_pinched_srm(self, dim, n, seed):
+        ch = _ginibre_pair(dim, seed)
+        # the dense oracle finds the clusters by a dense eigensolve, whose
+        # absolute error of about 1e-16 splits clusters of product eigenvalues
+        # that are not well above 1e-16 / CLUSTER_TOL
+        assume(ch.bob_states[0].eigenvalues.min() ** n >= 1e-6)
+        cb = self._codebook(ch, n, 3, 2, seed)
+        basis = ProductBasis(ch.bob_states[0], n)
+        assert len(basis.clusters) > 1
+        for key in range(cb.k_count):
+            decoder = build_srm_decoder(cb, ch, a=0.15, key=key, basis=basis)
+            decoder.validate(tol=1e-8)
+            for mine, oracle in zip(decoder.elements, _dense_pinched_srm(cb, ch, 0.15, key)):
+                assert np.max(np.abs(basis.to_original_basis(mine) - oracle)) <= 1e-9
+
+    @seeded
+    @ginibre_cases
+    def test_blockwise_pe_equals_dense_pe(self, dim, n, seed):
+        ch = _ginibre_pair(dim, seed)
+        cb = self._codebook(ch, n, 3, 2, seed)
+        for key in range(cb.k_count):
+            decoder = build_srm_decoder(cb, ch, a=0.1, key=key)
+            dense = DecoderPovm(elements=tuple(
+                decoder.basis.to_original_basis(e) for e in decoder.elements))
+            pe = exact_pe_bob(cb, ch, decoder, key=key)
+            assert 0.0 <= pe <= 1.0
+            assert pe == pytest.approx(exact_pe_bob(cb, ch, dense, key=key), abs=1e-12)
+
+    @seeded
+    @ginibre_cases
+    def test_srm_never_beats_helstrom_for_two_messages(self, dim, n, seed):
+        ch = _ginibre_pair(dim, seed)
+        cb = self._codebook(ch, n, 2, 1, seed)
+        pe = exact_pe_bob(cb, ch, build_srm_decoder(cb, ch, a=0.1))
+        states = []
+        for m in range(2):
+            block = np.ones((1, 1), dtype=complex)
+            for x in cb.codeword(m, 0):
+                block = np.kron(block, ch.bob_states[x].matrix)
+            states.append(DensityOperator(block))
+        assert pe >= helstrom_error(states[0], states[1]) - 1e-10
+
+    @seeded
+    @ginibre_cases
+    def test_repeated_rows_collapse_exactly(self, dim, n, seed):
+        ch = _ginibre_pair(dim, seed)
+        gen = np.random.default_rng(seed)
+        distinct = gen.integers(0, 2, size=(3, n))
+        symbols = distinct[gen.integers(0, 3, size=8)]
+        symbols[:3] = distinct  # every distinct row occurs, most of them repeatedly
+        cb = Codebook(n=n, m_count=4, k_count=2, gamma=0.9, seed=seed,
+                      ptilde=np.array([1.0]), symbols=symbols)
+        basis = ProductBasis(ch.willie_states[0], n)
+        by_row = sum(basis.rotated_block(ch.willie_states, row) for row in symbols) / 8
+        collapsed = willie_average_state(cb, ch, basis).matrix
+        assert np.max(np.abs(collapsed - hermitian_part(by_row))) <= 1e-14
+
+    @seeded
+    @ginibre_cases
+    def test_joint_convexity_and_pinsker(self, dim, n, seed):
+        ch = _ginibre_pair(dim, seed)
+        cb = self._codebook(ch, n, 3, 2, seed)
+        d, pe_willie = covertness_report(cb, ch)
+        per_symbol = [relative_entropy(s, ch.willie_states[0]) for s in ch.willie_states]
+        bound = np.mean([sum(per_symbol[x] for x in row) for row in cb.symbols])
+        assert 0.0 <= d <= bound + 1e-10
+        assert 0.5 - pe_willie <= math.sqrt(d / 2.0) / 2.0 + 1e-12
+
+    def test_worker_count_does_not_change_results(self):
+        ch = _ginibre_pair(2, 11)
+        base = dict(channel=ch, n_list=(3, 4), gamma=0.8, trials=3, seed=4,
+                    ptilde=np.array([1.0]), m_override=3, k_override=3)
+        serial = run_experiment(ExperimentConfig(**base, workers=1))
+        threaded = run_experiment(ExperimentConfig(**base, workers=4))
+        assert [r.to_json() for r in serial] == [r.to_json() for r in threaded]
+
+
+class TestBasisOfTheWrongParty:
+    """A product basis remembers the state and blocklength it was built for."""
+
+    def test_covertness_rejects_bob_basis_and_wrong_blocklength(self):
+        ch = _ginibre_pair(2, 3)
+        cb = sample_codebook(ch, n=4, m_count=3, k_count=2, gamma=1.0, ptilde=[1.0], seed=3)
+        with pytest.raises(IndexMismatch):
+            covertness_report(cb, ch, ProductBasis(ch.bob_states[0], 4))
+        with pytest.raises(IndexMismatch):
+            covertness_report(cb, ch, ProductBasis(ch.willie_states[0], 3))
+        covertness_report(cb, ch, ProductBasis(ch.willie_states[0], 4))
+
+    def test_decoder_rejects_willie_basis_and_wrong_blocklength(self):
+        ch = _ginibre_pair(2, 3)
+        cb = sample_codebook(ch, n=4, m_count=3, k_count=2, gamma=1.0, ptilde=[1.0], seed=3)
+        with pytest.raises(IndexMismatch):
+            build_srm_decoder(cb, ch, a=0.2, basis=ProductBasis(ch.willie_states[0], 4))
+        with pytest.raises(IndexMismatch):
+            build_srm_decoder(cb, ch, a=0.2, basis=ProductBasis(ch.bob_states[0], 5))
+
+    def test_equal_state_from_another_object_is_accepted(self):
+        ch = _ginibre_pair(2, 3)
+        cb = sample_codebook(ch, n=3, m_count=2, k_count=1, gamma=1.0, ptilde=[1.0], seed=1)
+        twin = DensityOperator(np.array(ch.bob_states[0].matrix))
+        build_srm_decoder(cb, ch, a=0.2, basis=ProductBasis(twin, 3)).validate()
