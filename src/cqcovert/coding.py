@@ -11,10 +11,11 @@ trial index), so results do not depend on scheduling.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -36,11 +37,14 @@ from .errors import (
 from .operators import (
     DEFAULT_RANK_TOL,
     DensityOperator,
+    Partition,
     Spectrum,
     ZERO_EIGENVALUE_TOL,
+    dagger,
     eigenvalue_clusters,
     hermitian_part,
     kron_chain,
+    spectral_decomposition,
 )
 
 
@@ -78,6 +82,15 @@ class Codebook:
         """The M codewords under key k, in message order."""
         return self.symbols[k::self.k_count]
 
+    @cached_property
+    def distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(first, counts)``: the index of each distinct row's first
+        occurrence, in order of first occurrence, and its multiplicity."""
+        _, first, counts = np.unique(self.symbols, axis=0, return_index=True,
+                                     return_counts=True)
+        order = np.argsort(first)
+        return first[order], counts[order]
+
 
 def sample_codebook(channel: CqChannelPair, n: int, m_count: int, k_count: int,
                     gamma: float, ptilde, seed: int) -> Codebook:
@@ -108,53 +121,164 @@ def sample_codebook(channel: CqChannelPair, n: int, m_count: int, k_count: int,
                     seed=int(seed), ptilde=p, symbols=symbols)
 
 
-class ProductBasis:
-    """Eigenstructure of the n-fold power of a single-use state.
+@lru_cache(maxsize=64)
+def _single_use_basis(states: tuple[DensityOperator, ...]) -> tuple:
+    """Components and eigenbasis of a party's single-use ``states``,
+    innocent state first: ``(label, sizes, starts, vectors, eigenvalues)``.
 
-    The eigenbasis of ``state^(x) n`` is the Kronecker power of the
-    single-use eigenbasis and its eigenvalues are products of single-use
-    eigenvalues; near-degenerate products are merged into pinching clusters.
-    Shared across trials at a fixed blocklength.
+    ``label`` gives each level's connected component in the union of the
+    states' nonzero patterns, where an entry couples two levels iff it is
+    not exactly zero (no tolerance); labels count up in order of each
+    component's lowest level.  The innocent state is eigendecomposed
+    component by component: basis positions ``starts[c]`` to
+    ``starts[c] + sizes[c]`` hold component c's eigenvectors (``vectors``,
+    in the computational basis) with descending eigenvalues.  Cached, so a
+    party's single-use work is done once however many blocklengths use it.
+    """
+    coupled = np.logical_or.reduce([s.matrix != 0 for s in states])
+    label = np.arange(coupled.shape[0])
+    while True:  # each level takes the lowest label among its neighbours
+        lowest = np.minimum(label, np.where(coupled, label, label.size).min(axis=1))
+        if np.array_equal(lowest, label):
+            break
+        label = lowest
+    label = np.unique(label, return_inverse=True)[1]
+    sizes = np.bincount(label)
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    levels = np.argsort(label, kind="stable")
+    vectors = np.zeros((label.size, label.size), dtype=complex)
+    eigenvalues = np.empty(label.size)
+    for start, size in zip(starts, sizes):
+        comp = levels[start:start + size]
+        spec = spectral_decomposition(states[0].matrix[np.ix_(comp, comp)])
+        vectors[comp, start:start + size] = spec.eigenvectors
+        eigenvalues[start:start + size] = spec.eigenvalues
+    for array in (label, sizes, starts, vectors, eigenvalues):
+        array.flags.writeable = False
+    return label, sizes, starts, vectors, eigenvalues
+
+
+def _kron_indices(left: np.ndarray, right: np.ndarray, base: int) -> np.ndarray:
+    """Index sets of the Kronecker products of (p, a) and (q, b) stacks of
+    index sets, in a space whose last factor has dimension ``base``."""
+    out = left[:, None, :, None] * base + right[None, :, None, :]
+    return out.reshape(left.shape[0] * right.shape[0], left.shape[1] * right.shape[1])
+
+
+class ProductBasis:
+    """Eigenstructure of the n-fold power of a party's innocent state.
+
+    ``states`` is the party's single-use states, innocent state first (one
+    state alone is the party of that state).  They are block-diagonal over
+    the connected components of the union of their exact nonzero patterns,
+    and the innocent state is eigendecomposed component by component: the
+    single-use eigenbasis lists each component's eigenvectors in turn.  In
+    its Kronecker power every n-fold state of the party is block-diagonal
+    over the component strings c in C^n (``strings``); a party with one
+    component is the dense case.  The eigenvalues are products of single-use
+    eigenvalues, and near-degenerate products are merged into pinching
+    clusters (``clusters``).  Shared across trials at a fixed blocklength.
     """
 
-    def __init__(self, state: DensityOperator, n: int):
+    def __init__(self, states: DensityOperator | Sequence[DensityOperator], n: int):
         if n < 1:
             raise DimensionMismatch(f"product basis requires n >= 1, got {n}")
-        spec = state.spectrum
-        single = np.where(spec.eigenvalues > state.rank_tolerance, spec.eigenvalues, 0.0)
+        states = (states,) if isinstance(states, DensityOperator) else tuple(states)
+        innocent = states[0]
+        label, sizes, starts, vectors, single = _single_use_basis(states)
         self.n = n
-        self.single_state = state
-        self.single_vectors = spec.eigenvectors
-        self.eigenvalues = kron_chain([single] * n)
+        self.single_state = innocent
+        self.single_vectors = vectors
+        self.eigenvalues = kron_chain([np.where(single > innocent.rank_tolerance,
+                                                single, 0.0)] * n)
         ids = eigenvalue_clusters(self.eigenvalues)
         self.clusters = [np.flatnonzero(ids == c) for c in range(ids.max() + 1)]
+        self._cluster_ids = ids
+        self._coupled = label[:, None] == label[None, :]
+        # components of equal size form a class; per class, the (count, size)
+        # stack of their eigenbasis positions
+        self._classes = [starts[sizes == size, None] + np.arange(size)
+                         for size in np.unique(sizes)]
+        by_size = {}
+        for string in itertools.product(range(len(self._classes)), repeat=n):
+            idx = self._classes[string[0]]
+            for t in string[1:]:
+                idx = _kron_indices(idx, self._classes[t], label.size)
+            by_size.setdefault(idx.shape[1], []).append((string, idx))
+        self._class_strings = [[string for string, _ in by_size[s]] for s in sorted(by_size)]
+        self.strings = Partition(self.eigenvalues.size, [
+            np.concatenate([idx for _, idx in by_size[s]]) for s in sorted(by_size)])
 
-    def require(self, state: DensityOperator, n: int, party: str) -> None:
-        """Raise ``IndexMismatch`` unless this is the basis of ``state`` at blocklength n."""
-        same = (self.single_state is state
-                or np.array_equal(self.single_state.matrix, state.matrix))
+    @cached_property
+    def joint(self) -> Partition:
+        """The component-string blocks cut by the pinching clusters, the
+        blocks of Bob's decoder, with ascending indices in each set."""
+        by_size = {}
+        for idx in self.strings.groups:
+            count, size = idx.shape
+            key = (np.arange(count)[:, None] * len(self.clusters)
+                   + self._cluster_ids[idx]).ravel()
+            order = np.argsort(key, kind="stable")
+            flat = idx.ravel()[order]
+            first = np.flatnonzero(np.diff(key[order], prepend=-1))
+            lengths = np.diff(np.append(first, key.size))
+            for length in np.unique(lengths):
+                sets = flat[first[lengths == length, None] + np.arange(length)]
+                by_size.setdefault(int(length), []).append(sets)
+        return Partition(self.strings.dim,
+                         [np.concatenate(by_size[s]) for s in sorted(by_size)])
+
+    def require(self, states: Sequence[DensityOperator], n: int, party: str) -> None:
+        """Raise ``IndexMismatch`` unless this is the basis of the party with
+        single-use ``states`` at blocklength n: built from its innocent state,
+        with components that block-diagonalise every one of the states."""
+        innocent = states[0]
+        same = (self.single_state is innocent
+                or np.array_equal(self.single_state.matrix, innocent.matrix))
         if self.n != n or not same:
             raise IndexMismatch(f"basis is not the product eigenbasis of {party}'s "
                                 f"innocent state at n={n}")
+        for x, s in enumerate(states):
+            if np.any(s.matrix[~self._coupled] != 0):
+                raise IndexMismatch(f"{party}'s state {x} couples components of the basis")
 
     @cached_property
     def state(self) -> DensityOperator:
-        """The n-fold state in this basis: diagonal, with its spectrum read off
-        the product eigenvalues instead of an eigensolve."""
-        block = DensityOperator(np.diag(self.eigenvalues),
+        """The n-fold innocent state in this basis: diagonal, held over
+        ``strings``, with its spectrum read off the product eigenvalues
+        instead of an eigensolve."""
+        stacks = []
+        for idx in self.strings.groups:
+            stack = np.zeros(idx.shape + idx.shape[-1:], dtype=complex)
+            diag = np.arange(idx.shape[1])
+            stack[:, diag, diag] = self.eigenvalues[idx]
+            stacks.append(stack)
+        block = DensityOperator(blocks=(self.strings, stacks),
                                 rank_tolerance=self.single_state.rank_tolerance)
         order = np.argsort(-self.eigenvalues, kind="stable")
         # what DensityOperator.spectrum (a cached_property) would cache
         vars(block)["spectrum"] = Spectrum(eigenvalues=self.eigenvalues[order],
-                                           eigenvectors=np.eye(self.eigenvalues.size)[:, order],
                                            permutation=order)
         return block
 
     def rotated_block(self, states: Sequence[DensityOperator],
-                      symbols: Sequence[int]) -> np.ndarray:
-        """Product block state expressed in the rotated basis (O(dim^2))."""
+                      symbols: Sequence[int]) -> tuple[np.ndarray, ...]:
+        """Product block state of a codeword in this basis, as its stacks over
+        ``strings``: each block is a Kronecker product of single-use
+        component blocks, and blocks of one class string come out of one
+        stacked ``kron_chain`` (O(dim^2) in the dense case, O(dim) when every
+        block is 1 x 1)."""
         u = self.single_vectors
-        return kron_chain([u.conj().T @ states[x].matrix @ u for x in symbols])
+        per_symbol = {}
+        for x in set(symbols):
+            rotated = u.conj().T @ states[x].matrix @ u
+            per_symbol[x] = [rotated[q[:, :, None], q[:, None, :]] for q in self._classes]
+        out = []
+        for strings in self._class_strings:
+            stacks = [kron_chain([per_symbol[x][t] for x, t in zip(symbols, string)])
+                      for string in strings]
+            out.append(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
+        return tuple(out)
 
     def to_original_basis(self, rotated: np.ndarray) -> np.ndarray:
         """Conjugate back to the computational basis: (u^(x) n) rotated
@@ -163,84 +287,85 @@ class ProductBasis:
         return u @ rotated @ u.conj().T
 
 
-def _block(states: Sequence[DensityOperator], symbols: Sequence[int],
-           basis: ProductBasis | None) -> np.ndarray:
-    """Product block state of a codeword, in ``basis`` or, when it is None,
+def _row_blocks(states: Sequence[DensityOperator], symbols: Sequence[int],
+                basis: ProductBasis | None) -> tuple[Partition, tuple]:
+    """Product block state of a codeword as ``(partition, stacks)``: over
+    ``basis.strings`` in ``basis`` or, when it is None, as one dense block
     in the computational basis."""
     if basis is None:
-        return product_state(states, symbols).matrix
-    return basis.rotated_block(states, symbols)
+        matrix = product_state(states, symbols).matrix
+        return Partition.whole(matrix.shape[0]), (matrix[None],)
+    return basis.strings, basis.rotated_block(states, symbols)
 
 
-def _cluster_blocks(states: Sequence[DensityOperator], rows: np.ndarray,
-                    basis: ProductBasis | None, clusters) -> tuple:
-    """Per codeword row, the diagonal blocks of its product state over
-    ``clusters``: ``out[m][b]`` is row m's state on ``clusters[b]``.  Each
-    row's state is built once."""
-    return tuple(tuple(full[np.ix_(idx, idx)] for idx in clusters)
-                 for full in (_block(states, row, basis) for row in rows))
+def _codeword_blocks(states: Sequence[DensityOperator], rows: np.ndarray,
+                     basis: ProductBasis | None, partition: Partition) -> tuple:
+    """The codeword ``rows``' states over ``partition``: per group, the
+    (rows, G, s, s) stack of their blocks.  Each row's state is built once."""
+    per_row = [partition.restrict(stacks, source)
+               for source, stacks in (_row_blocks(states, row, basis) for row in rows)]
+    return tuple(np.stack(group) for group in zip(*per_row))
 
 
 class DecoderPovm:
     """Sub-POVM decoder: per-message elements plus an implicit failure element.
 
-    Every element is block-diagonal over ``clusters``, index sets that
-    partition the space, and is held as its blocks: ``blocks[m][b]`` is
-    element m on ``clusters[b]``.  ``build_srm_decoder`` gives blocks over
-    the pinching clusters of its product eigenbasis ``basis``, written in
-    that basis.  A decoder given by full ``elements`` (written in ``basis``,
-    or in the computational basis when it is None) is the one-cluster case.
-    The full matrices ``elements`` are assembled only when asked for.
+    Every element is block-diagonal over ``partition`` and is held as its
+    blocks there: ``stacks[g][m]`` holds element m's blocks on
+    ``partition.groups[g]`` (see :class:`Partition`).  ``build_srm_decoder``
+    gives blocks over the joint blocks of its product eigenbasis ``basis``
+    (``ProductBasis.joint``), written in that basis.  A decoder given by
+    full ``elements`` (written in ``basis``, or in the computational basis
+    when it is None) is the one-block case.  The full matrices ``elements``
+    are assembled only when asked for.
 
-    ``source`` is ``(states, rows, blocks)``: the single-use states and the
-    codeword rows the decoder was built for, with ``_cluster_blocks`` of
+    ``source`` is ``(states, rows, stacks)``: the single-use states and the
+    codeword rows the decoder was built for, with ``_codeword_blocks`` of
     them, so scoring the same codewords reuses them.
     """
 
     def __init__(self, elements: Sequence[np.ndarray] | None = None,
                  basis: ProductBasis | None = None, *,
-                 blocks: tuple | None = None, source: tuple | None = None):
-        if blocks is None:
+                 partition: Partition | None = None, stacks: tuple | None = None,
+                 source: tuple | None = None):
+        if stacks is None:
             vars(self)["elements"] = tuple(elements)
-            blocks = tuple((e,) for e in self.elements)
-            self.clusters = [np.arange(self.elements[0].shape[0])]
-        else:
-            self.clusters = basis.clusters
-        self.blocks = blocks
+            partition = Partition.whole(self.elements[0].shape[0])
+            stacks = (np.stack(self.elements)[:, None],)
+        self.partition = partition
+        self.stacks = stacks
         self.basis = basis
         self.source = source
 
     @property
     def dim(self) -> int:
-        return sum(idx.size for idx in self.clusters)
+        return self.partition.dim
+
+    @property
+    def m_count(self) -> int:
+        return self.stacks[0].shape[0]
 
     @cached_property
     def elements(self) -> tuple[np.ndarray, ...]:
-        """The elements as full matrices, zero off the cluster blocks."""
-        out = []
-        for element in self.blocks:
-            full = np.zeros((self.dim, self.dim), dtype=complex)
-            for idx, block in zip(self.clusters, element):
-                full[np.ix_(idx, idx)] = block
-            out.append(full)
-        return tuple(out)
+        """The elements as full matrices, zero off their blocks."""
+        return tuple(self.partition.assemble(self.stacks))
 
     def codeword_blocks(self, states: Sequence[DensityOperator], rows: np.ndarray) -> tuple:
-        """``_cluster_blocks`` of the codeword ``rows`` in this decoder's basis."""
+        """``_codeword_blocks`` of the codeword ``rows`` in this decoder's
+        basis and partition."""
         if self.source is not None:
-            built_states, built_rows, blocks = self.source
+            built_states, built_rows, stacks = self.source
             if built_states is states and np.array_equal(built_rows, rows):
-                return blocks
-        return _cluster_blocks(states, rows, self.basis, self.clusters)
+                return stacks
+        return _codeword_blocks(states, rows, self.basis, self.partition)
 
     def validate(self, tol: float = 1e-8) -> None:
         """Check PSD elements and sum bounded by identity within ``tol``,
-        cluster block by cluster block."""
-        for b in range(len(self.clusters)):
-            stack = np.stack([element[b] for element in self.blocks])
-            lowest = np.linalg.eigvalsh(stack).min(axis=1)
+        one stacked eigensolve per group of equal-size blocks."""
+        for stack in self.stacks:
+            lowest = np.linalg.eigvalsh(stack).min(axis=-1)
             if lowest.min() < -tol:
-                i = int(np.argmax(lowest < -tol))
+                i = int(np.argmax((lowest < -tol).any(axis=-1)))
                 raise ValidationError(f"decoder element {i} not PSD within {tol:.0e}")
             excess = np.linalg.eigvalsh(stack.sum(axis=0)).max() - 1.0
             if excess > tol:
@@ -256,76 +381,80 @@ def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
     elements are the projectors normalized symmetrically by the pseudo
     inverse square root of their sum, which yields a valid sub-POVM.
 
-    Everything after the pinching is block-diagonal over the innocent
-    state's eigenvalue clusters, so each codeword state is built once in the
-    rotated basis, cut into its cluster blocks, and the spectral work and
-    the returned elements stay in those blocks (``DecoderPovm.blocks``, in
-    the basis ``DecoderPovm.basis``).
+    Everything after the pinching is block-diagonal over the joint blocks,
+    the innocent state's eigenvalue clusters cut by Bob's component strings
+    (``ProductBasis.joint``).  Each codeword state is built once in the
+    rotated basis and cut into those blocks; the spectral work runs on
+    stacks of equal-size blocks, and the returned elements stay in them
+    (``DecoderPovm.stacks``, in the basis ``DecoderPovm.basis``).
     """
     if a < 0:
         raise ValidationError(f"threshold exponent a must be >= 0, got {a}")
     if not 0 <= key < codebook.k_count:
         raise IndexMismatch(f"key {key} outside 0..{codebook.k_count - 1}")
     if basis is None:
-        basis = ProductBasis(channel.bob_states[0], codebook.n)
+        basis = ProductBasis(channel.bob_states, codebook.n)
     else:
-        basis.require(channel.bob_states[0], codebook.n, "Bob")
+        basis.require(channel.bob_states, codebook.n, "Bob")
     threshold = math.exp(a) * basis.eigenvalues
     rows = codebook.codewords(key)
-    sigma = _cluster_blocks(channel.bob_states, rows, basis, basis.clusters)
+    partition = basis.joint
+    sigma = _codeword_blocks(channel.bob_states, rows, basis, partition)
 
-    per_cluster = []
-    for b, idx in enumerate(basis.clusters):
-        shift = np.diag(threshold[idx])
-        w, v = np.linalg.eigh(np.stack([hermitian_part(s[b] - shift) for s in sigma]))
-        keep = [vm[:, wm > ZERO_EIGENVALUE_TOL] for wm, vm in zip(w, v)]
-        projectors = [k @ k.conj().T for k in keep]
-        w, v = np.linalg.eigh(hermitian_part(sum(projectors)))
+    elements = []
+    for idx, stack in zip(partition.groups, sigma):
+        diag = np.arange(idx.shape[1])
+        shifted = stack.copy()
+        shifted[..., diag, diag] -= threshold[idx]
+        w, v = np.linalg.eigh(hermitian_part(shifted))
+        keep = v * (w > ZERO_EIGENVALUE_TOL)[..., None, :]
+        projectors = keep @ dagger(keep)
+        w, v = np.linalg.eigh(hermitian_part(projectors.sum(axis=0)))
         inv_sqrt_w = np.where(w > DEFAULT_RANK_TOL, w, np.inf) ** -0.5
-        norm = (v * inv_sqrt_w) @ v.conj().T
-        per_cluster.append([hermitian_part(norm @ p @ norm) for p in projectors])
-    return DecoderPovm(blocks=tuple(zip(*per_cluster)), basis=basis,
+        norm = (v * inv_sqrt_w[..., None, :]) @ dagger(v)
+        elements.append(hermitian_part(norm @ projectors @ norm))
+    return DecoderPovm(basis=basis, partition=partition, stacks=tuple(elements),
                        source=(channel.bob_states, rows, sigma))
 
 
 def exact_pe_bob(codebook: Codebook, channel: CqChannelPair,
                  decoder: DecoderPovm, key: int = 0) -> float:
     """Exact average decoding error (1/M) sum_m (1 - Tr{element_m state_m}),
-    with each trace summed over the decoder's cluster blocks,
+    with each trace summed over the decoder's blocks,
     ``Tr{E_m sigma_m} = sum_b Tr{E_m^b sigma_m^b}``."""
-    if len(decoder.blocks) != codebook.m_count:
-        raise IndexMismatch(f"decoder has {len(decoder.blocks)} elements "
+    if decoder.m_count != codebook.m_count:
+        raise IndexMismatch(f"decoder has {decoder.m_count} elements "
                             f"for {codebook.m_count} messages")
     if not 0 <= key < codebook.k_count:
         raise IndexMismatch(f"key {key} outside 0..{codebook.k_count - 1}")
     sigma = decoder.codeword_blocks(channel.bob_states, codebook.codewords(key))
-    total = 0.0
-    for element, state in zip(decoder.blocks, sigma):
-        total += 1.0 - sum(float(np.sum(e * s.T).real) for e, s in zip(element, state))
+    hits = sum(np.sum(e * np.swapaxes(s, -1, -2), axis=(-3, -2, -1)).real
+               for e, s in zip(decoder.stacks, sigma))
+    total = float(np.sum(1.0 - hits))
     return min(max(total / codebook.m_count, 0.0), 1.0)
 
 
 def willie_average_state(codebook: Codebook, channel: CqChannelPair,
                          basis: ProductBasis | None = None) -> DensityOperator:
     """Uniform mixture of the adversary's codeword block states, written in
-    ``basis`` or, when it is None, in the computational basis.  Each distinct
-    codeword row is built once and weighted by its multiplicity, in the order
-    of first occurrence."""
+    ``basis`` and held over its component strings or, when it is None, in
+    the computational basis as one dense block.  Each distinct codeword row
+    is built once and weighted by its multiplicity, in the order of first
+    occurrence."""
     if basis is not None:
-        basis.require(channel.willie_states[0], codebook.n, "Willie")
+        basis.require(channel.willie_states, codebook.n, "Willie")
     rows = codebook.symbols
-    _, first, counts = np.unique(rows, axis=0, return_index=True, return_counts=True)
-    order = np.argsort(first)
     acc = None
-    for i, c in zip(first[order], counts[order]):
-        term = _block(channel.willie_states, rows[i], basis)
-        term = term if c == 1 else c * term
+    for i, c in zip(*codebook.distinct_rows):
+        partition, terms = _row_blocks(channel.willie_states, rows[i], basis)
         if acc is None:
-            acc = np.array(term)  # a copy: the block may be read-only
+            acc = [c * t for t in terms]  # a copy: blocks may be read-only
         else:
-            acc += term
-    acc /= len(rows)
-    return DensityOperator(hermitian_part(acc),
+            for a, t in zip(acc, terms):
+                a += t if c == 1 else c * t
+    for a in acc:
+        a /= len(rows)
+    return DensityOperator(blocks=(partition, [hermitian_part(a) for a in acc]),
                            rank_tolerance=channel.willie_states[0].rank_tolerance)
 
 
@@ -338,14 +467,20 @@ def covertness_report(codebook: Codebook, channel: CqChannelPair,
     innocent state, built here when None and shared across trials otherwise.
     """
     if basis is None:
-        basis = ProductBasis(channel.willie_states[0], codebook.n)
+        basis = ProductBasis(channel.willie_states, codebook.n)
     rho_bar = willie_average_state(codebook, channel, basis)
     return relative_entropy(rho_bar, basis.state), helstrom_error(rho_bar, basis.state)
 
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Exact scores of one sampled code."""
+    """Exact scores of one sampled code.
+
+    ``diagnostics`` holds the structure the trial found, as deterministic
+    as the scores: Bob's pinching ``clusters``, the joint blocks Bob's
+    decoder (``bob_blocks``) and Willie's average state (``willie_blocks``)
+    are scored on, the ``distinct_rows`` of the codebook and its ``keys``.
+    """
 
     n: int
     gamma: float
@@ -358,6 +493,7 @@ class TrialReport:
     covert_d: float
     pe_willie: float
     note: str = ""
+    diagnostics: dict | None = None
 
     @property
     def log_m_nats(self) -> float:
@@ -375,6 +511,7 @@ class TrialReport:
             "log_m_raw": self.log_m_raw, "log_k_raw": self.log_k_raw,
             "pe_bob": self.pe_bob, "covert_d_nats": self.covert_d,
             "pe_willie": self.pe_willie, "note": self.note,
+            "diagnostics": self.diagnostics,
         }
 
 
@@ -468,8 +605,8 @@ def run_experiment(config: ExperimentConfig) -> list[TrialReport]:
 
     tasks = []
     for n in config.n_list:
-        bob_basis = ProductBasis(channel.bob_states[0], n)
-        willie_basis = ProductBasis(channel.willie_states[0], n)
+        bob_basis = ProductBasis(channel.bob_states, n)
+        willie_basis = ProductBasis(channel.willie_states, n)
         m, k, log_m_raw, log_k_raw = code_sizes(channel, p, n, config.gamma,
                                                 config.varsigma)
         if config.m_override is not None:
@@ -491,10 +628,14 @@ def run_experiment(config: ExperimentConfig) -> list[TrialReport]:
             decoder = build_srm_decoder(codebook, channel, a, key=key, basis=bob_basis)
             pe_values.append(exact_pe_bob(codebook, channel, decoder, key=key))
         covert_d, pe_willie = covertness_report(codebook, channel, willie_basis)
+        diagnostics = {"clusters": len(bob_basis.clusters),
+                       "bob_blocks": bob_basis.joint.count,
+                       "willie_blocks": willie_basis.strings.count,
+                       "distinct_rows": len(codebook.distinct_rows[0]), "keys": k}
         return TrialReport(n=n, gamma=config.gamma, seed=seed, m_count=m, k_count=k,
                            log_m_raw=log_m_raw, log_k_raw=log_k_raw,
                            pe_bob=float(np.mean(pe_values)), covert_d=covert_d,
-                           pe_willie=pe_willie, note=note)
+                           pe_willie=pe_willie, note=note, diagnostics=diagnostics)
 
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidDistribution, SupportViolation
 from .operators import (
     DensityOperator,
+    Partition,
     hermitian_part,
     matrix_log,
     matrix_power,
@@ -42,11 +43,12 @@ def _support_weights(rho: DensityOperator, sigma: DensityOperator,
     above its rank tolerance, and those eigenvalues.  The weights sum to
     ``Tr{P_sigma rho}``, the mass of ``rho`` inside the support of ``sigma``.
     When the eigenvectors are unit vectors the weights are diagonal entries
-    of ``rho``, read without a matrix product."""
+    of ``rho``, read off its blocks without a matrix product."""
     spec = sigma.spectrum
     on = spec.eigenvalues > sigma.rank_tolerance
     if spec.permutation is not None:
-        weights = rho.matrix.diagonal().real[spec.permutation[on]]
+        partition, stacks = rho.blocks
+        weights = partition.diagonal(stacks).real[spec.permutation[on]]
     else:
         v = spec.eigenvectors[:, on]
         weights = np.einsum("ij,ij->j", v.conj(), rho.matrix @ v).real
@@ -70,10 +72,14 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     """Entropy -Tr{rho log rho} in nats.
 
     Needs the eigenvalues only: a spectrum already cached on ``rho`` is
-    reused, otherwise they come from ``eigvalsh`` without eigenvectors.
+    reused, otherwise they come from ``eigvalsh`` without eigenvectors, one
+    stacked call per group of equal-size blocks of ``rho``.
     """
     spectrum = vars(rho).get("spectrum")
-    w = np.linalg.eigvalsh(rho.matrix)[::-1] if spectrum is None else spectrum.eigenvalues
+    if spectrum is None:
+        w = np.concatenate([np.linalg.eigvalsh(s).ravel() for s in rho.blocks[1]])[::-1]
+    else:
+        w = spectrum.eigenvalues
     w = w[w > rho.rank_tolerance]
     return float(-np.sum(w * np.log(w)))
 
@@ -111,11 +117,23 @@ def chi_squared(rho: DensityOperator, sigma: DensityOperator) -> float:
     return _clip(float(np.sum(quad)))
 
 
+def _difference_eigenvalues(a: DensityOperator, b: DensityOperator,
+                            ca: float = 1.0, cb: float = 1.0) -> np.ndarray:
+    """Eigenvalues of ``ca a - cb b``, block by block when both operators are
+    held over the same partition (one stacked ``eigvalsh`` per group of
+    equal-size blocks), else of the assembled difference."""
+    (pa, sa), (pb, sb) = a.blocks, b.blocks
+    if pa is not pb:
+        whole = Partition.whole(a.dim)
+        sa, sb = whole.restrict(sa, pa), whole.restrict(sb, pb)
+    return np.concatenate([np.linalg.eigvalsh(ca * x - cb * y).ravel()
+                           for x, y in zip(sa, sb)])
+
+
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Trace norm of the difference, Tr|rho - sigma|, in [0, 2]."""
     _check_dims(rho, sigma)
-    w = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    return float(np.sum(np.abs(w)))
+    return float(np.sum(np.abs(_difference_eigenvalues(rho, sigma))))
 
 
 def helstrom_error(rho_bar: DensityOperator, rho0: DensityOperator,
@@ -124,13 +142,14 @@ def helstrom_error(rho_bar: DensityOperator, rho0: DensityOperator,
 
     For priors (p1, p0) on (rho_bar, rho0) the optimum over all two-outcome
     POVMs is ``(1 - ||p1 rho_bar - p0 rho0||_1) / 2``; with equal priors this
-    is ``(1 - ||rho_bar - rho0||_1 / 2) / 2`` and lies in [0, 1/2].
+    is ``(1 - ||rho_bar - rho0||_1 / 2) / 2`` and lies in [0, 1/2].  The
+    trace norm is summed block by block over a partition the two share.
     """
     _check_dims(rho_bar, rho0)
     p1, p0 = priors
     if p1 < 0 or p0 < 0 or abs(p1 + p0 - 1.0) > 1e-12:
         raise InvalidDistribution(f"priors must be a probability pair, got {priors}")
-    w = np.linalg.eigvalsh(p1 * rho_bar.matrix - p0 * rho0.matrix)
+    w = _difference_eigenvalues(rho_bar, rho0, p1, p0)
     err = 0.5 * (1.0 - float(np.sum(np.abs(w))))
     return min(max(err, 0.0), 1.0)
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,9 +47,14 @@ def dimension_cap() -> int:
     return int(os.environ.get("CQCOVERT_DIM_CAP", DEFAULT_DIM_CAP))
 
 
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of every matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Return (A + A†)/2."""
-    return (a + a.conj().T) / 2
+    """Return (A + A†)/2, matrix by matrix for a stack."""
+    return (a + dagger(a)) / 2
 
 
 def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -72,19 +76,25 @@ def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray
     return hermitian_part(a)
 
 
-@dataclass(frozen=True)
 class Spectrum:
     """Eigendecomposition with eigenvalues sorted in descending order.
 
     ``eigenvectors[:, i]`` is the unit eigenvector for ``eigenvalues[i]``.
     ``permutation`` is set when the operator is diagonal: the eigenvectors
     are then the standard unit vectors, ``eigenvectors[:, i]`` being
-    ``e_{permutation[i]}``.
+    ``e_{permutation[i]}``, and they are only built when read.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    permutation: np.ndarray | None = None
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray | None = None,
+                 permutation: np.ndarray | None = None):
+        self.eigenvalues = eigenvalues
+        self.permutation = permutation
+        if eigenvectors is not None:
+            vars(self)["eigenvectors"] = eigenvectors
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        return np.eye(self.eigenvalues.size)[:, self.permutation]
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
@@ -98,25 +108,133 @@ def spectral_decomposition(a: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=w[order], eigenvectors=v[:, order])
 
 
-@dataclass(frozen=True)
+class Partition:
+    """Index sets that partition ``range(dim)``, grouped by size.
+
+    ``groups[g]`` is a (G, s) integer array whose rows are G sets of s
+    indices each.  An operator that is zero off the diagonal blocks on these
+    sets is held as one stack per group: ``stacks[g]``, of shape
+    (..., G, s, s), holds the blocks on the rows and columns ``groups[g]``.
+    Blocks of equal size share one array, so stacked linear algebra treats
+    them in one call.  ``Partition.whole(dim)`` is the one-set partition of
+    a dense operator.
+    """
+
+    def __init__(self, dim: int, groups: Sequence[np.ndarray]):
+        self.dim = dim
+        self.groups = tuple(groups)
+        self._plans = {}  # source partition -> gather plan, see restrict
+
+    @staticmethod
+    @lru_cache(maxsize=64)
+    def whole(dim: int) -> "Partition":
+        """The one-set partition, shared per dimension so that dense
+        operators of one dimension are scored over the same partition."""
+        return Partition(dim, (np.arange(dim)[None],))
+
+    @property
+    def count(self) -> int:
+        """Number of sets."""
+        return sum(idx.shape[0] for idx in self.groups)
+
+    def assemble(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
+        """The full matrices (one per leading index) of blockwise ``stacks``."""
+        lead = stacks[0].shape[:-3]
+        out = np.zeros(lead + (self.dim, self.dim), dtype=np.result_type(*stacks))
+        for idx, stack in zip(self.groups, stacks):
+            out[..., idx[:, :, None], idx[:, None, :]] = stack
+        return out
+
+    def diagonal(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
+        """The diagonals (one per leading index) of blockwise ``stacks``."""
+        lead = stacks[0].shape[:-3]
+        out = np.zeros(lead + (self.dim,), dtype=np.result_type(*stacks))
+        for idx, stack in zip(self.groups, stacks):
+            out[..., idx] = np.diagonal(stack, axis1=-2, axis2=-1)
+        return out
+
+    def restrict(self, stacks: Sequence[np.ndarray], source: "Partition") -> tuple:
+        """Blocks over this partition of the operator given by ``stacks``
+        over ``source``: assembled when this is the whole space, else
+        gathered from the source blocks, each set here lying inside one
+        source set (``DimensionMismatch`` otherwise)."""
+        if source is self:
+            return tuple(stacks)
+        if self.groups[0].shape[1] == self.dim:
+            return (source.assemble(stacks)[..., None, :, :],)
+        if source not in self._plans:
+            self._plans[source] = self._plan(source)
+        out = []
+        for idx, pieces in zip(self.groups, self._plans[source]):
+            if len(pieces) == 1:
+                _, g, b, loc = pieces[0]
+                out.append(stacks[g][..., b[:, None, None], loc[:, :, None], loc[:, None, :]])
+                continue
+            block = np.empty(stacks[0].shape[:-3] + idx.shape + idx.shape[-1:],
+                             dtype=np.result_type(*stacks))
+            for rows, g, b, loc in pieces:
+                block[..., rows, :, :] = stacks[g][..., b[:, None, None], loc[:, :, None],
+                                                   loc[:, None, :]]
+            out.append(block)
+        return tuple(out)
+
+    def _plan(self, source: "Partition") -> list:
+        """Per group, the pieces ``(rows, source group, source block,
+        positions in it)`` that ``restrict`` gathers."""
+        where = np.empty((3, self.dim), dtype=np.intp)  # source group, block, position
+        for g, idx in enumerate(source.groups):
+            where[0, idx] = g
+            where[1, idx] = np.arange(idx.shape[0])[:, None]
+            where[2, idx] = np.arange(idx.shape[1])
+        plan = []
+        for idx in self.groups:
+            group, block, loc = where[0, idx], where[1, idx], where[2, idx]
+            if np.any(group != group[:, :1]) or np.any(block != block[:, :1]):
+                raise DimensionMismatch("a set of the partition straddles source blocks")
+            plan.append([(rows, g, block[rows, 0], loc[rows])
+                         for g in np.unique(group[:, 0])
+                         for rows in [np.flatnonzero(group[:, 0] == g)]])
+        return plan
+
+
 class DensityOperator:
     """Validated unit-trace PSD Hermitian matrix.
 
     Use :func:`make_density` to construct; direct instantiation skips
-    validation.  The matrix buffer is frozen after construction.
+    validation.  An operator may be given by its diagonal blocks,
+    ``blocks=(partition, stacks)`` (see :class:`Partition`), instead of in
+    full; its ``matrix`` is then assembled only when read.  A matrix given
+    in full is the one-block case.  Buffers are frozen after construction.
     """
 
-    matrix: np.ndarray
-    rank_tolerance: float = DEFAULT_RANK_TOL
+    def __init__(self, matrix: np.ndarray | None = None,
+                 rank_tolerance: float = DEFAULT_RANK_TOL, *, blocks: tuple | None = None):
+        if blocks is None:
+            m = np.array(matrix, dtype=complex)
+            m.flags.writeable = False
+            self.matrix = m
+            self.dim = m.shape[0]
+        else:
+            for stack in blocks[1]:
+                stack.flags.writeable = False
+            blocks = (blocks[0], tuple(blocks[1]))
+            self.dim = blocks[0].dim
+        self._blocks = blocks
+        self.rank_tolerance = rank_tolerance
 
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        partition, stacks = self._blocks
+        m = partition.assemble(stacks)
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        return m
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def blocks(self) -> tuple["Partition", tuple[np.ndarray, ...]]:
+        """``(partition, stacks)``: the operator's diagonal blocks."""
+        if self._blocks is None:
+            return Partition.whole(self.dim), (self.matrix[None],)
+        return self._blocks
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -161,18 +279,25 @@ def make_density(entries: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOL) 
 
 
 def kron_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of matrices or vectors, leftmost factor first.
+    """Kronecker product of vectors, matrices or stacks of matrices, leftmost
+    factor first.
 
-    The package's one Kronecker builder: the product of the leading
-    dimensions is checked against the dimension cap before any allocation.
+    Every axis is multiplied out, the leading axis of a stack too: stacks of
+    shapes (p, a, a) and (q, b, b) give the (p q, a b, a b) stack of all the
+    pairwise products.  Each step is one broadcast multiply, left to right,
+    so the result is bit-identical to nested ``np.kron``.  The package's one
+    Kronecker builder: the product of the trailing dimensions is checked
+    against the dimension cap before any allocation.
     """
-    out_dim = math.prod(f.shape[0] for f in factors)
+    out_dim = math.prod(f.shape[-1] for f in factors)
     cap = dimension_cap()
     if out_dim > cap:
         raise DimensionCapExceeded(f"Kronecker product dimension {out_dim} exceeds cap {cap}")
     out = factors[0]
     for f in factors[1:]:
-        out = np.kron(out, f)
+        left = out.reshape([k for size in out.shape for k in (size, 1)])
+        right = f.reshape([k for size in f.shape for k in (1, size)])
+        out = (left * right).reshape([a * b for a, b in zip(out.shape, f.shape)])
     return out
 
 

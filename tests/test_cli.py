@@ -243,6 +243,19 @@ class TestSimulate:
         assert len(doc["summaries"]) == 1
         assert doc["trials"][0]["n"] == 2
 
+    def test_json_diagnostics_leave_the_csv_unchanged(self, canonical_path, capsys):
+        args = ["simulate", "--channel", canonical_path, "--n", "3", "--trials", "2",
+                "--seed", "5"]
+        assert main(args + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for trial in doc["trials"]:
+            assert trial["diagnostics"]["bob_blocks"] == 8
+            assert trial["diagnostics"]["willie_blocks"] == 8
+        assert main(args + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "n,gamma,seed,logM_nats,logK_nats,pe_bob,covert_D_nats,pe_willie"
+        assert all(len(line.split(",")) == 8 for line in lines)
+
 
 class TestVerify:
     def test_fast_run_passes(self, capsys):

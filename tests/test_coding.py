@@ -39,6 +39,7 @@ from cqcovert.operators import (
     DensityOperator,
     diagonal_state,
     hermitian_part,
+    kron_chain,
     kron_power,
     make_density,
 )
@@ -712,7 +713,8 @@ class TestNonCommutingInvariants:
         cb = Codebook(n=n, m_count=4, k_count=2, gamma=0.9, seed=seed,
                       ptilde=np.array([1.0]), symbols=symbols)
         basis = ProductBasis(ch.willie_states[0], n)
-        by_row = sum(basis.rotated_block(ch.willie_states, row) for row in symbols) / 8
+        by_row = sum(basis.strings.assemble(basis.rotated_block(ch.willie_states, row))
+                     for row in symbols) / 8
         collapsed = willie_average_state(cb, ch, basis).matrix
         assert np.max(np.abs(collapsed - hermitian_part(by_row))) <= 1e-14
 
@@ -761,3 +763,156 @@ class TestBasisOfTheWrongParty:
         cb = sample_codebook(ch, n=3, m_count=2, k_count=1, gamma=1.0, ptilde=[1.0], seed=1)
         twin = DensityOperator(np.array(ch.bob_states[0].matrix))
         build_srm_decoder(cb, ch, a=0.2, basis=ProductBasis(twin, 3)).validate()
+
+
+class TestComponents:
+    """A party's block structure comes from the exact zeros of all its
+    single-use states, with no tolerance."""
+
+    def test_tiny_coupling_keeps_one_component(self):
+        innocent = DensityOperator(np.array([[0.7, 1e-300], [1e-300, 0.3]]))
+        assert ProductBasis(innocent, 3).strings.count == 1
+        assert ProductBasis(diagonal_state([0.7, 0.3]), 3).strings.count == 8
+
+    def test_components_come_from_every_state_of_the_party(self):
+        innocent = diagonal_state([0.5, 0.3, 0.2])
+        signal = DensityOperator(np.array([[0.4, 0.1, 0.0], [0.1, 0.4, 0.0],
+                                           [0.0, 0.0, 0.2]]))
+        states = (innocent, signal)
+        # levels 0 and 1 form one component, level 2 another: strings of 2 letters
+        basis = ProductBasis(states, 3)
+        assert basis.strings.count == 2 ** 3
+        assert [idx.shape[1] for idx in basis.strings.groups] == [1, 2, 4, 8]
+        qubit = (diagonal_state([0.9, 0.1]),
+                 DensityOperator(np.array([[0.6, 0.2], [0.2, 0.4]])))
+        assert ProductBasis(qubit, 4).strings.count == 1
+        assert ProductBasis(qubit[0], 4).strings.count == 2 ** 4
+
+    def test_basis_that_does_not_block_diagonalise_is_rejected(self):
+        innocent = diagonal_state([0.9, 0.1])
+        signal = DensityOperator(np.array([[0.6, 0.2], [0.2, 0.4]]))
+        ch = CqChannelPair(bob_states=(innocent, signal), willie_states=(innocent, signal))
+        cb = sample_codebook(ch, n=3, m_count=2, k_count=1, gamma=1.0, ptilde=[1.0], seed=2)
+        innocent_only = ProductBasis(innocent, 3)
+        with pytest.raises(IndexMismatch):
+            innocent_only.require(ch.bob_states, 3, "Bob")
+        with pytest.raises(IndexMismatch):
+            build_srm_decoder(cb, ch, a=0.1, basis=innocent_only)
+        with pytest.raises(IndexMismatch):
+            covertness_report(cb, ch, innocent_only)
+        covertness_report(cb, ch, ProductBasis(ch.willie_states, 3))
+
+
+def _direct_sum_pair(seed):
+    """A qubit block plus a classical flag at both receivers, with the three
+    levels in a random order, the same channel turned by a global Haar
+    unitary u (one component), and u."""
+    from cqcovert.operators import ginibre_state, haar_unitary
+    gen = np.random.default_rng(seed)
+    order = gen.permutation(3)
+    u = haar_unitary(3, gen)
+
+    def states():
+        out = []
+        for _ in range(2):
+            flag = gen.uniform(0.2, 0.5)
+            block = np.zeros((3, 3), dtype=complex)
+            block[:2, :2] = (1 - flag) * (0.8 * ginibre_state(2, gen).matrix + 0.1 * np.eye(2))
+            block[2, 2] = flag
+            out.append(block[np.ix_(order, order)])
+        return out
+
+    bob, willie = states(), states()
+    split = CqChannelPair(bob_states=tuple(DensityOperator(m) for m in bob),
+                          willie_states=tuple(DensityOperator(m) for m in willie))
+    turned = CqChannelPair(
+        bob_states=tuple(DensityOperator(hermitian_part(u @ m @ u.conj().T)) for m in bob),
+        willie_states=tuple(DensityOperator(hermitian_part(u @ m @ u.conj().T))
+                            for m in willie))
+    return split, turned, u
+
+
+class TestBlockDiagonalEquivalence:
+    """Scores are unitarily invariant, so a block-diagonal channel scored
+    block by block matches the same channel turned into one dense component."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 31 - 1))
+    def test_direct_sum_matches_its_dense_rotation(self, n, seed):
+        split, turned, u = _direct_sum_pair(seed)
+        assert ProductBasis(split.willie_states, n).strings.count == 2 ** n
+        assert ProductBasis(turned.willie_states, n).strings.count == 1
+        cb = sample_codebook(split, n=n, m_count=3, k_count=2, gamma=0.9,
+                             ptilde=[1.0], seed=seed)
+        for key in range(cb.k_count):
+            decoders = [build_srm_decoder(cb, ch, a=0.1, key=key) for ch in (split, turned)]
+            decoders[0].validate(tol=1e-8)
+            pe = [exact_pe_bob(cb, ch, d, key=key) for ch, d in zip((split, turned), decoders)]
+            assert pe[0] == pytest.approx(pe[1], abs=1e-12)
+        # the pinched SRM is unitarily covariant: turning back gives the same element
+        mine, dense = (d.basis.to_original_basis(d.elements[0]) for d in decoders)
+        un = kron_chain([u] * n)
+        assert np.max(np.abs(un.conj().T @ dense @ un - mine)) <= 1e-9
+        basis = ProductBasis(split.willie_states, n)
+        dense = willie_average_state(cb, split).matrix
+        assert np.max(np.abs(basis.to_original_basis(
+            willie_average_state(cb, split, basis).matrix) - dense)) <= 1e-12
+        d_split, pe_split = covertness_report(cb, split)
+        d_turned, pe_turned = covertness_report(cb, turned)
+        assert d_split == pytest.approx(d_turned, rel=1e-10)
+        assert pe_split == pytest.approx(pe_turned, abs=1e-12)
+
+    def test_worker_count_does_not_change_results(self):
+        import sys
+        split, _, _ = _direct_sum_pair(5)
+        base = dict(channel=split, n_list=(3, 4), gamma=0.8, trials=3, seed=4,
+                    ptilde=np.array([1.0]), m_override=3, k_override=3)
+        serial = run_experiment(ExperimentConfig(**base, workers=1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads share the bases' lazily built blocks
+        try:
+            threaded = run_experiment(ExperimentConfig(**base, workers=4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.to_json() for r in serial] == [r.to_json() for r in threaded]
+
+    def test_classical_channel_needs_no_eigensolve_above_1x1(self, canonical_channel,
+                                                             monkeypatch):
+        code_sizes(canonical_channel, [1.0], 10, 0.5, 0.3)  # single-letter work first
+        sizes = []
+
+        def guarded(solver):
+            def call(a, *args, **kwargs):
+                sizes.append(np.shape(a)[-1])
+                return solver(a, *args, **kwargs)
+            return call
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, guarded(getattr(np.linalg, name)))
+        config = ExperimentConfig(channel=canonical_channel, n_list=(10,), gamma=0.5,
+                                  varsigma=0.3, trials=2, seed=1, ptilde=np.array([1.0]))
+        reports = run_experiment(config)
+        assert sizes and max(sizes) == 1
+        assert all(math.isfinite(r.covert_d) for r in reports)
+
+
+class TestTrialDiagnostics:
+    def test_counts_on_the_diagonal_fixture(self, canonical_channel):
+        config = ExperimentConfig(channel=canonical_channel, n_list=(6, 10), gamma=0.5,
+                                  varsigma=0.3, trials=2, seed=1, ptilde=np.array([1.0]))
+        for r in run_experiment(config):
+            cb = sample_codebook(canonical_channel, r.n, r.m_count, r.k_count, 0.5,
+                                 [1.0], r.seed)
+            assert r.to_json()["diagnostics"] == {
+                "clusters": {6: 7, 10: 11}[r.n], "bob_blocks": 2 ** r.n,
+                "willie_blocks": 2 ** r.n,
+                "distinct_rows": len(np.unique(cb.symbols, axis=0)), "keys": r.k_count}
+
+    def test_dense_channel_has_one_block_per_cluster(self):
+        ch = _ginibre_pair(2, 3)
+        config = ExperimentConfig(channel=ch, n_list=(4,), gamma=0.8, trials=1, seed=2,
+                                  ptilde=np.array([1.0]), m_override=3, k_override=2)
+        (report,) = run_experiment(config)
+        clusters = len(ProductBasis(ch.bob_states[0], 4).clusters)
+        assert report.diagnostics["clusters"] == report.diagnostics["bob_blocks"] == clusters
+        assert report.diagnostics["willie_blocks"] == 1

@@ -12,6 +12,7 @@ from cqcovert.errors import (
 )
 from cqcovert.operators import (
     DensityOperator,
+    Partition,
     diagonal_state,
     eigenvalue_clusters,
     ginibre_state,
@@ -119,6 +120,23 @@ class TestTensor:
         a, b, c = (ginibre_state(d, rng).matrix for d in (2, 3, 2))
         assert np.array_equal(kron_chain([a, b, c]), np.kron(np.kron(a, b), c))
         assert np.array_equal(kron_chain([np.array([1.0, 2.0])] * 2), [1.0, 2.0, 2.0, 4.0])
+        eight = [ginibre_state(2, rng).matrix for _ in range(8)]
+        nested = eight[0]
+        for f in eight[1:]:
+            nested = np.kron(nested, f)
+        assert np.array_equal(kron_chain(eight), nested)
+        vectors = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (3, 2, 4)]
+        assert np.array_equal(kron_chain(vectors),
+                              np.kron(np.kron(vectors[0], vectors[1]), vectors[2]))
+
+    def test_kron_chain_of_stacks_multiplies_every_pair(self, rng):
+        a = rng.standard_normal((3, 2, 2))
+        b = rng.standard_normal((2, 3, 3))
+        out = kron_chain([a, b])
+        assert out.shape == (6, 6, 6)
+        for i in range(3):
+            for j in range(2):
+                assert np.array_equal(out[2 * i + j], np.kron(a[i], b[j]))
 
     def test_dimension_cap(self, monkeypatch):
         monkeypatch.setenv("CQCOVERT_DIM_CAP", "8")
@@ -135,6 +153,38 @@ class TestTensor:
             product_state(states, [0, 1, 1, 0])
         with pytest.raises(DimensionCapExceeded):
             ProductBasis(rho, 4)
+
+
+class TestPartition:
+    """Block-diagonal operators held as stacks of equal-size blocks."""
+
+    def test_assemble_diagonal_and_restrict(self, rng):
+        coarse = Partition(4, [np.array([[0], [3]]), np.array([[1, 2]])])
+        stacks = (rng.standard_normal((2, 1, 1)), rng.standard_normal((1, 2, 2)))
+        full = coarse.assemble(stacks)
+        want = np.zeros((4, 4))
+        want[0, 0], want[3, 3] = stacks[0][0, 0, 0], stacks[0][1, 0, 0]
+        want[1:3, 1:3] = stacks[1][0]
+        assert np.array_equal(full, want)
+        assert np.array_equal(coarse.diagonal(stacks), np.diag(want))
+        assert coarse.count == 3
+        singletons = Partition(4, [np.array([[2], [0], [1], [3]])])
+        (fine,) = singletons.restrict(stacks, coarse)
+        assert np.array_equal(fine[:, 0, 0], np.diag(want)[[2, 0, 1, 3]])
+        (whole,) = Partition.whole(4).restrict(stacks, coarse)
+        assert np.array_equal(whole[0], want)
+        straddling = Partition(4, [np.array([[0, 1], [2, 3]])])
+        with pytest.raises(DimensionMismatch):
+            straddling.restrict(stacks, coarse)
+
+    def test_block_operator_assembles_on_demand(self, rng):
+        rho = ginibre_state(2, rng)
+        parts = Partition(4, [np.array([[0, 1], [2, 3]])])
+        stacks = (np.stack([0.5 * rho.matrix, 0.5 * rho.matrix]),)
+        block = DensityOperator(blocks=(parts, stacks))
+        assert "matrix" not in vars(block)
+        assert np.array_equal(block.matrix, np.kron(np.diag([0.5, 0.5]), rho.matrix))
+        assert block.dim == 4 and block.blocks[0] is parts
 
 
 class TestPartialTrace:
