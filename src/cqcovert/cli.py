@@ -198,7 +198,7 @@ def cmd_simulate(args) -> int:
         varsigma=knobs[0], mu=knobs[1], nu=knobs[2],
         trials=args.trials, seed=args.seed, ptilde=ptilde,
         delta_target=args.delta, epsilon_target=epsilon,
-        workers=int(os.environ.get("CQCOVERT_WORKERS", "1")))
+        workers=_workers())
     print(f"simulate: n={list(n_list)} gamma={args.gamma} trials={args.trials}",
           file=sys.stderr)
     reports = run_experiment(config)
@@ -217,6 +217,18 @@ def cmd_simulate(args) -> int:
         lines += [_trial_csv_row(r) for r in reports if r.n == n]
         lines.append(_trial_csv_row(summary))
     return _emit(args, doc, lines)
+
+
+def _workers() -> int:
+    """Thread count from ``CQCOVERT_WORKERS`` (default 1): an integer >= 1."""
+    raw = os.environ.get("CQCOVERT_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ParseError(f"CQCOVERT_WORKERS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def _trial_csv_row(r) -> str:

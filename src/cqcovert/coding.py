@@ -40,6 +40,7 @@ from .operators import (
     Partition,
     Spectrum,
     ZERO_EIGENVALUE_TOL,
+    check_dimension,
     dagger,
     eigenvalue_clusters,
     hermitian_part,
@@ -84,12 +85,14 @@ class Codebook:
 
     @cached_property
     def distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(first, counts)``: the index of each distinct row's first
-        occurrence, in order of first occurrence, and its multiplicity."""
-        _, first, counts = np.unique(self.symbols, axis=0, return_index=True,
-                                     return_counts=True)
-        order = np.argsort(first)
-        return first[order], counts[order]
+        """``(rows, counts)``: the distinct codeword rows in lexicographic
+        order and their multiplicities."""
+        return np.unique(self.symbols, axis=0, return_counts=True)
+
+    @cached_property
+    def type_count(self) -> int:
+        """Number of distinct symbol types (sorted rows) over all keys."""
+        return len(set(map(tuple, np.sort(self.symbols, axis=1).tolist())))
 
 
 def sample_codebook(channel: CqChannelPair, n: int, m_count: int, k_count: int,
@@ -208,6 +211,7 @@ class ProductBasis:
         self._class_strings = [[string for string, _ in by_size[s]] for s in sorted(by_size)]
         self.strings = Partition(self.eigenvalues.size, [
             np.concatenate([idx for _, idx in by_size[s]]) for s in sorted(by_size)])
+        self._types = (None, {})  # ((states, a), {type: blocks}), see _pinched_types
 
     @cached_property
     def joint(self) -> Partition:
@@ -261,6 +265,18 @@ class ProductBasis:
                                            permutation=order)
         return block
 
+    def single_blocks(self, states: Sequence[DensityOperator],
+                      symbols: Sequence[int]) -> dict:
+        """Per symbol x in ``symbols``, ``states[x]`` in this basis cut into
+        its component blocks: one (count, size, size) stack per class of
+        equal-size components."""
+        u = self.single_vectors
+        out = {}
+        for x in set(symbols):
+            rotated = u.conj().T @ states[x].matrix @ u
+            out[x] = [rotated[q[:, :, None], q[:, None, :]] for q in self._classes]
+        return out
+
     def rotated_block(self, states: Sequence[DensityOperator],
                       symbols: Sequence[int]) -> tuple[np.ndarray, ...]:
         """Product block state of a codeword in this basis, as its stacks over
@@ -268,11 +284,7 @@ class ProductBasis:
         component blocks, and blocks of one class string come out of one
         stacked ``kron_chain`` (O(dim^2) in the dense case, O(dim) when every
         block is 1 x 1)."""
-        u = self.single_vectors
-        per_symbol = {}
-        for x in set(symbols):
-            rotated = u.conj().T @ states[x].matrix @ u
-            per_symbol[x] = [rotated[q[:, :, None], q[:, None, :]] for q in self._classes]
+        per_symbol = self.single_blocks(states, symbols)
         out = []
         for strings in self._class_strings:
             stacks = [kron_chain([per_symbol[x][t] for x, t in zip(symbols, string)])
@@ -280,31 +292,46 @@ class ProductBasis:
             out.append(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
         return tuple(out)
 
+    @cached_property
+    def _joint_positions(self) -> np.ndarray:
+        """(2, dim): where each index's row starts in its ``joint`` group's
+        flattened (G, s, s) stack, and its position in its block."""
+        where = np.empty((2, self.joint.dim), dtype=np.intp)
+        for idx in self.joint.groups:
+            count, size = idx.shape
+            where[1, idx] = np.arange(size)
+            where[0, idx] = (np.arange(count)[:, None] * size + where[1, idx]) * size
+        return where
+
+    def permute(self, stacks: Sequence[np.ndarray], order: np.ndarray) -> tuple:
+        """Reorder the tensor positions of an operator held over ``joint``.
+
+        Returns the blocks of A' with ``A'[i, j] = A[p(i), p(j)]``, where
+        the digits of p(i) are ``i[order[0]], ..., i[order[n-1]]``: the
+        product state of the symbols ``x[order]`` becomes that of ``x``.
+        The innocent n-fold state is invariant under every such reordering,
+        so each joint block maps onto a joint block of the same size (the
+        same one only when the component string is unchanged) and the
+        result is a pure gather.
+        """
+        if np.array_equal(order, np.arange(self.n)):
+            return tuple(stacks)
+        d = self.single_vectors.shape[0]
+        image = np.arange(self.joint.dim).reshape((d,) * self.n)
+        image = image.transpose(np.argsort(order)).ravel()
+        start, position = self._joint_positions
+        out = []
+        for idx, stack in zip(self.joint.groups, stacks):
+            target = image[idx]
+            flat = start[target][:, :, None] + position[target][:, None, :]
+            out.append(np.take(stack.reshape(stack.shape[:-3] + (-1,)), flat, axis=-1))
+        return tuple(out)
+
     def to_original_basis(self, rotated: np.ndarray) -> np.ndarray:
         """Conjugate back to the computational basis: (u^(x) n) rotated
         (u^(x) n)^dagger.  Trial scoring never needs it."""
         u = kron_chain([self.single_vectors] * self.n)
         return u @ rotated @ u.conj().T
-
-
-def _row_blocks(states: Sequence[DensityOperator], symbols: Sequence[int],
-                basis: ProductBasis | None) -> tuple[Partition, tuple]:
-    """Product block state of a codeword as ``(partition, stacks)``: over
-    ``basis.strings`` in ``basis`` or, when it is None, as one dense block
-    in the computational basis."""
-    if basis is None:
-        matrix = product_state(states, symbols).matrix
-        return Partition.whole(matrix.shape[0]), (matrix[None],)
-    return basis.strings, basis.rotated_block(states, symbols)
-
-
-def _codeword_blocks(states: Sequence[DensityOperator], rows: np.ndarray,
-                     basis: ProductBasis | None, partition: Partition) -> tuple:
-    """The codeword ``rows``' states over ``partition``: per group, the
-    (rows, G, s, s) stack of their blocks.  Each row's state is built once."""
-    per_row = [partition.restrict(stacks, source)
-               for source, stacks in (_row_blocks(states, row, basis) for row in rows)]
-    return tuple(np.stack(group) for group in zip(*per_row))
 
 
 class DecoderPovm:
@@ -320,7 +347,7 @@ class DecoderPovm:
     are assembled only when asked for.
 
     ``source`` is ``(states, rows, stacks)``: the single-use states and the
-    codeword rows the decoder was built for, with ``_codeword_blocks`` of
+    codeword rows the decoder was built for, with ``codeword_blocks`` of
     them, so scoring the same codewords reuses them.
     """
 
@@ -351,13 +378,22 @@ class DecoderPovm:
         return tuple(self.partition.assemble(self.stacks))
 
     def codeword_blocks(self, states: Sequence[DensityOperator], rows: np.ndarray) -> tuple:
-        """``_codeword_blocks`` of the codeword ``rows`` in this decoder's
-        basis and partition."""
+        """The codeword ``rows``' states in this decoder's basis (the
+        computational basis when it is None) over its partition: per group,
+        the (rows, G, s, s) stack of their blocks."""
         if self.source is not None:
             built_states, built_rows, stacks = self.source
             if built_states is states and np.array_equal(built_rows, rows):
                 return stacks
-        return _codeword_blocks(states, rows, self.basis, self.partition)
+        per_row = []
+        for row in rows:
+            if self.basis is None:
+                matrix = product_state(states, row).matrix
+                source, blocks = Partition.whole(matrix.shape[0]), (matrix[None],)
+            else:
+                source, blocks = self.basis.strings, self.basis.rotated_block(states, row)
+            per_row.append(self.partition.restrict(blocks, source))
+        return tuple(np.stack(group) for group in zip(*per_row))
 
     def validate(self, tol: float = 1e-8) -> None:
         """Check PSD elements and sum bounded by identity within ``tol``,
@@ -383,10 +419,13 @@ def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
 
     Everything after the pinching is block-diagonal over the joint blocks,
     the innocent state's eigenvalue clusters cut by Bob's component strings
-    (``ProductBasis.joint``).  Each codeword state is built once in the
-    rotated basis and cut into those blocks; the spectral work runs on
-    stacks of equal-size blocks, and the returned elements stay in them
-    (``DecoderPovm.stacks``, in the basis ``DecoderPovm.basis``).
+    (``ProductBasis.joint``).  A codeword's state and projectors are those
+    of its sorted symbol type with the tensor positions reordered, so they
+    are built once per type (``_pinched_types``) and gathered for each row
+    (``ProductBasis.permute``); only the normalisation is per key.  The
+    spectral work runs on stacks of equal-size blocks, and the returned
+    elements stay in them (``DecoderPovm.stacks``, in the basis
+    ``DecoderPovm.basis``).
     """
     if a < 0:
         raise ValidationError(f"threshold exponent a must be >= 0, got {a}")
@@ -396,25 +435,62 @@ def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
         basis = ProductBasis(channel.bob_states, codebook.n)
     else:
         basis.require(channel.bob_states, codebook.n, "Bob")
-    threshold = math.exp(a) * basis.eigenvalues
     rows = codebook.codewords(key)
-    partition = basis.joint
-    sigma = _codeword_blocks(channel.bob_states, rows, basis, partition)
+    orders = np.argsort(rows, axis=1, kind="stable")
+    types = _pinched_types(basis, channel.bob_states, a,
+                           np.take_along_axis(rows, orders, axis=1))
+    # per group, the (M, G, s, s) stacks of the rows' states and projectors
+    sigma = [np.empty((len(rows),) + idx.shape + idx.shape[-1:], dtype=complex)
+             for idx in basis.joint.groups]
+    projectors = [np.empty_like(s) for s in sigma]
+    for m, (order, blocks) in enumerate(zip(orders, types)):
+        for s, p, block in zip(sigma, projectors, basis.permute(blocks, order)):
+            s[m], p[m] = block
 
     elements = []
-    for idx, stack in zip(partition.groups, sigma):
-        diag = np.arange(idx.shape[1])
-        shifted = stack.copy()
-        shifted[..., diag, diag] -= threshold[idx]
-        w, v = np.linalg.eigh(hermitian_part(shifted))
-        keep = v * (w > ZERO_EIGENVALUE_TOL)[..., None, :]
-        projectors = keep @ dagger(keep)
-        w, v = np.linalg.eigh(hermitian_part(projectors.sum(axis=0)))
+    for p in projectors:
+        w, v = np.linalg.eigh(hermitian_part(p.sum(axis=0)))
         inv_sqrt_w = np.where(w > DEFAULT_RANK_TOL, w, np.inf) ** -0.5
         norm = (v * inv_sqrt_w[..., None, :]) @ dagger(v)
-        elements.append(hermitian_part(norm @ projectors @ norm))
-    return DecoderPovm(basis=basis, partition=partition, stacks=tuple(elements),
-                       source=(channel.bob_states, rows, sigma))
+        elements.append(hermitian_part(norm @ p @ norm))
+    return DecoderPovm(basis=basis, partition=basis.joint, stacks=tuple(elements),
+                       source=(channel.bob_states, rows, tuple(sigma)))
+
+
+def _pinched_types(basis: ProductBasis, states: Sequence[DensityOperator], a: float,
+                   sorted_rows: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Per sorted codeword row (symbol type), per ``basis.joint`` group, the
+    (2, G, s, s) stack of its block state and its pinched projector, the
+    positive part of ``sigma^b - e^a lambda_b``.
+
+    Each type is built once, the missing ones of a call in one stacked
+    eigensolve, and kept on ``basis`` for the last ``(states, a)`` it
+    served, so the memo holds at most one entry per type and threads share
+    it.  Every matrix is solved on its own, so an entry does not depend on
+    which types were built with it or whether it was found or built.
+    """
+    key, cache = basis._types
+    if key is None or key[0] is not states or key[1] != a:
+        cache = {}
+        basis._types = ((states, a), cache)
+    types = [tuple(t) for t in sorted_rows.tolist()]
+    new = [t for t in dict.fromkeys(types) if t not in cache]
+    if new:
+        threshold = math.exp(a) * basis.eigenvalues
+        per_type = [basis.joint.restrict(basis.rotated_block(states, t), basis.strings)
+                    for t in new]
+        sigma = [np.stack(blocks) for blocks in zip(*per_type)]
+        built = []
+        for idx, stack in zip(basis.joint.groups, sigma):
+            diag = np.arange(idx.shape[1])
+            shifted = stack.copy()
+            shifted[..., diag, diag] -= threshold[idx]
+            w, v = np.linalg.eigh(hermitian_part(shifted))
+            keep = v * (w > ZERO_EIGENVALUE_TOL)[..., None, :]
+            built.append(np.stack([stack, keep @ dagger(keep)], axis=1))
+        for i, t in enumerate(new):
+            cache.setdefault(t, tuple(b[i] for b in built))
+    return [cache[t] for t in types]
 
 
 def exact_pe_bob(codebook: Codebook, channel: CqChannelPair,
@@ -438,24 +514,69 @@ def willie_average_state(codebook: Codebook, channel: CqChannelPair,
                          basis: ProductBasis | None = None) -> DensityOperator:
     """Uniform mixture of the adversary's codeword block states, written in
     ``basis`` and held over its component strings or, when it is None, in
-    the computational basis as one dense block.  Each distinct codeword row
-    is built once and weighted by its multiplicity, in the order of first
-    occurrence."""
-    if basis is not None:
-        basis.require(channel.willie_states, codebook.n, "Willie")
-    rows = codebook.symbols
-    acc = None
-    for i, c in zip(*codebook.distinct_rows):
-        partition, terms = _row_blocks(channel.willie_states, rows[i], basis)
-        if acc is None:
-            acc = [c * t for t in terms]  # a copy: blocks may be read-only
-        else:
-            for a, t in zip(acc, terms):
-                a += t if c == 1 else c * t
-    for a in acc:
-        a /= len(rows)
-    return DensityOperator(blocks=(partition, [hermitian_part(a) for a in acc]),
-                           rank_tolerance=channel.willie_states[0].rank_tolerance)
+    the computational basis as one dense block.  The distinct codeword rows
+    are summed with their multiplicities over their prefix trie
+    (``_trie_sum``)."""
+    states = channel.willie_states
+    rows, counts = codebook.distinct_rows
+    symbols = set(rows.ravel().tolist())
+    if basis is None:
+        dim = states[0].dim ** codebook.n
+        check_dimension(dim)
+        per_symbol = {x: [states[x].matrix[None]] for x in symbols}
+        partition, strings = Partition.whole(dim), [[(0,) * codebook.n]]
+    else:
+        basis.require(states, codebook.n, "Willie")
+        per_symbol = basis.single_blocks(states, symbols)
+        partition, strings = basis.strings, basis._class_strings
+    stacks = _trie_sum(per_symbol, rows, counts, strings)
+    for stack in stacks:
+        stack /= len(codebook.symbols)
+    return DensityOperator(blocks=(partition, [hermitian_part(s) for s in stacks]),
+                           rank_tolerance=states[0].rank_tolerance)
+
+
+def _trie_sum(per_symbol: dict, rows: np.ndarray, counts: np.ndarray,
+              strings: Sequence[Sequence[tuple]]) -> list[np.ndarray]:
+    """``sum_r counts[r] per_symbol[rows[r, 0]] (x) ... (x) per_symbol[rows[r, n-1]]``
+    over the distinct, lexicographically sorted ``rows``.
+
+    Rows that share a prefix share the sum over their suffixes,
+    ``R = sum_x S_x (x) R^(x)``, so only the top levels of the trie touch
+    full-size blocks (about 2 D^2 work for a qubit, against D^2 per row);
+    a run of columns on which all rows below a node agree is one product.
+    ``per_symbol[x]`` holds the symbol's blocks as one stack per component
+    class; the result has one stack per group of ``strings``, each group
+    listing class strings whose blocks are concatenated in that order (the
+    layout of ``ProductBasis.rotated_block``).
+    """
+    n = rows.shape[1]
+    classes = len(next(iter(per_symbol.values())))
+    lcp = np.argmax(rows[1:] != rows[:-1], axis=1)  # first column where rows i, i+1 differ
+
+    def node(lo: int, hi: int, t: int) -> dict:
+        """The sum over rows lo..hi-1, which agree before column t, of
+        their products from column t on."""
+        if hi - lo == 1:
+            u, tails = n, {(): np.full((1, 1, 1), float(counts[lo]))}
+        else:  # the rows agree on columns t..u-1 and branch at column u
+            gaps = lcp[lo:hi - 1]
+            u = int(gaps.min())
+            cuts = [lo, *(lo + 1 + np.flatnonzero(gaps == u)), hi]
+            tails = node(cuts[0], cuts[1], u)
+            for start, stop in zip(cuts[1:-1], cuts[2:]):
+                for key, stack in node(start, stop, u).items():
+                    tails[key] += stack
+        if u == t:
+            return tails
+        shared = [per_symbol[x] for x in rows[lo, t:u]]
+        return {(*string, *suffix): kron_chain([b[c] for b, c in zip(shared, string)] + [stack])
+                for string in itertools.product(range(classes), repeat=u - t)
+                for suffix, stack in tails.items()}
+
+    acc = node(0, len(rows), 0)
+    return [acc[group[0]] if len(group) == 1 else np.concatenate([acc[s] for s in group])
+            for group in strings]
 
 
 def covertness_report(codebook: Codebook, channel: CqChannelPair,
@@ -479,7 +600,8 @@ class TrialReport:
     ``diagnostics`` holds the structure the trial found, as deterministic
     as the scores: Bob's pinching ``clusters``, the joint blocks Bob's
     decoder (``bob_blocks``) and Willie's average state (``willie_blocks``)
-    are scored on, the ``distinct_rows`` of the codebook and its ``keys``.
+    are scored on, the ``distinct_rows`` of the codebook, the symbol types
+    Bob's decoders were built from (``bob_types``) and its ``keys``.
     """
 
     n: int
@@ -623,15 +745,17 @@ def run_experiment(config: ExperimentConfig) -> list[TrialReport]:
     def run_one(task) -> TrialReport:
         n, m, k, log_m_raw, log_k_raw, a, bob_basis, willie_basis, seed, note = task
         codebook = sample_codebook(channel, n, m, k, config.gamma, p, seed)
-        pe_values = []
-        for key in range(k):
-            decoder = build_srm_decoder(codebook, channel, a, key=key, basis=bob_basis)
-            pe_values.append(exact_pe_bob(codebook, channel, decoder, key=key))
+        # each key's decoder is freed before the next one is built
+        pe_values = [exact_pe_bob(codebook, channel,
+                                  build_srm_decoder(codebook, channel, a, key=key,
+                                                    basis=bob_basis), key=key)
+                     for key in range(k)]
         covert_d, pe_willie = covertness_report(codebook, channel, willie_basis)
         diagnostics = {"clusters": len(bob_basis.clusters),
                        "bob_blocks": bob_basis.joint.count,
                        "willie_blocks": willie_basis.strings.count,
-                       "distinct_rows": len(codebook.distinct_rows[0]), "keys": k}
+                       "distinct_rows": len(codebook.distinct_rows[0]),
+                       "bob_types": codebook.type_count, "keys": k}
         return TrialReport(n=n, gamma=config.gamma, seed=seed, m_count=m, k_count=k,
                            log_m_raw=log_m_raw, log_k_raw=log_k_raw,
                            pe_bob=float(np.mean(pe_values)), covert_d=covert_d,

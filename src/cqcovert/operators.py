@@ -47,6 +47,14 @@ def dimension_cap() -> int:
     return int(os.environ.get("CQCOVERT_DIM_CAP", DEFAULT_DIM_CAP))
 
 
+def check_dimension(dim: int) -> None:
+    """Raise ``DimensionCapExceeded`` if a Kronecker product of dimension
+    ``dim`` would exceed the cap; called before anything is allocated."""
+    cap = dimension_cap()
+    if dim > cap:
+        raise DimensionCapExceeded(f"Kronecker product dimension {dim} exceeds cap {cap}")
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of every matrix in a stack."""
     return a.conj().swapaxes(-1, -2)
@@ -287,12 +295,9 @@ def kron_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
     pairwise products.  Each step is one broadcast multiply, left to right,
     so the result is bit-identical to nested ``np.kron``.  The package's one
     Kronecker builder: the product of the trailing dimensions is checked
-    against the dimension cap before any allocation.
+    against the dimension cap (``check_dimension``) before any allocation.
     """
-    out_dim = math.prod(f.shape[-1] for f in factors)
-    cap = dimension_cap()
-    if out_dim > cap:
-        raise DimensionCapExceeded(f"Kronecker product dimension {out_dim} exceeds cap {cap}")
+    check_dimension(math.prod(f.shape[-1] for f in factors))
     out = factors[0]
     for f in factors[1:]:
         left = out.reshape([k for size in out.shape for k in (size, 1)])

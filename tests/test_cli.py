@@ -235,6 +235,14 @@ class TestSimulate:
         assert captured.out == ""
         assert flag in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_worker_count_exits_2(self, canonical_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("CQCOVERT_WORKERS", value)
+        assert main(["simulate", "--channel", canonical_path, "--n", "2", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "CQCOVERT_WORKERS" in captured.err and "Traceback" not in captured.err
+
     def test_json_format(self, canonical_path, capsys):
         assert main(["simulate", "--channel", canonical_path, "--n", "2",
                      "--gamma", "0.4", "--trials", "2", "--seed", "3"]) == 0
@@ -251,6 +259,7 @@ class TestSimulate:
         for trial in doc["trials"]:
             assert trial["diagnostics"]["bob_blocks"] == 8
             assert trial["diagnostics"]["willie_blocks"] == 8
+            assert 1 <= trial["diagnostics"]["bob_types"] <= 3 + 1
         assert main(args + ["--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "n,gamma,seed,logM_nats,logK_nats,pe_bob,covert_D_nats,pe_willie"

@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cqcovert.channel import CqChannelPair
 from cqcovert.coding import (
@@ -627,16 +628,25 @@ def _ginibre_pair(dim, seed):
 
 
 def _dense_pinched_srm(cb, ch, a, key):
-    """Pinched square-root measurement built densely in the computational basis."""
-    from cqcovert.operators import matrix_inv_sqrt, pinching, spectral_projection_nonneg
+    """Pinched square-root measurement built densely in the computational
+    basis.  The pinching is over the exact tie sets of the product
+    eigenvalues, read from the digits of each index: with distinct
+    single-use eigenvalues, two product eigenvectors share an eigenvalue iff
+    their indices have the same digits up to order."""
+    from cqcovert.operators import matrix_inv_sqrt, spectral_projection_nonneg
     innocent = kron_power(ch.bob_states[0], cb.n).matrix
+    u = kron_chain([ch.bob_states[0].spectrum.eigenvectors] * cb.n)
+    digits = np.array(list(itertools.product(range(ch.dim_bob), repeat=cb.n)))
+    tie = np.unique(np.sort(digits, axis=1), axis=0, return_inverse=True)[1].ravel()
+    same = tie[:, None] == tie[None, :]
     projectors = []
     for m in range(cb.m_count):
         block = np.ones((1, 1), dtype=complex)
         for x in cb.codeword(m, key):
             block = np.kron(block, ch.bob_states[x].matrix)
+        pinched = u @ ((u.conj().T @ block @ u) * same) @ u.conj().T
         projectors.append(spectral_projection_nonneg(
-            pinching(innocent, block) - math.exp(a) * innocent, strict=True))
+            pinched - math.exp(a) * innocent, strict=True))
     norm = matrix_inv_sqrt(sum(projectors))
     return [norm @ proj @ norm for proj in projectors]
 
@@ -662,10 +672,6 @@ class TestNonCommutingInvariants:
     @ginibre_cases
     def test_block_decoder_matches_dense_pinched_srm(self, dim, n, seed):
         ch = _ginibre_pair(dim, seed)
-        # the dense oracle finds the clusters by a dense eigensolve, whose
-        # absolute error of about 1e-16 splits clusters of product eigenvalues
-        # that are not well above 1e-16 / CLUSTER_TOL
-        assume(ch.bob_states[0].eigenvalues.min() ** n >= 1e-6)
         cb = self._codebook(ch, n, 3, 2, seed)
         basis = ProductBasis(ch.bob_states[0], n)
         assert len(basis.clusters) > 1
@@ -906,7 +912,18 @@ class TestTrialDiagnostics:
             assert r.to_json()["diagnostics"] == {
                 "clusters": {6: 7, 10: 11}[r.n], "bob_blocks": 2 ** r.n,
                 "willie_blocks": 2 ** r.n,
-                "distinct_rows": len(np.unique(cb.symbols, axis=0)), "keys": r.k_count}
+                "distinct_rows": len(np.unique(cb.symbols, axis=0)),
+                "bob_types": len(np.unique(np.sort(cb.symbols, axis=1), axis=0)),
+                "keys": r.k_count}
+
+    def test_binary_alphabet_has_at_most_n_plus_one_types(self, canonical_channel):
+        config = ExperimentConfig(channel=canonical_channel, n_list=(6,), gamma=0.9,
+                                  varsigma=0.3, trials=3, seed=2, ptilde=np.array([1.0]),
+                                  m_override=8, k_override=4)
+        for r in run_experiment(config):
+            rows = sample_codebook(canonical_channel, 6, 8, 4, 0.9, [1.0], r.seed).symbols
+            assert len(np.unique(rows, axis=0)) > 6 + 1  # more rows than types
+            assert 1 <= r.diagnostics["bob_types"] <= 6 + 1
 
     def test_dense_channel_has_one_block_per_cluster(self):
         ch = _ginibre_pair(2, 3)
@@ -916,3 +933,129 @@ class TestTrialDiagnostics:
         clusters = len(ProductBasis(ch.bob_states[0], 4).clusters)
         assert report.diagnostics["clusters"] == report.diagnostics["bob_blocks"] == clusters
         assert report.diagnostics["willie_blocks"] == 1
+
+
+def _typed_channel(kind, seed):
+    """A seeded Ginibre qubit or qutrit pair, or the qubit-plus-flag channel,
+    whose several component strings make reorderings move blocks."""
+    if kind == "flag":
+        return _direct_sum_pair(seed)[0]
+    return _ginibre_pair({"qubit": 2, "qutrit": 3}[kind], seed)
+
+
+def _typed_codebook(ch, n, seed):
+    """Random rows, three messages under two keys, in which the first
+    message under key 0 is unsorted, the second is a reordering of it and
+    one row repeats."""
+    gen = np.random.default_rng(seed)
+    symbols = gen.integers(0, ch.alphabet_size, size=(6, n))
+    symbols[0, 0], symbols[0, -1] = 1, 0
+    symbols[2] = gen.permutation(symbols[0])
+    symbols[5] = symbols[3]
+    return Codebook(n=n, m_count=3, k_count=2, gamma=0.9, seed=seed,
+                    ptilde=np.array([1.0]), symbols=symbols)
+
+
+def _per_row_decoder(cb, ch, a, key, basis):
+    """The pinched SRM for one key built row by row, each codeword's state
+    from its own Kronecker product: its element and state stacks over
+    ``basis.joint``."""
+    from cqcovert.operators import dagger
+    threshold = math.exp(a) * basis.eigenvalues
+    rows = [basis.joint.restrict(basis.rotated_block(ch.bob_states, row), basis.strings)
+            for row in cb.codewords(key)]
+    elements, sigma = [], []
+    for idx, *blocks in zip(basis.joint.groups, *rows):
+        stack = np.stack(blocks)
+        shifted = stack.copy()
+        diag = np.arange(idx.shape[1])
+        shifted[..., diag, diag] -= threshold[idx]
+        w, v = np.linalg.eigh(hermitian_part(shifted))
+        keep = v * (w > 1e-12)[..., None, :]
+        projectors = keep @ dagger(keep)
+        w, v = np.linalg.eigh(hermitian_part(projectors.sum(axis=0)))
+        norm = (v * (np.where(w > 1e-10, w, np.inf) ** -0.5)[..., None, :]) @ dagger(v)
+        elements.append(norm @ projectors @ norm)
+        sigma.append(stack)
+    return elements, sigma
+
+
+typed_cases = given(kind=st.sampled_from(["qubit", "qutrit", "flag"]), n=st.integers(2, 5),
+                    seed=st.integers(0, 2 ** 31 - 1))
+
+
+class TestTypeSharing:
+    """A codeword's decoder blocks are its symbol type's with the tensor
+    positions reordered, and Willie's average is summed over a prefix trie;
+    both agree with the row-by-row constructions."""
+
+    @seeded
+    @typed_cases
+    def test_type_shared_decoder_matches_per_row_build(self, kind, n, seed):
+        ch = _typed_channel(kind, seed)
+        cb = _typed_codebook(ch, n, seed)
+        basis = ProductBasis(ch.bob_states, n)
+        for key in range(cb.k_count):
+            decoder = build_srm_decoder(cb, ch, a=0.1, key=key, basis=basis)
+            elements, sigma = _per_row_decoder(cb, ch, 0.1, key, basis)
+            for mine, oracle in zip(decoder.stacks + decoder.source[2], elements + sigma):
+                assert np.max(np.abs(mine - oracle)) <= 1e-12
+            hits = sum(np.sum(e * np.swapaxes(s, -1, -2), axis=(-3, -2, -1)).real
+                       for e, s in zip(elements, sigma))
+            pe = exact_pe_bob(cb, ch, decoder, key=key)
+            assert pe == pytest.approx(np.mean(1.0 - hits), abs=1e-12)
+
+    @seeded
+    @typed_cases
+    def test_trie_average_matches_row_by_row_sum(self, kind, n, seed):
+        from cqcovert.coding import product_state
+        ch = _typed_channel(kind, seed)
+        cb = _typed_codebook(ch, n, seed)
+        states = ch.willie_states
+        basis = ProductBasis(states, n)
+        by_row = sum(basis.strings.assemble(basis.rotated_block(states, row))
+                     for row in cb.symbols) / len(cb.symbols)
+        trie = willie_average_state(cb, ch, basis).matrix
+        assert np.max(np.abs(trie - hermitian_part(by_row))) <= 1e-14
+        dense = sum(product_state(states, row).matrix for row in cb.symbols) / len(cb.symbols)
+        trie = willie_average_state(cb, ch).matrix
+        assert np.max(np.abs(trie - hermitian_part(dense))) <= 1e-14
+
+    @seeded
+    @typed_cases
+    def test_clusters_and_joint_blocks_map_onto_themselves(self, kind, n, seed):
+        ch = _typed_channel(kind, seed)
+        basis = ProductBasis(ch.bob_states, n)
+        d = ch.dim_bob
+
+        def sets(index_sets, image):
+            return {tuple(sorted(image[s].tolist())) for s in index_sets}
+
+        identity = np.arange(d ** n)
+        joint = [s for idx in basis.joint.groups for s in idx]
+        moved = False
+        for t in range(n - 1):
+            order = np.arange(n)
+            order[[t, t + 1]] = order[[t + 1, t]]
+            image = identity.reshape((d,) * n).transpose(order).ravel()
+            assert sets(basis.clusters, image) == sets(basis.clusters, identity)
+            assert sets(joint, image) == sets(joint, identity)
+            moved |= any(set(image[s].tolist()) != set(s.tolist()) for s in joint)
+        assert moved == (kind == "flag")
+
+    def test_type_memo_follows_the_threshold_and_the_channel(self):
+        ch, other = _ginibre_pair(2, 4), _ginibre_pair(2, 9)
+        twin = CqChannelPair(bob_states=(ch.bob_states[0], other.bob_states[1]),
+                             willie_states=ch.willie_states)
+        # key 1 first: key 0 then finds the type 0001 and builds 0011 and 0111
+        symbols = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1],
+                            [1, 1, 1, 0], [0, 0, 0, 0]])
+        cb = Codebook(n=4, m_count=3, k_count=2, gamma=0.9, seed=0,
+                      ptilde=np.array([1.0]), symbols=symbols)
+        shared = ProductBasis(ch.bob_states[0], 4)
+        for channel, a in ((ch, 0.1), (ch, 0.3), (twin, 0.3), (ch, 0.1)):
+            build_srm_decoder(cb, channel, a=a, key=1, basis=shared)
+            mine = build_srm_decoder(cb, channel, a=a, basis=shared)
+            fresh = build_srm_decoder(cb, channel, a=a, basis=ProductBasis(ch.bob_states[0], 4))
+            for x, y in zip(mine.stacks + mine.source[2], fresh.stacks + fresh.source[2]):
+                assert np.array_equal(x, y)
