@@ -178,7 +178,7 @@ class ChannelSummary:
         that ``chi2(sum_x p_x willie_x || willie_0) = p^T Q p``.  Built as ``L^T L``
         from the real-vectorized ``D_x rho_0^{-1/2}``, so it is symmetric PSD."""
         rho0 = self.willie.states[0]
-        root = matrix_inv_sqrt(rho0.matrix, rho0.rank_tolerance)
+        root = matrix_inv_sqrt(rho0.matrix)
         cols = [((s.matrix - rho0.matrix) @ root).ravel() for s in self.willie.states[1:]]
         factor = np.column_stack([np.concatenate([c.real, c.imag]) for c in cols])
         return factor.T @ factor
@@ -214,15 +214,15 @@ def support_relations(channel: CqChannelPair) -> list[tuple[SupportRelation, Sup
     return [(_relation(bob[x]), _relation(willie[x])) for x in channel.non_innocent]
 
 
-def mixture_feasibility(rho0: DensityOperator, non_innocent: list[DensityOperator],
-                        residual_tol: float = MIXTURE_RESIDUAL_TOL,
+def mixture_feasibility(rho0: DensityOperator, non_innocent: list[DensityOperator]
                         ) -> tuple[bool, np.ndarray | None]:
     """Can ``rho0`` be written as a convex mixture of the given states?
 
     Solves the linear feasibility problem with nonnegative least squares over
     the real-vectorized Hermitian components (a heavily weighted row enforces
     normalization), then renormalizes and checks the Frobenius residual
-    against ``residual_tol``.  Returns the witness distribution when feasible.
+    against ``MIXTURE_RESIDUAL_TOL``.  Returns the witness distribution when
+    feasible.
     """
     if not non_innocent:
         raise ValidationError("mixture feasibility needs at least one candidate state")
@@ -244,7 +244,7 @@ def mixture_feasibility(rho0: DensityOperator, non_innocent: list[DensityOperato
     pi = pi / total
     mix = sum(w * s.matrix for w, s in zip(pi, non_innocent))
     residual = float(np.linalg.norm(mix - rho0.matrix))
-    if residual <= residual_tol:
+    if residual <= MIXTURE_RESIDUAL_TOL:
         return True, pi
     return False, None
 
@@ -394,6 +394,16 @@ def induce_dmc(states: list[DensityOperator], povm: Povm) -> np.ndarray:
     return rows
 
 
+def farthest_adversary_symbol(channel: CqChannelPair) -> tuple[float, int]:
+    """``(max_x ||willie_x - willie_0||_1, argmax x)`` over the non-innocent
+    symbols; a tie goes to the largest x."""
+    if channel.alphabet_size < 2:
+        raise ValidationError("need at least one non-innocent symbol")
+    rho0 = channel.willie_states[0]
+    return max((trace_distance(channel.willie_states[x], rho0), x)
+               for x in channel.non_innocent)
+
+
 def weak_covert_budget(channel: CqChannelPair, epsilon0: float) -> tuple[float, int]:
     """Average non-innocent symbol budget under relaxed covertness.
 
@@ -407,12 +417,7 @@ def weak_covert_budget(channel: CqChannelPair, epsilon0: float) -> tuple[float, 
     """
     if epsilon0 <= 0:
         raise ValidationError(f"epsilon0 must be positive, got {epsilon0}")
-    if channel.alphabet_size < 2:
-        raise ValidationError("need at least one non-innocent symbol")
-    rho0 = channel.willie_states[0]
-    distances = [(trace_distance(channel.willie_states[x], rho0), x)
-                 for x in channel.non_innocent]
-    best_dist, best_x = max(distances)
+    best_dist, best_x = farthest_adversary_symbol(channel)
     if best_dist <= 1e-12:
         raise DegenerateChannel("all adversary states equal the innocent state")
     return 4.0 * epsilon0 / best_dist, best_x
@@ -434,7 +439,4 @@ def average_states(channel: CqChannelPair, ptilde) -> tuple[DensityOperator, Den
             f"ptilde has {p.size} entries for {channel.alphabet_size - 1} symbols")
     bob = sum(w * channel.bob_states[x].matrix for w, x in zip(p, channel.non_innocent))
     willie = sum(w * channel.willie_states[x].matrix for w, x in zip(p, channel.non_innocent))
-    tol_b = channel.bob_states[0].rank_tolerance
-    tol_w = channel.willie_states[0].rank_tolerance
-    return (DensityOperator(bob, rank_tolerance=tol_b),
-            DensityOperator(willie, rank_tolerance=tol_w))
+    return DensityOperator(bob), DensityOperator(willie)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .channel import (
     classify_scenario,
+    farthest_adversary_symbol,
     load_channel,
     povm_from_json,
     ScenarioClass,
@@ -33,7 +34,6 @@ from .coding import (
     run_experiment,
     select_best,
 )
-from .divergences import trace_distance
 from .errors import InputError, ParseError, RegimeError, ResourceError, WrongRegime
 from .scaling import (
     OBJECTIVES,
@@ -175,7 +175,13 @@ def cmd_coefficients(args) -> int:
                       f"(refinements: {list(verdict.refinements)})")
 
 
+def _require_trials(trials: int | None) -> None:
+    if trials is not None and trials < 1:
+        raise ParseError(f"--trials must be an integer >= 1, got {trials}")
+
+
 def cmd_simulate(args) -> int:
+    _require_trials(args.trials)
     channel = load_channel(args.channel)
     n_list = tuple(_parse_ints(args.n, "--n"))
     if not n_list:
@@ -238,6 +244,7 @@ def _trial_csv_row(r) -> str:
 
 
 def cmd_verify(args) -> int:
+    _require_trials(args.trials)
     names = [args.suite] if args.suite else None
     try:
         results = run_suites(names, trials=args.trials, seed=args.seed)
@@ -261,9 +268,7 @@ def cmd_nogo(args) -> int:
     if len(blocklengths) != 1 or blocklengths[0] < 1:
         raise ParseError(f"--n expects one blocklength >= 1, got {args.n!r}")
     n = blocklengths[0]
-    distances = [(trace_distance(channel.willie_states[x], channel.willie_states[0]), x)
-                 for x in channel.non_innocent]
-    _, x_star = max(distances)
+    _, x_star = farthest_adversary_symbol(channel)
     symbols = np.zeros((2, n), dtype=np.int64)
     symbols[0, 0] = x_star
     if n >= 2:

@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .operators import (
-    DEFAULT_RANK_TOL,
+    RANK_TOL,
     DensityOperator,
     Partition,
     Spectrum,
@@ -51,8 +51,7 @@ from .operators import (
 
 def product_state(states: Sequence[DensityOperator], symbols: Sequence[int]) -> DensityOperator:
     """Tensor product state of per-use outputs, channel use 1 leftmost."""
-    return DensityOperator(kron_chain([states[x].matrix for x in symbols]),
-                           rank_tolerance=states[0].rank_tolerance)
+    return DensityOperator(kron_chain([states[x].matrix for x in symbols]))
 
 
 @dataclass(frozen=True)
@@ -187,13 +186,11 @@ class ProductBasis:
         if n < 1:
             raise DimensionMismatch(f"product basis requires n >= 1, got {n}")
         states = (states,) if isinstance(states, DensityOperator) else tuple(states)
-        innocent = states[0]
         label, sizes, starts, vectors, single = _single_use_basis(states)
         self.n = n
-        self.single_state = innocent
+        self.single_state = states[0]
         self.single_vectors = vectors
-        self.eigenvalues = kron_chain([np.where(single > innocent.rank_tolerance,
-                                                single, 0.0)] * n)
+        self.eigenvalues = kron_chain([np.where(single > RANK_TOL, single, 0.0)] * n)
         ids = eigenvalue_clusters(self.eigenvalues)
         self.clusters = [np.flatnonzero(ids == c) for c in range(ids.max() + 1)]
         self._cluster_ids = ids
@@ -257,8 +254,7 @@ class ProductBasis:
             diag = np.arange(idx.shape[1])
             stack[:, diag, diag] = self.eigenvalues[idx]
             stacks.append(stack)
-        block = DensityOperator(blocks=(self.strings, stacks),
-                                rank_tolerance=self.single_state.rank_tolerance)
+        block = DensityOperator(blocks=(self.strings, stacks))
         order = np.argsort(-self.eigenvalues, kind="stable")
         # what DensityOperator.spectrum (a cached_property) would cache
         vars(block)["spectrum"] = Spectrum(eigenvalues=self.eigenvalues[order],
@@ -450,7 +446,7 @@ def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
     elements = []
     for p in projectors:
         w, v = np.linalg.eigh(hermitian_part(p.sum(axis=0)))
-        inv_sqrt_w = np.where(w > DEFAULT_RANK_TOL, w, np.inf) ** -0.5
+        inv_sqrt_w = np.where(w > RANK_TOL, w, np.inf) ** -0.5
         norm = (v * inv_sqrt_w[..., None, :]) @ dagger(v)
         elements.append(hermitian_part(norm @ p @ norm))
     return DecoderPovm(basis=basis, partition=basis.joint, stacks=tuple(elements),
@@ -532,8 +528,7 @@ def willie_average_state(codebook: Codebook, channel: CqChannelPair,
     stacks = _trie_sum(per_symbol, rows, counts, strings)
     for stack in stacks:
         stack /= len(codebook.symbols)
-    return DensityOperator(blocks=(partition, [hermitian_part(s) for s in stacks]),
-                           rank_tolerance=states[0].rank_tolerance)
+    return DensityOperator(blocks=(partition, [hermitian_part(s) for s in stacks]))
 
 
 def _trie_sum(per_symbol: dict, rows: np.ndarray, counts: np.ndarray,
@@ -833,8 +828,8 @@ def nogo_experiment(channel: CqChannelPair, codebook: Codebook,
     exact error and the leakage constant ``c_min`` then feed the fidelity
     lower bound on the receiver's error.
     """
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValidationError(f"epsilon must be a finite number > 0, got {epsilon!r}")
     inside_willie = channel.summary.willie.inside
     for x in channel.non_innocent:
         if 1.0 - inside_willie[x] <= SUPPORT_TOL:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidDistribution, SupportViolation
 from .operators import (
+    RANK_TOL,
     DensityOperator,
     Partition,
     hermitian_part,
@@ -22,8 +23,9 @@ from .operators import (
     matrix_power,
 )
 
-SUPPORT_TOL = 1e-9   # Tr{(I - P_sigma) rho} below this declares containment
-NEG_CLIP = 1e-9      # negative values above -NEG_CLIP clip to 0
+SUPPORT_TOL = 1e-9        # Tr{(I - P_sigma) rho} below this declares containment
+NEG_CLIP = 1e-9           # negative values above -NEG_CLIP clip to 0
+DISTRIBUTION_TOL = 1e-12  # largest |sum p - 1| of a valid probability vector
 
 
 def _check_dims(a: DensityOperator, b: DensityOperator) -> None:
@@ -40,12 +42,12 @@ def _clip(value: float) -> float:
 def _support_weights(rho: DensityOperator, sigma: DensityOperator,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Weights ``<v_j| rho |v_j>`` over the eigenvectors v_j of ``sigma``
-    above its rank tolerance, and those eigenvalues.  The weights sum to
+    above ``RANK_TOL``, and those eigenvalues.  The weights sum to
     ``Tr{P_sigma rho}``, the mass of ``rho`` inside the support of ``sigma``.
     When the eigenvectors are unit vectors the weights are diagonal entries
     of ``rho``, read off its blocks without a matrix product."""
     spec = sigma.spectrum
-    on = spec.eigenvalues > sigma.rank_tolerance
+    on = spec.eigenvalues > RANK_TOL
     if spec.permutation is not None:
         partition, stacks = rho.blocks
         weights = partition.diagonal(stacks).real[spec.permutation[on]]
@@ -62,10 +64,10 @@ def support_leak(rho: DensityOperator, sigma: DensityOperator) -> float:
     return max(0.0, 1.0 - float(np.sum(weights)))
 
 
-def supports_contained(rho: DensityOperator, sigma: DensityOperator,
-                       tol: float = SUPPORT_TOL) -> bool:
-    """Numerical proxy for supp(rho) ⊆ supp(sigma)."""
-    return support_leak(rho, sigma) <= tol
+def supports_contained(rho: DensityOperator, sigma: DensityOperator) -> bool:
+    """Numerical proxy for supp(rho) ⊆ supp(sigma): a leak of at most
+    ``SUPPORT_TOL``."""
+    return support_leak(rho, sigma) <= SUPPORT_TOL
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
@@ -80,7 +82,7 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
         w = np.concatenate([np.linalg.eigvalsh(s).ravel() for s in rho.blocks[1]])[::-1]
     else:
         w = spectrum.eigenvalues
-    w = w[w > rho.rank_tolerance]
+    w = w[w > RANK_TOL]
     return float(-np.sum(w * np.log(w)))
 
 
@@ -108,13 +110,16 @@ def chi_squared(rho: DensityOperator, sigma: DensityOperator) -> float:
     _check_dims(rho, sigma)
     if not supports_contained(rho, sigma):
         return math.inf
-    delta = rho.matrix - sigma.matrix
-    spec_s = sigma.spectrum
-    on = spec_s.eigenvalues > sigma.rank_tolerance
-    v = spec_s.eigenvectors[:, on]
-    cols = delta @ v
-    quad = np.sum(np.abs(cols) ** 2, axis=0) / spec_s.eigenvalues[on]
-    return _clip(float(np.sum(quad)))
+    return _clip(_inverse_weighted_norm(rho.matrix - sigma.matrix, sigma))
+
+
+def _inverse_weighted_norm(x: np.ndarray, sigma: DensityOperator) -> float:
+    """``Tr{x sigma^+ x†} = sum_j ||x v_j||^2 / lambda_j`` over the
+    eigenpairs of ``sigma`` above ``RANK_TOL``."""
+    spec = sigma.spectrum
+    on = spec.eigenvalues > RANK_TOL
+    cols = x @ spec.eigenvectors[:, on]
+    return float(np.sum(np.sum(np.abs(cols) ** 2, axis=0) / spec.eigenvalues[on]))
 
 
 def _difference_eigenvalues(a: DensityOperator, b: DensityOperator,
@@ -147,7 +152,7 @@ def helstrom_error(rho_bar: DensityOperator, rho0: DensityOperator,
     """
     _check_dims(rho_bar, rho0)
     p1, p0 = priors
-    if p1 < 0 or p0 < 0 or abs(p1 + p0 - 1.0) > 1e-12:
+    if p1 < 0 or p0 < 0 or abs(p1 + p0 - 1.0) > DISTRIBUTION_TOL:
         raise InvalidDistribution(f"priors must be a probability pair, got {priors}")
     w = _difference_eigenvalues(rho_bar, rho0, p1, p0)
     err = 0.5 * (1.0 - float(np.sum(np.abs(w))))
@@ -166,9 +171,10 @@ def pinsker_gap(rho: DensityOperator, sigma: DensityOperator) -> float:
     return d - t * t / 2.0
 
 
-def validate_distribution(probs, tol: float = 1e-12) -> np.ndarray:
+def validate_distribution(probs) -> np.ndarray:
     """Check a probability vector (finite, nonnegative, sums to 1 within
-    ``tol``); a failure raises ``InvalidDistribution``, a ``ValueError``."""
+    ``DISTRIBUTION_TOL``); a failure raises ``InvalidDistribution``, a
+    ``ValueError``."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise InvalidDistribution(f"expected a 1-d probability vector, got shape {p.shape}")
@@ -176,7 +182,7 @@ def validate_distribution(probs, tol: float = 1e-12) -> np.ndarray:
         raise InvalidDistribution(f"non-finite probability in {p.tolist()!r}")
     if p.min() < 0:
         raise InvalidDistribution(f"negative probability {p.min()!r}")
-    if abs(p.sum() - 1.0) > tol:
+    if abs(p.sum() - 1.0) > DISTRIBUTION_TOL:
         raise InvalidDistribution(f"probabilities sum to {p.sum()!r}, not 1")
     return p
 
@@ -191,8 +197,7 @@ def holevo_information(probs, states: list[DensityOperator]) -> float:
         if s.dim != dim:
             raise DimensionMismatch("ensemble states have mixed dimensions")
     avg_matrix = sum(pi * s.matrix for pi, s in zip(p, states))
-    avg = DensityOperator(hermitian_part(avg_matrix),
-                          rank_tolerance=states[0].rank_tolerance)
+    avg = DensityOperator(hermitian_part(avg_matrix))
     chi = von_neumann_entropy(avg) - sum(pi * von_neumann_entropy(s)
                                          for pi, s in zip(p, states))
     return max(0.0, chi) if chi > -NEG_CLIP else chi
@@ -221,11 +226,10 @@ def phi_functional(sigma1: DensityOperator, sigma0: DensityOperator,
     """
     _check_dims(sigma1, sigma0)
     _require_contained(sigma1, sigma0, "phi_functional")
-    tol0, tol1 = sigma0.rank_tolerance, sigma1.rank_tolerance
-    pow0_half = matrix_power(sigma0.matrix, r / 2.0, tol0)
-    pow1_neg = matrix_power(sigma1.matrix, -r, tol1)
-    log0 = matrix_log(sigma0.matrix, tol0)
-    log1 = matrix_log(sigma1.matrix, tol1)
+    pow0_half = matrix_power(sigma0.matrix, r / 2.0)
+    pow1_neg = matrix_power(sigma1.matrix, -r)
+    log0 = matrix_log(sigma0.matrix)
+    log1 = matrix_log(sigma1.matrix)
     x = pow0_half @ pow1_neg @ pow0_half
     t = float(np.trace(sigma1.matrix @ x).real)
     # d/dr sigma0^{r/2} = (log sigma0 / 2) sigma0^{r/2} on the support,
@@ -247,11 +251,10 @@ def psi_functional(rho1: DensityOperator, rho0: DensityOperator,
     """
     _check_dims(rho1, rho0)
     _require_contained(rho1, rho0, "psi_functional")
-    tol0, tol1 = rho0.rank_tolerance, rho1.rank_tolerance
-    pow1 = matrix_power(rho1.matrix, 1.0 + r, tol1)
-    pow0_neg = matrix_power(rho0.matrix, -r, tol0)
-    log0 = matrix_log(rho0.matrix, tol0)
-    log1 = matrix_log(rho1.matrix, tol1)
+    pow1 = matrix_power(rho1.matrix, 1.0 + r)
+    pow0_neg = matrix_power(rho0.matrix, -r)
+    log0 = matrix_log(rho0.matrix)
+    log1 = matrix_log(rho1.matrix)
     t = float(np.trace(pow1 @ pow0_neg).real)
     num = float(np.trace(pow0_neg @ pow1 @ (log1 - log0)).real)
     return math.log(t), num / t
@@ -267,8 +270,4 @@ def overlap_trace(sigma0: DensityOperator, sigma1: DensityOperator) -> float:
     """
     _check_dims(sigma0, sigma1)
     _require_contained(sigma1, sigma0, "overlap_trace")
-    spec = sigma0.spectrum
-    on = spec.eigenvalues > sigma0.rank_tolerance
-    v = spec.eigenvectors[:, on]
-    cols = sigma1.matrix @ v
-    return float(np.sum(np.sum(np.abs(cols) ** 2, axis=0) / spec.eigenvalues[on]))
+    return _inverse_weighted_norm(sigma1.matrix, sigma0)

@@ -7,10 +7,14 @@ inputs; every state-like object is safe to share across threads.
 
 Conventions
 -----------
-* Support cutoff: eigenvalues at or below ``rank_tolerance`` (default 1e-10)
-  are treated as exactly zero.  Matrix logarithms and negative powers follow
-  the pseudo-function convention: they act on the support and annihilate the
+* Support cutoff: eigenvalues at or below ``RANK_TOL`` (1e-10) are treated
+  as exactly zero.  Matrix logarithms and negative powers follow the
+  pseudo-function convention: they act on the support and annihilate the
   kernel.
+* The other tolerances are module constants too: ``HERMITICITY_TOL``,
+  ``PSD_TOL`` and ``TRACE_TOL`` validate inputs, ``ZERO_EIGENVALUE_TOL`` is
+  the tie window of spectral sign projections and ``CLUSTER_TOL`` the
+  relative merge window of pinching.  No function here takes a tolerance.
 * Tensor products order subsystems left-to-right as channel uses 1..n.
 * Kronecker products are capped at dimension ``CQCOVERT_DIM_CAP``
   (default 16384) so exact simulation stays in memory.
@@ -33,10 +37,10 @@ from .errors import (
     TraceNotOne,
 )
 
-DEFAULT_RANK_TOL = 1e-10
-HERMITICITY_TOL = 1e-12
-PSD_TOL = 1e-10
-TRACE_TOL = 1e-10
+RANK_TOL = 1e-10             # support cutoff: eigenvalues at or below it count as 0
+HERMITICITY_TOL = 1e-12      # largest entry of |A - A†| in a valid input
+PSD_TOL = 1e-10              # most negative eigenvalue of a valid state
+TRACE_TOL = 1e-10            # largest |Tr - 1| of a valid state
 DEFAULT_DIM_CAP = 16384
 ZERO_EIGENVALUE_TOL = 1e-12  # tie window for spectral sign projections
 CLUSTER_TOL = 1e-9           # relative merge window for pinching eigenspaces
@@ -65,13 +69,13 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + dagger(a)) / 2
 
 
-def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(a: np.ndarray) -> np.ndarray:
     """Validate hermiticity of a square matrix and return its Hermitian part.
 
     Raises
     ------
     NotHermitian
-        If the max absolute deviation |A - A†| exceeds ``tol``.
+        If the max absolute deviation |A - A†| exceeds ``HERMITICITY_TOL``.
     DimensionMismatch
         If the input is not a square 2-d array.
     """
@@ -79,8 +83,8 @@ def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if dev > tol:
-        raise NotHermitian(f"hermiticity deviation {dev:.3e} exceeds {tol:.0e}")
+    if dev > HERMITICITY_TOL:
+        raise NotHermitian(f"hermiticity deviation {dev:.3e} exceeds {HERMITICITY_TOL:.0e}")
     return hermitian_part(a)
 
 
@@ -215,8 +219,7 @@ class DensityOperator:
     in full is the one-block case.  Buffers are frozen after construction.
     """
 
-    def __init__(self, matrix: np.ndarray | None = None,
-                 rank_tolerance: float = DEFAULT_RANK_TOL, *, blocks: tuple | None = None):
+    def __init__(self, matrix: np.ndarray | None = None, *, blocks: tuple | None = None):
         if blocks is None:
             m = np.array(matrix, dtype=complex)
             m.flags.writeable = False
@@ -228,7 +231,6 @@ class DensityOperator:
             blocks = (blocks[0], tuple(blocks[1]))
             self.dim = blocks[0].dim
         self._blocks = blocks
-        self.rank_tolerance = rank_tolerance
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -254,21 +256,14 @@ class DensityOperator:
 
     @property
     def rank(self) -> int:
-        return int(np.sum(self.spectrum.eigenvalues > self.rank_tolerance))
+        return int(np.sum(self.spectrum.eigenvalues > RANK_TOL))
 
     def to_json(self) -> dict:
         return matrix_to_json(self.matrix)
 
 
-def make_density(entries: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOL) -> DensityOperator:
-    """Validate a complex matrix as a density operator.
-
-    Parameters
-    ----------
-    entries
-        Square complex matrix.
-    rank_tolerance
-        Eigenvalue cutoff below which the support is truncated.
+def make_density(entries: np.ndarray) -> DensityOperator:
+    """Validate a square complex matrix as a density operator.
 
     Raises
     ------
@@ -283,7 +278,7 @@ def make_density(entries: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOL) 
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace {tr!r} deviates from 1 by more than {TRACE_TOL:.0e}")
-    return DensityOperator(matrix=m, rank_tolerance=float(rank_tolerance))
+    return DensityOperator(matrix=m)
 
 
 def kron_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -308,15 +303,14 @@ def kron_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
 
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """Kronecker product of two states; left factor is the earlier channel use."""
-    return DensityOperator(kron_chain([a.matrix, b.matrix]),
-                           rank_tolerance=max(a.rank_tolerance, b.rank_tolerance))
+    return DensityOperator(kron_chain([a.matrix, b.matrix]))
 
 
 def kron_power(a: DensityOperator, n: int) -> DensityOperator:
     """n-fold Kronecker power of a state (n >= 1)."""
     if n < 1:
         raise DimensionMismatch(f"kron power requires n >= 1, got {n}")
-    return DensityOperator(kron_chain([a.matrix] * n), rank_tolerance=a.rank_tolerance)
+    return DensityOperator(kron_chain([a.matrix] * n))
 
 
 def partial_trace(joint: DensityOperator, dims: tuple[int, int], keep: str) -> DensityOperator:
@@ -341,91 +335,89 @@ def partial_trace(joint: DensityOperator, dims: tuple[int, int], keep: str) -> D
         m = np.trace(t, axis1=1, axis2=3)
     else:
         m = np.trace(t, axis1=0, axis2=2)
-    return DensityOperator(hermitian_part(m), rank_tolerance=joint.rank_tolerance)
+    return DensityOperator(hermitian_part(m))
 
 
 def support_projector(a: DensityOperator) -> np.ndarray:
-    """Orthogonal projector onto the span of eigenvectors above ``rank_tolerance``."""
+    """Orthogonal projector onto the span of eigenvectors above ``RANK_TOL``."""
     spec = a.spectrum
-    cols = spec.eigenvectors[:, spec.eigenvalues > a.rank_tolerance]
+    cols = spec.eigenvectors[:, spec.eigenvalues > RANK_TOL]
     return cols @ cols.conj().T
 
 
-def matrix_function(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
-                    rank_tolerance: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def matrix_function(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply ``f`` to the eigenvalues of a Hermitian matrix on its support.
 
-    Eigenvalues at or below ``rank_tolerance`` map to 0 (pseudo-function
+    Eigenvalues at or below ``RANK_TOL`` map to 0 (pseudo-function
     convention), which absorbs the singularities of logs and negative powers.
     """
     spec = spectral_decomposition(a)
     w = spec.eigenvalues
     fw = np.zeros_like(w)
-    on_support = w > rank_tolerance
+    on_support = w > RANK_TOL
     if np.any(on_support):
         fw[on_support] = f(w[on_support])
     v = spec.eigenvectors
     return hermitian_part((v * fw) @ v.conj().T)
 
 
-def matrix_log(a: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def matrix_log(a: np.ndarray) -> np.ndarray:
     """Pseudo-logarithm: log on the support, zero on the kernel."""
-    return matrix_function(a, np.log, rank_tolerance)
+    return matrix_function(a, np.log)
 
 
-def matrix_power(a: np.ndarray, c: float, rank_tolerance: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def matrix_power(a: np.ndarray, c: float) -> np.ndarray:
     """Pseudo-power ``A^c`` (negative and fractional c act on the support only)."""
-    return matrix_function(a, lambda w: w ** c, rank_tolerance)
+    return matrix_function(a, lambda w: w ** c)
 
 
-def matrix_pinv(a: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def matrix_pinv(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of a Hermitian PSD matrix via its spectrum."""
-    return matrix_power(a, -1.0, rank_tolerance)
+    return matrix_power(a, -1.0)
 
 
-def matrix_inv_sqrt(a: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def matrix_inv_sqrt(a: np.ndarray) -> np.ndarray:
     """Pseudo inverse square root ``A^{-1/2}`` on the support."""
-    return matrix_power(a, -0.5, rank_tolerance)
+    return matrix_power(a, -0.5)
 
 
-def spectral_projection_nonneg(a: np.ndarray, strict: bool = False,
-                               zero_tol: float = ZERO_EIGENVALUE_TOL) -> np.ndarray:
+def spectral_projection_nonneg(a: np.ndarray, strict: bool = False) -> np.ndarray:
     """Projector onto the non-negative (or strictly positive) eigenspaces.
 
-    Eigenvalues within ``zero_tol`` of zero count as zero: they are included
-    in the non-strict projector and excluded from the strict one.  The
-    complement of the non-strict projector is the strictly-negative
-    projector, and vice versa.
+    Eigenvalues within ``ZERO_EIGENVALUE_TOL`` of zero count as zero: they
+    are included in the non-strict projector and excluded from the strict
+    one.  The complement of the non-strict projector is the
+    strictly-negative projector, and vice versa.
     """
     spec = spectral_decomposition(a)
     w = spec.eigenvalues
-    mask = w > zero_tol if strict else w >= -zero_tol
+    mask = w > ZERO_EIGENVALUE_TOL if strict else w >= -ZERO_EIGENVALUE_TOL
     cols = spec.eigenvectors[:, mask]
     return cols @ cols.conj().T
 
 
-def eigenvalue_clusters(eigenvalues: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> np.ndarray:
+def eigenvalue_clusters(eigenvalues: np.ndarray) -> np.ndarray:
     """Group near-degenerate eigenvalues into clusters.
 
     Adjacent sorted eigenvalues merge when their gap is at most
-    ``cluster_tol * max(|w_i|, |w_j|)``, so exact ties (exact zeros included)
+    ``CLUSTER_TOL * max(|w_i|, |w_j|)``, so exact ties (exact zeros included)
     always share a cluster.  Returns an integer cluster id per entry of
     ``eigenvalues`` (in the given order).
     """
     w = np.asarray(eigenvalues, dtype=float)
     order = np.argsort(w)
     ws = w[order]
-    gaps = np.diff(ws) > cluster_tol * np.maximum(np.abs(ws[:-1]), np.abs(ws[1:]))
+    gaps = np.diff(ws) > CLUSTER_TOL * np.maximum(np.abs(ws[:-1]), np.abs(ws[1:]))
     ids = np.empty(len(ws), dtype=int)
     ids[order] = np.concatenate([[0], np.cumsum(gaps)])
     return ids
 
 
-def pinching(a: np.ndarray, b: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> np.ndarray:
+def pinching(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dephase ``b`` in the eigenbasis blocks of ``a``.
 
     Computes the sum of ``E_i b E_i`` over the projectors ``E_i`` onto the
-    distinct-eigenvalue spaces of ``a``; eigenvalues within ``cluster_tol``
+    distinct-eigenvalue spaces of ``a``; eigenvalues within ``CLUSTER_TOL``
     relative distance are merged into one eigenspace.  The result commutes
     with ``a`` and preserves traces against every operator commuting with
     ``a``.
@@ -435,7 +427,7 @@ def pinching(a: np.ndarray, b: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> 
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
     spec = spectral_decomposition(a)
-    ids = eigenvalue_clusters(spec.eigenvalues, cluster_tol)
+    ids = eigenvalue_clusters(spec.eigenvalues)
     v = spec.eigenvectors
     rotated = v.conj().T @ b @ v
     mask = ids[:, None] == ids[None, :]
@@ -468,14 +460,13 @@ def matrix_from_json(doc: dict) -> np.ndarray:
 
 # --- random generators for sweeps and tests ---
 
-def ginibre_state(dim: int, rng: np.random.Generator, rank: int | None = None,
-                  rank_tolerance: float = DEFAULT_RANK_TOL) -> DensityOperator:
+def ginibre_state(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
     """Random density operator G G† / Tr from a complex Ginibre block."""
     k = dim if rank is None else rank
     g = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
     m = g @ g.conj().T
     m = m / np.trace(m).real
-    return DensityOperator(hermitian_part(m), rank_tolerance=rank_tolerance)
+    return DensityOperator(hermitian_part(m))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -490,7 +481,6 @@ def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> 
     return hermitian_part(g) * scale
 
 
-def diagonal_state(probs: Sequence[float],
-                   rank_tolerance: float = DEFAULT_RANK_TOL) -> DensityOperator:
+def diagonal_state(probs: Sequence[float]) -> DensityOperator:
     """Density operator with the given probability vector on the diagonal."""
-    return make_density(np.diag(np.asarray(probs, dtype=complex)), rank_tolerance)
+    return make_density(np.diag(np.asarray(probs, dtype=complex)))

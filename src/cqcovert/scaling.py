@@ -324,7 +324,7 @@ def converse_bounds(channel: CqChannelPair, ptilde, mu: float, n: int,
         m = (1.0 - mu) * states[0].matrix
         for pi, x in zip(p, channel.non_innocent):
             m = m + mu * pi * states[x].matrix
-        return DensityOperator(hermitian_part(m), rank_tolerance=states[0].rank_tolerance)
+        return DensityOperator(hermitian_part(m))
 
     d_mix_bob = relative_entropy(mix(channel.bob_states), channel.bob_states[0])
     d_mix_willie = relative_entropy(mix(channel.willie_states), channel.willie_states[0])
@@ -360,7 +360,7 @@ class ExpansionCheck:
 
 def expansion_radius(b: DensityOperator, c: DensityOperator) -> float:
     """Validity radius min(1, 1/||B^+ (C - B)||) in spectral norm."""
-    x = matrix_pinv(b.matrix, b.rank_tolerance) @ (c.matrix - b.matrix)
+    x = matrix_pinv(b.matrix) @ (c.matrix - b.matrix)
     norm = float(np.linalg.norm(x, 2))
     return 1.0 if norm == 0.0 else min(1.0, 1.0 / norm)
 
@@ -390,9 +390,7 @@ def expansion_check(b: DensityOperator, c: DensityOperator,
     chi2 = chi_squared(c, b)
     divergences, predictions = [], []
     for alpha in alphas:
-        mixed = DensityOperator(
-            hermitian_part(alpha * c.matrix + (1.0 - alpha) * b.matrix),
-            rank_tolerance=b.rank_tolerance)
+        mixed = DensityOperator(hermitian_part(alpha * c.matrix + (1.0 - alpha) * b.matrix))
         divergences.append(relative_entropy(mixed, b))
         predictions.append(alpha ** 2 * chi2 / 2.0)
     divergences = np.array(divergences)

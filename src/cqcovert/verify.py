@@ -263,8 +263,7 @@ def holevo_identity_suite(trials: int = 100, seed: int = 0) -> SuiteResult:
                     w * relative_entropy(states[x], states[0])
                     for w, x in zip(ptilde, range(1, n_symbols + 1)))
                 mix_matrix = sum(w * s.matrix for w, s in zip(p_bar, states))
-                mix = DensityOperator(hermitian_part(mix_matrix),
-                                      rank_tolerance=states[0].rank_tolerance)
+                mix = DensityOperator(hermitian_part(mix_matrix))
                 d_mix = relative_entropy(mix, states[0])
                 margin = 1e-8 - abs(chi - (linear - d_mix))
                 col.record(margin, side=side, mu=mu, index=i)

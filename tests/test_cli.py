@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cqcovert import cli
 from cqcovert.cli import main
 from cqcovert.operators import matrix_to_json
 
@@ -243,6 +244,17 @@ class TestSimulate:
         assert captured.out == ""
         assert "CQCOVERT_WORKERS" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_trials_exit_2_before_any_work(self, canonical_path, capsys,
+                                                       monkeypatch, value):
+        monkeypatch.setattr(cli, "load_channel",
+                            lambda path: pytest.fail("channel loaded before --trials was checked"))
+        assert main(["simulate", "--channel", canonical_path, "--n", "2",
+                     "--trials", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--trials" in captured.err and "Traceback" not in captured.err
+
     def test_json_format(self, canonical_path, capsys):
         assert main(["simulate", "--channel", canonical_path, "--n", "2",
                      "--gamma", "0.4", "--trials", "2", "--seed", "3"]) == 0
@@ -279,6 +291,16 @@ class TestVerify:
         assert out.strip().startswith("PASS pinsker")
         assert len(out.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_trials_exit_2(self, capsys, monkeypatch, value):
+        # a run that checks nothing must not pass
+        monkeypatch.setattr(cli, "run_suites",
+                            lambda *a, **k: pytest.fail("suites ran before --trials was checked"))
+        assert main(["verify", "--trials", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--trials" in captured.err and "Traceback" not in captured.err
+
 
 class TestNogo:
     def test_leaking_channel_grid(self, leaking_path, capsys):
@@ -297,6 +319,13 @@ class TestNogo:
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_nonpositive_blocklength_exits_2(self, leaking_path, n):
         assert main(["nogo", "--channel", leaking_path, "--n", n]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_epsilon_exits_2(self, leaking_path, capsys, value):
+        assert main(["nogo", "--channel", leaking_path, "--epsilon", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "epsilon" in captured.err and "Traceback" not in captured.err
 
     def test_explicit_epsilon(self, leaking_path, capsys):
         assert main(["nogo", "--channel", leaking_path, "--epsilon", "0.001"]) == 0

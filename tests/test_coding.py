@@ -418,7 +418,6 @@ class TestWillieProductBasis:
         assert np.linalg.norm(spec.reconstruct() - np.diag(basis.eigenvalues)) <= 1e-15
         assert np.linalg.norm(basis.to_original_basis(state.matrix)
                               - kron_power(single, 4).matrix) <= 1e-12
-        assert state.rank_tolerance == single.rank_tolerance
 
 
 class TestIidCovertnessBound:

@@ -13,12 +13,14 @@ from cqcovert.divergences import (
     pinsker_gap,
     psi_functional,
     relative_entropy,
+    support_leak,
     supports_contained,
     trace_distance,
     von_neumann_entropy,
 )
 from cqcovert.errors import DimensionMismatch, SupportViolation
 from cqcovert.operators import (
+    RANK_TOL,
     diagonal_state,
     ginibre_state,
     haar_unitary,
@@ -292,3 +294,16 @@ def test_relative_entropy_containment_threshold(t, finite):
         (1 - t) * sigma.matrix + t * np.outer(kernel, kernel.conj())))
     d = relative_entropy(rho, sigma)
     assert math.isfinite(d) == finite == supports_contained(rho, sigma)
+
+
+@pytest.mark.parametrize("t, rank", [(RANK_TOL, 1), (np.nextafter(RANK_TOL, 1.0), 2)])
+def test_support_cutoff_boundary(t, rank):
+    # an eigenvalue exactly at the cutoff is off the support, the next float above is on it
+    sigma = diagonal_state([1.0 - t, t])
+    assert sigma.eigenvalues[1] == t
+    assert sigma.rank == rank
+    probe = diagonal_state([0.5, 0.5])
+    contained = rank == 2
+    assert support_leak(probe, sigma) == pytest.approx(0.0 if contained else 0.5, abs=1e-12)
+    assert math.isfinite(relative_entropy(probe, sigma)) == contained
+    assert supports_contained(probe, sigma) == contained

@@ -45,7 +45,7 @@ class TestMakeDensity:
         assert rho.rank == 2
 
     def test_rank_cutoff_collapses_support(self):
-        rho = make_density(np.diag([1.0, 1e-14]), rank_tolerance=1e-12)
+        rho = make_density(np.diag([1.0, 1e-14]))
         assert rho.rank == 1
 
     def test_rejects_non_hermitian(self):
@@ -379,5 +379,4 @@ def test_matrix_json_roundtrip(rng):
 
 def test_density_operator_direct_construction_freezes(rng):
     rho = DensityOperator(np.eye(2) / 2)
-    assert rho.rank_tolerance == 1e-10
     assert rho.spectrum.eigenvalues[0] == pytest.approx(0.5)
