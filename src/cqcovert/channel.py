@@ -44,6 +44,9 @@ from .operators import (
 MIXTURE_RESIDUAL_TOL = 1e-8
 POVM_PSD_TOL = 1e-10
 POVM_SUM_TOL = 1e-9
+DMC_NEG_TOL = 1e-12             # most negative induced probability; milder ones clip to 0
+DMC_ROW_SUM_TOL = 1e-9          # largest |sum_y p(y|x) - 1| of an induced row
+DEGENERATE_DISTANCE_TOL = 1e-12  # largest adversary trace distance of a degenerate channel
 
 
 class SupportRelation(str, enum.Enum):
@@ -178,7 +181,7 @@ class ChannelSummary:
         that ``chi2(sum_x p_x willie_x || willie_0) = p^T Q p``.  Built as ``L^T L``
         from the real-vectorized ``D_x rho_0^{-1/2}``, so it is symmetric PSD."""
         rho0 = self.willie.states[0]
-        root = matrix_inv_sqrt(rho0.matrix)
+        root = matrix_inv_sqrt(rho0.spectrum)
         cols = [((s.matrix - rho0.matrix) @ root).ravel() for s in self.willie.states[1:]]
         factor = np.column_stack([np.concatenate([c.real, c.imag]) for c in cols])
         return factor.T @ factor
@@ -385,12 +388,12 @@ def induce_dmc(states: list[DensityOperator], povm: Povm) -> np.ndarray:
     for i, s in enumerate(states):
         for j, e in enumerate(povm.elements):
             rows[i, j] = float(np.trace(s.matrix @ e).real)
-    if rows.min() < -1e-12:
+    if rows.min() < -DMC_NEG_TOL:
         raise InvalidPovm(f"negative outcome probability {rows.min():.3e}")
     rows = np.clip(rows, 0.0, None)
     row_sums = rows.sum(axis=1)
-    if np.max(np.abs(row_sums - 1.0)) > 1e-9:
-        raise InvalidPovm("induced rows do not sum to 1 within 1e-9")
+    if np.max(np.abs(row_sums - 1.0)) > DMC_ROW_SUM_TOL:
+        raise InvalidPovm(f"induced rows do not sum to 1 within {DMC_ROW_SUM_TOL:.0e}")
     return rows
 
 
@@ -418,7 +421,7 @@ def weak_covert_budget(channel: CqChannelPair, epsilon0: float) -> tuple[float, 
     if epsilon0 <= 0:
         raise ValidationError(f"epsilon0 must be positive, got {epsilon0}")
     best_dist, best_x = farthest_adversary_symbol(channel)
-    if best_dist <= 1e-12:
+    if best_dist <= DEGENERATE_DISTANCE_TOL:
         raise DegenerateChannel("all adversary states equal the innocent state")
     return 4.0 * epsilon0 / best_dist, best_x
 

@@ -31,6 +31,7 @@ from .errors import (
     AlphaOutOfRange,
     DimensionMismatch,
     IndexMismatch,
+    InvalidParameter,
     NoLeakage,
     ValidationError,
 )
@@ -47,6 +48,10 @@ from .operators import (
     kron_chain,
     spectral_decomposition,
 )
+
+
+COUNT_ROUNDING_TOL = 1e-12  # subtracted before a code size is rounded up to a count
+INNOCENT_FIDELITY_TOL = 1e-12  # a codeword of fidelity at least 1 - this does not signal
 
 
 def product_state(states: Sequence[DensityOperator], symbols: Sequence[int]) -> DensityOperator:
@@ -639,6 +644,9 @@ class ExperimentConfig:
     Message and key counts follow the achievability formulas (rounded up to
     integers >= 1) unless overridden; ``epsilon_target`` defaults to the
     quadratic covertness prediction ``gamma^2 chi^2 / 2`` of the channel.
+    ``trials`` must be at least 1, whether given directly or read from JSON
+    (``InvalidParameter`` otherwise), so ``run_experiment`` never runs an
+    empty sweep.
     """
 
     channel: CqChannelPair
@@ -655,6 +663,10 @@ class ExperimentConfig:
     delta_target: float = 0.1
     epsilon_target: float | None = None
     workers: int = 1
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise InvalidParameter(f"trials must be an integer >= 1, got {self.trials}")
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
@@ -700,8 +712,8 @@ def code_sizes(channel: CqChannelPair, ptilde, n: int, gamma: float,
     root = gamma * math.sqrt(n)
     log_m_raw = (1.0 - varsigma) * root * d_bob
     log_k_raw = root * max(0.0, (1.0 + varsigma) * d_willie - (1.0 - varsigma) * d_bob)
-    m = max(1, math.ceil(math.exp(log_m_raw) - 1e-12))
-    k = max(1, math.ceil(math.exp(log_k_raw) - 1e-12))
+    m = max(1, math.ceil(math.exp(log_m_raw) - COUNT_ROUNDING_TOL))
+    k = max(1, math.ceil(math.exp(log_k_raw) - COUNT_ROUNDING_TOL))
     return m, k, log_m_raw, log_k_raw
 
 
@@ -848,7 +860,7 @@ def nogo_experiment(channel: CqChannelPair, codebook: Codebook,
     fidelity = np.prod(np.clip(overlap_bob[rows], 0.0, 1.0), axis=1)
     pe_willie = float(np.mean(detect)) / 2.0
 
-    signaling = fidelity < 1.0 - 1e-12
+    signaling = fidelity < 1.0 - INNOCENT_FIDELITY_TOL
     if not np.any(signaling):
         raise ValidationError("every codeword is innocent; leakage constant undefined")
     c_values = (1.0 - detect[signaling]) / (1.0 - fidelity[signaling])

@@ -61,7 +61,7 @@ def support_leak(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Probability mass of ``rho`` outside the support of ``sigma``."""
     _check_dims(rho, sigma)
     weights, _ = _support_weights(rho, sigma)
-    return max(0.0, 1.0 - float(np.sum(weights)))
+    return max(0.0, 1.0 - float(weights.sum()))
 
 
 def supports_contained(rho: DensityOperator, sigma: DensityOperator) -> bool:
@@ -74,16 +74,13 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     """Entropy -Tr{rho log rho} in nats.
 
     Needs the eigenvalues only: a spectrum already cached on ``rho`` is
-    reused, otherwise they come from ``eigvalsh`` without eigenvectors, one
-    stacked call per group of equal-size blocks of ``rho``.
+    reused, otherwise its cached ``eigenvalues_only`` are read, computed once
+    without eigenvectors.
     """
     spectrum = vars(rho).get("spectrum")
-    if spectrum is None:
-        w = np.concatenate([np.linalg.eigvalsh(s).ravel() for s in rho.blocks[1]])[::-1]
-    else:
-        w = spectrum.eigenvalues
+    w = rho.eigenvalues_only if spectrum is None else spectrum.eigenvalues
     w = w[w > RANK_TOL]
-    return float(-np.sum(w * np.log(w)))
+    return float(-(w * np.log(w)).sum())
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -95,9 +92,9 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     _check_dims(rho, sigma)
     # the support weights also give the cross term Tr{rho log sigma}
     weights, eigenvalues = _support_weights(rho, sigma)
-    if 1.0 - float(np.sum(weights)) > SUPPORT_TOL:
+    if 1.0 - float(weights.sum()) > SUPPORT_TOL:
         return math.inf
-    cross = float(np.sum(weights * np.log(eigenvalues)))
+    cross = float((weights * np.log(eigenvalues)).sum())
     return _clip(-von_neumann_entropy(rho) - cross)
 
 
@@ -138,7 +135,7 @@ def _difference_eigenvalues(a: DensityOperator, b: DensityOperator,
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Trace norm of the difference, Tr|rho - sigma|, in [0, 2]."""
     _check_dims(rho, sigma)
-    return float(np.sum(np.abs(_difference_eigenvalues(rho, sigma))))
+    return float(np.abs(_difference_eigenvalues(rho, sigma)).sum())
 
 
 def helstrom_error(rho_bar: DensityOperator, rho0: DensityOperator,
@@ -226,10 +223,10 @@ def phi_functional(sigma1: DensityOperator, sigma0: DensityOperator,
     """
     _check_dims(sigma1, sigma0)
     _require_contained(sigma1, sigma0, "phi_functional")
-    pow0_half = matrix_power(sigma0.matrix, r / 2.0)
-    pow1_neg = matrix_power(sigma1.matrix, -r)
-    log0 = matrix_log(sigma0.matrix)
-    log1 = matrix_log(sigma1.matrix)
+    pow0_half = matrix_power(sigma0.spectrum, r / 2.0)
+    pow1_neg = matrix_power(sigma1.spectrum, -r)
+    log0 = matrix_log(sigma0.spectrum)
+    log1 = matrix_log(sigma1.spectrum)
     x = pow0_half @ pow1_neg @ pow0_half
     t = float(np.trace(sigma1.matrix @ x).real)
     # d/dr sigma0^{r/2} = (log sigma0 / 2) sigma0^{r/2} on the support,
@@ -251,10 +248,10 @@ def psi_functional(rho1: DensityOperator, rho0: DensityOperator,
     """
     _check_dims(rho1, rho0)
     _require_contained(rho1, rho0, "psi_functional")
-    pow1 = matrix_power(rho1.matrix, 1.0 + r)
-    pow0_neg = matrix_power(rho0.matrix, -r)
-    log0 = matrix_log(rho0.matrix)
-    log1 = matrix_log(rho1.matrix)
+    pow1 = matrix_power(rho1.spectrum, 1.0 + r)
+    pow0_neg = matrix_power(rho0.spectrum, -r)
+    log0 = matrix_log(rho0.spectrum)
+    log1 = matrix_log(rho1.spectrum)
     t = float(np.trace(pow1 @ pow0_neg).real)
     num = float(np.trace(pow0_neg @ pow1 @ (log1 - log0)).real)
     return math.log(t), num / t

@@ -114,10 +114,15 @@ class Spectrum:
 
 
 def spectral_decomposition(a: np.ndarray) -> Spectrum:
-    """Eigendecompose a Hermitian matrix, eigenvalues descending."""
+    """Eigendecompose a Hermitian matrix, eigenvalues descending.
+
+    ``eigh`` returns them ascending, so the order is a reversal: tied
+    eigenvalues keep ``eigh``'s order, reversed.  The eigenvectors are stored
+    column-major; another layout would change the rounding of products with
+    them.
+    """
     w, v = np.linalg.eigh(hermitian_part(np.asarray(a, dtype=complex)))
-    order = np.argsort(w)[::-1]
-    return Spectrum(eigenvalues=w[order], eigenvectors=v[:, order])
+    return Spectrum(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy(order="F"))
 
 
 class Partition:
@@ -217,6 +222,14 @@ class DensityOperator:
     ``blocks=(partition, stacks)`` (see :class:`Partition`), instead of in
     full; its ``matrix`` is then assembled only when read.  A matrix given
     in full is the one-block case.  Buffers are frozen after construction.
+
+    A state is eigendecomposed at most once: ``spectrum`` is computed on
+    first use and cached, and every matrix function of the state
+    (``matrix_power``, ``matrix_log``, ``matrix_pinv``, ... given
+    ``state.spectrum``), its support projector, its rank and the divergences
+    against it read that one spectrum.  Entropies need eigenvalues only:
+    they read the spectrum when it has been computed, else
+    ``eigenvalues_only``, cached the same way.
     """
 
     def __init__(self, matrix: np.ndarray | None = None, *, blocks: tuple | None = None):
@@ -248,11 +261,19 @@ class DensityOperator:
 
     @cached_property
     def spectrum(self) -> Spectrum:
+        """``spectral_decomposition(self.matrix)``, computed once."""
         return spectral_decomposition(self.matrix)
 
     @property
     def eigenvalues(self) -> np.ndarray:
         return self.spectrum.eigenvalues
+
+    @cached_property
+    def eigenvalues_only(self) -> np.ndarray:
+        """The eigenvalues from ``eigvalsh``, without eigenvectors, computed
+        once, block by block: one stacked call per group of equal-size blocks
+        (each block's descending, the blocks in reverse order)."""
+        return np.concatenate([np.linalg.eigvalsh(s).ravel() for s in self.blocks[1]])[::-1]
 
     @property
     def rank(self) -> int:
@@ -345,51 +366,57 @@ def support_projector(a: DensityOperator) -> np.ndarray:
     return cols @ cols.conj().T
 
 
-def matrix_function(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply ``f`` to the eigenvalues of a Hermitian matrix on its support.
+Operand = np.ndarray | Spectrum
 
-    Eigenvalues at or below ``RANK_TOL`` map to 0 (pseudo-function
-    convention), which absorbs the singularities of logs and negative powers.
+
+def matrix_function(a: Operand, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Apply ``f`` to the eigenvalues of a Hermitian operator on its support.
+
+    ``a`` is a Hermitian matrix, decomposed here, or a ``Spectrum`` already
+    computed, such as a state's cached ``state.spectrum``, which is read
+    without a second eigensolve.  Eigenvalues at or below ``RANK_TOL`` map
+    to 0 (pseudo-function convention), which absorbs the singularities of
+    logs and negative powers.
     """
-    spec = spectral_decomposition(a)
+    spec = a if isinstance(a, Spectrum) else spectral_decomposition(a)
     w = spec.eigenvalues
     fw = np.zeros_like(w)
     on_support = w > RANK_TOL
-    if np.any(on_support):
-        fw[on_support] = f(w[on_support])
+    fw[on_support] = f(w[on_support])
     v = spec.eigenvectors
     return hermitian_part((v * fw) @ v.conj().T)
 
 
-def matrix_log(a: np.ndarray) -> np.ndarray:
+def matrix_log(a: Operand) -> np.ndarray:
     """Pseudo-logarithm: log on the support, zero on the kernel."""
     return matrix_function(a, np.log)
 
 
-def matrix_power(a: np.ndarray, c: float) -> np.ndarray:
+def matrix_power(a: Operand, c: float) -> np.ndarray:
     """Pseudo-power ``A^c`` (negative and fractional c act on the support only)."""
     return matrix_function(a, lambda w: w ** c)
 
 
-def matrix_pinv(a: np.ndarray) -> np.ndarray:
-    """Moore-Penrose inverse of a Hermitian PSD matrix via its spectrum."""
+def matrix_pinv(a: Operand) -> np.ndarray:
+    """Moore-Penrose inverse of a Hermitian PSD operator via its spectrum."""
     return matrix_power(a, -1.0)
 
 
-def matrix_inv_sqrt(a: np.ndarray) -> np.ndarray:
+def matrix_inv_sqrt(a: Operand) -> np.ndarray:
     """Pseudo inverse square root ``A^{-1/2}`` on the support."""
     return matrix_power(a, -0.5)
 
 
-def spectral_projection_nonneg(a: np.ndarray, strict: bool = False) -> np.ndarray:
+def spectral_projection_nonneg(a: Operand, strict: bool = False) -> np.ndarray:
     """Projector onto the non-negative (or strictly positive) eigenspaces.
 
     Eigenvalues within ``ZERO_EIGENVALUE_TOL`` of zero count as zero: they
     are included in the non-strict projector and excluded from the strict
     one.  The complement of the non-strict projector is the
-    strictly-negative projector, and vice versa.
+    strictly-negative projector, and vice versa.  Both projections of one
+    matrix can share one eigensolve by passing its ``Spectrum``.
     """
-    spec = spectral_decomposition(a)
+    spec = a if isinstance(a, Spectrum) else spectral_decomposition(a)
     w = spec.eigenvalues
     mask = w > ZERO_EIGENVALUE_TOL if strict else w >= -ZERO_EIGENVALUE_TOL
     cols = spec.eigenvectors[:, mask]
@@ -463,9 +490,10 @@ def matrix_from_json(doc: dict) -> np.ndarray:
 def ginibre_state(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
     """Random density operator G G† / Tr from a complex Ginibre block."""
     k = dim if rank is None else rank
-    g = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+    x = rng.standard_normal((2, dim, k))  # one draw: the real block, then the imaginary
+    g = x[0] + 1j * x[1]
     m = g @ g.conj().T
-    m = m / np.trace(m).real
+    m = m / m.trace().real
     return DensityOperator(hermitian_part(m))
 
 

@@ -360,7 +360,7 @@ class ExpansionCheck:
 
 def expansion_radius(b: DensityOperator, c: DensityOperator) -> float:
     """Validity radius min(1, 1/||B^+ (C - B)||) in spectral norm."""
-    x = matrix_pinv(b.matrix) @ (c.matrix - b.matrix)
+    x = matrix_pinv(b.spectrum) @ (c.matrix - b.matrix)
     norm = float(np.linalg.norm(x, 2))
     return 1.0 if norm == 0.0 else min(1.0, 1.0 / norm)
 

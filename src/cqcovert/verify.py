@@ -20,6 +20,7 @@ from .divergences import (
     psi_functional,
     relative_entropy,
 )
+from .errors import InvalidParameter
 from .operators import (
     DensityOperator,
     ginibre_state,
@@ -28,6 +29,7 @@ from .operators import (
     matrix_power,
     pinching,
     random_hermitian,
+    spectral_decomposition,
     spectral_projection_nonneg,
 )
 from .scaling import expansion_check, expansion_radius
@@ -100,10 +102,10 @@ def trace_bounds_suite(trials: int = 500, seed: int = 0) -> SuiteResult:
         d = relative_entropy(a, b)
         for c in (0.1, 0.5, 1.0):
             lower = float(np.trace(
-                a.matrix - matrix_power(a.matrix, 1 - c) @ matrix_power(b.matrix, c)
+                a.matrix - matrix_power(a.spectrum, 1 - c) @ matrix_power(b.spectrum, c)
             ).real) / c
             upper = float(np.trace(
-                matrix_power(a.matrix, 1 + c) @ matrix_power(b.matrix, -c) - a.matrix
+                matrix_power(a.spectrum, 1 + c) @ matrix_power(b.spectrum, -c) - a.matrix
             ).real) / c
             col.record(d - lower + 1e-8, kind="lower", c=c, dim=dim, index=i)
             col.record(upper - d + 1e-8, kind="upper", c=c, dim=dim, index=i)
@@ -123,8 +125,9 @@ def sign_projection_suite(trials: int = 200, seed: int = 0) -> SuiteResult:
             a = random_hermitian(dim, rng)
             b_state = ginibre_state(dim, rng)
             b = b_state.matrix + 1e-3 * np.eye(dim)  # ensure strictly PD
-            pos = spectral_projection_nonneg(a, strict=True)
-            nonneg = spectral_projection_nonneg(a, strict=False)
+            spec = spectral_decomposition(a)  # one eigensolve for both projections
+            pos = spectral_projection_nonneg(spec, strict=True)
+            nonneg = spectral_projection_nonneg(spec, strict=False)
             neg = np.eye(dim) - nonneg
             t_neg = float(np.trace(b @ a @ neg).real)
             t_pos = float(np.trace(b @ a @ pos).real)
@@ -282,7 +285,13 @@ SUITES = {
 
 
 def run_suites(names=None, trials: int | None = None, seed: int = 0) -> list[SuiteResult]:
-    """Run the named suites (all by default) and return their results."""
+    """Run the named suites (all by default) and return their results.
+
+    ``trials`` overrides every suite's default count and must be at least 1:
+    a suite of no checks would report a pass it never tested.
+    """
+    if trials is not None and trials < 1:
+        raise InvalidParameter(f"trials must be an integer >= 1, got {trials}")
     chosen = list(SUITES) if not names else list(names)
     results = []
     for name in chosen:

@@ -33,6 +33,7 @@ from cqcovert.errors import (
     AlphaOutOfRange,
     DimensionCapExceeded,
     IndexMismatch,
+    InvalidParameter,
     NoLeakage,
     ValidationError,
 )
@@ -480,6 +481,13 @@ class TestRunExperiment:
         threaded = run_experiment(ExperimentConfig(**base, workers=4))
         assert [r.to_json() for r in serial] == [r.to_json() for r in threaded]
 
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_nonpositive_trials_rejected(self, canonical_channel, trials):
+        # an empty sweep would return [] as if it had run
+        with pytest.raises(InvalidParameter):
+            run_experiment(ExperimentConfig(channel=canonical_channel, n_list=(3,),
+                                            gamma=0.5, trials=trials))
+
     def test_gamma_zero_flags_no_signaling(self, canonical_channel):
         cfg = ExperimentConfig(channel=canonical_channel, n_list=(3,), gamma=0.0,
                                trials=1, seed=0, ptilde=np.array([1.0]),
@@ -541,6 +549,17 @@ class TestRunExperiment:
         assert config.epsilon_target == 0.05
         (r, *_rest) = run_experiment(config)
         assert r.n == 3
+
+    def test_config_from_json_rejects_zero_trials(self, tmp_path):
+        import json
+        from cqcovert.operators import matrix_to_json
+        doc = {"bob": [matrix_to_json(np.eye(2) / 2)] * 2,
+               "willie": [matrix_to_json(np.eye(2) / 2)] * 2}
+        channel_path = tmp_path / "chan.json"
+        channel_path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidParameter):
+            ExperimentConfig.from_json({"channel": str(channel_path), "n": [2],
+                                        "gamma": 0.1, "trials": 0})
 
     def test_config_from_json_missing_key(self):
         with pytest.raises(ValidationError):

@@ -16,6 +16,7 @@ from cqcovert.operators import (
     diagonal_state,
     eigenvalue_clusters,
     ginibre_state,
+    hermitian_part,
     kron_chain,
     kron_power,
     make_density,
@@ -89,6 +90,24 @@ class TestSpectrum:
             assert np.linalg.norm(spec.reconstruct() - a) <= 1e-9
             v = spec.eigenvectors
             assert np.linalg.norm(v.conj().T @ v - np.eye(dim)) <= 1e-10
+
+    def test_descending_order_with_ties(self, rng):
+        # eigenvalues descend, tied ones in eigh's order reversed (a stable
+        # descending sort of eigh's ascending output); the eigenvectors are
+        # column-major and rebuild the matrix
+        tied = [np.eye(3), np.diag([0.5, 0.5, 0.0, 0.0]),
+                kron_power(diagonal_state([0.7, 0.3]), 3).matrix,
+                kron_power(ginibre_state(2, rng), 3).matrix,
+                ginibre_state(5, rng, rank=2).matrix]
+        for a in tied:
+            w, v = np.linalg.eigh(hermitian_part(np.asarray(a, dtype=complex)))
+            order = np.argsort(w, kind="stable")[::-1]
+            spec = spectral_decomposition(a)
+            assert np.all(np.diff(spec.eigenvalues) <= 0)
+            assert np.array_equal(spec.eigenvalues, w[order])
+            assert np.array_equal(spec.eigenvectors, v[:, order])
+            assert spec.eigenvectors.flags.f_contiguous
+            assert np.allclose(spec.reconstruct(), a, atol=1e-12)
 
 
 class TestTensor:
@@ -245,6 +264,41 @@ class TestMatrixFunctions:
     def test_sqrt_power(self):
         assert np.allclose(matrix_power(np.diag([4.0, 9.0]), 0.5), np.diag([2.0, 3.0]), atol=1e-12)
 
+    def test_state_reads_its_spectrum_bit_for_bit(self):
+        # a state's cached spectrum is spectral_decomposition of its matrix,
+        # so every matrix function of the state equals the ndarray path
+        rng = np.random.default_rng(2024)
+        states = [ginibre_state(dim, rng) for dim in range(2, 7)]
+        states.append(ginibre_state(4, rng, rank=2))
+        for state in states:
+            a = state.matrix
+            for c in (0.5, -0.5, 1.3, -1.0):
+                assert np.array_equal(matrix_power(state.spectrum, c), matrix_power(a, c))
+            assert np.array_equal(matrix_log(state.spectrum), matrix_log(a))
+            assert np.array_equal(matrix_pinv(state.spectrum), matrix_pinv(a))
+
+    def test_a_state_is_decomposed_once(self, monkeypatch):
+        import cqcovert.operators as operators_mod
+        from cqcovert.divergences import phi_functional, psi_functional
+        from cqcovert.verify import derivative_suite
+
+        seen = []
+        real = operators_mod.spectral_decomposition
+
+        def counting(a):
+            seen.append(np.asarray(a).tobytes())
+            return real(a)
+
+        monkeypatch.setattr(operators_mod, "spectral_decomposition", counting)
+        derivative_suite(trials=3)
+        assert len(seen) == 6 and len(set(seen)) == 6  # two fresh states per trial
+        seen.clear()
+        rng = np.random.default_rng(7)
+        s1, s0 = ginibre_state(3, rng), ginibre_state(3, rng)
+        phi_functional(s1, s0, 0.3)
+        psi_functional(s1, s0, 0.3)
+        assert sorted(seen) == sorted([s1.matrix.tobytes(), s0.matrix.tobytes()])
+
     def test_non_diagonal_log_exp_roundtrip(self, rng):
         rho = ginibre_state(4, rng)
         logm = matrix_log(rho.matrix)
@@ -279,6 +333,13 @@ class TestSpectralProjection:
             assert np.linalg.norm(nonneg + strictly_neg - np.eye(4)) <= 1e-10
             # strict projector is dominated by the non-strict one
             assert np.linalg.eigvalsh(nonneg - pos).min() >= -1e-10
+
+    def test_spectrum_operand_shares_one_eigensolve(self, rng):
+        a = random_hermitian(4, rng)
+        spec = spectral_decomposition(a)
+        for strict in (True, False):
+            assert np.array_equal(spectral_projection_nonneg(spec, strict=strict),
+                                  spectral_projection_nonneg(a, strict=strict))
 
     def test_signed_trace_inequality(self, rng):
         # Tr{B A {A<0}} <= 0 and Tr{B A {A>0}} >= 0 for positive-definite B

@@ -3,6 +3,7 @@ import pytest
 
 import cqcovert.verify as verify_mod
 from cqcovert.cli import main
+from cqcovert.errors import InvalidParameter
 from cqcovert.verify import SUITES, SuiteResult, run_suites
 
 
@@ -19,6 +20,13 @@ def test_suites_are_seed_reproducible():
     b = run_suites(["pinsker"], trials=50, seed=9)[0]
     assert a.worst_margin == b.worst_margin
     assert a.checks == b.checks
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_nonpositive_trials_rejected(trials):
+    # a suite of no checks would report PASS with worst_margin=inf
+    with pytest.raises(InvalidParameter):
+        run_suites(trials=trials)
 
 
 def test_unknown_suite_rejected():
