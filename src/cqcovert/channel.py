@@ -371,7 +371,7 @@ class Povm:
 
 
 def povm_from_json(doc: dict) -> Povm:
-    if not isinstance(doc, dict) or "elements" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("elements"), list):
         raise ParseError('POVM document must contain an "elements" list')
     return Povm(elements=tuple(matrix_from_json(m) for m in doc["elements"]))
 

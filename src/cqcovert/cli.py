@@ -196,15 +196,15 @@ def cmd_simulate(args) -> int:
     for flag, value in (("--delta", args.delta), ("--epsilon", args.epsilon)):
         if value is not None and not (math.isfinite(value) and value >= 0):
             raise ParseError(f"{flag} must be a finite number >= 0, got {value!r}")
-    epsilon = args.epsilon
-    if epsilon is None:
-        epsilon = default_epsilon_target(channel, ptilde, args.gamma)
     config = ExperimentConfig(
         channel=channel, n_list=n_list, gamma=args.gamma,
         varsigma=knobs[0], mu=knobs[1], nu=knobs[2],
         trials=args.trials, seed=args.seed, ptilde=ptilde,
-        delta_target=args.delta, epsilon_target=epsilon,
+        delta_target=args.delta, epsilon_target=args.epsilon,
         workers=_workers())
+    epsilon = args.epsilon
+    if epsilon is None:
+        epsilon = default_epsilon_target(channel, ptilde, args.gamma)
     print(f"simulate: n={list(n_list)} gamma={args.gamma} trials={args.trials}",
           file=sys.stderr)
     reports = run_experiment(config)

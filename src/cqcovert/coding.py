@@ -281,17 +281,9 @@ class ProductBasis:
     def rotated_block(self, states: Sequence[DensityOperator],
                       symbols: Sequence[int]) -> tuple[np.ndarray, ...]:
         """Product block state of a codeword in this basis, as its stacks over
-        ``strings``: each block is a Kronecker product of single-use
-        component blocks, and blocks of one class string come out of one
-        stacked ``kron_chain`` (O(dim^2) in the dense case, O(dim) when every
-        block is 1 x 1)."""
-        per_symbol = self.single_blocks(states, symbols)
-        out = []
-        for strings in self._class_strings:
-            stacks = [kron_chain([per_symbol[x][t] for x, t in zip(symbols, string)])
-                      for string in strings]
-            out.append(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
-        return tuple(out)
+        ``strings``: the one-row case of ``_trie_sum``."""
+        return tuple(_trie_sum(self.single_blocks(states, symbols), np.asarray([symbols]),
+                               np.ones(1), self._class_strings))
 
     @cached_property
     def _joint_positions(self) -> np.ndarray:
@@ -386,14 +378,10 @@ class DecoderPovm:
             built_states, built_rows, stacks = self.source
             if built_states is states and np.array_equal(built_rows, rows):
                 return stacks
-        per_row = []
-        for row in rows:
-            if self.basis is None:
-                matrix = product_state(states, row).matrix
-                source, blocks = Partition.whole(matrix.shape[0]), (matrix[None],)
-            else:
-                source, blocks = self.basis.strings, self.basis.rotated_block(states, row)
-            per_row.append(self.partition.restrict(blocks, source))
+        per_symbol, source, strings = _symbol_blocks(states, rows, self.basis)
+        per_row = [self.partition.restrict(_trie_sum(per_symbol, row[None], np.ones(1), strings),
+                                           source)
+                   for row in rows]
         return tuple(np.stack(group) for group in zip(*per_row))
 
     def validate(self, tol: float = 1e-8) -> None:
@@ -520,20 +508,29 @@ def willie_average_state(codebook: Codebook, channel: CqChannelPair,
     (``_trie_sum``)."""
     states = channel.willie_states
     rows, counts = codebook.distinct_rows
-    symbols = set(rows.ravel().tolist())
-    if basis is None:
-        dim = states[0].dim ** codebook.n
-        check_dimension(dim)
-        per_symbol = {x: [states[x].matrix[None]] for x in symbols}
-        partition, strings = Partition.whole(dim), [[(0,) * codebook.n]]
-    else:
+    if basis is not None:
         basis.require(states, codebook.n, "Willie")
-        per_symbol = basis.single_blocks(states, symbols)
-        partition, strings = basis.strings, basis._class_strings
+    per_symbol, partition, strings = _symbol_blocks(states, rows, basis)
     stacks = _trie_sum(per_symbol, rows, counts, strings)
     for stack in stacks:
         stack /= len(codebook.symbols)
     return DensityOperator(blocks=(partition, [hermitian_part(s) for s in stacks]))
+
+
+def _symbol_blocks(states: Sequence[DensityOperator], rows: np.ndarray,
+                   basis: ProductBasis | None) -> tuple[dict, Partition, list]:
+    """``(per_symbol, partition, strings)`` for ``_trie_sum`` over ``rows``:
+    component blocks over ``basis.strings``, or, when ``basis`` is None, each
+    state in the computational basis as one whole block.  The n-fold
+    dimension is checked against the cap first."""
+    n = rows.shape[1]
+    dim = states[0].dim ** n
+    check_dimension(dim)
+    symbols = set(rows.ravel().tolist())
+    if basis is None:
+        return ({x: [states[x].matrix[None]] for x in symbols}, Partition.whole(dim),
+                [[(0,) * n]])
+    return basis.single_blocks(states, symbols), basis.strings, basis._class_strings
 
 
 def _trie_sum(per_symbol: dict, rows: np.ndarray, counts: np.ndarray,
@@ -547,32 +544,37 @@ def _trie_sum(per_symbol: dict, rows: np.ndarray, counts: np.ndarray,
     a run of columns on which all rows below a node agree is one product.
     ``per_symbol[x]`` holds the symbol's blocks as one stack per component
     class; the result has one stack per group of ``strings``, each group
-    listing class strings whose blocks are concatenated in that order (the
-    layout of ``ProductBasis.rotated_block``).
+    listing class strings whose blocks are concatenated in that order.  The
+    one builder of product block states: one row with count 1 is a codeword's.
     """
     n = rows.shape[1]
     classes = len(next(iter(per_symbol.values())))
     lcp = np.argmax(rows[1:] != rows[:-1], axis=1)  # first column where rows i, i+1 differ
 
+    def factors(lo: int, t: int, u: int):
+        """Per class string of columns t..u-1, row lo's blocks there."""
+        shared = [per_symbol[x] for x in rows[lo, t:u]]
+        for string in itertools.product(range(classes), repeat=u - t):
+            yield string, [b[c] for b, c in zip(shared, string)]
+
     def node(lo: int, hi: int, t: int) -> dict:
         """The sum over rows lo..hi-1, which agree before column t, of
         their products from column t on."""
-        if hi - lo == 1:
-            u, tails = n, {(): np.full((1, 1, 1), float(counts[lo]))}
-        else:  # the rows agree on columns t..u-1 and branch at column u
-            gaps = lcp[lo:hi - 1]
-            u = int(gaps.min())
-            cuts = [lo, *(lo + 1 + np.flatnonzero(gaps == u)), hi]
-            tails = node(cuts[0], cuts[1], u)
-            for start, stop in zip(cuts[1:-1], cuts[2:]):
-                for key, stack in node(start, stop, u).items():
-                    tails[key] += stack
+        if hi - lo == 1:  # one row, scaled by its count
+            return {string: kron_chain(blocks) * float(counts[lo])
+                    for string, blocks in factors(lo, t, n)}
+        # the rows agree on columns t..u-1 and branch at column u
+        gaps = lcp[lo:hi - 1]
+        u = int(gaps.min())
+        cuts = [lo, *(lo + 1 + np.flatnonzero(gaps == u)), hi]
+        tails = node(cuts[0], cuts[1], u)
+        for start, stop in zip(cuts[1:-1], cuts[2:]):
+            for key, stack in node(start, stop, u).items():
+                tails[key] += stack
         if u == t:
             return tails
-        shared = [per_symbol[x] for x in rows[lo, t:u]]
-        return {(*string, *suffix): kron_chain([b[c] for b, c in zip(shared, string)] + [stack])
-                for string in itertools.product(range(classes), repeat=u - t)
-                for suffix, stack in tails.items()}
+        return {(*string, *suffix): kron_chain(blocks + [stack])
+                for string, blocks in factors(lo, t, u) for suffix, stack in tails.items()}
 
     acc = node(0, len(rows), 0)
     return [acc[group[0]] if len(group) == 1 else np.concatenate([acc[s] for s in group])
@@ -644,9 +646,12 @@ class ExperimentConfig:
     Message and key counts follow the achievability formulas (rounded up to
     integers >= 1) unless overridden; ``epsilon_target`` defaults to the
     quadratic covertness prediction ``gamma^2 chi^2 / 2`` of the channel.
-    ``trials`` must be at least 1, whether given directly or read from JSON
-    (``InvalidParameter`` otherwise), so ``run_experiment`` never runs an
-    empty sweep.
+    Checked on construction, whether given directly or read from JSON, so
+    ``run_experiment`` starts no work on a bad config: ``trials`` must be at
+    least 1 and ``varsigma``, ``mu`` and ``nu`` finite and in [0, 1)
+    (``InvalidParameter`` otherwise); ``gamma`` must be finite with
+    ``0 <= gamma < sqrt(n)`` for every n in ``n_list``, so the innocent
+    symbol keeps a positive weight (``AlphaOutOfRange`` otherwise).
     """
 
     channel: CqChannelPair
@@ -667,6 +672,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidParameter(f"trials must be an integer >= 1, got {self.trials}")
+        for name in ("varsigma", "mu", "nu"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and 0.0 <= value < 1.0):
+                raise InvalidParameter(f"{name} must be a finite number in [0, 1), got {value!r}")
+        if any(n < 1 for n in self.n_list):
+            raise InvalidParameter(f"blocklengths need n >= 1, got {list(self.n_list)}")
+        if not (math.isfinite(self.gamma)
+                and all(0.0 <= self.gamma < math.sqrt(n) for n in self.n_list)):
+            raise AlphaOutOfRange(f"gamma must be finite with 0 <= gamma < sqrt(n) for every "
+                                  f"blocklength n, got gamma={self.gamma!r} for "
+                                  f"n={list(self.n_list)}")
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":

@@ -73,12 +73,11 @@ def supports_contained(rho: DensityOperator, sigma: DensityOperator) -> bool:
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """Entropy -Tr{rho log rho} in nats.
 
-    Needs the eigenvalues only: a spectrum already cached on ``rho`` is
-    reused, otherwise its cached ``eigenvalues_only`` are read, computed once
-    without eigenvectors.
+    Needs the eigenvalues only: reads the state's ``eigenvalues_only``,
+    computed once without eigenvectors, and never its ``spectrum``, so the
+    value does not depend on whether the spectrum was computed before.
     """
-    spectrum = vars(rho).get("spectrum")
-    w = rho.eigenvalues_only if spectrum is None else spectrum.eigenvalues
+    w = rho.eigenvalues_only
     w = w[w > RANK_TOL]
     return float(-(w * np.log(w)).sum())
 

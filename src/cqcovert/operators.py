@@ -218,18 +218,17 @@ class DensityOperator:
     """Validated unit-trace PSD Hermitian matrix.
 
     Use :func:`make_density` to construct; direct instantiation skips
-    validation.  An operator may be given by its diagonal blocks,
-    ``blocks=(partition, stacks)`` (see :class:`Partition`), instead of in
-    full; its ``matrix`` is then assembled only when read.  A matrix given
-    in full is the one-block case.  Buffers are frozen after construction.
+    validation.  An operator is stored in the form it is given, ``matrix``
+    or its diagonal blocks ``blocks=(partition, stacks)`` (see
+    :class:`Partition`); the other form is derived once, when first read.  A
+    full matrix is the one-block case, a view.  Buffers are frozen.
 
     A state is eigendecomposed at most once: ``spectrum`` is computed on
     first use and cached, and every matrix function of the state
     (``matrix_power``, ``matrix_log``, ``matrix_pinv``, ... given
     ``state.spectrum``), its support projector, its rank and the divergences
     against it read that one spectrum.  Entropies need eigenvalues only:
-    they read the spectrum when it has been computed, else
-    ``eigenvalues_only``, cached the same way.
+    they always read ``eigenvalues_only``, cached the same way.
     """
 
     def __init__(self, matrix: np.ndarray | None = None, *, blocks: tuple | None = None):
@@ -241,23 +240,21 @@ class DensityOperator:
         else:
             for stack in blocks[1]:
                 stack.flags.writeable = False
-            blocks = (blocks[0], tuple(blocks[1]))
+            self.blocks = (blocks[0], tuple(blocks[1]))
             self.dim = blocks[0].dim
-        self._blocks = blocks
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        partition, stacks = self._blocks
+        partition, stacks = self.blocks
         m = partition.assemble(stacks)
         m.flags.writeable = False
         return m
 
-    @property
+    @cached_property
     def blocks(self) -> tuple["Partition", tuple[np.ndarray, ...]]:
-        """``(partition, stacks)``: the operator's diagonal blocks."""
-        if self._blocks is None:
-            return Partition.whole(self.dim), (self.matrix[None],)
-        return self._blocks
+        """``(partition, stacks)``: the operator's diagonal blocks; for a full
+        matrix, the one block ``matrix[None]`` over ``Partition.whole(dim)``."""
+        return Partition.whole(self.dim), (self.matrix[None],)
 
     @cached_property
     def spectrum(self) -> Spectrum:

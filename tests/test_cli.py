@@ -118,6 +118,16 @@ class TestCoefficients:
         doc = json.loads(capsys.readouterr().out)
         assert doc["message_coeff"] == pytest.approx(0.440159, abs=1e-5)
 
+    @pytest.mark.parametrize("doc", [{"elements": 5}, {"elements": {"dim": 2}}, {}, [1, 2]])
+    def test_malformed_povm_exits_2(self, canonical_path, tmp_path, capsys, doc):
+        povm_path = tmp_path / "povm.json"
+        povm_path.write_text(json.dumps(doc))
+        assert main(["coefficients", "--channel", canonical_path,
+                     "--povm", str(povm_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert '"elements" list' in captured.err and "Traceback" not in captured.err
+
     def test_sqrtnlogn_channel_reports_kappa(self, tmp_path, capsys):
         bob = [np.diag([1.0, 0.0]), np.diag([0.5, 0.5])]
         willie = [np.diag([0.9, 0.1]), np.diag([0.6, 0.4])]
@@ -254,6 +264,21 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--trials" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--gamma", "inf"), ("--gamma", "1e6"), ("--gamma", "nan"), ("--gamma", "-1"),
+        ("--sigma-knobs", "nan,0.1,0.1"), ("--sigma-knobs", "2,0.1,0.1"),
+        ("--sigma-knobs", "0.1,0.1,-5"), ("--sigma-knobs", "0.1,inf,0.1")])
+    def test_bad_gamma_or_knobs_exit_2_before_any_work(self, canonical_path, capsys,
+                                                       monkeypatch, flag, value):
+        for name in ("default_epsilon_target", "run_experiment"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(
+                f"{name} ran before {flag} was checked"))
+        assert main(["simulate", "--channel", canonical_path, "--n", "2,8",
+                     "--trials", "1", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
     def test_json_format(self, canonical_path, capsys):
         assert main(["simulate", "--channel", canonical_path, "--n", "2",

@@ -18,6 +18,7 @@ from cqcovert.coding import (
     default_epsilon_target,
     exact_pe_bob,
     nogo_experiment,
+    product_state,
     run_experiment,
     sample_codebook,
     select_best,
@@ -268,6 +269,20 @@ class TestExactPeBob:
                 states.append(DensityOperator(block))
             assert pe >= helstrom_error(states[0], states[1]) - 1e-10
 
+    def test_dense_codeword_blocks_are_product_states(self, monkeypatch):
+        ch = CqChannelPair(bob_states=(_pure([1, 1j]), diagonal_state([0.7, 0.3])),
+                           willie_states=(diagonal_state([0.9, 0.1]),
+                                          diagonal_state([0.6, 0.4])))
+        cb = sample_codebook(ch, n=3, m_count=4, k_count=1, gamma=0.9, ptilde=[1.0], seed=3)
+        decoder = DecoderPovm(elements=(np.eye(8),) * 4)
+        (stack,) = decoder.codeword_blocks(ch.bob_states, cb.symbols)
+        assert stack.shape == (4, 1, 8, 8)
+        for row, block in zip(cb.symbols, stack):
+            assert np.array_equal(block[0], product_state(ch.bob_states, row).matrix)
+        monkeypatch.setenv("CQCOVERT_DIM_CAP", "4")
+        with pytest.raises(DimensionCapExceeded):
+            decoder.codeword_blocks(ch.bob_states, cb.symbols)
+
     def test_element_count_checked(self, canonical_channel):
         cb = sample_codebook(canonical_channel, n=2, m_count=3, k_count=1,
                              gamma=0.5, ptilde=[1.0], seed=1)
@@ -487,6 +502,22 @@ class TestRunExperiment:
         with pytest.raises(InvalidParameter):
             run_experiment(ExperimentConfig(channel=canonical_channel, n_list=(3,),
                                             gamma=0.5, trials=trials))
+
+    @pytest.mark.parametrize("gamma", [math.inf, 1e6, math.nan, -1.0, 2.0])
+    def test_gamma_outside_the_root_of_every_blocklength_rejected(self, canonical_channel,
+                                                                  gamma):
+        # 2.0 = sqrt(4) would give the innocent symbol weight 0 at n = 4
+        with pytest.raises(AlphaOutOfRange):
+            ExperimentConfig(channel=canonical_channel, n_list=(9, 4), gamma=gamma)
+        ExperimentConfig(channel=canonical_channel, n_list=(9, 4), gamma=1.99)
+
+    @pytest.mark.parametrize("knob", ["varsigma", "mu", "nu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1.0, 2.0, -5.0])
+    def test_knobs_outside_unit_interval_rejected(self, canonical_channel, knob, value):
+        with pytest.raises(InvalidParameter):
+            ExperimentConfig(channel=canonical_channel, n_list=(4,), gamma=0.5,
+                             **{knob: value})
+        ExperimentConfig(channel=canonical_channel, n_list=(4,), gamma=0.5, **{knob: 0.0})
 
     def test_gamma_zero_flags_no_signaling(self, canonical_channel):
         cfg = ExperimentConfig(channel=canonical_channel, n_list=(3,), gamma=0.0,

@@ -277,6 +277,21 @@ def test_entropy_of_pure_state_is_zero():
     assert von_neumann_entropy(PURE0) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_entropy_does_not_depend_on_whether_the_spectrum_was_read():
+    # eigh and eigvalsh eigenvalues can differ in their last bits; the entropy
+    # reads eigvalsh's whatever was computed before it
+    rng = np.random.default_rng(7)
+    for dim in range(2, 7):
+        for _ in range(40):
+            rho = ginibre_state(dim, rng)
+            before = von_neumann_entropy(rho)
+            rho.spectrum
+            assert von_neumann_entropy(rho) == before
+            fresh = DensityOperator(rho.matrix)
+            fresh.spectrum
+            assert von_neumann_entropy(fresh) == before
+
+
 def test_supports_contained_is_directional():
     small = diagonal_state([1.0, 0.0])
     big = diagonal_state([0.5, 0.5])

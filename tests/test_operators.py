@@ -206,6 +206,15 @@ class TestPartition:
         assert block.dim == 4 and block.blocks[0] is parts
 
 
+    def test_dense_operator_is_the_one_block_case(self, rng):
+        rho = ginibre_state(3, rng)
+        parts, (stack,) = rho.blocks
+        assert rho.blocks is rho.blocks
+        assert parts is Partition.whole(3) and stack.shape == (1, 3, 3)
+        assert np.shares_memory(stack, rho.matrix) and not stack.flags.writeable
+        assert np.array_equal(stack[0], rho.matrix)
+
+
 class TestPartialTrace:
     def test_product_state_marginals(self, rng):
         a = ginibre_state(2, rng)
