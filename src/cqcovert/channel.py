@@ -31,6 +31,7 @@ from .errors import (
     InvalidPovm,
     ParseError,
     ValidationError,
+    WrongRegime,
 )
 from .operators import (
     DensityOperator,
@@ -110,6 +111,11 @@ class CqChannelPair:
     def summary(self) -> "ChannelSummary":
         """Single-letter quantities of the pair, computed once per channel."""
         return ChannelSummary(self)
+
+    @cached_property
+    def scenario(self) -> "ScenarioReport":
+        """``classify_scenario`` of the pair, computed once per channel."""
+        return classify_scenario(self)
 
     def to_json(self) -> dict:
         return {
@@ -332,6 +338,16 @@ def classify_scenario(channel: CqChannelPair) -> ScenarioReport:
         return ScenarioReport(scenario=ScenarioClass.SQRT_N_LOG_N,
                               relations=relations, sqrtnlogn_symbols=leaking)
     return ScenarioReport(scenario=ScenarioClass.SQUARE_ROOT_LAW, relations=relations)
+
+
+def require_regime(channel: CqChannelPair, wanted: ScenarioClass) -> None:
+    """Raise ``WrongRegime``, naming the channel's class, unless
+    ``classify_scenario`` places it in ``wanted`` (read from the channel's
+    cached ``scenario``)."""
+    verdict = channel.scenario
+    if verdict.scenario is not wanted:
+        raise WrongRegime(f"channel classified {verdict.scenario.value}, "
+                          f"operation requires {wanted.value}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import CqChannelPair, uniform_nontrivial_ptilde
+from .channel import CqChannelPair, ScenarioClass, require_regime, uniform_nontrivial_ptilde
 from .divergences import (
     SUPPORT_TOL,
     helstrom_error,
@@ -286,39 +286,44 @@ class ProductBasis:
                                np.ones(1), self._class_strings))
 
     @cached_property
-    def _joint_positions(self) -> np.ndarray:
-        """(2, dim): where each index's row starts in its ``joint`` group's
-        flattened (G, s, s) stack, and its position in its block."""
-        where = np.empty((2, self.joint.dim), dtype=np.intp)
+    def _reorder_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(digits, rows)``: the (n, dim) base-d digits of every index,
+        tensor position 0 (most significant) first, as floats so that one
+        BLAS product gives the images of many orders (exact: every index is
+        below 2^53), and each index's row in its ``joint`` group's blocks
+        stacked to (G s) rows."""
+        d = self.single_vectors.shape[0]
+        index = np.arange(self.joint.dim)
+        digits = (index // d ** np.arange(self.n - 1, -1, -1)[:, None] % d).astype(float)
+        rows = np.empty_like(index)
         for idx in self.joint.groups:
-            count, size = idx.shape
-            where[1, idx] = np.arange(size)
-            where[0, idx] = (np.arange(count)[:, None] * size + where[1, idx]) * size
-        return where
+            rows[idx] = np.arange(idx.size).reshape(idx.shape)
+        return digits, rows
 
-    def permute(self, stacks: Sequence[np.ndarray], order: np.ndarray) -> tuple:
-        """Reorder the tensor positions of an operator held over ``joint``.
+    def reorderings(self, orders: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Row maps that reorder the tensor positions of operators held over
+        ``joint``, ``(forward, inverse)``: per group, the (len(orders), G, s)
+        stack whose slice m gathers, from an operator's blocks stacked to (G
+        s) rows, the rows of the operator with its tensor positions
+        reordered by ``orders[m]``, and by its inverse.
 
-        Returns the blocks of A' with ``A'[i, j] = A[p(i), p(j)]``, where
-        the digits of p(i) are ``i[order[0]], ..., i[order[n-1]]``: the
-        product state of the symbols ``x[order]`` becomes that of ``x``.
+        Index i of the forward result is index p(i) of the operand, where the
+        digits of p(i) are ``i[order[0]], ..., i[order[n-1]]``: with A's rows
+        so gathered (and its columns likewise), the product state of the
+        symbols ``x[order]`` becomes that of ``x``; the inverse maps back.
         The innocent n-fold state is invariant under every such reordering,
         so each joint block maps onto a joint block of the same size (the
-        same one only when the component string is unchanged) and the
-        result is a pure gather.
+        same one only when the component string is unchanged) and a map
+        never leaves its group.
         """
-        if np.array_equal(order, np.arange(self.n)):
-            return tuple(stacks)
-        d = self.single_vectors.shape[0]
-        image = np.arange(self.joint.dim).reshape((d,) * self.n)
-        image = image.transpose(np.argsort(order)).ravel()
-        start, position = self._joint_positions
-        out = []
-        for idx, stack in zip(self.joint.groups, stacks):
-            target = image[idx]
-            flat = start[target][:, :, None] + position[target][:, None, :]
-            out.append(np.take(stack.reshape(stack.shape[:-3] + (-1,)), flat, axis=-1))
-        return tuple(out)
+        digits, rows = self._reorder_tables
+        weights = float(self.single_vectors.shape[0]) ** np.arange(self.n - 1, -1, -1)
+        inverse = np.argsort(orders, axis=1)
+        # p(i) = sum_t digit_t(i) weights[inverse[t]], and the inverse's are weights[order]
+        image = rows[(weights[np.concatenate([inverse, orders])] @ digits).astype(np.intp)]
+        count = len(orders)
+        return ([image[:count, idx] for idx in self.joint.groups],
+                [image[count:, idx] for idx in self.joint.groups])
 
     def to_original_basis(self, rotated: np.ndarray) -> np.ndarray:
         """Conjugate back to the computational basis: (u^(x) n) rotated
@@ -331,29 +336,36 @@ class DecoderPovm:
     """Sub-POVM decoder: per-message elements plus an implicit failure element.
 
     Every element is block-diagonal over ``partition`` and is held as its
-    blocks there: ``stacks[g][m]`` holds element m's blocks on
-    ``partition.groups[g]`` (see :class:`Partition`).  ``build_srm_decoder``
-    gives blocks over the joint blocks of its product eigenbasis ``basis``
+    factor there, ``E_m = X_m X_m^dagger``: ``factors[m][g]`` is the (G, s,
+    r) stack of X_m's blocks on ``partition.groups[g]`` (see
+    :class:`Partition`), r columns each.  ``build_srm_decoder`` gives
+    factors over the joint blocks of its product eigenbasis ``basis``
     (``ProductBasis.joint``), written in that basis.  A decoder given by
     full ``elements`` (written in ``basis``, or in the computational basis
-    when it is None) is the one-block case.  The full matrices ``elements``
-    are assembled only when asked for.
+    when it is None) is the one-block case, factored once as ``V sqrt(w+)``
+    from each element's eigendecomposition.  The blocks ``stacks`` (per
+    group, the (M, G, s, s) stack of the elements' blocks) and the full
+    matrices ``elements`` are formed only when asked for.
 
-    ``source`` is ``(states, rows, stacks)``: the single-use states and the
-    codeword rows the decoder was built for, with ``codeword_blocks`` of
-    them, so scoring the same codewords reuses them.
+    ``source`` is ``(states, rows, sigma, maps)``: the single-use states and
+    the codeword rows the decoder was built for and, per row, the block
+    states of its symbol type and the row maps that take X_m into that
+    type's frame (``ProductBasis.reorderings``), so scoring the same
+    codewords reads each type's state as it was built.
     """
 
     def __init__(self, elements: Sequence[np.ndarray] | None = None,
                  basis: ProductBasis | None = None, *,
-                 partition: Partition | None = None, stacks: tuple | None = None,
+                 partition: Partition | None = None, factors: Sequence | None = None,
                  source: tuple | None = None):
-        if stacks is None:
+        if factors is None:
             vars(self)["elements"] = tuple(elements)
             partition = Partition.whole(self.elements[0].shape[0])
-            stacks = (np.stack(self.elements)[:, None],)
+            vars(self)["stacks"] = (np.stack(self.elements)[:, None],)
+            w, v = np.linalg.eigh(hermitian_part(self.stacks[0]))
+            factors = [(x,) for x in v * np.sqrt(np.maximum(w, 0.0))[..., None, :]]
         self.partition = partition
-        self.stacks = stacks
+        self.factors = tuple(factors)
         self.basis = basis
         self.source = source
 
@@ -363,21 +375,39 @@ class DecoderPovm:
 
     @property
     def m_count(self) -> int:
-        return self.stacks[0].shape[0]
+        return len(self.factors)
+
+    @cached_property
+    def stacks(self) -> tuple[np.ndarray, ...]:
+        """Per group, the (M, G, s, s) stack of the elements' blocks."""
+        return tuple(np.stack([x @ dagger(x) for x in group]) for group in zip(*self.factors))
 
     @cached_property
     def elements(self) -> tuple[np.ndarray, ...]:
         """The elements as full matrices, zero off their blocks."""
         return tuple(self.partition.assemble(self.stacks))
 
+    def frames(self, states: Sequence[DensityOperator], rows: np.ndarray) -> list:
+        """Per message m, per group, ``(sigma, y)``: the blocks of codeword
+        ``rows[m]``'s state and of element m's factor, written in one frame,
+        so that ``Tr{E_m sigma_m} = sum_g <y, sigma y>``.  For the rows the
+        decoder was built for, the frame is each row's symbol type's; for
+        any other rows, or a decoder given by its elements, it is the
+        decoder's own (the identity reordering)."""
+        if (self.source is not None and self.source[0] is states
+                and np.array_equal(self.source[1], rows)):
+            _, _, sigma, maps = self.source
+        else:
+            sigma = list(zip(*self.codeword_blocks(states, rows)))
+            maps = [[np.arange(idx.size).reshape(idx.shape) for idx in self.partition.groups]]
+            maps *= len(rows)
+        return [[(s, x.reshape(into.size, x.shape[-1])[into]) for s, x, into in zip(*per_row)]
+                for per_row in zip(sigma, self.factors, maps)]
+
     def codeword_blocks(self, states: Sequence[DensityOperator], rows: np.ndarray) -> tuple:
         """The codeword ``rows``' states in this decoder's basis (the
         computational basis when it is None) over its partition: per group,
         the (rows, G, s, s) stack of their blocks."""
-        if self.source is not None:
-            built_states, built_rows, stacks = self.source
-            if built_states is states and np.array_equal(built_rows, rows):
-                return stacks
         per_symbol, source, strings = _symbol_blocks(states, rows, self.basis)
         per_row = [self.partition.restrict(_trie_sum(per_symbol, row[None], np.ones(1), strings),
                                            source)
@@ -408,13 +438,16 @@ def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
 
     Everything after the pinching is block-diagonal over the joint blocks,
     the innocent state's eigenvalue clusters cut by Bob's component strings
-    (``ProductBasis.joint``).  A codeword's state and projectors are those
-    of its sorted symbol type with the tensor positions reordered, so they
-    are built once per type (``_pinched_types``) and gathered for each row
-    (``ProductBasis.permute``); only the normalisation is per key.  The
-    spectral work runs on stacks of equal-size blocks, and the returned
-    elements stay in them (``DecoderPovm.stacks``, in the basis
-    ``DecoderPovm.basis``).
+    (``ProductBasis.joint``), and is held as factors: projector m is ``K_m
+    K_m^dagger`` with K_m its kept eigenvectors, and element m is ``X_m
+    X_m^dagger`` with ``X_m = N K_m`` and ``N = (sum_m K_m K_m^dagger)^(-1/2)``
+    (pseudo inverse), so no element is formed.  A codeword's state and
+    projector are those of its sorted symbol type with the tensor positions
+    reordered, so they are built once per type (``_pinched_types``) and K_m
+    is the type's K with its rows gathered (``ProductBasis.reorderings``);
+    only the normalisation is per key.  The spectral work runs on stacks of
+    equal-size blocks, and the factors stay in them (``DecoderPovm.factors``,
+    in the basis ``DecoderPovm.basis``).
     """
     if a < 0:
         raise ValidationError(f"threshold exponent a must be >= 0, got {a}")
@@ -428,29 +461,32 @@ def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
     orders = np.argsort(rows, axis=1, kind="stable")
     types = _pinched_types(basis, channel.bob_states, a,
                            np.take_along_axis(rows, orders, axis=1))
-    # per group, the (M, G, s, s) stacks of the rows' states and projectors
-    sigma = [np.empty((len(rows),) + idx.shape + idx.shape[-1:], dtype=complex)
-             for idx in basis.joint.groups]
-    projectors = [np.empty_like(s) for s in sigma]
-    for m, (order, blocks) in enumerate(zip(orders, types)):
-        for s, p, block in zip(sigma, projectors, basis.permute(blocks, order)):
-            s[m], p[m] = block
-
-    elements = []
-    for p in projectors:
-        w, v = np.linalg.eigh(hermitian_part(p.sum(axis=0)))
+    into_rows, into_types = basis.reorderings(orders)
+    factors = []
+    for g, fwd in enumerate(into_rows):
+        kept = [t[g][1] for t in types]
+        k = np.concatenate([t[into] for t, into in zip(kept, fwd)], axis=-1)
+        w, v = np.linalg.eigh(k @ dagger(k))
         inv_sqrt_w = np.where(w > RANK_TOL, w, np.inf) ** -0.5
-        norm = (v * inv_sqrt_w[..., None, :]) @ dagger(v)
-        elements.append(hermitian_part(norm @ p @ norm))
-    return DecoderPovm(basis=basis, partition=basis.joint, stacks=tuple(elements),
-                       source=(channel.bob_states, rows, tuple(sigma)))
+        x = v @ (inv_sqrt_w[..., None] * (dagger(v) @ k))
+        cuts = list(itertools.accumulate((t.shape[1] for t in kept), initial=0))
+        factors.append([x[..., i:j] for i, j in zip(cuts, cuts[1:])])
+    source = (channel.bob_states, rows, [[s for s, _ in t] for t in types],
+              list(zip(*into_types)))
+    return DecoderPovm(basis=basis, partition=basis.joint, factors=list(zip(*factors)),
+                       source=source)
 
 
 def _pinched_types(basis: ProductBasis, states: Sequence[DensityOperator], a: float,
-                   sorted_rows: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+                   sorted_rows: np.ndarray) -> list[tuple[tuple[np.ndarray, np.ndarray], ...]]:
     """Per sorted codeword row (symbol type), per ``basis.joint`` group, the
-    (2, G, s, s) stack of its block state and its pinched projector, the
-    positive part of ``sigma^b - e^a lambda_b``.
+    pair ``(sigma, k)``: the (G, s, s) stack of its block state and the (G s,
+    r) rows of its pinched projector's factor, ``P = K K^dagger`` on each
+    block, the projector onto the positive part of ``sigma^b - e^a
+    lambda_b``.  K holds the kept eigenvectors (eigenvalue above
+    ``ZERO_EIGENVALUE_TOL``), the last columns of ``eigh``'s ascending
+    output, with zero columns padding every block to the group's largest
+    kept count r.
 
     Each type is built once, the missing ones of a call in one stacked
     eigensolve, and kept on ``basis`` for the last ``(states, a)`` it
@@ -471,12 +507,15 @@ def _pinched_types(basis: ProductBasis, states: Sequence[DensityOperator], a: fl
         sigma = [np.stack(blocks) for blocks in zip(*per_type)]
         built = []
         for idx, stack in zip(basis.joint.groups, sigma):
-            diag = np.arange(idx.shape[1])
+            size = idx.shape[1]
+            diag = np.arange(size)
             shifted = stack.copy()
             shifted[..., diag, diag] -= threshold[idx]
             w, v = np.linalg.eigh(hermitian_part(shifted))
-            keep = v * (w > ZERO_EIGENVALUE_TOL)[..., None, :]
-            built.append(np.stack([stack, keep @ dagger(keep)], axis=1))
+            kept = w > ZERO_EIGENVALUE_TOL
+            keep = v * kept[..., None, :]
+            built.append([(s, k[..., size - r:].reshape(idx.size, r).copy())
+                          for s, k, r in zip(stack, keep, kept.sum(axis=-1).max(axis=-1))])
         for i, t in enumerate(new):
             cache.setdefault(t, tuple(b[i] for b in built))
     return [cache[t] for t in types]
@@ -485,16 +524,17 @@ def _pinched_types(basis: ProductBasis, states: Sequence[DensityOperator], a: fl
 def exact_pe_bob(codebook: Codebook, channel: CqChannelPair,
                  decoder: DecoderPovm, key: int = 0) -> float:
     """Exact average decoding error (1/M) sum_m (1 - Tr{element_m state_m}),
-    with each trace summed over the decoder's blocks,
-    ``Tr{E_m sigma_m} = sum_b Tr{E_m^b sigma_m^b}``."""
+    with each trace summed over the decoder's blocks on the element's
+    factor, ``Tr{E_m sigma_m} = sum_b sum conj(Y) (sigma Y)`` for the blocks
+    Y of X_m and sigma of sigma_m written in one frame
+    (``DecoderPovm.frames``)."""
     if decoder.m_count != codebook.m_count:
         raise IndexMismatch(f"decoder has {decoder.m_count} elements "
                             f"for {codebook.m_count} messages")
     if not 0 <= key < codebook.k_count:
         raise IndexMismatch(f"key {key} outside 0..{codebook.k_count - 1}")
-    sigma = decoder.codeword_blocks(channel.bob_states, codebook.codewords(key))
-    hits = sum(np.sum(e * np.swapaxes(s, -1, -2), axis=(-3, -2, -1)).real
-               for e, s in zip(decoder.stacks, sigma))
+    frames = decoder.frames(channel.bob_states, codebook.codewords(key))
+    hits = np.array([sum(np.vdot(y, s @ y).real for s, y in frame) for frame in frames])
     total = float(np.sum(1.0 - hits))
     return min(max(total / codebook.m_count, 0.0), 1.0)
 
@@ -651,7 +691,9 @@ class ExperimentConfig:
     least 1 and ``varsigma``, ``mu`` and ``nu`` finite and in [0, 1)
     (``InvalidParameter`` otherwise); ``gamma`` must be finite with
     ``0 <= gamma < sqrt(n)`` for every n in ``n_list``, so the innocent
-    symbol keeps a positive weight (``AlphaOutOfRange`` otherwise).
+    symbol keeps a positive weight (``AlphaOutOfRange`` otherwise); the
+    code sizes follow the square-root law, so the channel must be
+    classified SquareRootLaw (``WrongRegime`` otherwise).
     """
 
     channel: CqChannelPair
@@ -683,6 +725,7 @@ class ExperimentConfig:
             raise AlphaOutOfRange(f"gamma must be finite with 0 <= gamma < sqrt(n) for every "
                                   f"blocklength n, got gamma={self.gamma!r} for "
                                   f"n={list(self.n_list)}")
+        require_regime(self.channel, ScenarioClass.SQUARE_ROOT_LAW)
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
@@ -716,9 +759,11 @@ def code_sizes(channel: CqChannelPair, ptilde, n: int, gamma: float,
     Returns ``(M, K, log_m_raw, log_k_raw)`` with the raw nat-valued sizes
     ``log M = (1 - varsigma) gamma sqrt(n) sum ptilde(x) D(bob_x || bob_0)``
     and ``log K = gamma sqrt(n) [(1 + varsigma) D_willie -
-    (1 - varsigma) D_bob]^+`` rounded up to counts >= 1.
+    (1 - varsigma) D_bob]^+`` rounded up to counts >= 1.  ``WrongRegime``
+    unless the channel is classified SquareRootLaw.
     """
     p = validate_distribution(ptilde)
+    require_regime(channel, ScenarioClass.SQUARE_ROOT_LAW)
     summary = channel.summary
     d_bob = summary.weighted(p, summary.bob.divergences)
     d_willie = summary.weighted(p, summary.willie.divergences)

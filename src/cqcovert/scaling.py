@@ -21,10 +21,9 @@ from .channel import (
     CqChannelPair,
     Povm,
     ScenarioClass,
-    ScenarioReport,
     SupportRelation,
-    classify_scenario,
     induce_dmc,
+    require_regime,
     support_relations,
 )
 from .divergences import (
@@ -89,18 +88,10 @@ def admissible_symbols(channel: CqChannelPair) -> list[int]:
             if b_rel is SupportRelation.CONTAINED and w_rel is SupportRelation.CONTAINED]
 
 
-def _require_regime(channel: CqChannelPair, wanted: ScenarioClass) -> ScenarioReport:
-    verdict = classify_scenario(channel)
-    if verdict.scenario is not wanted:
-        raise WrongRegime(f"channel classified {verdict.scenario.value}, "
-                          f"operation requires {wanted.value}")
-    return verdict
-
-
 def _srl_ptilde(channel: CqChannelPair, ptilde) -> np.ndarray:
     # a validated ptilde on a SquareRootLaw channel, weighting admissible symbols only
     p = validate_distribution(ptilde)
-    _require_regime(channel, ScenarioClass.SQUARE_ROOT_LAW)
+    require_regime(channel, ScenarioClass.SQUARE_ROOT_LAW)
     admissible = set(admissible_symbols(channel))
     for weight, x in zip(p, channel.non_innocent):
         if weight > 0 and x not in admissible:
@@ -195,7 +186,7 @@ def sqrtnlogn_coefficient(channel: CqChannelPair, ptilde) -> SqrtnLognReport:
     projector at Bob; the reported constant is ``kappa / (2 sqrt(chi2/2))``.
     """
     p = validate_distribution(ptilde)
-    _require_regime(channel, ScenarioClass.SQRT_N_LOG_N)
+    require_regime(channel, ScenarioClass.SQRT_N_LOG_N)
     summary = channel.summary
     for weight, x in zip(p, channel.non_innocent):
         if weight > 0 and 1.0 - summary.willie.inside[x] > SUPPORT_TOL:
@@ -234,7 +225,7 @@ def optimize_ptilde(channel: CqChannelPair, objective: str,
         raise InvalidParameter(f"unknown objective {objective!r}")
     if not (math.isfinite(weight) and weight >= 0.0):
         raise InvalidParameter(f"tradeoff weight must be finite and >= 0, got {weight!r}")
-    _require_regime(channel, ScenarioClass.SQUARE_ROOT_LAW)
+    require_regime(channel, ScenarioClass.SQUARE_ROOT_LAW)
     admissible = [x - 1 for x in admissible_symbols(channel)]  # never empty here
     if len(admissible) > MAX_OPTIMIZE_SYMBOLS:
         raise ResourceError(f"optimizing over {len(admissible)} admissible symbols "

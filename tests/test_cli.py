@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +194,23 @@ class TestSimulate:
     ARGS = ["--n", "2,3", "--gamma", "0.5", "--trials", "2", "--seed", "11",
             "--format", "csv"]
 
+    @pytest.mark.parametrize("golden, channel, args", [
+        ("simulate_diag_n10_seed1.csv", "diag_qubit.json",
+         ["--n", "6,8,10", "--gamma", "0.5", "--sigma-knobs", "0.3,0.1,0.1"]),
+        ("simulate_keyed_n8_seed1.csv", "ginibre_qubit.json",
+         ["--n", "6,8", "--gamma", "1.0", "--sigma-knobs", "0.1,0.1,0.1"])])
+    def test_csv_matches_the_recorded_output(self, tmp_path, monkeypatch, golden, channel,
+                                             args):
+        # the benchmark's diag-n10 and keyed-n8 arguments at seed 1; the files
+        # change only with a change that is meant to move these numbers
+        root = Path(__file__).resolve().parents[1]
+        monkeypatch.delenv("CQCOVERT_WORKERS", raising=False)
+        out = tmp_path / golden
+        assert main(["simulate", "--channel", str(root / "perfbench" / "channels" / channel),
+                     "--trials", "1", "--seed", "1", "--format", "csv", "--out", str(out)]
+                    + args) == 0
+        assert out.read_bytes() == (root / "tests" / "data" / golden).read_bytes()
+
     def test_row_counts(self, canonical_path, tmp_path):
         out = tmp_path / "sim.csv"
         assert main(["simulate", "--channel", canonical_path, "--out", str(out)]
@@ -279,6 +297,20 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_sqrtnlogn_channel_exits_3_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                       fmt):
+        bob = [np.diag([1.0, 0.0]), np.diag([0.5, 0.5])]
+        willie = [np.diag([0.9, 0.1]), np.diag([0.6, 0.4])]
+        path = _write_channel(tmp_path / "snl.json", bob, willie)
+        monkeypatch.setattr(cli, "run_experiment", lambda *args: pytest.fail(
+            "run_experiment ran on a SqrtNLogN channel"))
+        assert main(["simulate", "--channel", path, "--n", "4", "--gamma", "0.5",
+                     "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "SqrtNLogN" in captured.err and "Traceback" not in captured.err
 
     def test_json_format(self, canonical_path, capsys):
         assert main(["simulate", "--channel", canonical_path, "--n", "2",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from cqcovert.errors import (
     InvalidParameter,
     NoLeakage,
     ValidationError,
+    WrongRegime,
 )
 from cqcovert.operators import (
     DensityOperator,
@@ -478,6 +480,15 @@ class TestCodeSizes:
                                                 n=4, gamma=0.0, varsigma=0.3)
         assert (m, k) == (1, 1)
         assert log_m_raw == 0.0 and log_k_raw == 0.0
+
+    def test_sqrtnlogn_channel_is_a_wrong_regime(self):
+        ch = CqChannelPair(bob_states=(diagonal_state([1.0, 0.0]), diagonal_state([0.5, 0.5])),
+                           willie_states=(diagonal_state([0.9, 0.1]),
+                                          diagonal_state([0.6, 0.4])))
+        with pytest.raises(WrongRegime, match="SqrtNLogN"):
+            code_sizes(ch, [1.0], n=4, gamma=0.5, varsigma=0.1)
+        with pytest.raises(WrongRegime, match="SqrtNLogN"):
+            run_experiment(ExperimentConfig(channel=ch, n_list=(4,), gamma=0.5))
 
 
 class TestRunExperiment:
@@ -1047,7 +1058,8 @@ class TestTypeSharing:
         for key in range(cb.k_count):
             decoder = build_srm_decoder(cb, ch, a=0.1, key=key, basis=basis)
             elements, sigma = _per_row_decoder(cb, ch, 0.1, key, basis)
-            for mine, oracle in zip(decoder.stacks + decoder.source[2], elements + sigma):
+            mine = decoder.stacks + decoder.codeword_blocks(ch.bob_states, cb.codewords(key))
+            for mine, oracle in zip(mine, elements + sigma):
                 assert np.max(np.abs(mine - oracle)) <= 1e-12
             hits = sum(np.sum(e * np.swapaxes(s, -1, -2), axis=(-3, -2, -1)).real
                        for e, s in zip(elements, sigma))
@@ -1106,5 +1118,66 @@ class TestTypeSharing:
             build_srm_decoder(cb, channel, a=a, key=1, basis=shared)
             mine = build_srm_decoder(cb, channel, a=a, basis=shared)
             fresh = build_srm_decoder(cb, channel, a=a, basis=ProductBasis(ch.bob_states[0], 4))
-            for x, y in zip(mine.stacks + mine.source[2], fresh.stacks + fresh.source[2]):
+            rows = cb.codewords(0)
+            for x, y in zip(mine.stacks + mine.codeword_blocks(channel.bob_states, rows),
+                            fresh.stacks + fresh.codeword_blocks(channel.bob_states, rows)):
                 assert np.array_equal(x, y)
+
+
+class TestFactoredDecoder:
+    """Bob's decoder is held as factors, ``E_m = X_m X_m^dagger``, and each
+    message is scored in its symbol type's frame; a decoder given by its
+    elements is factored and scored by the same formula."""
+
+    @seeded
+    @typed_cases
+    def test_factors_match_the_per_row_oracle_in_either_frame(self, kind, n, seed):
+        ch = _typed_channel(kind, seed)
+        cb = _typed_codebook(ch, n, seed)
+        basis = ProductBasis(ch.bob_states, n)
+        for key in range(cb.k_count):
+            decoder = build_srm_decoder(cb, ch, a=0.1, key=key, basis=basis)
+            elements, sigma = _per_row_decoder(cb, ch, 0.1, key, basis)
+            decoder.validate(tol=1e-8)
+            hits = sum(np.sum(e * np.swapaxes(s, -1, -2), axis=(-3, -2, -1)).real
+                       for e, s in zip(elements, sigma))
+            # each message's hit, in its type's frame for the states the
+            # decoder was built for and in the decoder's own for any others
+            rows = cb.codewords(key)
+            for states in (ch.bob_states, list(ch.bob_states)):
+                mine = [sum(np.vdot(y, s @ y).real for s, y in frame)
+                        for frame in decoder.frames(states, rows)]
+                assert np.max(np.abs(np.asarray(mine) - hits)) <= 1e-12
+
+    @seeded
+    @typed_cases
+    def test_key_with_only_empty_projectors_scores_one(self, kind, n, seed):
+        ch = _typed_channel(kind, seed)
+        cb = _typed_codebook(ch, n, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            decoder = build_srm_decoder(cb, ch, a=50.0)
+            assert all(x.shape[-1] == 0 for factor in decoder.factors for x in factor)
+            assert exact_pe_bob(cb, ch, decoder) == 1.0
+            assert all(np.all(stack == 0) for stack in decoder.stacks)
+
+    @seeded
+    @typed_cases
+    def test_given_elements_score_as_the_element_formula(self, kind, n, seed):
+        ch = _typed_channel(kind, seed)
+        cb = _typed_codebook(ch, n, seed)
+        gen = np.random.default_rng(seed)
+        dim = ch.dim_bob ** n
+        elements = []
+        for _ in range(cb.m_count):
+            g = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+            e = g @ g.conj().T
+            elements.append(e / (cb.m_count * np.linalg.eigvalsh(e).max()))
+        rows = cb.codewords(0)
+        for basis in (None, ProductBasis(ch.bob_states, n)):
+            decoder = DecoderPovm(elements=tuple(elements), basis=basis)
+            decoder.validate()
+            (sigma,) = decoder.codeword_blocks(ch.bob_states, rows)
+            hits = [np.sum(e * sigma[m, 0].T).real for m, e in enumerate(elements)]
+            assert exact_pe_bob(cb, ch, decoder) == pytest.approx(
+                np.mean(1.0 - np.asarray(hits)), abs=1e-12)
