@@ -113,16 +113,26 @@ class Spectrum:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def spectral_decomposition(a: np.ndarray) -> Spectrum:
-    """Eigendecompose a Hermitian matrix, eigenvalues descending.
+def spectral_decompositions(stack: np.ndarray) -> list[Spectrum]:
+    """Eigendecompose a stack of Hermitian matrices with one stacked ``eigh``,
+    one ``Spectrum`` per matrix, eigenvalues descending.
 
     ``eigh`` returns them ascending, so the order is a reversal: tied
-    eigenvalues keep ``eigh``'s order, reversed.  The eigenvectors are stored
-    column-major; another layout would change the rounding of products with
-    them.
+    eigenvalues keep ``eigh``'s order, reversed.  Each matrix is solved on
+    its own, so a spectrum does not depend on the rest of the stack.  The
+    eigenvectors are stored column-major (views into one buffer per stack);
+    another layout would change the rounding of products with them.
     """
-    w, v = np.linalg.eigh(hermitian_part(np.asarray(a, dtype=complex)))
-    return Spectrum(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy(order="F"))
+    w, v = np.linalg.eigh(hermitian_part(np.asarray(stack, dtype=complex)))
+    w = w[:, ::-1].copy()
+    v = v[:, :, ::-1].swapaxes(1, 2).copy().swapaxes(1, 2)
+    return [Spectrum(eigenvalues=wi, eigenvectors=vi) for wi, vi in zip(w, v)]
+
+
+def spectral_decomposition(a: np.ndarray) -> Spectrum:
+    """Eigendecompose a Hermitian matrix: the one-matrix call of
+    :func:`spectral_decompositions`."""
+    return spectral_decompositions(np.asarray(a)[None])[0]
 
 
 class Partition:
@@ -437,20 +447,21 @@ def eigenvalue_clusters(eigenvalues: np.ndarray) -> np.ndarray:
     return ids
 
 
-def pinching(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def pinching(a: Operand, b: np.ndarray) -> np.ndarray:
     """Dephase ``b`` in the eigenbasis blocks of ``a``.
 
     Computes the sum of ``E_i b E_i`` over the projectors ``E_i`` onto the
     distinct-eigenvalue spaces of ``a``; eigenvalues within ``CLUSTER_TOL``
     relative distance are merged into one eigenspace.  The result commutes
     with ``a`` and preserves traces against every operator commuting with
-    ``a``.
+    ``a``.  As in :func:`matrix_function`, ``a`` is a Hermitian matrix or
+    its ``Spectrum`` already computed.
     """
-    a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    spec = spectral_decomposition(a)
+    shape = (a.eigenvalues.size,) * 2 if isinstance(a, Spectrum) else np.shape(a)
+    if shape != b.shape:
+        raise DimensionMismatch(f"shape mismatch {shape} vs {b.shape}")
+    spec = a if isinstance(a, Spectrum) else spectral_decomposition(a)
     ids = eigenvalue_clusters(spec.eigenvalues)
     v = spec.eigenvectors
     rotated = v.conj().T @ b @ v
@@ -484,14 +495,34 @@ def matrix_from_json(doc: dict) -> np.ndarray:
 
 # --- random generators for sweeps and tests ---
 
+def ginibre_states(draws: np.ndarray) -> list[DensityOperator]:
+    """Random density operators G G† / Tr, one per Ginibre draw.
+
+    ``draws`` has shape (N, 2, dim, k): per state, the real block of G, then
+    the imaginary one.  The N states are built as one stack (one product,
+    one normalisation) and diagonalised by one stacked ``eigh`` and one
+    stacked ``eigvalsh``, which fill each state's cached ``spectrum`` and
+    ``eigenvalues_only``.  Every matrix is treated on its own, so each state
+    is bit-identical to the one built from its draw alone.
+    """
+    g = draws[:, 0] + 1j * draws[:, 1]
+    m = g @ dagger(g)
+    m = hermitian_part(m / np.trace(m, axis1=1, axis2=2).real[:, None, None])
+    eigenvalues = np.linalg.eigvalsh(m)[:, ::-1]
+    states = []
+    for mi, spectrum, w in zip(m, spectral_decompositions(m), eigenvalues):
+        state = DensityOperator(mi)
+        vars(state).update(spectrum=spectrum, eigenvalues_only=w)
+        states.append(state)
+    return states
+
+
 def ginibre_state(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
-    """Random density operator G G† / Tr from a complex Ginibre block."""
+    """Random density operator G G† / Tr from a complex Ginibre block of
+    ``rank`` columns (default ``dim``): the one-draw call of
+    :func:`ginibre_states`."""
     k = dim if rank is None else rank
-    x = rng.standard_normal((2, dim, k))  # one draw: the real block, then the imaginary
-    g = x[0] + 1j * x[1]
-    m = g @ g.conj().T
-    m = m / m.trace().real
-    return DensityOperator(hermitian_part(m))
+    return ginibre_states(rng.standard_normal((1, 2, dim, k)))[0]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -501,9 +532,17 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def random_hermitians(draws: np.ndarray) -> np.ndarray:
+    """Hermitian parts of complex Ginibre matrices, one per draw: ``draws``
+    has shape (N, 2, dim, dim), the real block, then the imaginary one (the
+    stream of a real ``(dim, dim)`` draw followed by an imaginary one)."""
+    return hermitian_part(draws[:, 0] + 1j * draws[:, 1])
+
+
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return hermitian_part(g) * scale
+    """Random Hermitian matrix, ``scale`` times the Hermitian part of a
+    complex Ginibre matrix: the one-draw call of :func:`random_hermitians`."""
+    return random_hermitians(rng.standard_normal((1, 2, dim, dim)))[0] * scale
 
 
 def diagonal_state(probs: Sequence[float]) -> DensityOperator:

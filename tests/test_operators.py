@@ -16,6 +16,7 @@ from cqcovert.operators import (
     diagonal_state,
     eigenvalue_clusters,
     ginibre_state,
+    ginibre_states,
     hermitian_part,
     kron_chain,
     kron_power,
@@ -29,6 +30,7 @@ from cqcovert.operators import (
     pinching,
     random_hermitian,
     spectral_decomposition,
+    spectral_decompositions,
     spectral_projection_nonneg,
     support_projector,
     tensor,
@@ -109,6 +111,48 @@ class TestSpectrum:
             assert spec.eigenvectors.flags.f_contiguous
             assert np.allclose(spec.reconstruct(), a, atol=1e-12)
 
+
+
+def _state_bytes(state):
+    spec = state.spectrum
+    assert spec.eigenvectors.flags.f_contiguous
+    return (state.matrix.tobytes(), spec.eigenvalues.tobytes(),
+            spec.eigenvectors.tobytes(), state.eigenvalues_only.tobytes())
+
+
+class TestStackedBuilder:
+    """``ginibre_states`` builds and diagonalises a stack of draws; each state
+    must equal, bit for bit, the state built from its draw alone and the
+    per-state formula G G† / Tr with its own ``eigh`` and ``eigvalsh``."""
+
+    @pytest.mark.parametrize("dim, rank", [(2, 2), (3, 3), (4, 4), (5, 5), (6, 6),
+                                           (4, 2), (6, 1), (5, 3)])
+    def test_stack_equals_one_draw_at_a_time(self, dim, rank):
+        draws = np.random.default_rng(100 + 10 * dim + rank).standard_normal((40, 2, dim, rank))
+        stacked = ginibre_states(draws)
+        rng = np.random.default_rng(100 + 10 * dim + rank)
+        single = [ginibre_state(dim, rng, rank=rank) for _ in range(40)]
+        for x, a, b in zip(draws, stacked, single):
+            assert _state_bytes(a) == _state_bytes(b)
+            g = x[0] + 1j * x[1]
+            m = g @ g.conj().T
+            m = hermitian_part(m / m.trace().real)
+            w, v = np.linalg.eigh(hermitian_part(m))
+            assert a.matrix.tobytes() == m.tobytes()
+            assert a.spectrum.eigenvalues.tobytes() == w[::-1].tobytes()
+            assert a.spectrum.eigenvectors.tobytes() == v[:, ::-1].tobytes()
+            assert a.eigenvalues_only.tobytes() == np.linalg.eigvalsh(m)[::-1].tobytes()
+            assert a.rank == rank
+
+    def test_spectral_decompositions_equal_one_matrix_at_a_time(self, rng):
+        for dim in range(1, 7):
+            stack = np.stack([ginibre_state(dim, rng).matrix for _ in range(9)])
+            stack[0] = np.eye(dim)  # ties too
+            for spec, a in zip(spectral_decompositions(stack), stack):
+                one = spectral_decomposition(a)
+                assert spec.eigenvalues.tobytes() == one.eigenvalues.tobytes()
+                assert spec.eigenvectors.tobytes() == one.eigenvectors.tobytes()
+                assert spec.eigenvectors.flags.f_contiguous
 
 class TestTensor:
     def test_pure_product(self):
@@ -291,14 +335,16 @@ class TestMatrixFunctions:
         from cqcovert.divergences import phi_functional, psi_functional
         from cqcovert.verify import derivative_suite
 
+        # every eigendecomposition, stacked or of one matrix, goes through
+        # spectral_decompositions: count the matrices it is given
         seen = []
-        real = operators_mod.spectral_decomposition
+        real = operators_mod.spectral_decompositions
 
-        def counting(a):
-            seen.append(np.asarray(a).tobytes())
-            return real(a)
+        def counting(stack):
+            seen.extend(np.asarray(a).tobytes() for a in stack)
+            return real(stack)
 
-        monkeypatch.setattr(operators_mod, "spectral_decomposition", counting)
+        monkeypatch.setattr(operators_mod, "spectral_decompositions", counting)
         derivative_suite(trials=3)
         assert len(seen) == 6 and len(set(seen)) == 6  # two fresh states per trial
         seen.clear()
@@ -363,6 +409,14 @@ class TestSpectralProjection:
 
 
 class TestPinching:
+    def test_spectrum_operand_equals_the_matrix_path(self, rng):
+        for dim in (2, 3, 4):
+            a, b = random_hermitian(dim, rng), random_hermitian(dim, rng)
+            spec = spectral_decomposition(a)
+            assert np.array_equal(pinching(spec, b), pinching(a, b))
+            with pytest.raises(DimensionMismatch):
+                pinching(spec, np.eye(dim + 1))
+
     def test_identity_basis_is_noop(self, rng):
         b = random_hermitian(3, rng)
         assert np.linalg.norm(pinching(np.eye(3), b) - b) <= 1e-12

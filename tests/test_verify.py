@@ -1,9 +1,18 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import cqcovert.verify as verify_mod
 from cqcovert.cli import main
 from cqcovert.errors import InvalidParameter
+from cqcovert.operators import (
+    ginibre_state,
+    hermitian_part,
+    random_hermitian,
+    spectral_decomposition,
+)
 from cqcovert.verify import SUITES, SuiteResult, run_suites
 
 
@@ -55,3 +64,167 @@ def test_cli_exit_5_on_suite_failure(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "failing case" in out
+
+
+def test_nan_margin_is_a_failure():
+    col = verify_mod._Collector("nan")
+    col.record(0.5)
+    col.record(math.nan, index=1)
+    col.record(0.25)
+    result = col.result()
+    assert not result.passed
+    assert math.isnan(result.worst_margin)
+    assert result.line() == "FAIL nan: checks=3 worst_margin=nan"
+    assert len(result.failures) == 1 and math.isnan(result.failures[0]["margin"])
+
+
+def test_cli_exit_5_on_nan_margin(monkeypatch, capsys):
+    def nan_suite(trials=1, seed=0):
+        col = verify_mod._Collector("pinsker")
+        col.record(1.0, index=0)
+        col.record(math.nan, index=1)
+        return col.result()
+
+    monkeypatch.setitem(verify_mod.SUITES, "pinsker", nan_suite)
+    assert main(["verify", "--suite", "pinsker"]) == 5
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL pinsker: checks=2 worst_margin=nan\n")
+    assert "failing case" in out
+
+
+def test_pinsker_calls_the_package_trace_distance(monkeypatch):
+    # the stacked build must not bypass the functionals: a doubled trace
+    # distance breaks Pinsker's inequality
+    import cqcovert.divergences as divergences_mod
+    true_distance = divergences_mod.trace_distance
+    monkeypatch.setattr(divergences_mod, "trace_distance",
+                        lambda rho, sigma: 2 * true_distance(rho, sigma))
+    assert not verify_mod.pinsker_suite(trials=20).passed
+
+
+def test_trace_bounds_call_the_package_matrix_power(monkeypatch):
+    # the suite reads matrix_power through its own module's binding
+    true_power = verify_mod.matrix_power
+    monkeypatch.setattr(verify_mod, "matrix_power", lambda a, c: 0.5 * true_power(a, c))
+    assert not verify_mod.trace_bounds_suite(trials=20).passed
+
+
+def _margins(monkeypatch, trials):
+    seen = []
+    record = verify_mod._Collector.record
+
+    def recording(self, margin, **context):
+        seen.append((self.name, np.float64(margin).tobytes(), sorted(context.items())))
+        record(self, margin, **context)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify_mod._Collector, "record", recording)
+        run_suites(trials=trials, seed=4)
+    return seen
+
+
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_margins_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    # 70 trials: a partial last chunk at the default size and at size 5
+    default = _margins(monkeypatch, 70)
+    monkeypatch.setattr(verify_mod, "CHUNK", chunk)
+    assert _margins(monkeypatch, 70) == default
+    assert len(default) > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_reduced_trials_output_matches_the_recorded_output(capsys, seed):
+    root = Path(__file__).resolve().parents[1]
+    golden = root / "tests" / "data" / f"verify_trials50_seed{seed}.txt"
+    assert main(["verify", "--seed", str(seed), "--trials", "50"]) == 0
+    assert capsys.readouterr().out == golden.read_text()
+
+
+# Trial-by-trial references: the draws of each suite, one state or matrix at
+# a time, in the order the suite's trials take them.  The chunked suites must
+# hand the package's functionals exactly these inputs.
+
+def _pairs(rng, dims):
+    for dim in dims:
+        yield ginibre_state(dim, rng).matrix, ginibre_state(dim, rng).matrix
+
+
+def _pinsker_reference(rng, trials):
+    return _pairs(rng, [dim for dim in range(2, 7) for _ in range(trials)])
+
+
+def _trace_bounds_reference(rng, trials):
+    return _pairs(rng, [2 + i % 4 for i in range(trials)])
+
+
+def _derivatives_reference(rng, trials):
+    return _pairs(rng, [2 + i % 3 for i in range(trials)])
+
+
+def _sign_projections_reference(rng, trials):
+    for dim in range(2, 6):
+        for _ in range(trials):
+            spec = spectral_decomposition(random_hermitian(dim, rng))
+            ginibre_state(dim, rng)
+            yield spec.eigenvalues, spec.eigenvectors
+            yield spec.eigenvalues, spec.eigenvectors
+
+
+def _pinching_reference(rng, trials):
+    for dim in (2, 3, 4):
+        for i in range(trials):
+            a = random_hermitian(dim, rng) / (2 * math.sqrt(dim))
+            if i % 3 == 0 and dim > 2:
+                w, v = np.linalg.eigh(a)
+                w[0] = w[1]
+                a = hermitian_part((v * w) @ v.conj().T)
+            b = random_hermitian(dim, rng) / (2 * math.sqrt(dim))
+            rng.uniform(-1, 1, size=4)
+            yield spectral_decomposition(a).eigenvalues, b
+
+
+def _holevo_reference(rng, trials):
+    for i in range(trials):
+        dim, n_symbols = 2 + i % 2, 2 + i % 3
+        bob = [ginibre_state(dim, rng).matrix for _ in range(n_symbols + 1)]
+        willie = [ginibre_state(dim, rng).matrix for _ in range(n_symbols + 1)]
+        ptilde = rng.dirichlet(np.ones(n_symbols))
+        for mu in (0.01, 0.1):
+            p_bar = np.concatenate([[1.0 - mu], mu * ptilde])
+            yield (p_bar, *bob)
+            yield (p_bar, *willie)
+
+
+def _states(*states):
+    return tuple(s.matrix for s in states)
+
+
+STREAMS = [  # suite, seed tag, functional called in its check, what it is given
+    ("pinsker", 1, "pinsker_gap", _pinsker_reference, _states),
+    ("trace-bounds", 2, "relative_entropy", _trace_bounds_reference, _states),
+    ("sign-projections", 3, "spectral_projection_nonneg", _sign_projections_reference,
+     lambda spec, strict: (spec.eigenvalues, spec.eigenvectors)),
+    ("pinching", 4, "pinching", _pinching_reference, lambda spec, b: (spec.eigenvalues, b)),
+    ("derivatives", 5, "relative_entropy", _derivatives_reference, _states),
+    ("holevo", 7, "holevo_information", _holevo_reference,
+     lambda p_bar, states: (p_bar, *_states(*states))),
+]
+
+
+@pytest.mark.parametrize("suite, tag, functional, reference, inputs", STREAMS,
+                         ids=[s[0] for s in STREAMS])
+def test_chunks_hand_the_functionals_the_trial_by_trial_draws(
+        monkeypatch, suite, tag, functional, reference, inputs):
+    # 70 trials cross a chunk boundary
+    seen = []
+    real = getattr(verify_mod, functional)
+
+    def spying(*args, **kwargs):
+        seen.append(tuple(np.asarray(x).tobytes() for x in inputs(*args, **kwargs)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify_mod, functional, spying)
+    verify_mod.SUITES[suite](trials=70, seed=2)
+    expected = [tuple(np.asarray(x).tobytes() for x in item)
+                for item in reference(verify_mod._rng(2, tag), 70)]
+    assert seen == expected
