@@ -5,6 +5,16 @@ An infinite divergence (support-containment failure) is reported as the
 ``math.inf`` sentinel rather than an exception so that scenario
 classification can branch on it.  Small negative values inside the numerical
 noise window ``(-1e-9, 0)`` are clipped to zero.
+
+The functionals of a pair of states also come stacked, over two
+equal-length stacks of dense states of one dimension (a ``DensityOperator``
+holding N states, as ``ginibre_states`` builds them): ``relative_entropies``,
+``trace_distances``, ``pinsker_gaps``, ``phi_functionals`` and
+``psi_functionals`` return one value per pair.  Each one-pair function is
+the one-element call of its stacked form, so there is one code path, and a
+pair's value does not depend on the rest of its stack.  Block-held states
+(``ProductBasis.state`` and Willie's average state) pass through the same
+code as a one-element stack of their blocks.
 """
 
 from __future__ import annotations
@@ -33,41 +43,98 @@ def _check_dims(a: DensityOperator, b: DensityOperator) -> None:
         raise DimensionMismatch(f"state dimensions differ: {a.dim} vs {b.dim}")
 
 
-def _clip(value: float) -> float:
-    if -NEG_CLIP < value < 0.0:
-        return 0.0
-    return value
+class _OneStack:
+    """A state as the one-element stack that the stacked functionals take:
+    each form is the state's own with a leading axis, read (and so computed
+    and cached on the state) only when a functional asks for it."""
+
+    def __init__(self, state: DensityOperator):
+        self.state, self.dim = state, state.dim
+
+    matrix = property(lambda self: self.state.matrix[None])
+    spectrum = property(lambda self: self.state.spectrum[None])
+    eigenvalues_only = property(lambda self: self.state.eigenvalues_only[None])
+
+    @property
+    def blocks(self):
+        partition, stacks = self.state.blocks
+        return partition, tuple(s[None] for s in stacks)
 
 
-def _support_weights(rho: DensityOperator, sigma: DensityOperator,
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Weights ``<v_j| rho |v_j>`` over the eigenvectors v_j of ``sigma``
-    above ``RANK_TOL``, and those eigenvalues.  The weights sum to
-    ``Tr{P_sigma rho}``, the mass of ``rho`` inside the support of ``sigma``.
-    When the eigenvectors are unit vectors the weights are diagonal entries
-    of ``rho``, read off its blocks without a matrix product."""
+def _clip(values: np.ndarray) -> np.ndarray:
+    return np.where((-NEG_CLIP < values) & (values < 0.0), 0.0, values)
+
+
+def _support_groups(on: np.ndarray) -> list:
+    """``(rows, k)`` per distinct count k of True entries in the rows of the
+    mask ``on``: the rows that have k (all of them, ``slice(None)``, when
+    every row has the same count)."""
+    counts = on.sum(axis=-1).tolist()
+    distinct = sorted(set(counts))
+    if len(distinct) == 1:
+        return [(slice(None), counts[0])]
+    return [(np.array(counts) == k, k) for k in distinct]
+
+
+def _row_sums(values: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """Per row of the mask ``on``, the sum of its entries of ``values``, the
+    entries where ``on`` row after row (as ``x[on]`` lists them).  Each row
+    is summed as the one-dimensional array of its entries, so a row's sum
+    does not depend on the rest of the stack."""
+    (_, k), *others = _support_groups(on)
+    if not others:
+        return values.reshape(len(on), k).sum(axis=-1)
+    return np.array([part.sum() for part in np.split(values, np.cumsum(on.sum(axis=-1))[:-1])])
+
+
+def _support_weights(rho, sigma) -> list:
+    """Per group of stack rows where ``sigma`` has k eigenvalues above
+    ``RANK_TOL`` (its k leading ones): ``(rows, weights, eigenvalues)``, the
+    weights ``<v_j| rho |v_j>`` over those k eigenvectors v_j and the k
+    eigenvalues, each (rows, k).  A row's weights sum to ``Tr{P_sigma rho}``,
+    the mass of ``rho`` inside the support of ``sigma``.  The eigenvectors
+    are cut to the support before the product: with the kernel's columns
+    too, the product rounds some weights differently.  When the
+    eigenvectors are unit vectors the weights are diagonal entries of
+    ``rho``, read off its blocks without a matrix product."""
     spec = sigma.spectrum
-    on = spec.eigenvalues > RANK_TOL
-    if spec.permutation is not None:
-        partition, stacks = rho.blocks
-        weights = partition.diagonal(stacks).real[spec.permutation[on]]
-    else:
-        v = spec.eigenvectors[:, on]
-        weights = np.einsum("ij,ij->j", v.conj(), rho.matrix @ v).real
-    return weights, spec.eigenvalues[on]
+    groups = []
+    for rows, k in _support_groups(spec.eigenvalues > RANK_TOL):
+        if spec.permutation is not None:
+            partition, stacks = rho.blocks
+            weights = partition.diagonal(stacks).real[..., spec.permutation[:k]][rows]
+        else:
+            v = spec.eigenvectors[rows, :, :k]
+            weights = np.einsum("nij,nij->nj", v.conj(), rho.matrix[rows] @ v).real
+        groups.append((rows, weights, spec.eigenvalues[rows, :k]))
+    return groups
+
+
+def _support_leaks(rho, sigma) -> np.ndarray:
+    """``1 - Tr{P_sigma rho}`` per pair of a stack."""
+    out = np.empty(len(sigma.spectrum.eigenvalues))
+    for rows, weights, _ in _support_weights(rho, sigma):
+        out[rows] = 1.0 - weights.sum(axis=-1)
+    return out
 
 
 def support_leak(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Probability mass of ``rho`` outside the support of ``sigma``."""
     _check_dims(rho, sigma)
-    weights, _ = _support_weights(rho, sigma)
-    return max(0.0, 1.0 - float(weights.sum()))
+    return max(0.0, float(_support_leaks(_OneStack(rho), _OneStack(sigma))[0]))
 
 
 def supports_contained(rho: DensityOperator, sigma: DensityOperator) -> bool:
     """Numerical proxy for supp(rho) ⊆ supp(sigma): a leak of at most
     ``SUPPORT_TOL``."""
     return support_leak(rho, sigma) <= SUPPORT_TOL
+
+
+def _entropies(w: np.ndarray) -> np.ndarray:
+    """-sum w log w over the entries above ``RANK_TOL`` of each row of ``w``."""
+    on = w > RANK_TOL
+    support = w[on]
+    return -_row_sums(support * np.log(support), on)
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
@@ -77,24 +144,31 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     computed once without eigenvectors, and never its ``spectrum``, so the
     value does not depend on whether the spectrum was computed before.
     """
-    w = rho.eigenvalues_only
-    w = w[w > RANK_TOL]
-    return float(-(w * np.log(w)).sum())
+    return float(_entropies(rho.eigenvalues_only[None])[0])
+
+
+def relative_entropies(rho, sigma) -> np.ndarray:
+    """Quantum relative entropy Tr{rho (log rho - log sigma)} in nats of each
+    pair of two equal-length stacks of states.
+
+    Finite iff supp(rho) ⊆ supp(sigma); otherwise ``math.inf``.  Both
+    logarithms follow the pseudo-function-on-support convention.
+    """
+    _check_dims(rho, sigma)
+    out = -_entropies(rho.eigenvalues_only)
+    leaks = np.empty_like(out)
+    # the support weights also give the cross term Tr{rho log sigma}
+    for rows, weights, eigenvalues in _support_weights(rho, sigma):
+        out[rows] -= (weights * np.log(eigenvalues)).sum(axis=-1)
+        leaks[rows] = 1.0 - weights.sum(axis=-1)
+    out = _clip(out)
+    out[leaks > SUPPORT_TOL] = math.inf
+    return out
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Quantum relative entropy Tr{rho (log rho - log sigma)} in nats.
-
-    Finite iff supp(rho) ⊆ supp(sigma); otherwise returns ``math.inf``.
-    Both logarithms follow the pseudo-function-on-support convention.
-    """
-    _check_dims(rho, sigma)
-    # the support weights also give the cross term Tr{rho log sigma}
-    weights, eigenvalues = _support_weights(rho, sigma)
-    if 1.0 - float(weights.sum()) > SUPPORT_TOL:
-        return math.inf
-    cross = float((weights * np.log(eigenvalues)).sum())
-    return _clip(-von_neumann_entropy(rho) - cross)
+    """D(rho||sigma): the one-element call of :func:`relative_entropies`."""
+    return float(relative_entropies(_OneStack(rho), _OneStack(sigma))[0])
 
 
 def chi_squared(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -106,7 +180,7 @@ def chi_squared(rho: DensityOperator, sigma: DensityOperator) -> float:
     _check_dims(rho, sigma)
     if not supports_contained(rho, sigma):
         return math.inf
-    return _clip(_inverse_weighted_norm(rho.matrix - sigma.matrix, sigma))
+    return float(_clip(_inverse_weighted_norm(rho.matrix - sigma.matrix, sigma)))
 
 
 def _inverse_weighted_norm(x: np.ndarray, sigma: DensityOperator) -> float:
@@ -118,23 +192,29 @@ def _inverse_weighted_norm(x: np.ndarray, sigma: DensityOperator) -> float:
     return float(np.sum(np.sum(np.abs(cols) ** 2, axis=0) / spec.eigenvalues[on]))
 
 
-def _difference_eigenvalues(a: DensityOperator, b: DensityOperator,
-                            ca: float = 1.0, cb: float = 1.0) -> np.ndarray:
-    """Eigenvalues of ``ca a - cb b``, block by block when both operators are
-    held over the same partition (one stacked ``eigvalsh`` per group of
-    equal-size blocks), else of the assembled difference."""
+def _difference_eigenvalues(a, b, ca: float = 1.0, cb: float = 1.0) -> np.ndarray:
+    """Eigenvalues of ``ca a - cb b`` (per state, for stacks), block by block
+    when both operators are held over the same partition (one stacked
+    ``eigvalsh`` per group of equal-size blocks), else of the assembled
+    difference."""
     (pa, sa), (pb, sb) = a.blocks, b.blocks
     if pa is not pb:
         whole = Partition.whole(a.dim)
         sa, sb = whole.restrict(sa, pa), whole.restrict(sb, pb)
-    return np.concatenate([np.linalg.eigvalsh(ca * x - cb * y).ravel()
-                           for x, y in zip(sa, sb)])
+    return np.concatenate([np.linalg.eigvalsh(ca * x - cb * y).reshape(x.shape[:-3] + (-1,))
+                           for x, y in zip(sa, sb)], axis=-1)
+
+
+def trace_distances(rho, sigma) -> np.ndarray:
+    """Trace norm of each difference, Tr|rho - sigma|, in [0, 2], for two
+    equal-length stacks of states."""
+    _check_dims(rho, sigma)
+    return np.abs(_difference_eigenvalues(rho, sigma)).sum(axis=-1)
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Trace norm of the difference, Tr|rho - sigma|, in [0, 2]."""
-    _check_dims(rho, sigma)
-    return float(np.abs(_difference_eigenvalues(rho, sigma)).sum())
+    """Tr|rho - sigma|: the one-element call of :func:`trace_distances`."""
+    return float(trace_distances(_OneStack(rho), _OneStack(sigma))[0])
 
 
 def helstrom_error(rho_bar: DensityOperator, rho0: DensityOperator,
@@ -155,16 +235,19 @@ def helstrom_error(rho_bar: DensityOperator, rho0: DensityOperator,
     return min(max(err, 0.0), 1.0)
 
 
-def pinsker_gap(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Slack D(rho||sigma) - ||rho - sigma||_1^2 / 2 (both sides in nats).
+def pinsker_gaps(rho, sigma) -> np.ndarray:
+    """Slack D(rho||sigma) - ||rho - sigma||_1^2 / 2 (both sides in nats) of
+    each pair of two equal-length stacks of states.
 
     Non-negative up to numerical noise; infinite when D is infinite.
     """
-    d = relative_entropy(rho, sigma)
-    if math.isinf(d):
-        return math.inf
-    t = trace_distance(rho, sigma)
-    return d - t * t / 2.0
+    t = trace_distances(rho, sigma)
+    return relative_entropies(rho, sigma) - t * t / 2.0
+
+
+def pinsker_gap(rho: DensityOperator, sigma: DensityOperator) -> float:
+    """Pinsker slack of one pair: the one-element call of :func:`pinsker_gaps`."""
+    return float(pinsker_gaps(_OneStack(rho), _OneStack(sigma))[0])
 
 
 def validate_distribution(probs) -> np.ndarray:
@@ -194,26 +277,35 @@ def holevo_information(probs, states: list[DensityOperator]) -> float:
             raise DimensionMismatch("ensemble states have mixed dimensions")
     avg_matrix = sum(pi * s.matrix for pi, s in zip(p, states))
     avg = DensityOperator(hermitian_part(avg_matrix))
-    chi = von_neumann_entropy(avg) - sum(pi * von_neumann_entropy(s)
-                                         for pi, s in zip(p, states))
+    # the entropies of the average and of every state in one stacked call
+    h = _entropies(np.stack([s.eigenvalues_only for s in (avg, *states)])).tolist()
+    chi = h[0] - sum(pi * hx for pi, hx in zip(p, h[1:]))
     return max(0.0, chi) if chi > -NEG_CLIP else chi
 
 
-def _require_contained(inner: DensityOperator, outer: DensityOperator, label: str) -> None:
-    leak = support_leak(inner, outer)
+def _require_contained(inner, outer, label: str) -> None:
+    """Raise ``SupportViolation`` unless each state of the stack ``inner``
+    lies in the support of its ``outer`` state."""
+    leak = _support_leaks(inner, outer).max()
     if leak > SUPPORT_TOL:
         raise SupportViolation(f"{label}: support leak {leak:.3e} exceeds {SUPPORT_TOL:.0e}")
 
 
-def phi_functional(sigma1: DensityOperator, sigma0: DensityOperator,
-                   r: float) -> tuple[float, float]:
-    """Decoding-exponent functional and its analytic r-derivative.
+def _traces(x: np.ndarray) -> np.ndarray:
+    return np.trace(x, axis1=-2, axis2=-1).real
 
-    Returns ``(-log T(r), d/dr of that)`` where
+
+def phi_functionals(sigma1, sigma0, rs) -> tuple[np.ndarray, np.ndarray]:
+    """Decoding-exponent functional and its analytic r-derivative, for each
+    pair of two equal-length stacks of states and each r in ``rs``.
+
+    Returns ``(values, derivatives)``, each (len(rs), N): ``-log T(r)`` and
+    its r-derivative, where
     ``T(r) = Tr{sigma1 sigma0^{r/2} sigma1^{-r} sigma0^{r/2}}``, with all
     powers and logs taken on the respective supports.  The value vanishes at
     r = 0 and the derivative there equals the relative entropy
-    D(sigma1||sigma0).
+    D(sigma1||sigma0).  The logs of the states do not depend on r and are
+    computed once per call.
 
     Raises
     ------
@@ -222,38 +314,63 @@ def phi_functional(sigma1: DensityOperator, sigma0: DensityOperator,
     """
     _check_dims(sigma1, sigma0)
     _require_contained(sigma1, sigma0, "phi_functional")
-    pow0_half = matrix_power(sigma0.spectrum, r / 2.0)
-    pow1_neg = matrix_power(sigma1.spectrum, -r)
-    log0 = matrix_log(sigma0.spectrum)
-    log1 = matrix_log(sigma1.spectrum)
-    x = pow0_half @ pow1_neg @ pow0_half
-    t = float(np.trace(sigma1.matrix @ x).real)
-    # d/dr sigma0^{r/2} = (log sigma0 / 2) sigma0^{r/2} on the support,
-    # d/dr sigma1^{-r} = -(log sigma1) sigma1^{-r} on the support
-    dx = 0.5 * (log0 @ x + x @ log0) - pow0_half @ log1 @ pow1_neg @ pow0_half
-    dt = float(np.trace(sigma1.matrix @ dx).real)
-    return -math.log(t), -dt / t
+    spec0, spec1 = sigma0.spectrum, sigma1.spectrum
+    log0, log1 = matrix_log(spec0), matrix_log(spec1)
+    values, derivatives = [], []
+    for r in rs:
+        pow0_half = matrix_power(spec0, r / 2.0)
+        pow1_neg = matrix_power(spec1, -r)
+        x = pow0_half @ pow1_neg @ pow0_half
+        t = _traces(sigma1.matrix @ x)
+        # d/dr sigma0^{r/2} = (log sigma0 / 2) sigma0^{r/2} on the support,
+        # d/dr sigma1^{-r} = -(log sigma1) sigma1^{-r} on the support
+        dx = 0.5 * (log0 @ x + x @ log0) - pow0_half @ log1 @ pow1_neg @ pow0_half
+        # math.log per trace: np.log of the array rounds some traces
+        # differently, and finite differences in r amplify the last bit
+        values.append([-math.log(ti) for ti in t.tolist()])
+        derivatives.append(-_traces(sigma1.matrix @ dx) / t)
+    return np.array(values), np.array(derivatives)
+
+
+def phi_functional(sigma1: DensityOperator, sigma0: DensityOperator,
+                   r: float) -> tuple[float, float]:
+    """``(-log T(r), d/dr of that)`` for one pair: the one-element call of
+    :func:`phi_functionals`."""
+    values, derivatives = phi_functionals(_OneStack(sigma1), _OneStack(sigma0), [r])
+    return float(values[0, 0]), float(derivatives[0, 0])
+
+
+def psi_functionals(rho1, rho0, rs) -> tuple[np.ndarray, np.ndarray]:
+    """Covertness-exponent functional and its analytic r-derivative, for
+    each pair of two equal-length stacks of states and each r in ``rs``.
+
+    Returns ``(values, derivatives)``, each (len(rs), N): ``log T(r)`` and
+    its r-derivative, where ``T(r) = Tr{rho1^{1+r} rho0^{-r}}`` under the
+    pseudo-power convention.  The value vanishes at r = 0 and the
+    derivative there equals D(rho1||rho0); the derivative has the closed
+    form ``Tr{rho0^{-r} rho1^{1+r} (log rho1 - log rho0)} / T(r)``.  The
+    logs of the states do not depend on r and are computed once per call.
+    """
+    _check_dims(rho1, rho0)
+    _require_contained(rho1, rho0, "psi_functional")
+    spec0, spec1 = rho0.spectrum, rho1.spectrum
+    log_ratio = matrix_log(spec1) - matrix_log(spec0)
+    values, derivatives = [], []
+    for r in rs:
+        pow1 = matrix_power(spec1, 1.0 + r)
+        pow0_neg = matrix_power(spec0, -r)
+        t = _traces(pow1 @ pow0_neg)
+        values.append([math.log(ti) for ti in t.tolist()])  # math.log, as in phi
+        derivatives.append(_traces(pow0_neg @ pow1 @ log_ratio) / t)
+    return np.array(values), np.array(derivatives)
 
 
 def psi_functional(rho1: DensityOperator, rho0: DensityOperator,
                    r: float) -> tuple[float, float]:
-    """Covertness-exponent functional and its analytic r-derivative.
-
-    Returns ``(log T(r), d/dr of that)`` where
-    ``T(r) = Tr{rho1^{1+r} rho0^{-r}}`` under the pseudo-power convention.
-    The value vanishes at r = 0 and the derivative there equals
-    D(rho1||rho0); the derivative has the closed form
-    ``Tr{rho0^{-r} rho1^{1+r} (log rho1 - log rho0)} / T(r)``.
-    """
-    _check_dims(rho1, rho0)
-    _require_contained(rho1, rho0, "psi_functional")
-    pow1 = matrix_power(rho1.spectrum, 1.0 + r)
-    pow0_neg = matrix_power(rho0.spectrum, -r)
-    log0 = matrix_log(rho0.spectrum)
-    log1 = matrix_log(rho1.spectrum)
-    t = float(np.trace(pow1 @ pow0_neg).real)
-    num = float(np.trace(pow0_neg @ pow1 @ (log1 - log0)).real)
-    return math.log(t), num / t
+    """``(log T(r), d/dr of that)`` for one pair: the one-element call of
+    :func:`psi_functionals`."""
+    values, derivatives = psi_functionals(_OneStack(rho1), _OneStack(rho0), [r])
+    return float(values[0, 0]), float(derivatives[0, 0])
 
 
 def overlap_trace(sigma0: DensityOperator, sigma1: DensityOperator) -> float:
@@ -265,5 +382,5 @@ def overlap_trace(sigma0: DensityOperator, sigma1: DensityOperator) -> float:
         If supp(sigma1) is not contained in supp(sigma0).
     """
     _check_dims(sigma0, sigma1)
-    _require_contained(sigma1, sigma0, "overlap_trace")
+    _require_contained(_OneStack(sigma1), _OneStack(sigma0), "overlap_trace")
     return _inverse_weighted_norm(sigma1.matrix, sigma0)

@@ -89,12 +89,16 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
 
 
 class Spectrum:
-    """Eigendecomposition with eigenvalues sorted in descending order.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a
+    stack, with eigenvalues sorted in descending order.
 
-    ``eigenvectors[:, i]`` is the unit eigenvector for ``eigenvalues[i]``.
-    ``permutation`` is set when the operator is diagonal: the eigenvectors
-    are then the standard unit vectors, ``eigenvectors[:, i]`` being
-    ``e_{permutation[i]}``, and they are only built when read.
+    ``eigenvectors[..., :, i]`` is the unit eigenvector for
+    ``eigenvalues[..., i]``.  Indexing a stack's spectrum gives one
+    matrix's (``spectra[i]``), and ``spectrum[None]`` is a one-matrix
+    stack.  ``permutation`` is set when
+    the operator is diagonal: the eigenvectors are then the standard unit
+    vectors, ``eigenvectors[:, i]`` being ``e_{permutation[i]}``, and they
+    are only built when read.
     """
 
     def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray | None = None,
@@ -108,14 +112,20 @@ class Spectrum:
     def eigenvectors(self) -> np.ndarray:
         return np.eye(self.eigenvalues.size)[:, self.permutation]
 
+    def __getitem__(self, index) -> "Spectrum":
+        vectors = vars(self).get("eigenvectors")
+        return Spectrum(self.eigenvalues[index], None if vectors is None else vectors[index],
+                        self.permutation)
+
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def spectral_decompositions(stack: np.ndarray) -> list[Spectrum]:
-    """Eigendecompose a stack of Hermitian matrices with one stacked ``eigh``,
-    one ``Spectrum`` per matrix, eigenvalues descending.
+def spectral_decompositions(stack: np.ndarray) -> Spectrum:
+    """Eigendecompose a stack of Hermitian matrices with one stacked ``eigh``:
+    the stack's ``Spectrum``, whose i-th entry is the i-th matrix's,
+    eigenvalues descending.
 
     ``eigh`` returns them ascending, so the order is a reversal: tied
     eigenvalues keep ``eigh``'s order, reversed.  Each matrix is solved on
@@ -124,13 +134,13 @@ def spectral_decompositions(stack: np.ndarray) -> list[Spectrum]:
     another layout would change the rounding of products with them.
     """
     w, v = np.linalg.eigh(hermitian_part(np.asarray(stack, dtype=complex)))
-    w = w[:, ::-1].copy()
-    v = v[:, :, ::-1].swapaxes(1, 2).copy().swapaxes(1, 2)
-    return [Spectrum(eigenvalues=wi, eigenvectors=vi) for wi, vi in zip(w, v)]
+    w = w[..., ::-1].copy()
+    v = v[..., ::-1].swapaxes(-1, -2).copy().swapaxes(-1, -2)
+    return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
 def spectral_decomposition(a: np.ndarray) -> Spectrum:
-    """Eigendecompose a Hermitian matrix: the one-matrix call of
+    """Eigendecompose a Hermitian matrix (or a stack): the one-matrix call of
     :func:`spectral_decompositions`."""
     return spectral_decompositions(np.asarray(a)[None])[0]
 
@@ -233,6 +243,12 @@ class DensityOperator:
     :class:`Partition`); the other form is derived once, when first read.  A
     full matrix is the one-block case, a view.  Buffers are frozen.
 
+    One operator may hold a stack of N states of one dimension: ``matrix``
+    is then (N, d, d), ``spectrum`` the stack's ``Spectrum`` and
+    ``eigenvalues_only`` (N, d), the form the stacked functionals of
+    :mod:`cqcovert.divergences` read.  ``states[i]`` is the i-th state and
+    ``state[None]`` a one-element stack, each with what is cached so far.
+
     A state is eigendecomposed at most once: ``spectrum`` is computed on
     first use and cached, and every matrix function of the state
     (``matrix_power``, ``matrix_log``, ``matrix_pinv``, ... given
@@ -246,7 +262,7 @@ class DensityOperator:
             m = np.array(matrix, dtype=complex)
             m.flags.writeable = False
             self.matrix = m
-            self.dim = m.shape[0]
+            self.dim = m.shape[-1]
         else:
             for stack in blocks[1]:
                 stack.flags.writeable = False
@@ -263,8 +279,9 @@ class DensityOperator:
     @cached_property
     def blocks(self) -> tuple["Partition", tuple[np.ndarray, ...]]:
         """``(partition, stacks)``: the operator's diagonal blocks; for a full
-        matrix, the one block ``matrix[None]`` over ``Partition.whole(dim)``."""
-        return Partition.whole(self.dim), (self.matrix[None],)
+        matrix, the one block ``matrix[None]`` over ``Partition.whole(dim)``
+        (per state of a stack)."""
+        return Partition.whole(self.dim), (self.matrix[..., None, :, :],)
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -280,7 +297,15 @@ class DensityOperator:
         """The eigenvalues from ``eigvalsh``, without eigenvectors, computed
         once, block by block: one stacked call per group of equal-size blocks
         (each block's descending, the blocks in reverse order)."""
-        return np.concatenate([np.linalg.eigvalsh(s).ravel() for s in self.blocks[1]])[::-1]
+        return np.concatenate([np.linalg.eigvalsh(s).reshape(s.shape[:-3] + (-1,))
+                               for s in self.blocks[1]], axis=-1)[..., ::-1]
+
+    def __getitem__(self, index) -> "DensityOperator":
+        out = DensityOperator(self.matrix[index])
+        for name in ("spectrum", "eigenvalues_only"):
+            if name in vars(self):
+                vars(out)[name] = getattr(self, name)[index]
+        return out
 
     @property
     def rank(self) -> int:
@@ -383,7 +408,10 @@ def matrix_function(a: Operand, f: Callable[[np.ndarray], np.ndarray]) -> np.nda
     computed, such as a state's cached ``state.spectrum``, which is read
     without a second eigensolve.  Eigenvalues at or below ``RANK_TOL`` map
     to 0 (pseudo-function convention), which absorbs the singularities of
-    logs and negative powers.
+    logs and negative powers.  A stack of matrices, or a stack's spectrum,
+    gives the stack of their functions: ``f`` is applied to all their
+    support eigenvalues in one call, and each matrix of the result is
+    bit-identical to its one-matrix call.
     """
     spec = a if isinstance(a, Spectrum) else spectral_decomposition(a)
     w = spec.eigenvalues
@@ -391,7 +419,7 @@ def matrix_function(a: Operand, f: Callable[[np.ndarray], np.ndarray]) -> np.nda
     on_support = w > RANK_TOL
     fw[on_support] = f(w[on_support])
     v = spec.eigenvectors
-    return hermitian_part((v * fw) @ v.conj().T)
+    return hermitian_part((v * fw[..., None, :]) @ dagger(v))
 
 
 def matrix_log(a: Operand) -> np.ndarray:
@@ -495,26 +523,19 @@ def matrix_from_json(doc: dict) -> np.ndarray:
 
 # --- random generators for sweeps and tests ---
 
-def ginibre_states(draws: np.ndarray) -> list[DensityOperator]:
-    """Random density operators G G† / Tr, one per Ginibre draw.
+def ginibre_states(draws: np.ndarray) -> DensityOperator:
+    """Random density operators G G† / Tr, one per Ginibre draw, as one stack.
 
     ``draws`` has shape (N, 2, dim, k): per state, the real block of G, then
     the imaginary one.  The N states are built as one stack (one product,
-    one normalisation) and diagonalised by one stacked ``eigh`` and one
-    stacked ``eigvalsh``, which fill each state's cached ``spectrum`` and
-    ``eigenvalues_only``.  Every matrix is treated on its own, so each state
-    is bit-identical to the one built from its draw alone.
+    one normalisation); the stack's ``spectrum`` and ``eigenvalues_only``
+    are each computed on first use, by one stacked ``eigh`` or
+    ``eigvalsh``.  Every matrix is treated on its own, so each state is
+    bit-identical to the one built from its draw alone.
     """
     g = draws[:, 0] + 1j * draws[:, 1]
     m = g @ dagger(g)
-    m = hermitian_part(m / np.trace(m, axis1=1, axis2=2).real[:, None, None])
-    eigenvalues = np.linalg.eigvalsh(m)[:, ::-1]
-    states = []
-    for mi, spectrum, w in zip(m, spectral_decompositions(m), eigenvalues):
-        state = DensityOperator(mi)
-        vars(state).update(spectrum=spectrum, eigenvalues_only=w)
-        states.append(state)
-    return states
+    return DensityOperator(hermitian_part(m / np.trace(m, axis1=1, axis2=2).real[:, None, None]))
 
 
 def ginibre_state(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:

@@ -30,6 +30,7 @@ from .divergences import (
     SUPPORT_TOL,
     chi_squared,
     holevo_information,
+    relative_entropies,
     relative_entropy,
     supports_contained,
     validate_distribution,
@@ -379,13 +380,10 @@ def expansion_check(b: DensityOperator, c: DensityOperator,
     if alphas.size and alphas.max() > radius:
         raise AlphaOutOfRadius(f"alpha {alphas.max()} exceeds radius {radius:.6g}")
     chi2 = chi_squared(c, b)
-    divergences, predictions = [], []
-    for alpha in alphas:
-        mixed = DensityOperator(hermitian_part(alpha * c.matrix + (1.0 - alpha) * b.matrix))
-        divergences.append(relative_entropy(mixed, b))
-        predictions.append(alpha ** 2 * chi2 / 2.0)
-    divergences = np.array(divergences)
-    predictions = np.array(predictions)
+    weights = alphas[:, None, None]
+    mixed = DensityOperator(hermitian_part(weights * c.matrix + (1.0 - weights) * b.matrix))
+    divergences = relative_entropies(mixed, b[None])
+    predictions = np.array([alpha ** 2 * chi2 / 2.0 for alpha in alphas])
     residuals = np.abs(divergences - predictions)
     live = (alphas > 0) & (residuals > 0)
     slope = None

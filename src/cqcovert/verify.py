@@ -8,11 +8,16 @@ command.
 A suite runs its trials in chunks of ``CHUNK``, each in three phases: draw
 every random number of the chunk's trials in trial order (so the random
 stream is the one a trial-by-trial loop draws), build and diagonalise the
-chunk's states as one stack per shape (``ginibre_states``), then check trial
-by trial with the package's own functionals.  Every margin is bit-identical
-to building the states one at a time, and memory does not grow with the
-number of trials.  The expansion suite runs trial by trial: it rejects
-candidates, so a chunk cannot know ahead how many draws it needs.
+chunk's states as one stack per shape (``ginibre_states``), then check them
+with the package's own functionals.  The pinsker, trace-bounds and
+derivatives suites check each dimension's trials of a chunk with one call
+of each stacked functional (``pinsker_gaps``, ``relative_entropies``,
+``phi_functionals``, ...) and record the margins trial by trial, in trial
+order; the other suites check trial by trial.  Every margin is
+bit-identical to building and checking the states one at a time, and
+memory does not grow with the number of trials.  The expansion suite runs
+trial by trial: it rejects candidates, so a chunk cannot know ahead how
+many draws it needs.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ import numpy as np
 from .channel import CqChannelPair
 from .divergences import (
     holevo_information,
-    phi_functional,
-    pinsker_gap,
-    psi_functional,
+    phi_functionals,
+    pinsker_gaps,
+    psi_functionals,
+    relative_entropies,
     relative_entropy,
 )
 from .errors import InvalidParameter
@@ -114,17 +120,34 @@ def _ginibre_build(draws: list[np.ndarray]) -> list[DensityOperator]:
     states = [None] * len(draws)
     for size, positions in where.items():
         dim = math.isqrt(size // 2)
-        stack = np.stack([draws[pos] for pos in positions]).reshape(-1, 2, dim, dim)
-        for pos, state in zip(positions, ginibre_states(stack)):
-            states[pos] = state
+        stack = ginibre_states(np.stack([draws[pos] for pos in positions]).reshape(-1, 2, dim, dim))
+        # diagonalise the whole stack now: each state reads its share
+        vars(stack).update(spectrum=stack.spectrum, eigenvalues_only=stack.eigenvalues_only)
+        for k, pos in enumerate(positions):
+            states[pos] = stack[k]
     return states
 
 
-def _ginibre_pairs(rng: np.random.Generator, chunk: range, dims: list[int]) -> list:
-    """``(i, first, second)`` per trial i of ``chunk``: two Ginibre states of
-    dimension ``dims[k]`` for the chunk's k-th trial, drawn in trial order."""
-    states = _ginibre_build(_ginibre_draws(rng, [d for d in dims for _ in range(2)]))
-    return list(zip(chunk, states[::2], states[1::2]))
+def _check_pairs(col: _Collector, rng: np.random.Generator, chunk: range, dims: list[int],
+                 check) -> None:
+    """Draw two Ginibre states of dimension ``dims[k]`` for the chunk's k-th
+    trial, in trial order; check each dimension's trials in one call,
+    ``check(first, second)`` on their two states as two stacks, which
+    returns ``(margins, context)`` pairs with one margin per trial; then
+    record each trial's margins in trial order."""
+    draws = _ginibre_draws(rng, [d for d in dims for _ in range(2)])
+    checks = {}
+    for dim in sorted(set(dims)):
+        at = [k for k, d in enumerate(dims) if d == dim]
+        first, second = (ginibre_states(np.stack([draws[2 * k + j] for k in at])
+                                        .reshape(-1, 2, dim, dim)) for j in (0, 1))
+        found = [(np.asarray(margins).tolist(), context)
+                 for margins, context in check(first, second)]
+        for n, k in enumerate(at):
+            checks[k] = [(margins[n], context) for margins, context in found]
+    for k, i in enumerate(chunk):
+        for margin, context in checks[k]:
+            col.record(margin, **context, dim=dims[k], index=i)
 
 
 def pinsker_suite(trials: int = 1000, seed: int = 0) -> SuiteResult:
@@ -133,8 +156,8 @@ def pinsker_suite(trials: int = 1000, seed: int = 0) -> SuiteResult:
     col = _Collector("pinsker")
     for dim in range(2, 7):
         for chunk in _chunks(trials):
-            for i, rho, sigma in _ginibre_pairs(rng, chunk, [dim] * len(chunk)):
-                col.record(pinsker_gap(rho, sigma) + 1e-9, dim=dim, index=i)
+            _check_pairs(col, rng, chunk, [dim] * len(chunk),
+                         lambda rho, sigma: [(pinsker_gaps(rho, sigma) + 1e-9, {})])
     return col.result()
 
 
@@ -144,20 +167,22 @@ def trace_bounds_suite(trials: int = 500, seed: int = 0) -> SuiteResult:
     For states A, B and c > 0:
     (1/c) Tr{A - A^{1-c} B^c} <= D(A||B) <= (1/c) Tr{A^{1+c} B^{-c} - A}.
     """
+    def check(a, b):
+        d = relative_entropies(a, b)
+        margins = []
+        for c in (0.1, 0.5, 1.0):
+            lower = np.trace(a.matrix - matrix_power(a.spectrum, 1 - c)
+                             @ matrix_power(b.spectrum, c), axis1=1, axis2=2).real / c
+            upper = np.trace(matrix_power(a.spectrum, 1 + c)
+                             @ matrix_power(b.spectrum, -c) - a.matrix, axis1=1, axis2=2).real / c
+            margins += [(d - lower + 1e-8, {"kind": "lower", "c": c}),
+                        (upper - d + 1e-8, {"kind": "upper", "c": c})]
+        return margins
+
     rng = _rng(seed, 2)
     col = _Collector("trace-bounds")
     for chunk in _chunks(trials):
-        for i, a, b in _ginibre_pairs(rng, chunk, [2 + i % 4 for i in chunk]):
-            d = relative_entropy(a, b)
-            for c in (0.1, 0.5, 1.0):
-                lower = float(np.trace(
-                    a.matrix - matrix_power(a.spectrum, 1 - c) @ matrix_power(b.spectrum, c)
-                ).real) / c
-                upper = float(np.trace(
-                    matrix_power(a.spectrum, 1 + c) @ matrix_power(b.spectrum, -c) - a.matrix
-                ).real) / c
-                col.record(d - lower + 1e-8, kind="lower", c=c, dim=a.dim, index=i)
-                col.record(upper - d + 1e-8, kind="upper", c=c, dim=a.dim, index=i)
+        _check_pairs(col, rng, chunk, [2 + i % 4 for i in chunk], check)
     return col.result()
 
 
@@ -174,9 +199,9 @@ def sign_projection_suite(trials: int = 200, seed: int = 0) -> SuiteResult:
             draws = rng.standard_normal((len(chunk), 2, 2, dim, dim))  # per trial: A, then B
             a_stack = random_hermitians(draws[:, 0])
             spectra = spectral_decompositions(a_stack)  # one eigensolve for both projections
-            b_states = ginibre_states(draws[:, 1])
+            b_states = ginibre_states(draws[:, 1]).matrix
             for i, a, spec, b_state in zip(chunk, a_stack, spectra, b_states):
-                b = b_state.matrix + 1e-3 * np.eye(dim)  # ensure strictly PD
+                b = b_state + 1e-3 * np.eye(dim)  # ensure strictly PD
                 pos = spectral_projection_nonneg(spec, strict=True)
                 nonneg = spectral_projection_nonneg(spec, strict=False)
                 neg = np.eye(dim) - nonneg
@@ -230,23 +255,25 @@ def derivative_suite(trials: int = 100, seed: int = 0) -> SuiteResult:
     Central differences (h = 1e-5) at r in {0.1, 0.5, 0.9} within 1e-6; the
     r = 0 derivative equals the relative entropy within 1e-8.
     """
+    h = 1e-5
+    points = (0.1, 0.5, 0.9)
+    rs = [0.0, *points, *(r + h for r in points), *(r - h for r in points)]
+
+    def check(s1, s0):
+        d = relative_entropies(s1, s0)
+        margins = []
+        for name, functionals in (("phi", phi_functionals), ("psi", psi_functionals)):
+            values, slopes = functionals(s1, s0, rs)  # rows: r = 0, points, + h, - h
+            fd = (values[4:7] - values[7:10]) / (2 * h)
+            margins.append((1e-8 - np.abs(slopes[0] - d), {"kind": f"{name}-anchor"}))
+            margins += [(1e-6 - np.abs(analytic - diff), {"kind": name, "r": r})
+                        for r, analytic, diff in zip(points, slopes[1:4], fd)]
+        return margins
+
     rng = _rng(seed, 5)
     col = _Collector("derivatives")
-    h = 1e-5
     for chunk in _chunks(trials):
-        for i, s1, s0 in _ginibre_pairs(rng, chunk, [2 + i % 3 for i in chunk]):
-            d = relative_entropy(s1, s0)
-            for name, functional in (("phi", phi_functional), ("psi", psi_functional)):
-                _, at_zero = functional(s1, s0, 0.0)
-                col.record(1e-8 - abs(at_zero - d), kind=f"{name}-anchor",
-                           dim=s1.dim, index=i)
-                for r in (0.1, 0.5, 0.9):
-                    _, analytic = functional(s1, s0, r)
-                    plus, _ = functional(s1, s0, r + h)
-                    minus, _ = functional(s1, s0, r - h)
-                    fd = (plus - minus) / (2 * h)
-                    col.record(1e-6 - abs(analytic - fd), kind=name, r=r,
-                               dim=s1.dim, index=i)
+        _check_pairs(col, rng, chunk, [2 + i % 3 for i in chunk], check)
     return col.result()
 
 
@@ -319,17 +346,22 @@ def holevo_identity_suite(trials: int = 100, seed: int = 0) -> SuiteResult:
             bob = tuple(next(built) for _ in range(n_symbols + 1))
             willie = tuple(next(built) for _ in range(n_symbols + 1))
             channel = CqChannelPair(bob_states=bob, willie_states=willie)
-            for mu in (0.01, 0.1):
-                p_bar = np.concatenate([[1.0 - mu], mu * ptilde])
-                for side, states in (("bob", bob), ("willie", willie)):
+            mus = (0.01, 0.1)
+            p_bars = [np.concatenate([[1.0 - mu], mu * ptilde]) for mu in mus]
+            sides = []
+            for side, states in (("bob", bob), ("willie", willie)):
+                # the symbols' divergences do not depend on mu; the mixtures
+                # of both mu values are scored in one stacked call
+                divergences = [relative_entropy(s, states[0]) for s in states[1:]]
+                mixes = DensityOperator(hermitian_part(np.stack(
+                    [sum(w * s.matrix for w, s in zip(p_bar, states)) for p_bar in p_bars])))
+                d_mixes = relative_entropies(mixes, states[0][None]).tolist()
+                sides.append((side, states, divergences, d_mixes))
+            for j, (mu, p_bar) in enumerate(zip(mus, p_bars)):
+                for side, states, divergences, d_mixes in sides:
                     chi = holevo_information(p_bar, list(states))
-                    linear = mu * sum(
-                        w * relative_entropy(states[x], states[0])
-                        for w, x in zip(ptilde, range(1, n_symbols + 1)))
-                    mix_matrix = sum(w * s.matrix for w, s in zip(p_bar, states))
-                    mix = DensityOperator(hermitian_part(mix_matrix))
-                    d_mix = relative_entropy(mix, states[0])
-                    margin = 1e-8 - abs(chi - (linear - d_mix))
+                    linear = mu * sum(w * d for w, d in zip(ptilde, divergences))
+                    margin = 1e-8 - abs(chi - (linear - d_mixes[j]))
                     col.record(margin, side=side, mu=mu, index=i)
     return col.result()
 

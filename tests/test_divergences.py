@@ -4,18 +4,25 @@ import numpy as np
 import pytest
 
 from conftest import classical_chi2, classical_kl, random_probs
+import cqcovert.divergences as divergences_mod
 from cqcovert.divergences import (
+    NEG_CLIP,
     chi_squared,
     helstrom_error,
     holevo_information,
     overlap_trace,
     phi_functional,
+    phi_functionals,
     pinsker_gap,
+    pinsker_gaps,
     psi_functional,
+    psi_functionals,
+    relative_entropies,
     relative_entropy,
     support_leak,
     supports_contained,
     trace_distance,
+    trace_distances,
     von_neumann_entropy,
 )
 from cqcovert.errors import DimensionMismatch, SupportViolation
@@ -26,6 +33,7 @@ from cqcovert.operators import (
     haar_unitary,
     kron_power,
     make_density,
+    matrix_log,
     matrix_power,
     pinching,
     spectral_projection_nonneg,
@@ -322,3 +330,135 @@ def test_support_cutoff_boundary(t, rank):
     assert support_leak(probe, sigma) == pytest.approx(0.0 if contained else 0.5, abs=1e-12)
     assert math.isfinite(relative_entropy(probe, sigma)) == contained
     assert supports_contained(probe, sigma) == contained
+
+
+def _stack(states):
+    return DensityOperator(np.stack([s.matrix for s in states]))
+
+
+def _relative_entropy_formula(rho, sigma):
+    """D(rho||sigma) from one pair's own support sums: the weights over the
+    support eigenvectors of sigma, the cross term and the entropy, each a
+    one-dimensional sum over the support entries alone."""
+    spec = sigma.spectrum
+    on = spec.eigenvalues > RANK_TOL
+    v = spec.eigenvectors[:, on]
+    weights = np.einsum("ij,ij->j", v.conj(), rho.matrix @ v).real
+    if 1.0 - float(weights.sum()) > divergences_mod.SUPPORT_TOL:
+        return math.inf
+    cross = float((weights * np.log(spec.eigenvalues[on])).sum())
+    w = rho.eigenvalues_only[rho.eigenvalues_only > RANK_TOL]
+    value = float((w * np.log(w)).sum()) - cross
+    return 0.0 if -NEG_CLIP < value < 0.0 else value
+
+
+def _bytes(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _phi_formula(s1, s0, r):
+    pow0, pow1 = matrix_power(s0.spectrum, r / 2.0), matrix_power(s1.spectrum, -r)
+    log0, log1 = matrix_log(s0.spectrum), matrix_log(s1.spectrum)
+    x = pow0 @ pow1 @ pow0
+    t = float(np.trace(s1.matrix @ x).real)
+    dx = 0.5 * (log0 @ x + x @ log0) - pow0 @ log1 @ pow1 @ pow0
+    return -math.log(t), -float(np.trace(s1.matrix @ dx).real) / t
+
+
+def _psi_formula(r1, r0, r):
+    pow1, pow0 = matrix_power(r1.spectrum, 1.0 + r), matrix_power(r0.spectrum, -r)
+    t = float(np.trace(pow1 @ pow0).real)
+    num = float(np.trace(pow0 @ pow1 @ (matrix_log(r1.spectrum) - matrix_log(r0.spectrum))).real)
+    return math.log(t), num / t
+
+
+class TestStackedFunctionals:
+    """Each stacked functional equals, bit for bit, its one-pair call on
+    every pair of the stack: dimensions 2-6, full-rank and rank-deficient
+    states (so support violations), self-pairs whose raw divergence lands in
+    the ``NEG_CLIP`` window, and one-element stacks."""
+
+    @staticmethod
+    def _pairs(dim):
+        rng = np.random.default_rng(700 + dim)
+        full = [ginibre_state(dim, rng) for _ in range(5)]
+        low = [ginibre_state(dim, rng, rank=k) for k in range(1, dim)]
+        contained = [(full[0], full[1]), (full[2], full[3]), (full[4], full[4])]
+        contained += [(x, full[k % 5]) for k, x in enumerate(low)] + [(low[-1], low[-1])]
+        # rank-deficient references: x^2 / Tr x^2 has the support of x
+        contained += [(DensityOperator(hermitian_part(x.matrix @ x.matrix
+                                                      / np.trace(x.matrix @ x.matrix).real)), x)
+                      for x in low]
+        leaking = [(full[k % 5], x) for k, x in enumerate(low)]
+        leaking += [(low[0], low[-1])] if dim > 2 else []
+        return contained, leaking
+
+    @pytest.mark.parametrize("dim", range(2, 7))
+    def test_divergences_equal_their_one_pair_calls(self, dim):
+        contained, leaking = self._pairs(dim)
+        for pairs in (contained + leaking, contained[:1], leaking[:1]):
+            rho, sigma = _stack([r for r, _ in pairs]), _stack([s for _, s in pairs])
+            for stacked, single in ((relative_entropies, relative_entropy),
+                                    (trace_distances, trace_distance),
+                                    (pinsker_gaps, pinsker_gap)):
+                assert _bytes(stacked(rho, sigma)) == _bytes([single(r, s) for r, s in pairs])
+            assert _bytes(relative_entropies(rho, sigma)) == _bytes(
+                [_relative_entropy_formula(r, s) for r, s in pairs])
+            assert _bytes(trace_distances(rho, sigma)) == _bytes(
+                [np.abs(np.linalg.eigvalsh(r.matrix - s.matrix)).sum() for r, s in pairs])
+        d = relative_entropies(_stack([r for r, _ in leaking]), _stack([s for _, s in leaking]))
+        assert np.all(np.isinf(d))
+
+    @pytest.mark.parametrize("dim", range(2, 7))
+    def test_exponent_functionals_equal_their_one_pair_calls(self, dim):
+        contained, leaking = self._pairs(dim)
+        rs = [0.0, 0.1, 0.5 + 1e-5, 0.9]
+        for pairs in (contained, contained[-1:]):
+            first, second = _stack([a for a, _ in pairs]), _stack([b for _, b in pairs])
+            for stacked, single, formula in ((phi_functionals, phi_functional, _phi_formula),
+                                             (psi_functionals, psi_functional, _psi_formula)):
+                values, slopes = stacked(first, second, rs)
+                assert values.shape == slopes.shape == (len(rs), len(pairs))
+                for j, r in enumerate(rs):
+                    for one in ([single(a, b, r) for a, b in pairs],
+                                [formula(a, b, r) for a, b in pairs]):
+                        assert _bytes(values[j]) == _bytes([v for v, _ in one])
+                        assert _bytes(slopes[j]) == _bytes([g for _, g in one])
+        # one leaking pair fails the whole stack, as it fails its own call
+        pairs = contained + leaking[:1]
+        first, second = _stack([a for a, _ in pairs]), _stack([b for _, b in pairs])
+        for stacked, single in ((phi_functionals, phi_functional),
+                                (psi_functionals, psi_functional)):
+            with pytest.raises(SupportViolation):
+                stacked(first, second, rs)
+            with pytest.raises(SupportViolation):
+                single(*leaking[0], 0.5)
+
+    @pytest.mark.parametrize("dim", range(2, 7))
+    def test_matrix_functions_equal_their_one_matrix_calls(self, dim):
+        contained, _ = self._pairs(dim)
+        states = [a for a, _ in contained]
+        spectra = _stack(states).spectrum
+        for c in (0.5, -0.5, 1.3, -1.0, 2.0):
+            stacked = matrix_power(spectra, c)
+            for k, state in enumerate(states):
+                assert stacked[k].tobytes() == matrix_power(state.spectrum, c).tobytes()
+        stacked = matrix_log(spectra)
+        for k, state in enumerate(states):
+            assert stacked[k].tobytes() == matrix_log(state.spectrum).tobytes()
+
+    def test_self_pairs_land_in_the_clipping_window(self, monkeypatch):
+        # the raw self-divergence of a state is a rounding-size number, here
+        # negative for some, which both forms clip to exactly zero
+        in_window = 0
+        for dim in range(2, 7):
+            selves = [r for r, s in self._pairs(dim)[0] if r is s]
+            rho = _stack(selves)
+            with monkeypatch.context() as patch:
+                patch.setattr(divergences_mod, "_clip", lambda values: values)
+                raw = relative_entropies(rho, rho)
+            clipped = relative_entropies(rho, rho)
+            assert _bytes(clipped) == _bytes([relative_entropy(r, r) for r in selves])
+            assert np.all(clipped[raw < 0.0] == 0.0)
+            in_window += np.count_nonzero((raw > -NEG_CLIP) & (raw < 0.0))
+        assert in_window > 0

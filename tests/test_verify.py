@@ -94,10 +94,11 @@ def test_cli_exit_5_on_nan_margin(monkeypatch, capsys):
 
 def test_pinsker_calls_the_package_trace_distance(monkeypatch):
     # the stacked build must not bypass the functionals: a doubled trace
-    # distance breaks Pinsker's inequality
+    # distance breaks Pinsker's inequality (trace_distance is the one-pair
+    # call of trace_distances, which the suite's pinsker_gaps reads)
     import cqcovert.divergences as divergences_mod
-    true_distance = divergences_mod.trace_distance
-    monkeypatch.setattr(divergences_mod, "trace_distance",
+    true_distance = divergences_mod.trace_distances
+    monkeypatch.setattr(divergences_mod, "trace_distances",
                         lambda rho, sigma: 2 * true_distance(rho, sigma))
     assert not verify_mod.pinsker_suite(trials=20).passed
 
@@ -142,11 +143,21 @@ def test_reduced_trials_output_matches_the_recorded_output(capsys, seed):
 
 # Trial-by-trial references: the draws of each suite, one state or matrix at
 # a time, in the order the suite's trials take them.  The chunked suites must
-# hand the package's functionals exactly these inputs.
+# hand the package's functionals exactly these inputs.  A suite that hands a
+# stacked functional one stack per dimension of a chunk takes each chunk's
+# trials grouped by dimension (increasing), in trial order within a group.
 
 def _pairs(rng, dims):
     for dim in dims:
         yield ginibre_state(dim, rng).matrix, ginibre_state(dim, rng).matrix
+
+
+def _grouped_by_dimension(pairs):
+    pairs = list(pairs)
+    out = []
+    for start in range(0, len(pairs), verify_mod.CHUNK):
+        out += sorted(pairs[start:start + verify_mod.CHUNK], key=lambda pair: pair[0].shape[0])
+    return out
 
 
 def _pinsker_reference(rng, trials):
@@ -154,11 +165,11 @@ def _pinsker_reference(rng, trials):
 
 
 def _trace_bounds_reference(rng, trials):
-    return _pairs(rng, [2 + i % 4 for i in range(trials)])
+    return _grouped_by_dimension(_pairs(rng, [2 + i % 4 for i in range(trials)]))
 
 
 def _derivatives_reference(rng, trials):
-    return _pairs(rng, [2 + i % 3 for i in range(trials)])
+    return _grouped_by_dimension(_pairs(rng, [2 + i % 3 for i in range(trials)]))
 
 
 def _sign_projections_reference(rng, trials):
@@ -195,19 +206,20 @@ def _holevo_reference(rng, trials):
             yield (p_bar, *willie)
 
 
-def _states(*states):
-    return tuple(s.matrix for s in states)
+def _rows(first, second):
+    """A stacked functional's two stacks, unrolled into their pairs."""
+    return list(zip(first.matrix, second.matrix))
 
 
-STREAMS = [  # suite, seed tag, functional called in its check, what it is given
-    ("pinsker", 1, "pinsker_gap", _pinsker_reference, _states),
-    ("trace-bounds", 2, "relative_entropy", _trace_bounds_reference, _states),
+STREAMS = [  # suite, seed tag, functional called in its check, the inputs it is given
+    ("pinsker", 1, "pinsker_gaps", _pinsker_reference, _rows),
+    ("trace-bounds", 2, "relative_entropies", _trace_bounds_reference, _rows),
     ("sign-projections", 3, "spectral_projection_nonneg", _sign_projections_reference,
-     lambda spec, strict: (spec.eigenvalues, spec.eigenvectors)),
-    ("pinching", 4, "pinching", _pinching_reference, lambda spec, b: (spec.eigenvalues, b)),
-    ("derivatives", 5, "relative_entropy", _derivatives_reference, _states),
+     lambda spec, strict: [(spec.eigenvalues, spec.eigenvectors)]),
+    ("pinching", 4, "pinching", _pinching_reference, lambda spec, b: [(spec.eigenvalues, b)]),
+    ("derivatives", 5, "relative_entropies", _derivatives_reference, _rows),
     ("holevo", 7, "holevo_information", _holevo_reference,
-     lambda p_bar, states: (p_bar, *_states(*states))),
+     lambda p_bar, states: [(p_bar, *(s.matrix for s in states))]),
 ]
 
 
@@ -220,7 +232,8 @@ def test_chunks_hand_the_functionals_the_trial_by_trial_draws(
     real = getattr(verify_mod, functional)
 
     def spying(*args, **kwargs):
-        seen.append(tuple(np.asarray(x).tobytes() for x in inputs(*args, **kwargs)))
+        seen.extend(tuple(np.asarray(x).tobytes() for x in item)
+                    for item in inputs(*args, **kwargs))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(verify_mod, functional, spying)
