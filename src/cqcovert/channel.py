@@ -39,6 +39,7 @@ from .operators import (
     matrix_from_json,
     matrix_inv_sqrt,
     matrix_to_json,
+    mixture,
     require_hermitian,
 )
 
@@ -251,8 +252,7 @@ def mixture_feasibility(rho0: DensityOperator, non_innocent: list[DensityOperato
     if total <= 0:
         return False, None
     pi = pi / total
-    mix = sum(w * s.matrix for w, s in zip(pi, non_innocent))
-    residual = float(np.linalg.norm(mix - rho0.matrix))
+    residual = float(np.linalg.norm(mixture(pi, non_innocent).matrix - rho0.matrix))
     if residual <= MIXTURE_RESIDUAL_TOL:
         return True, pi
     return False, None
@@ -456,6 +456,4 @@ def average_states(channel: CqChannelPair, ptilde) -> tuple[DensityOperator, Den
     if p.size != channel.alphabet_size - 1:
         raise DimensionMismatch(
             f"ptilde has {p.size} entries for {channel.alphabet_size - 1} symbols")
-    bob = sum(w * channel.bob_states[x].matrix for w, x in zip(p, channel.non_innocent))
-    willie = sum(w * channel.willie_states[x].matrix for w, x in zip(p, channel.non_innocent))
-    return DensityOperator(bob), DensityOperator(willie)
+    return mixture(p, channel.bob_states[1:]), mixture(p, channel.willie_states[1:])

@@ -294,12 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Covert-communication numerics for classical-quantum channels")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, channel=True):
-        if channel:
-            p.add_argument("--channel", required=True, help="channel-pair JSON file")
+    def common(p):
+        p.add_argument("--channel", required=True, help="channel-pair JSON file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("classify", help="place a channel in its scaling regime")
     common(p)
@@ -321,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="comma list of blocklengths")
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=float, default=0.1, help="reliability target")
     p.add_argument("--epsilon", type=float, default=None, help="covertness target")
     p.add_argument("--sigma-knobs", default="0.1,0.1,0.1",

@@ -52,6 +52,7 @@ from .operators import (
 
 COUNT_ROUNDING_TOL = 1e-12  # subtracted before a code size is rounded up to a count
 INNOCENT_FIDELITY_TOL = 1e-12  # a codeword of fidelity at least 1 - this does not signal
+DECODER_TOL = 1e-8  # most negative element eigenvalue, and largest excess of the sum over I
 
 
 def product_state(states: Sequence[DensityOperator], symbols: Sequence[int]) -> DensityOperator:
@@ -414,16 +415,17 @@ class DecoderPovm:
                    for row in rows]
         return tuple(np.stack(group) for group in zip(*per_row))
 
-    def validate(self, tol: float = 1e-8) -> None:
-        """Check PSD elements and sum bounded by identity within ``tol``,
-        one stacked eigensolve per group of equal-size blocks."""
+    def validate(self) -> None:
+        """Check PSD elements and sum bounded by identity within
+        ``DECODER_TOL``, one stacked eigensolve per group of equal-size
+        blocks."""
         for stack in self.stacks:
             lowest = np.linalg.eigvalsh(stack).min(axis=-1)
-            if lowest.min() < -tol:
-                i = int(np.argmax((lowest < -tol).any(axis=-1)))
-                raise ValidationError(f"decoder element {i} not PSD within {tol:.0e}")
+            if lowest.min() < -DECODER_TOL:
+                i = int(np.argmax((lowest < -DECODER_TOL).any(axis=-1)))
+                raise ValidationError(f"decoder element {i} not PSD within {DECODER_TOL:.0e}")
             excess = np.linalg.eigvalsh(stack.sum(axis=0)).max() - 1.0
-            if excess > tol:
+            if excess > DECODER_TOL:
                 raise ValidationError(f"decoder sum exceeds identity by {excess:.3e}")
 
 

@@ -28,9 +28,9 @@ from .operators import (
     RANK_TOL,
     DensityOperator,
     Partition,
-    hermitian_part,
     matrix_log,
     matrix_power,
+    mixture,
 )
 
 SUPPORT_TOL = 1e-9        # Tr{(I - P_sigma) rho} below this declares containment
@@ -175,21 +175,17 @@ def chi_squared(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Chi-squared divergence Tr{(rho - sigma)^2 sigma^{-1}}.
 
     ``sigma^{-1}`` is the pseudo-inverse on the support; returns ``math.inf``
-    when supp(rho) is not contained in supp(sigma).
+    when supp(rho) is not contained in supp(sigma).  Summed as
+    ``sum_j ||(rho - sigma) v_j||^2 / lambda_j`` over the eigenpairs of
+    ``sigma`` above ``RANK_TOL``.
     """
     _check_dims(rho, sigma)
     if not supports_contained(rho, sigma):
         return math.inf
-    return float(_clip(_inverse_weighted_norm(rho.matrix - sigma.matrix, sigma)))
-
-
-def _inverse_weighted_norm(x: np.ndarray, sigma: DensityOperator) -> float:
-    """``Tr{x sigma^+ x†} = sum_j ||x v_j||^2 / lambda_j`` over the
-    eigenpairs of ``sigma`` above ``RANK_TOL``."""
     spec = sigma.spectrum
     on = spec.eigenvalues > RANK_TOL
-    cols = x @ spec.eigenvectors[:, on]
-    return float(np.sum(np.sum(np.abs(cols) ** 2, axis=0) / spec.eigenvalues[on]))
+    cols = (rho.matrix - sigma.matrix) @ spec.eigenvectors[:, on]
+    return float(_clip(np.sum(np.sum(np.abs(cols) ** 2, axis=0) / spec.eigenvalues[on])))
 
 
 def _difference_eigenvalues(a, b, ca: float = 1.0, cb: float = 1.0) -> np.ndarray:
@@ -275,8 +271,7 @@ def holevo_information(probs, states: list[DensityOperator]) -> float:
     for s in states:
         if s.dim != dim:
             raise DimensionMismatch("ensemble states have mixed dimensions")
-    avg_matrix = sum(pi * s.matrix for pi, s in zip(p, states))
-    avg = DensityOperator(hermitian_part(avg_matrix))
+    avg = mixture(p, states)
     # the entropies of the average and of every state in one stacked call
     h = _entropies(np.stack([s.eigenvalues_only for s in (avg, *states)])).tolist()
     chi = h[0] - sum(pi * hx for pi, hx in zip(p, h[1:]))
@@ -372,15 +367,3 @@ def psi_functional(rho1: DensityOperator, rho0: DensityOperator,
     values, derivatives = psi_functionals(_OneStack(rho1), _OneStack(rho0), [r])
     return float(values[0, 0]), float(derivatives[0, 0])
 
-
-def overlap_trace(sigma0: DensityOperator, sigma1: DensityOperator) -> float:
-    """Second-moment overlap Tr{sigma0^{-1} sigma1^2} (pseudo-inverse on support).
-
-    Raises
-    ------
-    SupportViolation
-        If supp(sigma1) is not contained in supp(sigma0).
-    """
-    _check_dims(sigma0, sigma1)
-    _require_contained(_OneStack(sigma1), _OneStack(sigma0), "overlap_trace")
-    return _inverse_weighted_norm(sigma1.matrix, sigma0)

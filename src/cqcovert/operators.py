@@ -1,9 +1,9 @@
 """Finite-dimensional Hermitian operator algebra.
 
-Construction and validation of density operators, tensor products, partial
-traces, spectral decompositions, matrix functions on supports, spectral
-projections, and pinching.  All operations are pure functions over immutable
-inputs; every state-like object is safe to share across threads.
+Construction and validation of density operators, Kronecker products,
+convex mixtures, spectral decompositions, matrix functions on supports,
+spectral projections, and pinching.  All operations are pure functions over
+immutable inputs; every state-like object is safe to share across threads.
 
 Conventions
 -----------
@@ -116,10 +116,6 @@ class Spectrum:
         vectors = vars(self).get("eigenvectors")
         return Spectrum(self.eigenvalues[index], None if vectors is None else vectors[index],
                         self.permutation)
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
 
 def spectral_decompositions(stack: np.ndarray) -> Spectrum:
@@ -311,12 +307,12 @@ class DensityOperator:
     def rank(self) -> int:
         return int(np.sum(self.spectrum.eigenvalues > RANK_TOL))
 
-    def to_json(self) -> dict:
-        return matrix_to_json(self.matrix)
-
 
 def make_density(entries: np.ndarray) -> DensityOperator:
     """Validate a square complex matrix as a density operator.
+
+    The PSD check's ``eigvalsh`` is kept as the state's ``eigenvalues_only``
+    (the same call on the same matrix), so the entropies do not solve again.
 
     Raises
     ------
@@ -331,7 +327,9 @@ def make_density(entries: np.ndarray) -> DensityOperator:
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace {tr!r} deviates from 1 by more than {TRACE_TOL:.0e}")
-    return DensityOperator(matrix=m)
+    state = DensityOperator(matrix=m)
+    vars(state)["eigenvalues_only"] = w[::-1]
+    return state
 
 
 def kron_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -354,11 +352,6 @@ def kron_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    """Kronecker product of two states; left factor is the earlier channel use."""
-    return DensityOperator(kron_chain([a.matrix, b.matrix]))
-
-
 def kron_power(a: DensityOperator, n: int) -> DensityOperator:
     """n-fold Kronecker power of a state (n >= 1)."""
     if n < 1:
@@ -366,29 +359,16 @@ def kron_power(a: DensityOperator, n: int) -> DensityOperator:
     return DensityOperator(kron_chain([a.matrix] * n))
 
 
-def partial_trace(joint: DensityOperator, dims: tuple[int, int], keep: str) -> DensityOperator:
-    """Marginal of a bipartite state.
-
-    Parameters
-    ----------
-    joint
-        State on a ``dims[0] * dims[1]``-dimensional space, subsystem A first.
-    dims
-        ``(dA, dB)``.
-    keep
-        ``"A"`` or ``"B"``.
-    """
-    d_a, d_b = dims
-    if joint.dim != d_a * d_b:
-        raise DimensionMismatch(f"joint dim {joint.dim} != {d_a} * {d_b}")
-    if keep not in ("A", "B"):
-        raise DimensionMismatch(f"keep must be 'A' or 'B', got {keep!r}")
-    t = joint.matrix.reshape(d_a, d_b, d_a, d_b)
-    if keep == "A":
-        m = np.trace(t, axis1=1, axis2=3)
-    else:
-        m = np.trace(t, axis1=0, axis2=2)
-    return DensityOperator(hermitian_part(m))
+def mixture(weights, states: Sequence[DensityOperator]) -> DensityOperator:
+    """The convex mixture ``sum_x weights[..., x] states[x]``, summed in x
+    order, as a state.  A stack of weight vectors, shape (..., X), gives the
+    stack of their mixtures, each bit-identical to its own call.  The
+    package's one mixture builder; the weights are the caller's to check."""
+    w = np.asarray(weights, dtype=float)[..., None, None]
+    total = w[..., 0, :, :] * states[0].matrix
+    for x in range(1, len(states)):
+        total = total + w[..., x, :, :] * states[x].matrix
+    return DensityOperator(hermitian_part(total))
 
 
 def support_projector(a: DensityOperator) -> np.ndarray:
@@ -560,10 +540,10 @@ def random_hermitians(draws: np.ndarray) -> np.ndarray:
     return hermitian_part(draws[:, 0] + 1j * draws[:, 1])
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Random Hermitian matrix, ``scale`` times the Hermitian part of a
-    complex Ginibre matrix: the one-draw call of :func:`random_hermitians`."""
-    return random_hermitians(rng.standard_normal((1, 2, dim, dim)))[0] * scale
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Random Hermitian matrix, the Hermitian part of a complex Ginibre
+    matrix: the one-draw call of :func:`random_hermitians`."""
+    return random_hermitians(rng.standard_normal((1, 2, dim, dim)))[0]
 
 
 def diagonal_state(probs: Sequence[float]) -> DensityOperator:

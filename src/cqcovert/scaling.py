@@ -44,11 +44,7 @@ from .errors import (
     WrongRegime,
     ZeroChiSquared,
 )
-from .operators import (
-    DensityOperator,
-    hermitian_part,
-    matrix_pinv,
-)
+from .operators import DensityOperator, matrix_pinv, mixture
 
 CLASSICAL_ZERO = 1e-12
 CLASSICAL_LEAK_TOL = 1e-9
@@ -287,11 +283,6 @@ class ConverseBounds:
     d_mix_bob: float
     d_mix_willie: float
 
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "log_m_upper", "log_mk_lower", "chi_bob", "chi_willie",
-            "linear_bob", "linear_willie", "d_mix_bob", "d_mix_willie")}
-
 
 def converse_bounds(channel: CqChannelPair, ptilde, mu: float, n: int,
                     delta: float, epsilon: float) -> ConverseBounds:
@@ -311,15 +302,9 @@ def converse_bounds(channel: CqChannelPair, ptilde, mu: float, n: int,
     summary = channel.summary
     linear_bob = mu * summary.weighted(p, summary.bob.divergences)
     linear_willie = mu * summary.weighted(p, summary.willie.divergences)
-
-    def mix(states):
-        m = (1.0 - mu) * states[0].matrix
-        for pi, x in zip(p, channel.non_innocent):
-            m = m + mu * pi * states[x].matrix
-        return DensityOperator(hermitian_part(m))
-
-    d_mix_bob = relative_entropy(mix(channel.bob_states), channel.bob_states[0])
-    d_mix_willie = relative_entropy(mix(channel.willie_states), channel.willie_states[0])
+    d_mix_bob = relative_entropy(mixture(p_bar, channel.bob_states), channel.bob_states[0])
+    d_mix_willie = relative_entropy(mixture(p_bar, channel.willie_states),
+                                    channel.willie_states[0])
     return ConverseBounds(
         log_m_upper=(n * chi_bob + 1.0) / (1.0 - delta),
         log_mk_lower=n * chi_willie - epsilon,
@@ -338,16 +323,6 @@ class ExpansionCheck:
     residuals: np.ndarray
     slope: float | None
     radius: float
-
-    def to_json(self) -> dict:
-        return {
-            "alphas": self.alphas.tolist(),
-            "divergences": self.divergences.tolist(),
-            "predictions": self.predictions.tolist(),
-            "residuals": self.residuals.tolist(),
-            "slope": self.slope,
-            "radius": self.radius,
-        }
 
 
 def expansion_radius(b: DensityOperator, c: DensityOperator) -> float:
@@ -380,8 +355,7 @@ def expansion_check(b: DensityOperator, c: DensityOperator,
     if alphas.size and alphas.max() > radius:
         raise AlphaOutOfRadius(f"alpha {alphas.max()} exceeds radius {radius:.6g}")
     chi2 = chi_squared(c, b)
-    weights = alphas[:, None, None]
-    mixed = DensityOperator(hermitian_part(weights * c.matrix + (1.0 - weights) * b.matrix))
+    mixed = mixture(np.stack([alphas, 1.0 - alphas], axis=-1), [c, b])
     divergences = relative_entropies(mixed, b[None])
     predictions = np.array([alpha ** 2 * chi2 / 2.0 for alpha in alphas])
     residuals = np.abs(divergences - predictions)

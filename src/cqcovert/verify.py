@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CqChannelPair
 from .divergences import (
     holevo_information,
     phi_functionals,
@@ -45,6 +44,7 @@ from .operators import (
     haar_unitary,
     hermitian_part,
     matrix_power,
+    mixture,
     pinching,
     random_hermitians,
     spectral_decompositions,
@@ -56,6 +56,7 @@ from .scaling import expansion_check, expansion_radius
 # per-call cost of the stacked numpy calls, few enough that a chunk's
 # stacks stay small next to the process.
 CHUNK = 16
+MAX_FAILURES = 10  # failing cases a suite lists
 
 
 @dataclass
@@ -73,18 +74,17 @@ class SuiteResult:
 
 
 class _Collector:
-    def __init__(self, name: str, max_failures: int = 10):
+    def __init__(self, name: str):
         self.name = name
         self.checks = 0
         self.worst = math.inf
         self.failures: list[dict] = []
-        self.max_failures = max_failures
 
     def record(self, margin: float, **context) -> None:
         self.checks += 1
         if margin < self.worst or math.isnan(margin):  # a NaN stays the worst
             self.worst = margin
-        if not margin >= 0 and len(self.failures) < self.max_failures:
+        if not margin >= 0 and len(self.failures) < MAX_FAILURES:
             self.failures.append({"margin": margin, **context})
 
     def result(self) -> SuiteResult:
@@ -277,14 +277,13 @@ def derivative_suite(trials: int = 100, seed: int = 0) -> SuiteResult:
     return col.result()
 
 
-def commuting_pair(dim: int, rng: np.random.Generator,
-                   floor: float = 0.1) -> tuple[DensityOperator, DensityOperator,
-                                                np.ndarray, np.ndarray]:
+def commuting_pair(dim: int, rng: np.random.Generator
+                   ) -> tuple[DensityOperator, DensityOperator, np.ndarray, np.ndarray]:
     """Random full-rank pair sharing a Haar eigenbasis; returns states and spectra."""
     u = haar_unitary(dim, rng)
 
     def spectrum() -> np.ndarray:
-        w = rng.dirichlet(np.ones(dim)) + floor
+        w = rng.dirichlet(np.ones(dim)) + 0.1  # the floor keeps both states full rank
         return w / w.sum()
 
     wb, wc = spectrum(), spectrum()
@@ -345,7 +344,6 @@ def holevo_identity_suite(trials: int = 100, seed: int = 0) -> SuiteResult:
             n_symbols = ptilde.size
             bob = tuple(next(built) for _ in range(n_symbols + 1))
             willie = tuple(next(built) for _ in range(n_symbols + 1))
-            channel = CqChannelPair(bob_states=bob, willie_states=willie)
             mus = (0.01, 0.1)
             p_bars = [np.concatenate([[1.0 - mu], mu * ptilde]) for mu in mus]
             sides = []
@@ -353,9 +351,8 @@ def holevo_identity_suite(trials: int = 100, seed: int = 0) -> SuiteResult:
                 # the symbols' divergences do not depend on mu; the mixtures
                 # of both mu values are scored in one stacked call
                 divergences = [relative_entropy(s, states[0]) for s in states[1:]]
-                mixes = DensityOperator(hermitian_part(np.stack(
-                    [sum(w * s.matrix for w, s in zip(p_bar, states)) for p_bar in p_bars])))
-                d_mixes = relative_entropies(mixes, states[0][None]).tolist()
+                d_mixes = relative_entropies(mixture(np.stack(p_bars), states),
+                                             states[0][None]).tolist()
                 sides.append((side, states, divergences, d_mixes))
             for j, (mu, p_bar) in enumerate(zip(mus, p_bars)):
                 for side, states, divergences, d_mixes in sides:

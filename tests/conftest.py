@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,19 @@ def canonical_channel():
     signal = diagonal_state([0.6, 0.4])
     return CqChannelPair(bob_states=(innocent, signal),
                          willie_states=(innocent, signal))
+
+
+def kron(*factors):
+    """Dense Kronecker product of matrices by nested ``np.kron``, leftmost
+    factor first: an oracle that shares no code with the package's
+    ``kron_chain``."""
+    return functools.reduce(np.kron, factors)
+
+
+def dense_mixture(weights, states):
+    """``sum_x weights[x] states[x]`` as a state, summed term by term: a
+    mixture oracle that shares no code with the package's ``mixture``."""
+    return DensityOperator(sum(w * s.matrix for w, s in zip(weights, states)))
 
 
 def classical_kl(p, q):

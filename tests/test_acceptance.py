@@ -284,7 +284,7 @@ def test_acceptance_08_srm_never_beats_helstrom(canonical_channel, rng):
             cb = sample_codebook(channel, n=3, m_count=2, k_count=1,
                                  gamma=0.8, ptilde=[1.0], seed=seed)
             decoder = build_srm_decoder(cb, channel, a=0.2)
-            decoder.validate(tol=1e-8)
+            decoder.validate()
             pe = exact_pe_bob(cb, channel, decoder)
             blocks = []
             for m in range(2):

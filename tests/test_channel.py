@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import diluted_ginibre_channel
+from conftest import dense_mixture, diluted_ginibre_channel
 from cqcovert.channel import (
     CqChannelPair,
     Povm,
     ScenarioClass,
     SupportRelation,
-    average_states,
     channel_from_json,
     classify_scenario,
     induce_dmc,
@@ -136,7 +135,7 @@ class TestChannelSummary:
         points = list(np.eye(k)) + list(gen.dirichlet(np.ones(k), size=20))
         leaky = np.eye(k)[:2].mean(axis=0)   # weight on symbol 2
         for p in points + [leaky]:
-            direct = chi_squared(average_states(ch, p)[1], ch.willie_states[0])
+            direct = chi_squared(dense_mixture(p, ch.willie_states[1:]), ch.willie_states[0])
             got = ch.summary.chi2(p)
             if math.isinf(direct):
                 assert math.isinf(got)

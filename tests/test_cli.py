@@ -45,6 +45,32 @@ def willie_leak_path(tmp_path, willie_leak_channel):
     return str(path)
 
 
+GOLDEN_CHANNELS = ("diag_qubit", "ginibre_qubit", "srl_d2_k3", "srl_d3_k6")
+SINGLE_LETTER_CALLS = [("classify_{}.json", ["classify"])] + [
+    (f"coefficients_{{}}_{name}.json", ["coefficients", *flags])
+    for name, flags in (("default", []), ("max-message", ["--optimize", "max-message"]),
+                        ("min-key", ["--optimize", "min-key"]), ("bits", ["--bits"]))]
+
+
+@pytest.mark.parametrize("channel", GOLDEN_CHANNELS)
+@pytest.mark.parametrize("golden, argv", SINGLE_LETTER_CALLS)
+def test_single_letter_json_matches_the_recorded_output(tmp_path, channel, golden, argv):
+    # the files change only with a change that is meant to move these numbers
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--channel", str(root / "perfbench" / "channels" / f"{channel}.json"),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (root / "tests" / "data" / golden.format(channel)).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["classify", "coefficients", "nogo"])
+def test_seed_is_rejected_where_nothing_is_random(canonical_path, command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--channel", canonical_path, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 class TestClassify:
     def test_json_report(self, canonical_path, tmp_path, capsys):
         out = tmp_path / "report.json"

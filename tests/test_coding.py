@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import kron
 from cqcovert.channel import CqChannelPair
 from cqcovert.coding import (
     Codebook,
@@ -19,7 +20,6 @@ from cqcovert.coding import (
     default_epsilon_target,
     exact_pe_bob,
     nogo_experiment,
-    product_state,
     run_experiment,
     sample_codebook,
     select_best,
@@ -45,7 +45,6 @@ from cqcovert.operators import (
     diagonal_state,
     hermitian_part,
     kron_chain,
-    kron_power,
     make_density,
 )
 
@@ -111,7 +110,7 @@ class TestSrmDecoder:
         block = canonical_channel.bob_states[sig[0]].matrix
         for x in sig[1:]:
             block = np.kron(block, canonical_channel.bob_states[x].matrix)
-        innocent = kron_power(canonical_channel.bob_states[0], 3).matrix
+        innocent = kron(*[canonical_channel.bob_states[0].matrix] * 3)
         projector = spectral_projection_nonneg(
             pinching(innocent, block) - math.exp(0.2) * innocent, strict=True)
         element = decoder.basis.to_original_basis(decoder.elements[0])
@@ -157,7 +156,7 @@ class TestSrmDecoder:
             cb = sample_codebook(canonical_channel, n=3, m_count=4, k_count=1,
                                  gamma=0.8, ptilde=[1.0], seed=seed)
             decoder = build_srm_decoder(cb, canonical_channel, a=0.1)
-            decoder.validate(tol=1e-8)
+            decoder.validate()
 
     def test_non_commuting_channel_povm_validity(self, rng):
         from cqcovert.operators import ginibre_state
@@ -169,7 +168,7 @@ class TestSrmDecoder:
             cb = sample_codebook(ch, n=3, m_count=3, k_count=1,
                                  gamma=0.8, ptilde=[1.0], seed=seed)
             decoder = build_srm_decoder(cb, ch, a=0.15, basis=basis)
-            decoder.validate(tol=1e-8)
+            decoder.validate()
 
     def test_key_index_checked(self, canonical_channel):
         cb = sample_codebook(canonical_channel, n=2, m_count=2, k_count=1,
@@ -193,7 +192,7 @@ class TestDecoderBasis:
     @staticmethod
     def _dense_srm(cb, ch, a):
         from cqcovert.operators import matrix_inv_sqrt, pinching, spectral_projection_nonneg
-        innocent = kron_power(ch.bob_states[0], cb.n).matrix
+        innocent = kron(*[ch.bob_states[0].matrix] * cb.n)
         projectors = []
         for m in range(cb.m_count):
             block = np.ones((1, 1), dtype=complex)
@@ -280,7 +279,7 @@ class TestExactPeBob:
         (stack,) = decoder.codeword_blocks(ch.bob_states, cb.symbols)
         assert stack.shape == (4, 1, 8, 8)
         for row, block in zip(cb.symbols, stack):
-            assert np.array_equal(block[0], product_state(ch.bob_states, row).matrix)
+            assert np.array_equal(block[0], kron(*(ch.bob_states[x].matrix for x in row)))
         monkeypatch.setenv("CQCOVERT_DIM_CAP", "4")
         with pytest.raises(DimensionCapExceeded):
             decoder.codeword_blocks(ch.bob_states, cb.symbols)
@@ -298,8 +297,8 @@ class TestWillieAverageState:
         cb = sample_codebook(canonical_channel, n=4, m_count=2, k_count=2,
                              gamma=0.0, ptilde=[1.0], seed=0)
         avg = willie_average_state(cb, canonical_channel)
-        expected = kron_power(canonical_channel.willie_states[0], 4)
-        assert np.linalg.norm(avg.matrix - expected.matrix) <= 1e-12
+        expected = kron(*[canonical_channel.willie_states[0].matrix] * 4)
+        assert np.linalg.norm(avg.matrix - expected) <= 1e-12
 
     def test_single_codeword_is_its_block_state(self, canonical_channel):
         symbols = np.array([[1, 0, 1]])
@@ -318,7 +317,7 @@ class TestWillieAverageState:
         single = DensityOperator(hermitian_part(
             (1 - alpha) * canonical_channel.willie_states[0].matrix
             + alpha * canonical_channel.willie_states[1].matrix))
-        target = kron_power(single, n)
+        target = DensityOperator(kron(*[single.matrix] * n))
         acc = np.zeros((2 ** n, 2 ** n), dtype=complex)
         for seed in range(codebooks):
             cb = sample_codebook(canonical_channel, n=n, m_count=mk, k_count=1,
@@ -357,19 +356,20 @@ class TestCovertness:
                              gamma=0.7, ptilde=[1.0], seed=13)
         _, pe = covertness_report(cb, canonical_channel)
         rho_bar = willie_average_state(cb, canonical_channel)
-        block = kron_power(canonical_channel.willie_states[0], 4)
+        block = DensityOperator(kron(*[canonical_channel.willie_states[0].matrix] * 4))
         expected = 0.5 * (1.0 - 0.5 * trace_distance(rho_bar, block))
         assert pe == pytest.approx(expected, abs=1e-10)
 
 
 class TestWillieProductBasis:
     """Covertness scored in the product eigenbasis of Willie's innocent state
-    agrees with a dense computational-basis oracle against kron_power."""
+    agrees with a dense computational-basis oracle against the n-fold
+    ``np.kron`` power of the innocent state."""
 
     @staticmethod
     def _dense(cb, ch):
         rho_bar = willie_average_state(cb, ch)
-        block = kron_power(ch.willie_states[0], cb.n)
+        block = DensityOperator(kron(*[ch.willie_states[0].matrix] * cb.n))
         return relative_entropy(rho_bar, block), helstrom_error(rho_bar, block)
 
     def _assert_agrees(self, cb, ch, finite=True):
@@ -433,9 +433,11 @@ class TestWillieProductBasis:
         assert state is basis.state
         spec = state.spectrum
         assert np.all(np.diff(spec.eigenvalues) <= 0)
-        assert np.linalg.norm(spec.reconstruct() - np.diag(basis.eigenvalues)) <= 1e-15
+        v = spec.eigenvectors
+        assert np.linalg.norm((v * spec.eigenvalues) @ v.conj().T
+                              - np.diag(basis.eigenvalues)) <= 1e-15
         assert np.linalg.norm(basis.to_original_basis(state.matrix)
-                              - kron_power(single, 4).matrix) <= 1e-12
+                              - kron(*[single.matrix] * 4)) <= 1e-12
 
 
 class TestIidCovertnessBound:
@@ -694,7 +696,7 @@ def _dense_pinched_srm(cb, ch, a, key):
     single-use eigenvalues, two product eigenvectors share an eigenvalue iff
     their indices have the same digits up to order."""
     from cqcovert.operators import matrix_inv_sqrt, spectral_projection_nonneg
-    innocent = kron_power(ch.bob_states[0], cb.n).matrix
+    innocent = kron(*[ch.bob_states[0].matrix] * cb.n)
     u = kron_chain([ch.bob_states[0].spectrum.eigenvectors] * cb.n)
     digits = np.array(list(itertools.product(range(ch.dim_bob), repeat=cb.n)))
     tie = np.unique(np.sort(digits, axis=1), axis=0, return_inverse=True)[1].ravel()
@@ -737,7 +739,7 @@ class TestNonCommutingInvariants:
         assert len(basis.clusters) > 1
         for key in range(cb.k_count):
             decoder = build_srm_decoder(cb, ch, a=0.15, key=key, basis=basis)
-            decoder.validate(tol=1e-8)
+            decoder.validate()
             for mine, oracle in zip(decoder.elements, _dense_pinched_srm(cb, ch, 0.15, key)):
                 assert np.max(np.abs(basis.to_original_basis(mine) - oracle)) <= 1e-9
 
@@ -912,7 +914,7 @@ class TestBlockDiagonalEquivalence:
                              ptilde=[1.0], seed=seed)
         for key in range(cb.k_count):
             decoders = [build_srm_decoder(cb, ch, a=0.1, key=key) for ch in (split, turned)]
-            decoders[0].validate(tol=1e-8)
+            decoders[0].validate()
             pe = [exact_pe_bob(cb, ch, d, key=key) for ch, d in zip((split, turned), decoders)]
             assert pe[0] == pytest.approx(pe[1], abs=1e-12)
         # the pinched SRM is unitarily covariant: turning back gives the same element
@@ -1069,7 +1071,6 @@ class TestTypeSharing:
     @seeded
     @typed_cases
     def test_trie_average_matches_row_by_row_sum(self, kind, n, seed):
-        from cqcovert.coding import product_state
         ch = _typed_channel(kind, seed)
         cb = _typed_codebook(ch, n, seed)
         states = ch.willie_states
@@ -1078,7 +1079,7 @@ class TestTypeSharing:
                      for row in cb.symbols) / len(cb.symbols)
         trie = willie_average_state(cb, ch, basis).matrix
         assert np.max(np.abs(trie - hermitian_part(by_row))) <= 1e-14
-        dense = sum(product_state(states, row).matrix for row in cb.symbols) / len(cb.symbols)
+        dense = sum(kron(*(states[x].matrix for x in row)) for row in cb.symbols) / len(cb.symbols)
         trie = willie_average_state(cb, ch).matrix
         assert np.max(np.abs(trie - hermitian_part(dense))) <= 1e-14
 
@@ -1138,7 +1139,7 @@ class TestFactoredDecoder:
         for key in range(cb.k_count):
             decoder = build_srm_decoder(cb, ch, a=0.1, key=key, basis=basis)
             elements, sigma = _per_row_decoder(cb, ch, 0.1, key, basis)
-            decoder.validate(tol=1e-8)
+            decoder.validate()
             hits = sum(np.sum(e * np.swapaxes(s, -1, -2), axis=(-3, -2, -1)).real
                        for e, s in zip(elements, sigma))
             # each message's hit, in its type's frame for the states the

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import classical_chi2, classical_kl, random_probs
+from conftest import classical_chi2, classical_kl, kron, random_probs
 import cqcovert.divergences as divergences_mod
 from cqcovert.divergences import (
     NEG_CLIP,
     chi_squared,
     helstrom_error,
     holevo_information,
-    overlap_trace,
     phi_functional,
     phi_functionals,
     pinsker_gap,
@@ -31,7 +30,6 @@ from cqcovert.operators import (
     diagonal_state,
     ginibre_state,
     haar_unitary,
-    kron_power,
     make_density,
     matrix_log,
     matrix_power,
@@ -68,7 +66,8 @@ class TestRelativeEntropy:
         rho = ginibre_state(2, rng)
         sigma = ginibre_state(2, rng)
         d1 = relative_entropy(rho, sigma)
-        d2 = relative_entropy(kron_power(rho, 2), kron_power(sigma, 2))
+        d2 = relative_entropy(DensityOperator(kron(rho.matrix, rho.matrix)),
+                              DensityOperator(kron(sigma.matrix, sigma.matrix)))
         assert d2 == pytest.approx(2 * d1, abs=1e-9)
 
     def test_pinching_is_data_processing(self, rng):
@@ -241,28 +240,6 @@ class TestPsiFunctional:
     def test_support_violation(self):
         with pytest.raises(SupportViolation):
             psi_functional(PURE0, PURE1, 0.5)
-
-
-class TestOverlapTrace:
-    def test_maximally_mixed(self):
-        for d in (2, 3, 4):
-            iota = diagonal_state([1.0 / d] * d)
-            assert overlap_trace(iota, iota) == pytest.approx(1.0, abs=1e-12)
-
-    def test_diagonal_oracle(self):
-        assert overlap_trace(SIGMA, RHO) == pytest.approx(2.0, abs=1e-12)
-
-    def test_pure_state_in_full_rank_reference(self, rng):
-        sigma0 = ginibre_state(3, rng)
-        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        v = v / np.linalg.norm(v)
-        pure = make_density(np.outer(v, v.conj()))
-        expected = float((v.conj() @ np.linalg.inv(sigma0.matrix) @ v).real)
-        assert overlap_trace(sigma0, pure) == pytest.approx(expected, rel=1e-9)
-
-    def test_support_violation(self):
-        with pytest.raises(SupportViolation):
-            overlap_trace(PURE0, PURE1)
 
 
 class TestRuskaiSandwich:

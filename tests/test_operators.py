@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import dense_mixture
 from cqcovert.coding import ProductBasis, product_state
 from cqcovert.errors import (
     DimensionCapExceeded,
@@ -26,14 +27,13 @@ from cqcovert.operators import (
     matrix_pinv,
     matrix_power,
     matrix_to_json,
-    partial_trace,
+    mixture,
     pinching,
     random_hermitian,
     spectral_decomposition,
     spectral_decompositions,
     spectral_projection_nonneg,
     support_projector,
-    tensor,
 )
 
 
@@ -72,6 +72,41 @@ class TestMakeDensity:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 5.0
 
+    def test_psd_check_eigenvalues_are_kept_bit_for_bit(self, rng):
+        # the PSD check's eigvalsh is cached as eigenvalues_only: it must be
+        # what a fresh stacked eigvalsh of the state gives
+        inputs = [np.eye(3) / 3, np.diag([0.5, 0.5, 0.0, 0.0]), np.diag([1.0, 1e-14])]
+        inputs += [ginibre_state(dim, rng, rank=rank).matrix
+                   for dim in range(1, 7) for rank in sorted({1, dim}) for _ in range(5)]
+        for m in inputs:
+            rho = make_density(m)
+            assert "eigenvalues_only" in vars(rho)
+            fresh = np.linalg.eigvalsh(rho.matrix[None])[0][::-1]
+            assert rho.eigenvalues_only.tobytes() == fresh.tobytes()
+            rebuilt = DensityOperator(rho.matrix).eigenvalues_only
+            assert rho.eigenvalues_only.tobytes() == rebuilt.tobytes()
+
+
+class TestMixture:
+    def test_matches_the_term_by_term_sum(self, rng):
+        for dim, k in ((2, 2), (3, 4), (4, 3)):
+            states = [ginibre_state(dim, rng) for _ in range(k)]
+            p = rng.dirichlet(np.ones(k))
+            got = mixture(p, states)
+            assert got.matrix.shape == (dim, dim)
+            assert np.max(np.abs(got.matrix - dense_mixture(p, states).matrix)) <= 1e-15
+            assert np.array_equal(got.matrix, got.matrix.conj().T)
+
+    def test_stacked_weights_equal_one_call_each(self, rng):
+        states = [ginibre_state(3, rng) for _ in range(4)]
+        weights = rng.dirichlet(np.ones(4), size=(2, 5))
+        stacked = mixture(weights, states).matrix
+        assert stacked.shape == (2, 5, 3, 3)
+        for i in range(2):
+            for j in range(5):
+                one = mixture(weights[i, j], states).matrix
+                assert stacked[i, j].tobytes() == one.tobytes()
+
 
 @settings(max_examples=40, deadline=None)
 @given(dim=st.integers(2, 6), seed=st.integers(0, 2 ** 31))
@@ -89,8 +124,8 @@ class TestSpectrum:
             a = random_hermitian(dim, rng)
             spec = spectral_decomposition(a)
             assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
-            assert np.linalg.norm(spec.reconstruct() - a) <= 1e-9
             v = spec.eigenvectors
+            assert np.linalg.norm((v * spec.eigenvalues) @ v.conj().T - a) <= 1e-9
             assert np.linalg.norm(v.conj().T @ v - np.eye(dim)) <= 1e-10
 
     def test_descending_order_with_ties(self, rng):
@@ -109,7 +144,8 @@ class TestSpectrum:
             assert np.array_equal(spec.eigenvalues, w[order])
             assert np.array_equal(spec.eigenvectors, v[:, order])
             assert spec.eigenvectors.flags.f_contiguous
-            assert np.allclose(spec.reconstruct(), a, atol=1e-12)
+            v = spec.eigenvectors
+            assert np.allclose((v * spec.eigenvalues) @ v.conj().T, a, atol=1e-12)
 
 
 
@@ -158,8 +194,8 @@ class TestTensor:
     def test_pure_product(self):
         a = diagonal_state([1.0, 0.0])
         b = diagonal_state([0.0, 1.0])
-        out = tensor(a, b)
-        assert np.allclose(out.matrix, np.diag([0, 1, 0, 0]))
+        out = kron_chain([a.matrix, b.matrix])
+        assert np.allclose(out, np.diag([0, 1, 0, 0]))
 
     def test_kron_power_identity_case(self):
         rho = diagonal_state([0.7, 0.3])
@@ -208,7 +244,7 @@ class TestTensor:
         with pytest.raises(DimensionCapExceeded):
             kron_power(rho, 4)
         with pytest.raises(DimensionCapExceeded):
-            tensor(kron_power(rho, 3), rho)
+            kron_chain([kron_power(rho, 3).matrix, rho.matrix])
         states = (rho, diagonal_state([0.9, 0.1]))
         product_state(states, [0, 1, 1])
         ProductBasis(rho, 3)
@@ -257,33 +293,6 @@ class TestPartition:
         assert parts is Partition.whole(3) and stack.shape == (1, 3, 3)
         assert np.shares_memory(stack, rho.matrix) and not stack.flags.writeable
         assert np.array_equal(stack[0], rho.matrix)
-
-
-class TestPartialTrace:
-    def test_product_state_marginals(self, rng):
-        a = ginibre_state(2, rng)
-        b = ginibre_state(3, rng)
-        joint = tensor(a, b)
-        assert np.linalg.norm(partial_trace(joint, (2, 3), "A").matrix - a.matrix) <= 1e-12
-        assert np.linalg.norm(partial_trace(joint, (2, 3), "B").matrix - b.matrix) <= 1e-10
-
-    def test_bell_state_marginal(self):
-        psi = np.array([1, 0, 0, 1]) / np.sqrt(2)
-        bell = make_density(np.outer(psi, psi.conj()))
-        reduced = partial_trace(bell, (2, 2), "A")
-        assert np.allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
-
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(DimensionMismatch):
-            partial_trace(ginibre_state(6, rng), (2, 2), "A")
-
-    def test_inverts_tensor_on_random_products(self, rng):
-        for _ in range(20):
-            a = ginibre_state(2, rng)
-            b = ginibre_state(2, rng)
-            joint = tensor(a, b)
-            assert np.linalg.norm(partial_trace(joint, (2, 2), "A").matrix - a.matrix) <= 1e-10
-            assert np.linalg.norm(partial_trace(joint, (2, 2), "B").matrix - b.matrix) <= 1e-10
 
 
 class TestSupportProjector:

@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import classical_kl, diluted_ginibre_channel
+from conftest import classical_kl, dense_mixture, diluted_ginibre_channel
 from cqcovert.channel import (
     CqChannelPair,
     Povm,
     ScenarioClass,
-    average_states,
     classify_scenario,
 )
 from cqcovert.divergences import chi_squared, holevo_information, relative_entropy
@@ -274,7 +273,7 @@ def optimizer_case(request):
     def chi2(p_adm):
         p = np.zeros(ch.alphabet_size - 1)
         p[adm] = p_adm
-        return chi_squared(average_states(ch, p)[1], w0)
+        return chi_squared(dense_mixture(p, ch.willie_states[1:]), w0)
 
     e = np.eye(len(adm))
     q = np.array([[2 * chi2((e[i] + e[j]) / 2) - (chi2(e[i]) + chi2(e[j])) / 2
