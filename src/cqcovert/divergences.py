@@ -9,8 +9,9 @@ noise window ``(-1e-9, 0)`` are clipped to zero.
 The functionals of a pair of states also come stacked, over two
 equal-length stacks of dense states of one dimension (a ``DensityOperator``
 holding N states, as ``ginibre_states`` builds them): ``relative_entropies``,
-``trace_distances``, ``pinsker_gaps``, ``phi_functionals`` and
-``psi_functionals`` return one value per pair.  Each one-pair function is
+``chi_squareds``, ``trace_distances``, ``pinsker_gaps``,
+``phi_functionals`` and ``psi_functionals`` return one value per pair, and
+``holevo_informations`` one value per ensemble.  Each one-pair function is
 the one-element call of its stacked form, so there is one code path, and a
 pair's value does not depend on the rest of its stack.  Block-held states
 (``ProductBasis.state`` and Willie's average state) pass through the same
@@ -171,21 +172,31 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     return float(relative_entropies(_OneStack(rho), _OneStack(sigma))[0])
 
 
-def chi_squared(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Chi-squared divergence Tr{(rho - sigma)^2 sigma^{-1}}.
+def chi_squareds(rho, sigma) -> np.ndarray:
+    """Chi-squared divergence Tr{(rho - sigma)^2 sigma^{-1}} of each pair of
+    two equal-length stacks of states.
 
-    ``sigma^{-1}`` is the pseudo-inverse on the support; returns ``math.inf``
-    when supp(rho) is not contained in supp(sigma).  Summed as
+    ``sigma^{-1}`` is the pseudo-inverse on the support; ``math.inf`` where
+    supp(rho) is not contained in supp(sigma).  Summed as
     ``sum_j ||(rho - sigma) v_j||^2 / lambda_j`` over the eigenpairs of
     ``sigma`` above ``RANK_TOL``.
     """
     _check_dims(rho, sigma)
-    if not supports_contained(rho, sigma):
-        return math.inf
     spec = sigma.spectrum
-    on = spec.eigenvalues > RANK_TOL
-    cols = (rho.matrix - sigma.matrix) @ spec.eigenvectors[:, on]
-    return float(_clip(np.sum(np.sum(np.abs(cols) ** 2, axis=0) / spec.eigenvalues[on])))
+    diff = rho.matrix - sigma.matrix
+    out = np.empty(len(spec.eigenvalues))
+    for rows, k in _support_groups(spec.eigenvalues > RANK_TOL):
+        cols = diff[rows] @ spec.eigenvectors[rows, :, :k]
+        out[rows] = np.sum(np.sum(np.abs(cols) ** 2, axis=-2) / spec.eigenvalues[rows, :k],
+                           axis=-1)
+    out = _clip(out)
+    out[_support_leaks(rho, sigma) > SUPPORT_TOL] = math.inf
+    return out
+
+
+def chi_squared(rho: DensityOperator, sigma: DensityOperator) -> float:
+    """chi2(rho||sigma): the one-element call of :func:`chi_squareds`."""
+    return float(chi_squareds(_OneStack(rho), _OneStack(sigma))[0])
 
 
 def _difference_eigenvalues(a, b, ca: float = 1.0, cb: float = 1.0) -> np.ndarray:
@@ -197,8 +208,9 @@ def _difference_eigenvalues(a, b, ca: float = 1.0, cb: float = 1.0) -> np.ndarra
     if pa is not pb:
         whole = Partition.whole(a.dim)
         sa, sb = whole.restrict(sa, pa), whole.restrict(sb, pb)
-    return np.concatenate([np.linalg.eigvalsh(ca * x - cb * y).reshape(x.shape[:-3] + (-1,))
-                           for x, y in zip(sa, sb)], axis=-1)
+    parts = [np.linalg.eigvalsh(ca * x - cb * y).reshape(x.shape[:-3] + (-1,))
+             for x, y in zip(sa, sb)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
 def trace_distances(rho, sigma) -> np.ndarray:
@@ -262,8 +274,26 @@ def validate_distribution(probs) -> np.ndarray:
     return p
 
 
+def holevo_informations(probs: np.ndarray, states, mixtures) -> np.ndarray:
+    """Holevo information H(sum_x p_x s_x) - sum_x p_x H(s_x), in nats, of
+    each ensemble of a stack.
+
+    ``probs`` is (N, X); ``states`` holds X stacks of N states, ``states[x]``
+    the x-th state of every ensemble; ``mixtures`` is the stack of the N
+    mixtures ``mixture(probs, states)``, which a caller that scores them
+    anyway builds and diagonalises once.  The entropies of all of them come
+    from one stacked call.
+    """
+    n = len(probs)
+    h = _entropies(np.concatenate([mixtures.eigenvalues_only,
+                                   *(s.eigenvalues_only for s in states)]))
+    chi = h[:n] - sum(probs[:, x] * h[n * (x + 1):n * (x + 2)] for x in range(len(states)))
+    return np.where((-NEG_CLIP < chi) & (chi <= 0.0), 0.0, chi)
+
+
 def holevo_information(probs, states: list[DensityOperator]) -> float:
-    """Holevo information H(sum p_x s_x) - sum p_x H(s_x) of an ensemble, in nats."""
+    """Holevo information of one ensemble, in nats: the one-element call of
+    :func:`holevo_informations`."""
     p = validate_distribution(probs)
     if len(states) != p.size:
         raise DimensionMismatch(f"{p.size} probabilities for {len(states)} states")
@@ -271,11 +301,8 @@ def holevo_information(probs, states: list[DensityOperator]) -> float:
     for s in states:
         if s.dim != dim:
             raise DimensionMismatch("ensemble states have mixed dimensions")
-    avg = mixture(p, states)
-    # the entropies of the average and of every state in one stacked call
-    h = _entropies(np.stack([s.eigenvalues_only for s in (avg, *states)])).tolist()
-    chi = h[0] - sum(pi * hx for pi, hx in zip(p, h[1:]))
-    return max(0.0, chi) if chi > -NEG_CLIP else chi
+    return float(holevo_informations(p[None], [_OneStack(s) for s in states],
+                                     _OneStack(mixture(p, states)))[0])
 
 
 def _require_contained(inner, outer, label: str) -> None:

@@ -293,8 +293,8 @@ class DensityOperator:
         """The eigenvalues from ``eigvalsh``, without eigenvectors, computed
         once, block by block: one stacked call per group of equal-size blocks
         (each block's descending, the blocks in reverse order)."""
-        return np.concatenate([np.linalg.eigvalsh(s).reshape(s.shape[:-3] + (-1,))
-                               for s in self.blocks[1]], axis=-1)[..., ::-1]
+        parts = [np.linalg.eigvalsh(s).reshape(s.shape[:-3] + (-1,)) for s in self.blocks[1]]
+        return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1))[..., ::-1]
 
     def __getitem__(self, index) -> "DensityOperator":
         out = DensityOperator(self.matrix[index])
@@ -395,9 +395,12 @@ def matrix_function(a: Operand, f: Callable[[np.ndarray], np.ndarray]) -> np.nda
     """
     spec = a if isinstance(a, Spectrum) else spectral_decomposition(a)
     w = spec.eigenvalues
-    fw = np.zeros_like(w)
     on_support = w > RANK_TOL
-    fw[on_support] = f(w[on_support])
+    if on_support.all():
+        fw = f(w)
+    else:
+        fw = np.zeros_like(w)
+        fw[on_support] = f(w[on_support])
     v = spec.eigenvectors
     return hermitian_part((v * fw[..., None, :]) @ dagger(v))
 
@@ -429,13 +432,21 @@ def spectral_projection_nonneg(a: Operand, strict: bool = False) -> np.ndarray:
     are included in the non-strict projector and excluded from the strict
     one.  The complement of the non-strict projector is the
     strictly-negative projector, and vice versa.  Both projections of one
-    matrix can share one eigensolve by passing its ``Spectrum``.
+    matrix can share one eigensolve by passing its ``Spectrum``.  A stack of
+    matrices, or a stack's spectrum, gives the stack of their projectors:
+    the eigenvalues descend, so each projector spans the first k
+    eigenvectors of its matrix, and the matrices that keep k are projected
+    in one product, bit-identical to their one-matrix calls.
     """
     spec = a if isinstance(a, Spectrum) else spectral_decomposition(a)
-    w = spec.eigenvalues
-    mask = w > ZERO_EIGENVALUE_TOL if strict else w >= -ZERO_EIGENVALUE_TOL
-    cols = spec.eigenvectors[:, mask]
-    return cols @ cols.conj().T
+    w, v = spec.eigenvalues, spec.eigenvectors
+    kept = np.sum(w > ZERO_EIGENVALUE_TOL if strict else w >= -ZERO_EIGENVALUE_TOL, axis=-1)
+    out = np.empty(v.shape, dtype=v.dtype)
+    for k in np.unique(kept).tolist():
+        at = kept == k  # for one matrix, a boolean scalar: a one-matrix stack
+        cols = v[at, :, :k]
+        out[at] = cols @ dagger(cols)
+    return out
 
 
 def eigenvalue_clusters(eigenvalues: np.ndarray) -> np.ndarray:
@@ -444,14 +455,16 @@ def eigenvalue_clusters(eigenvalues: np.ndarray) -> np.ndarray:
     Adjacent sorted eigenvalues merge when their gap is at most
     ``CLUSTER_TOL * max(|w_i|, |w_j|)``, so exact ties (exact zeros included)
     always share a cluster.  Returns an integer cluster id per entry of
-    ``eigenvalues`` (in the given order).
+    ``eigenvalues`` (in the given order); for a stack of eigenvalue rows,
+    each row's ids.
     """
     w = np.asarray(eigenvalues, dtype=float)
-    order = np.argsort(w)
-    ws = w[order]
-    gaps = np.diff(ws) > CLUSTER_TOL * np.maximum(np.abs(ws[:-1]), np.abs(ws[1:]))
-    ids = np.empty(len(ws), dtype=int)
-    ids[order] = np.concatenate([[0], np.cumsum(gaps)])
+    order = np.argsort(w, axis=-1)
+    ws = np.take_along_axis(w, order, axis=-1)
+    gaps = np.diff(ws, axis=-1) > CLUSTER_TOL * np.maximum(np.abs(ws[..., :-1]),
+                                                           np.abs(ws[..., 1:]))
+    ids = np.zeros(w.shape, dtype=int)
+    np.put_along_axis(ids, order[..., 1:], np.cumsum(gaps, axis=-1), axis=-1)
     return ids
 
 
@@ -463,18 +476,20 @@ def pinching(a: Operand, b: np.ndarray) -> np.ndarray:
     relative distance are merged into one eigenspace.  The result commutes
     with ``a`` and preserves traces against every operator commuting with
     ``a``.  As in :func:`matrix_function`, ``a`` is a Hermitian matrix or
-    its ``Spectrum`` already computed.
+    its ``Spectrum`` already computed; a stack of them, with a stack ``b``,
+    gives the stack of the pinched matrices, each bit-identical to its
+    one-matrix call.
     """
     b = np.asarray(b, dtype=complex)
-    shape = (a.eigenvalues.size,) * 2 if isinstance(a, Spectrum) else np.shape(a)
+    shape = np.shape(a.eigenvectors if isinstance(a, Spectrum) else a)
     if shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {shape} vs {b.shape}")
     spec = a if isinstance(a, Spectrum) else spectral_decomposition(a)
     ids = eigenvalue_clusters(spec.eigenvalues)
     v = spec.eigenvectors
-    rotated = v.conj().T @ b @ v
-    mask = ids[:, None] == ids[None, :]
-    return v @ (rotated * mask) @ v.conj().T
+    rotated = dagger(v) @ b @ v
+    mask = ids[..., :, None] == ids[..., None, :]
+    return v @ (rotated * mask) @ dagger(v)
 
 
 # --- JSON wire format: {"dim": d, "re": [[...]], "im": [[...]]} ---
@@ -526,11 +541,20 @@ def ginibre_state(dim: int, rng: np.random.Generator, rank: int | None = None) -
     return ginibre_states(rng.standard_normal((1, 2, dim, k)))[0]
 
 
+def haar_unitaries(draws: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries via QR of complex Ginibre matrices, one per
+    draw: ``draws`` has shape (N, 2, dim, dim), as in
+    :func:`random_hermitians`.  One stacked QR; each unitary is
+    bit-identical to the one built from its draw alone."""
+    q, r = np.linalg.qr(draws[:, 0] + 1j * draws[:, 1])
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[:, None, :]
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    """Haar-distributed unitary via QR of a Ginibre matrix: the one-draw
+    call of :func:`haar_unitaries`."""
+    return haar_unitaries(rng.standard_normal((1, 2, dim, dim)))[0]
 
 
 def random_hermitians(draws: np.ndarray) -> np.ndarray:

@@ -28,8 +28,8 @@ from .channel import (
 )
 from .divergences import (
     SUPPORT_TOL,
-    chi_squared,
-    holevo_information,
+    chi_squareds,
+    holevo_informations,
     relative_entropies,
     relative_entropy,
     supports_contained,
@@ -297,20 +297,23 @@ def converse_bounds(channel: CqChannelPair, ptilde, mu: float, n: int,
     if not 0.0 <= delta < 1.0:
         raise InvalidParameter(f"delta must lie in [0, 1), got {delta}")
     p_bar = np.concatenate([[1.0 - mu], mu * p])
-    chi_bob = holevo_information(p_bar, list(channel.bob_states))
-    chi_willie = holevo_information(p_bar, list(channel.willie_states))
     summary = channel.summary
     linear_bob = mu * summary.weighted(p, summary.bob.divergences)
     linear_willie = mu * summary.weighted(p, summary.willie.divergences)
-    d_mix_bob = relative_entropy(mixture(p_bar, channel.bob_states), channel.bob_states[0])
-    d_mix_willie = relative_entropy(mixture(p_bar, channel.willie_states),
-                                    channel.willie_states[0])
+    # each side's mixture is built and diagonalised once, for its divergence
+    # from the innocent state and for the Holevo information
+    chi, d_mix = [], []
+    for states in (channel.bob_states, channel.willie_states):
+        mixed = mixture(p_bar, states)
+        d_mix.append(relative_entropy(mixed, states[0]))
+        chi.append(float(holevo_informations(p_bar[None], [s[None] for s in states],
+                                             mixed[None])[0]))
     return ConverseBounds(
-        log_m_upper=(n * chi_bob + 1.0) / (1.0 - delta),
-        log_mk_lower=n * chi_willie - epsilon,
-        chi_bob=chi_bob, chi_willie=chi_willie,
+        log_m_upper=(n * chi[0] + 1.0) / (1.0 - delta),
+        log_mk_lower=n * chi[1] - epsilon,
+        chi_bob=chi[0], chi_willie=chi[1],
         linear_bob=linear_bob, linear_willie=linear_willie,
-        d_mix_bob=d_mix_bob, d_mix_willie=d_mix_willie)
+        d_mix_bob=d_mix[0], d_mix_willie=d_mix[1])
 
 
 @dataclass(frozen=True)
@@ -325,11 +328,46 @@ class ExpansionCheck:
     radius: float
 
 
-def expansion_radius(b: DensityOperator, c: DensityOperator) -> float:
-    """Validity radius min(1, 1/||B^+ (C - B)||) in spectral norm."""
+def expansion_radii(b, c) -> np.ndarray:
+    """Validity radius min(1, 1/||B^+ (C - B)||) in spectral norm of each
+    pair of two equal-length stacks of states."""
     x = matrix_pinv(b.spectrum) @ (c.matrix - b.matrix)
-    norm = float(np.linalg.norm(x, 2))
-    return 1.0 if norm == 0.0 else min(1.0, 1.0 / norm)
+    norms = np.linalg.norm(x, 2, axis=(-2, -1))
+    inverse = 1.0 / np.where(norms == 0.0, 1.0, norms)  # radius 1 at a zero norm
+    return np.where(inverse < 1.0, inverse, 1.0)
+
+
+def expansion_radius(b: DensityOperator, c: DensityOperator) -> float:
+    """Validity radius of one pair: the one-element call of :func:`expansion_radii`."""
+    return float(expansion_radii(b[None], c[None])[0])
+
+
+def expansion_checks(b, c, alphas: np.ndarray, radii) -> list[ExpansionCheck]:
+    """The expansion checks of each pair of two equal-length stacks of
+    states, already checked: supp(C) inside supp(B) and the sorted mixing
+    weights ``alphas`` inside each pair's validity radius (``radii``, from
+    :func:`expansion_radii`).  One stacked call per functional; the slope
+    is fitted pair by pair."""
+    chi2 = chi_squareds(c, b)
+    # every pair's mixtures, alpha by alpha (rows pair-major), against B
+    pairs = np.repeat(np.arange(len(chi2)), alphas.size)
+    weights = np.tile(np.stack([alphas, 1.0 - alphas], axis=-1), (len(chi2), 1))
+    divergences = relative_entropies(mixture(weights, [c[pairs], b[pairs]]),
+                                     b[pairs]).reshape(len(chi2), alphas.size)
+    squares = np.array([alpha ** 2 for alpha in alphas])
+    predictions = squares * chi2[:, None] / 2.0
+    residuals = np.abs(divergences - predictions)
+    checks = []
+    for k, radius in enumerate(np.asarray(radii).tolist()):
+        live = (alphas > 0) & (residuals[k] > 0)
+        slope = None
+        if np.count_nonzero(live) >= 2:
+            coeffs = np.polyfit(np.log(alphas[live]), np.log(residuals[k][live]), 1)
+            slope = float(coeffs[0])
+        checks.append(ExpansionCheck(alphas=alphas, divergences=divergences[k],
+                                     predictions=predictions[k], residuals=residuals[k],
+                                     slope=slope, radius=radius))
+    return checks
 
 
 def expansion_check(b: DensityOperator, c: DensityOperator,
@@ -337,7 +375,8 @@ def expansion_check(b: DensityOperator, c: DensityOperator,
     """Check D(alpha C + (1-alpha) B || B) against alpha^2 chi2(C||B) / 2.
 
     Residuals shrink as the cube of the mixing weight inside the validity
-    radius; the fitted log-log slope makes that testable.
+    radius; the fitted log-log slope makes that testable.  Validates one
+    pair, then makes the one-element call of :func:`expansion_checks`.
 
     Raises
     ------
@@ -351,19 +390,8 @@ def expansion_check(b: DensityOperator, c: DensityOperator,
     alphas = np.asarray(sorted(alpha_grid), dtype=float)
     if alphas.size and (alphas.min() < 0 or alphas.max() > 1):
         raise AlphaOutOfRadius("mixing weights must lie in [0, 1]")
-    radius = expansion_radius(b, c)
-    if alphas.size and alphas.max() > radius:
-        raise AlphaOutOfRadius(f"alpha {alphas.max()} exceeds radius {radius:.6g}")
-    chi2 = chi_squared(c, b)
-    mixed = mixture(np.stack([alphas, 1.0 - alphas], axis=-1), [c, b])
-    divergences = relative_entropies(mixed, b[None])
-    predictions = np.array([alpha ** 2 * chi2 / 2.0 for alpha in alphas])
-    residuals = np.abs(divergences - predictions)
-    live = (alphas > 0) & (residuals > 0)
-    slope = None
-    if np.count_nonzero(live) >= 2:
-        coeffs = np.polyfit(np.log(alphas[live]), np.log(residuals[live]), 1)
-        slope = float(coeffs[0])
-    return ExpansionCheck(alphas=alphas, divergences=divergences,
-                          predictions=predictions, residuals=residuals,
-                          slope=slope, radius=radius)
+    b, c = b[None], c[None]
+    radii = expansion_radii(b, c)
+    if alphas.size and alphas.max() > radii[0]:
+        raise AlphaOutOfRadius(f"alpha {alphas.max()} exceeds radius {radii[0]:.6g}")
+    return expansion_checks(b, c, alphas, radii)[0]

@@ -8,16 +8,17 @@ command.
 A suite runs its trials in chunks of ``CHUNK``, each in three phases: draw
 every random number of the chunk's trials in trial order (so the random
 stream is the one a trial-by-trial loop draws), build and diagonalise the
-chunk's states as one stack per shape (``ginibre_states``), then check them
-with the package's own functionals.  The pinsker, trace-bounds and
-derivatives suites check each dimension's trials of a chunk with one call
-of each stacked functional (``pinsker_gaps``, ``relative_entropies``,
-``phi_functionals``, ...) and record the margins trial by trial, in trial
-order; the other suites check trial by trial.  Every margin is
-bit-identical to building and checking the states one at a time, and
-memory does not grow with the number of trials.  The expansion suite runs
-trial by trial: it rejects candidates, so a chunk cannot know ahead how
-many draws it needs.
+chunk's states as one stack per shape (``ginibre_states``,
+``random_hermitians``, ``haar_unitaries``), then check each group of trials
+of one shape with one call of each of the package's stacked functionals
+(``pinsker_gaps``, ``relative_entropies``, ``phi_functionals``,
+``spectral_projection_nonneg``, ``pinching``, ``holevo_informations``,
+``expansion_checks``, ...) and record the margins trial by trial, in trial
+order.  Every margin is bit-identical to building and checking the states
+one at a time, and memory does not grow with the number of trials.  The
+expansion suite rejects candidates, so its chunks are counted in kept
+candidates: a chunk draws one candidate at a time until it holds as many
+as the suite still needs.
 """
 
 from __future__ import annotations
@@ -29,19 +30,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divergences import (
-    holevo_information,
+    holevo_informations,
     phi_functionals,
     pinsker_gaps,
     psi_functionals,
     relative_entropies,
-    relative_entropy,
 )
 from .errors import InvalidParameter
 from .operators import (
     DensityOperator,
     dagger,
     ginibre_states,
-    haar_unitary,
+    haar_unitaries,
     hermitian_part,
     matrix_power,
     mixture,
@@ -50,12 +50,13 @@ from .operators import (
     spectral_decompositions,
     spectral_projection_nonneg,
 )
-from .scaling import expansion_check, expansion_radius
+from .scaling import expansion_checks, expansion_radii
 
 # Trials drawn, built and diagonalised together: enough to amortise the
-# per-call cost of the stacked numpy calls, few enough that a chunk's
-# stacks stay small next to the process.
-CHUNK = 16
+# per-call cost of the stacked numpy calls (larger chunks gain under 10%),
+# few enough that a chunk's stacks (at most about 2 MB) leave the process's
+# peak memory as it is.
+CHUNK = 128
 MAX_FAILURES = 10  # failing cases a suite lists
 
 
@@ -103,44 +104,21 @@ def _chunks(trials: int):
         yield range(start, min(start + CHUNK, trials))
 
 
-def _ginibre_draws(rng: np.random.Generator, dims) -> list[np.ndarray]:
-    """The draws of one ``ginibre_state(dim, rng)`` call per entry of
-    ``dims``, in that order, taken by one call to the generator."""
-    sizes = [2 * dim * dim for dim in dims]
-    flat = rng.standard_normal(sum(sizes))
-    return [flat[end - size:end] for end, size in zip(itertools.accumulate(sizes), sizes)]
-
-
-def _ginibre_build(draws: list[np.ndarray]) -> list[DensityOperator]:
-    """The states of ``draws`` in order, built and diagonalised as one stack
-    per dimension."""
-    where: dict[int, list[int]] = {}
-    for pos, x in enumerate(draws):
-        where.setdefault(x.size, []).append(pos)
-    states = [None] * len(draws)
-    for size, positions in where.items():
-        dim = math.isqrt(size // 2)
-        stack = ginibre_states(np.stack([draws[pos] for pos in positions]).reshape(-1, 2, dim, dim))
-        # diagonalise the whole stack now: each state reads its share
-        vars(stack).update(spectrum=stack.spectrum, eigenvalues_only=stack.eigenvalues_only)
-        for k, pos in enumerate(positions):
-            states[pos] = stack[k]
-    return states
-
-
 def _check_pairs(col: _Collector, rng: np.random.Generator, chunk: range, dims: list[int],
                  check) -> None:
     """Draw two Ginibre states of dimension ``dims[k]`` for the chunk's k-th
-    trial, in trial order; check each dimension's trials in one call,
-    ``check(first, second)`` on their two states as two stacks, which
-    returns ``(margins, context)`` pairs with one margin per trial; then
-    record each trial's margins in trial order."""
-    draws = _ginibre_draws(rng, [d for d in dims for _ in range(2)])
+    trial, in trial order, with one call to the generator; check each
+    dimension's trials in one call, ``check(first, second)`` on their two
+    states as two stacks, which returns ``(margins, context)`` pairs with
+    one margin per trial; then record each trial's margins in trial order."""
+    sizes = [4 * dim * dim for dim in dims]  # per trial: two (2, dim, dim) draws
+    flat = rng.standard_normal(sum(sizes))
+    starts = np.cumsum([0, *sizes[:-1]])
     checks = {}
     for dim in sorted(set(dims)):
         at = [k for k, d in enumerate(dims) if d == dim]
-        first, second = (ginibre_states(np.stack([draws[2 * k + j] for k in at])
-                                        .reshape(-1, 2, dim, dim)) for j in (0, 1))
+        pairs = flat[starts[at, None] + np.arange(4 * dim * dim)].reshape(-1, 2, 2, dim, dim)
+        first, second = ginibre_states(pairs[:, 0]), ginibre_states(pairs[:, 1])
         found = [(np.asarray(margins).tolist(), context)
                  for margins, context in check(first, second)]
         for n, k in enumerate(at):
@@ -197,18 +175,16 @@ def sign_projection_suite(trials: int = 200, seed: int = 0) -> SuiteResult:
     for dim in range(2, 6):
         for chunk in _chunks(trials):
             draws = rng.standard_normal((len(chunk), 2, 2, dim, dim))  # per trial: A, then B
-            a_stack = random_hermitians(draws[:, 0])
-            spectra = spectral_decompositions(a_stack)  # one eigensolve for both projections
-            b_states = ginibre_states(draws[:, 1]).matrix
-            for i, a, spec, b_state in zip(chunk, a_stack, spectra, b_states):
-                b = b_state + 1e-3 * np.eye(dim)  # ensure strictly PD
-                pos = spectral_projection_nonneg(spec, strict=True)
-                nonneg = spectral_projection_nonneg(spec, strict=False)
-                neg = np.eye(dim) - nonneg
-                t_neg = float(np.trace(b @ a @ neg).real)
-                t_pos = float(np.trace(b @ a @ pos).real)
-                col.record(1e-10 - t_neg, kind="negative", dim=dim, index=i)
-                col.record(t_pos + 1e-10, kind="positive", dim=dim, index=i)
+            a = random_hermitians(draws[:, 0])
+            spectra = spectral_decompositions(a)  # one eigensolve for both projections
+            b = ginibre_states(draws[:, 1]).matrix + 1e-3 * np.eye(dim)  # ensure strictly PD
+            pos = spectral_projection_nonneg(spectra, strict=True)
+            neg = np.eye(dim) - spectral_projection_nonneg(spectra, strict=False)
+            t_neg = np.trace(b @ a @ neg, axis1=1, axis2=2).real
+            t_pos = np.trace(b @ a @ pos, axis1=1, axis2=2).real
+            for i, below, above in zip(chunk, (1e-10 - t_neg).tolist(), (t_pos + 1e-10).tolist()):
+                col.record(below, kind="negative", dim=dim, index=i)
+                col.record(above, kind="positive", dim=dim, index=i)
     return col.result()
 
 
@@ -227,25 +203,27 @@ def pinching_suite(trials: int = 200, seed: int = 0) -> SuiteResult:
                 draws.append(rng.standard_normal((2, 2, dim, dim)))
                 coeffs.append(rng.uniform(-1, 1, size=4))
             draws = np.stack(draws)
-            a_stack = random_hermitians(draws[:, 0]) / (2 * math.sqrt(dim))
-            b_stack = random_hermitians(draws[:, 1]) / (2 * math.sqrt(dim))
+            a = random_hermitians(draws[:, 0]) / (2 * math.sqrt(dim))
+            b = random_hermitians(draws[:, 1]) / (2 * math.sqrt(dim))
             if dim > 2:
                 # force a degenerate eigenspace to exercise cluster merging
                 forced = [k for k, i in enumerate(chunk) if i % 3 == 0]
-                w, v = np.linalg.eigh(a_stack[forced])
+                w, v = np.linalg.eigh(a[forced])
                 w[:, 0] = w[:, 1]
-                a_stack[forced] = hermitian_part((v * w[:, None, :]) @ dagger(v))
-            spectra = spectral_decompositions(a_stack)
-            for i, a, spec, b, c in zip(chunk, a_stack, spectra, b_stack, coeffs):
-                pinched = pinching(spec, b)
-                comm = np.linalg.norm(pinched @ a - a @ pinched)
+                a[forced] = hermitian_part((v * w[:, None, :]) @ dagger(v))
+            pinched = pinching(spectral_decompositions(a), b)
+            # the Frobenius norm one matrix at a time: np.linalg.norm of one
+            # matrix sums with a dot product, which rounds unlike a stacked sum
+            comms = [float(np.linalg.norm(x)) for x in pinched @ a - a @ pinched]
+            c = np.array(coeffs)[:, :, None, None]
+            poly = (c[:, 0] * np.eye(dim) + c[:, 1] * a
+                    + c[:, 2] * a @ a + c[:, 3] * a @ a @ a)
+            t_orig = np.trace(b @ poly, axis1=1, axis2=2).real
+            t_pinched = np.trace(pinched @ poly, axis1=1, axis2=2).real
+            gaps = np.abs(t_orig - t_pinched).tolist()
+            for i, comm, gap in zip(chunk, comms, gaps):
                 col.record(1e-9 - comm, kind="commutation", dim=dim, index=i)
-                poly = (c[0] * np.eye(dim) + c[1] * a
-                        + c[2] * a @ a + c[3] * a @ a @ a)
-                t_orig = float(np.trace(b @ poly).real)
-                t_pinched = float(np.trace(pinched @ poly).real)
-                col.record(1e-9 - abs(t_orig - t_pinched),
-                           kind="trace", dim=dim, index=i)
+                col.record(1e-9 - gap, kind="trace", dim=dim, index=i)
     return col.result()
 
 
@@ -277,19 +255,33 @@ def derivative_suite(trials: int = 100, seed: int = 0) -> SuiteResult:
     return col.result()
 
 
-def commuting_pair(dim: int, rng: np.random.Generator
-                   ) -> tuple[DensityOperator, DensityOperator, np.ndarray, np.ndarray]:
-    """Random full-rank pair sharing a Haar eigenbasis; returns states and spectra."""
-    u = haar_unitary(dim, rng)
+def _commuting_draws(dim: int, rng: np.random.Generator):
+    """One commuting pair's draws in stream order: the Ginibre block of the
+    Haar unitary, then the spectra of the two states."""
+    g = rng.standard_normal((2, dim, dim))
 
     def spectrum() -> np.ndarray:
         w = rng.dirichlet(np.ones(dim)) + 0.1  # the floor keeps both states full rank
         return w / w.sum()
 
-    wb, wc = spectrum(), spectrum()
-    b = DensityOperator(hermitian_part((u * wb) @ u.conj().T))
-    c = DensityOperator(hermitian_part((u * wc) @ u.conj().T))
-    return b, c, wb, wc
+    return g, spectrum(), spectrum()
+
+
+def _commuting_pairs(draws: np.ndarray, wb: np.ndarray, wc: np.ndarray
+                     ) -> tuple[DensityOperator, DensityOperator]:
+    """The two stacks of states of pairs sharing a Haar eigenbasis, one pair
+    per row of ``draws``, ``wb`` and ``wc``."""
+    u = haar_unitaries(draws)
+    return tuple(DensityOperator(hermitian_part((u * w[:, None, :]) @ dagger(u)))
+                 for w in (wb, wc))
+
+
+def commuting_pair(dim: int, rng: np.random.Generator
+                   ) -> tuple[DensityOperator, DensityOperator, np.ndarray, np.ndarray]:
+    """Random full-rank pair sharing a Haar eigenbasis; returns states and spectra."""
+    g, wb, wc = _commuting_draws(dim, rng)
+    b, c = _commuting_pairs(g[None], wb[None], wc[None])
+    return b[0], c[0], wb, wc
 
 
 def expansion_suite(trials: int = 50, seed: int = 0) -> SuiteResult:
@@ -301,7 +293,13 @@ def expansion_suite(trials: int = 50, seed: int = 0) -> SuiteResult:
     the chi-squared prediction is only an upper bound and the residual is
     quadratic; that regime is out of scope for this suite.)  Draws whose
     cubic Taylor coefficient nearly vanishes are skipped: their residual is
-    even smaller than cubic, which a slope fit cannot certify.
+    even smaller than cubic, which a slope fit cannot certify.  So are draws
+    outside the validity radius of the expansion.
+
+    Whether a draw is kept depends on its own draws only.  A chunk draws
+    pairs one at a time until it holds as many with a usable cubic term as
+    the suite still needs, no more: the stream is the one a trial-by-trial
+    loop draws.  It then checks them in one call per functional.
     """
     rng = _rng(seed, 6)
     col = _Collector("expansion")
@@ -309,19 +307,24 @@ def expansion_suite(trials: int = 50, seed: int = 0) -> SuiteResult:
     for dim in (2, 3, 4):
         done = 0
         while done < trials:
-            b, c, wb, wc = commuting_pair(dim, rng)
-            if expansion_radius(b, c) <= grid.max():
-                continue  # outside the validity radius of the expansion
-            chi2 = float(np.sum((wc - wb) ** 2 / wb))
-            cubic = float(np.sum((wc - wb) ** 3 / wb ** 2))
-            if abs(cubic) < 0.05 * chi2:
-                continue  # degenerate cubic term: slope fit not meaningful
-            check = expansion_check(b, c, grid)
-            if check.slope is None:
+            draws = []
+            while len(draws) < min(CHUNK, trials - done):
+                g, wb, wc = _commuting_draws(dim, rng)
+                chi2 = float(np.sum((wc - wb) ** 2 / wb))
+                cubic = float(np.sum((wc - wb) ** 3 / wb ** 2))
+                if not abs(cubic) < 0.05 * chi2:
+                    draws.append((g, wb, wc))
+            b, c = _commuting_pairs(*map(np.stack, zip(*draws)))
+            radii = expansion_radii(b, c)
+            inside = np.flatnonzero(radii > grid.max())
+            if not inside.size:
                 continue
-            done += 1
-            margin = min(check.slope - 2.7, 3.3 - check.slope)
-            col.record(margin, dim=dim, index=done, slope=check.slope)
+            for check in expansion_checks(b[inside], c[inside], grid, radii[inside]):
+                if check.slope is None:
+                    continue
+                done += 1
+                margin = min(check.slope - 2.7, 3.3 - check.slope)
+                col.record(margin, dim=dim, index=done, slope=check.slope)
     return col.result()
 
 
@@ -330,36 +333,52 @@ def holevo_identity_suite(trials: int = 100, seed: int = 0) -> SuiteResult:
 
     chi(p_bar, states) = mu sum ptilde(x) D(state_x || state_0)
                          - D(mixture || state_0).
+
+    A chunk's trials are scored in groups of one dimension and one ensemble
+    size, one stacked call per functional, and recorded in trial order.
     """
     rng = _rng(seed, 7)
     col = _Collector("holevo")
+    mus = (0.01, 0.1)
+    mu = np.array(mus)[None, :, None]
     for chunk in _chunks(trials):
-        draws, ptildes = [], []
+        groups: dict[tuple[int, int], list] = {}
         for i in chunk:  # per trial: Bob's n_symbols + 1 states, Willie's, then ptilde
-            n_symbols = 2 + (i % 3)
-            draws += _ginibre_draws(rng, [2 + (i % 2)] * (2 * n_symbols + 2))
-            ptildes.append(rng.dirichlet(np.ones(n_symbols)))
-        built = iter(_ginibre_build(draws))
-        for i, ptilde in zip(chunk, ptildes):
-            n_symbols = ptilde.size
-            bob = tuple(next(built) for _ in range(n_symbols + 1))
-            willie = tuple(next(built) for _ in range(n_symbols + 1))
-            mus = (0.01, 0.1)
-            p_bars = [np.concatenate([[1.0 - mu], mu * ptilde]) for mu in mus]
-            sides = []
-            for side, states in (("bob", bob), ("willie", willie)):
-                # the symbols' divergences do not depend on mu; the mixtures
-                # of both mu values are scored in one stacked call
-                divergences = [relative_entropy(s, states[0]) for s in states[1:]]
-                d_mixes = relative_entropies(mixture(np.stack(p_bars), states),
-                                             states[0][None]).tolist()
-                sides.append((side, states, divergences, d_mixes))
-            for j, (mu, p_bar) in enumerate(zip(mus, p_bars)):
-                for side, states, divergences, d_mixes in sides:
-                    chi = holevo_information(p_bar, list(states))
-                    linear = mu * sum(w * d for w, d in zip(ptilde, divergences))
-                    margin = 1e-8 - abs(chi - (linear - d_mixes[j]))
-                    col.record(margin, side=side, mu=mu, index=i)
+            dim, n_symbols = 2 + i % 2, 2 + i % 3
+            draws = rng.standard_normal((2 * n_symbols + 2, 2, dim, dim))
+            groups.setdefault((dim, n_symbols), []).append(
+                (i, draws, rng.dirichlet(np.ones(n_symbols))))
+        margins = {}
+        for (dim, n_symbols), group in sorted(groups.items()):
+            index, draws, ptilde = zip(*group)
+            ptilde, size = np.array(ptilde), n_symbols + 1
+            # states in rows (trial, side, symbol), each solved once: the
+            # stacks indexed from them below copy what is cached
+            states = ginibre_states(np.concatenate(draws))
+            vars(states).update(eigenvalues_only=states.eigenvalues_only)
+            sides = np.arange(2 * len(index))  # rows (trial, side)
+            innocent = states[sides * size]
+            vars(innocent).update(spectrum=innocent.spectrum)
+            # the symbols' divergences do not depend on mu
+            divergences = relative_entropies(
+                states[(sides[:, None] * size + np.arange(1, size)).ravel()],
+                innocent[np.repeat(sides, n_symbols)]).reshape(-1, 2, n_symbols)
+            linear = mu * sum(ptilde[:, None, x] * divergences[..., x]
+                              for x in range(n_symbols))[:, None, :]
+            # ensembles in rows (trial, mu, side)
+            ensemble = np.repeat(sides.reshape(-1, 1, 2), 2, axis=1).ravel()
+            p_bar = np.concatenate([np.broadcast_to(1.0 - mu, (len(index), 2, 1)),
+                                    mu * ptilde[:, None, :]], axis=-1)
+            probs = np.repeat(p_bar, 2, axis=1).reshape(-1, size)
+            members = [states[ensemble * size + x] for x in range(size)]
+            mixed = mixture(probs, members)
+            d_mix = relative_entropies(mixed, innocent[ensemble])
+            chi = holevo_informations(probs, members, mixed)
+            found = 1e-8 - np.abs(chi - (linear.ravel() - d_mix))
+            margins.update(zip(index, found.reshape(-1, 4).tolist()))
+        for i in chunk:
+            for margin, (mu_, side) in zip(margins[i], itertools.product(mus, ("bob", "willie"))):
+                col.record(margin, side=side, mu=mu_, index=i)
     return col.result()
 
 

@@ -1,6 +1,12 @@
 """The package carries only what runs: every public module-level function or
-class of ``src/cqcovert`` is used by other package code, documented as API in
-the README, or timed by the benchmark's tracer (whose spans must resolve)."""
+class of ``src/cqcovert``, and every public method or property of a public
+class, is used by other package code, documented as API in the README, or
+timed by the benchmark's tracer (whose spans must resolve).
+
+A member counts as used when package code reads an attribute of its name:
+without types, a read of ``x.to_json`` cannot tell which class's
+``to_json`` it calls, so members that share a name with another member or
+attribute are checked together."""
 
 import ast
 import importlib
@@ -36,16 +42,28 @@ def test_every_public_definition_is_used_documented_or_traced():
     for path in MODULES:
         for node in ast.parse(path.read_text()).body:
             own = getattr(node, "name", None)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
+            public = isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_")
+            if public:
                 definitions.append((path.stem, own))
-            # a definition's reads of its own name (recursion) do not count
-            used |= _names_in(node) - {own}
+            if not isinstance(node, ast.ClassDef):
+                # a definition's reads of its own name (recursion) do not count
+                used |= _names_in(node) - {own}
+                continue
+            used |= set().union(*map(_names_in, node.bases + node.decorator_list))
+            for member in node.body:
+                name = getattr(member, "name", None)
+                if public and isinstance(member, ast.FunctionDef) and not name.startswith("_"):
+                    definitions.append((path.stem, f"{own}.{name}"))
+                used |= _names_in(member) - {own, name}
     readme = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
     backticked = " ".join(re.findall(r"`([^`]+)`", readme))
     documented = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", backticked))
-    traced = {tuple(span.split(".")[:2]) for span in _spans()}
+    traced = set()
+    for span in _spans():  # a method's span also covers its class
+        module, first, *rest = span.split(".")
+        traced |= {(module, first), (module, ".".join([first, *rest]))}
     unused = [f"{module}.{name}" for module, name in definitions
-              if name not in used and name not in documented and (module, name) not in traced]
+              if name.split(".")[-1] not in used | documented and (module, name) not in traced]
     assert unused == [], ("public definitions that no package code uses, the README does "
                           f"not name and the tracer does not time: {unused}")
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -13,7 +15,8 @@ from cqcovert.operators import (
     random_hermitian,
     spectral_decomposition,
 )
-from cqcovert.verify import SUITES, SuiteResult, run_suites
+from cqcovert.scaling import expansion_check, expansion_radius
+from cqcovert.verify import SUITES, SuiteResult, commuting_pair, run_suites
 
 
 def test_all_suites_pass_at_reduced_trials():
@@ -46,8 +49,8 @@ def test_unknown_suite_rejected():
 def test_sign_flip_mutation_is_caught(monkeypatch):
     # a sign flip in the chi-squared divergence must break the expansion suite
     import cqcovert.scaling as scaling_mod
-    true_chi2 = scaling_mod.chi_squared
-    monkeypatch.setattr(scaling_mod, "chi_squared",
+    true_chi2 = scaling_mod.chi_squareds
+    monkeypatch.setattr(scaling_mod, "chi_squareds",
                         lambda rho, sigma: -true_chi2(rho, sigma))
     result = verify_mod.expansion_suite(trials=5, seed=0)
     assert not result.passed
@@ -126,11 +129,40 @@ def _margins(monkeypatch, trials):
 
 @pytest.mark.parametrize("chunk", [1, 5])
 def test_margins_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
-    # 70 trials: a partial last chunk at the default size and at size 5
-    default = _margins(monkeypatch, 70)
-    monkeypatch.setattr(verify_mod, "CHUNK", chunk)
-    assert _margins(monkeypatch, 70) == default
-    assert len(default) > 0
+    # 70 trials: a partial last chunk at the default size and at size 5;
+    # CHUNK + 30 trials cross a chunk boundary at the default size too
+    for trials in (70, verify_mod.CHUNK + 30):
+        default = _margins(monkeypatch, trials)
+        with monkeypatch.context() as patch:
+            patch.setattr(verify_mod, "CHUNK", chunk)
+            assert _margins(monkeypatch, trials) == default
+        assert len(default) > 0
+
+
+def _fingerprints(monkeypatch, seed):
+    """Per suite, the SHA-256 of every margin (all 64 bits) with its
+    context, in the order the suite records them, at 50 trials."""
+    digests = {}
+    record = verify_mod._Collector.record
+
+    def recording(self, margin, **context):
+        digests.setdefault(self.name, hashlib.sha256()).update(
+            repr((np.float64(margin).tobytes(), sorted(context.items()))).encode())
+        record(self, margin, **context)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify_mod._Collector, "record", recording)
+        run_suites(trials=50, seed=seed)
+    return {name: digest.hexdigest() for name, digest in digests.items()}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_margins_match_the_recorded_fingerprints(monkeypatch, seed):
+    # the text goldens print margins to four digits; these fingerprints
+    # catch a change in the last bit of any margin or in its context
+    root = Path(__file__).resolve().parents[1]
+    recorded = json.loads((root / "tests" / "data" / "verify_margins_trials50.json").read_text())
+    assert _fingerprints(monkeypatch, seed) == recorded[str(seed)]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -194,6 +226,34 @@ def _pinching_reference(rng, trials):
             yield spectral_decomposition(a).eigenvalues, b
 
 
+def _one_call_per_projection(rng, trials):
+    # the sign suite projects each chunk's matrices in two stacked calls,
+    # strictly positive first, then non-negative
+    items = list(_sign_projections_reference(rng, trials))
+    out = []
+    for start in range(0, len(items), 2 * trials):  # one dimension's trials
+        block = items[start:start + 2 * trials]
+        for first in range(0, 2 * trials, 2 * verify_mod.CHUNK):
+            chunk = block[first:first + 2 * verify_mod.CHUNK]
+            out += chunk[0::2] + chunk[1::2]
+    return out
+
+
+def _expansion_reference(rng, trials):
+    grid = np.logspace(-3, -1, 9)
+    for dim in (2, 3, 4):
+        done = 0
+        while done < trials:
+            b, c, wb, wc = commuting_pair(dim, rng)
+            if expansion_radius(b, c) <= grid.max():
+                continue
+            chi2 = float(np.sum((wc - wb) ** 2 / wb))
+            if abs(float(np.sum((wc - wb) ** 3 / wb ** 2))) < 0.05 * chi2:
+                continue
+            yield b.matrix, c.matrix
+            done += expansion_check(b, c, grid).slope is not None
+
+
 def _holevo_reference(rng, trials):
     for i in range(trials):
         dim, n_symbols = 2 + i % 2, 2 + i % 3
@@ -206,6 +266,16 @@ def _holevo_reference(rng, trials):
             yield (p_bar, *willie)
 
 
+def _by_ensemble_shape(rng, trials):
+    # the holevo suite scores each chunk's trials grouped by dimension, then
+    # ensemble size, in trial order within a group: four ensembles a trial
+    items = list(_holevo_reference(rng, trials))
+    size = 4 * verify_mod.CHUNK
+    return [item for start in range(0, len(items), size)
+            for item in sorted(items[start:start + size],
+                               key=lambda item: (item[1].shape[0], len(item)))]
+
+
 def _rows(first, second):
     """A stacked functional's two stacks, unrolled into their pairs."""
     return list(zip(first.matrix, second.matrix))
@@ -214,12 +284,14 @@ def _rows(first, second):
 STREAMS = [  # suite, seed tag, functional called in its check, the inputs it is given
     ("pinsker", 1, "pinsker_gaps", _pinsker_reference, _rows),
     ("trace-bounds", 2, "relative_entropies", _trace_bounds_reference, _rows),
-    ("sign-projections", 3, "spectral_projection_nonneg", _sign_projections_reference,
-     lambda spec, strict: [(spec.eigenvalues, spec.eigenvectors)]),
-    ("pinching", 4, "pinching", _pinching_reference, lambda spec, b: [(spec.eigenvalues, b)]),
+    ("sign-projections", 3, "spectral_projection_nonneg", _one_call_per_projection,
+     lambda spec, strict: zip(spec.eigenvalues, spec.eigenvectors)),
+    ("pinching", 4, "pinching", _pinching_reference, lambda spec, b: zip(spec.eigenvalues, b)),
     ("derivatives", 5, "relative_entropies", _derivatives_reference, _rows),
-    ("holevo", 7, "holevo_information", _holevo_reference,
-     lambda p_bar, states: [(p_bar, *(s.matrix for s in states))]),
+    ("expansion", 6, "expansion_checks", _expansion_reference,
+     lambda b, c, alphas, radii: _rows(b, c)),
+    ("holevo", 7, "holevo_informations", _by_ensemble_shape,
+     lambda probs, states, mixed: zip(probs, *(s.matrix for s in states))),
 ]
 
 
@@ -227,7 +299,8 @@ STREAMS = [  # suite, seed tag, functional called in its check, the inputs it is
                          ids=[s[0] for s in STREAMS])
 def test_chunks_hand_the_functionals_the_trial_by_trial_draws(
         monkeypatch, suite, tag, functional, reference, inputs):
-    # 70 trials cross a chunk boundary
+    # CHUNK + 30 trials cross a chunk boundary
+    trials = verify_mod.CHUNK + 30
     seen = []
     real = getattr(verify_mod, functional)
 
@@ -237,7 +310,7 @@ def test_chunks_hand_the_functionals_the_trial_by_trial_draws(
         return real(*args, **kwargs)
 
     monkeypatch.setattr(verify_mod, functional, spying)
-    verify_mod.SUITES[suite](trials=70, seed=2)
+    verify_mod.SUITES[suite](trials=trials, seed=2)
     expected = [tuple(np.asarray(x).tobytes() for x in item)
-                for item in reference(verify_mod._rng(2, tag), 70)]
+                for item in reference(verify_mod._rng(2, tag), trials)]
     assert seen == expected
