@@ -208,9 +208,8 @@ def _difference_eigenvalues(a, b, ca: float = 1.0, cb: float = 1.0) -> np.ndarra
     if pa is not pb:
         whole = Partition.whole(a.dim)
         sa, sb = whole.restrict(sa, pa), whole.restrict(sb, pb)
-    parts = [np.linalg.eigvalsh(ca * x - cb * y).reshape(x.shape[:-3] + (-1,))
-             for x, y in zip(sa, sb)]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    return np.concatenate([np.linalg.eigvalsh(ca * x - cb * y).reshape(x.shape[:-3] + (-1,))
+                           for x, y in zip(sa, sb)], axis=-1)
 
 
 def trace_distances(rho, sigma) -> np.ndarray:

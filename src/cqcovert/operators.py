@@ -293,8 +293,8 @@ class DensityOperator:
         """The eigenvalues from ``eigvalsh``, without eigenvectors, computed
         once, block by block: one stacked call per group of equal-size blocks
         (each block's descending, the blocks in reverse order)."""
-        parts = [np.linalg.eigvalsh(s).reshape(s.shape[:-3] + (-1,)) for s in self.blocks[1]]
-        return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1))[..., ::-1]
+        return np.concatenate([np.linalg.eigvalsh(s).reshape(s.shape[:-3] + (-1,))
+                               for s in self.blocks[1]], axis=-1)[..., ::-1]
 
     def __getitem__(self, index) -> "DensityOperator":
         out = DensityOperator(self.matrix[index])
@@ -395,12 +395,9 @@ def matrix_function(a: Operand, f: Callable[[np.ndarray], np.ndarray]) -> np.nda
     """
     spec = a if isinstance(a, Spectrum) else spectral_decomposition(a)
     w = spec.eigenvalues
+    fw = np.zeros_like(w)
     on_support = w > RANK_TOL
-    if on_support.all():
-        fw = f(w)
-    else:
-        fw = np.zeros_like(w)
-        fw[on_support] = f(w[on_support])
+    fw[on_support] = f(w[on_support])
     v = spec.eigenvectors
     return hermitian_part((v * fw[..., None, :]) @ dagger(v))
 
@@ -442,7 +439,9 @@ def spectral_projection_nonneg(a: Operand, strict: bool = False) -> np.ndarray:
     w, v = spec.eigenvalues, spec.eigenvectors
     kept = np.sum(w > ZERO_EIGENVALUE_TOL if strict else w >= -ZERO_EIGENVALUE_TOL, axis=-1)
     out = np.empty(v.shape, dtype=v.dtype)
-    for k in np.unique(kept).tolist():
+    # a set, not np.unique, whose first call (a hash table) keeps about
+    # 0.2 MiB resident for the rest of the process
+    for k in set(np.ravel(kept).tolist()):
         at = kept == k  # for one matrix, a boolean scalar: a one-matrix stack
         cols = v[at, :, :k]
         out[at] = cols @ dagger(cols)
@@ -549,12 +548,6 @@ def haar_unitaries(draws: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(draws[:, 0] + 1j * draws[:, 1])
     phases = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (phases / np.abs(phases))[:, None, :]
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix: the one-draw
-    call of :func:`haar_unitaries`."""
-    return haar_unitaries(rng.standard_normal((1, 2, dim, dim)))[0]
 
 
 def random_hermitians(draws: np.ndarray) -> np.ndarray:

@@ -337,11 +337,6 @@ def expansion_radii(b, c) -> np.ndarray:
     return np.where(inverse < 1.0, inverse, 1.0)
 
 
-def expansion_radius(b: DensityOperator, c: DensityOperator) -> float:
-    """Validity radius of one pair: the one-element call of :func:`expansion_radii`."""
-    return float(expansion_radii(b[None], c[None])[0])
-
-
 def expansion_checks(b, c, alphas: np.ndarray, radii) -> list[ExpansionCheck]:
     """The expansion checks of each pair of two equal-length stacks of
     states, already checked: supp(C) inside supp(B) and the sorted mixing

@@ -276,14 +276,6 @@ def _commuting_pairs(draws: np.ndarray, wb: np.ndarray, wc: np.ndarray
                  for w in (wb, wc))
 
 
-def commuting_pair(dim: int, rng: np.random.Generator
-                   ) -> tuple[DensityOperator, DensityOperator, np.ndarray, np.ndarray]:
-    """Random full-rank pair sharing a Haar eigenbasis; returns states and spectra."""
-    g, wb, wc = _commuting_draws(dim, rng)
-    b, c = _commuting_pairs(g[None], wb[None], wc[None])
-    return b[0], c[0], wb, wc
-
-
 def expansion_suite(trials: int = 50, seed: int = 0) -> SuiteResult:
     """Quadratic expansion residual has cubic log-log slope in [2.7, 3.3].
 
@@ -352,13 +344,13 @@ def holevo_identity_suite(trials: int = 100, seed: int = 0) -> SuiteResult:
         for (dim, n_symbols), group in sorted(groups.items()):
             index, draws, ptilde = zip(*group)
             ptilde, size = np.array(ptilde), n_symbols + 1
-            # states in rows (trial, side, symbol), each solved once: the
-            # stacks indexed from them below copy what is cached
+            # states in rows (trial, side, symbol), each solved once by the
+            # reads below: the stacks indexed from them copy what is cached
             states = ginibre_states(np.concatenate(draws))
-            vars(states).update(eigenvalues_only=states.eigenvalues_only)
+            states.eigenvalues_only
             sides = np.arange(2 * len(index))  # rows (trial, side)
             innocent = states[sides * size]
-            vars(innocent).update(spectrum=innocent.spectrum)
+            innocent.spectrum
             # the symbols' divergences do not depend on mu
             divergences = relative_entropies(
                 states[(sides[:, None] * size + np.arange(1, size)).ravel()],

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from cqcovert import CqChannelPair
-from cqcovert.operators import DensityOperator, diagonal_state, ginibre_state, hermitian_part
+from cqcovert.operators import (DensityOperator, diagonal_state, ginibre_state, haar_unitaries,
+                                hermitian_part)
+from cqcovert.verify import _commuting_draws, _commuting_pairs
 
 
 @pytest.fixture
@@ -36,6 +38,21 @@ def kron(*factors):
     factor first: an oracle that shares no code with the package's
     ``kron_chain``."""
     return functools.reduce(np.kron, factors)
+
+
+def haar_unitary(dim, rng):
+    """One Haar unitary from ``rng``: the one-draw call of the package's
+    ``haar_unitaries``."""
+    return haar_unitaries(rng.standard_normal((1, 2, dim, dim)))[0]
+
+
+def commuting_pair(dim, rng):
+    """One random full-rank pair sharing a Haar eigenbasis, drawn from
+    ``rng`` as the verify expansion suite draws it: the two states and
+    their spectra."""
+    g, wb, wc = _commuting_draws(dim, rng)
+    b, c = _commuting_pairs(g[None], wb[None], wc[None])
+    return b[0], c[0], wb, wc
 
 
 def dense_mixture(weights, states):

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import classical_chi2, classical_kl
+from conftest import classical_chi2, classical_kl, commuting_pair, haar_unitary
 from cqcovert.channel import (
     CqChannelPair,
     ScenarioClass,
@@ -50,8 +50,7 @@ from cqcovert.operators import (
     make_density,
     matrix_to_json,
 )
-from cqcovert.scaling import expansion_check, expansion_radius
-from cqcovert.verify import commuting_pair
+from cqcovert.scaling import expansion_check, expansion_radii
 
 
 def _report(number, text):
@@ -161,7 +160,7 @@ def test_acceptance_05_quadratic_expansion_slope_and_prediction():
         done = 0
         while done < 50:
             b, c, wb, wc = commuting_pair(dim, gen)
-            if expansion_radius(b, c) <= grid.max():
+            if expansion_radii(b[None], c[None])[0] <= grid.max():
                 continue
             chi2 = float(np.sum((wc - wb) ** 2 / wb))
             cubic = float(np.sum((wc - wb) ** 3 / wb ** 2))
@@ -190,8 +189,6 @@ def test_acceptance_05b_noncommuting_residual_is_quadratic():
     # chi-squared prediction scales as alpha^2.  This test fails if the
     # cubic claim were to hold generically.
     gen = np.random.default_rng(7)
-    from cqcovert.operators import haar_unitary
-
     def curvature(b, c):
         w, v = np.linalg.eigh(b.matrix)
         delta = v.conj().T @ (c.matrix - b.matrix) @ v
@@ -212,7 +209,7 @@ def test_acceptance_05b_noncommuting_residual_is_quadratic():
         w2 = gen.dirichlet(np.ones(3)) + 0.2
         b = DensityOperator(hermitian_part((u1 * (w1 / w1.sum())) @ u1.conj().T))
         c = DensityOperator(hermitian_part((u2 * (w2 / w2.sum())) @ u2.conj().T))
-        if expansion_radius(b, c) <= 0.1:
+        if expansion_radii(b[None], c[None])[0] <= 0.1:
             continue
         chi2 = chi_squared(c, b)
         if chi2 - curvature(b, c) < 0.1 * chi2:

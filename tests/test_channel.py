@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_mixture, diluted_ginibre_channel
+from conftest import dense_mixture, diluted_ginibre_channel, haar_unitary
 from cqcovert.channel import (
     CqChannelPair,
     Povm,
@@ -30,7 +30,6 @@ from cqcovert.operators import (
     DensityOperator,
     diagonal_state,
     ginibre_state,
-    haar_unitary,
     hermitian_part,
     make_density,
     matrix_to_json,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import kron
+from conftest import haar_unitary, kron
 from cqcovert.channel import CqChannelPair
 from cqcovert.coding import (
     Codebook,
@@ -410,7 +410,6 @@ class TestWillieProductBasis:
 
     def test_product_eigenvalues_below_rank_tolerance(self):
         # lambda_min = 0.05: 0.05^8 is below the 1e-10 rank tolerance, 0.05^6 is not
-        from cqcovert.operators import haar_unitary
         u = haar_unitary(2, np.random.default_rng(3))
         innocent = DensityOperator(hermitian_part((u * [0.95, 0.05]) @ u.conj().T))
         signal = DensityOperator(hermitian_part(u @ np.array([[0.1, 0.2], [0.2, 0.9]])
@@ -875,7 +874,7 @@ def _direct_sum_pair(seed):
     """A qubit block plus a classical flag at both receivers, with the three
     levels in a random order, the same channel turned by a global Haar
     unitary u (one component), and u."""
-    from cqcovert.operators import ginibre_state, haar_unitary
+    from cqcovert.operators import ginibre_state
     gen = np.random.default_rng(seed)
     order = gen.permutation(3)
     u = haar_unitary(3, gen)

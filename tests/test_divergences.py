@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import classical_chi2, classical_kl, kron, random_probs
+from conftest import classical_chi2, classical_kl, haar_unitary, kron, random_probs
 import cqcovert.divergences as divergences_mod
 from cqcovert.divergences import (
     NEG_CLIP,
@@ -29,7 +29,6 @@ from cqcovert.operators import (
     RANK_TOL,
     diagonal_state,
     ginibre_state,
-    haar_unitary,
     make_density,
     matrix_log,
     matrix_power,
@@ -133,7 +132,6 @@ class TestHelstrom:
             assert helstrom_error(rho, sigma) == pytest.approx(pe_projector, abs=1e-10)
 
     def test_no_projector_beats_it(self, rng):
-        from cqcovert.operators import haar_unitary
         rho = ginibre_state(3, rng)
         sigma = ginibre_state(3, rng)
         best = helstrom_error(rho, sigma)

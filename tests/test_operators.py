@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_mixture
+from conftest import dense_mixture, haar_unitary
 from cqcovert.coding import ProductBasis, product_state
 from cqcovert.errors import (
     DimensionCapExceeded,
@@ -445,7 +445,6 @@ class TestPinching:
         assert np.linalg.norm(pinching(a, b) - expected) <= 1e-12
 
     def test_rotated_degenerate_block_oracle(self, rng):
-        from cqcovert.operators import haar_unitary
         u = haar_unitary(4, rng)
         w = np.array([1.0, 1.0, 2.0, 3.0])
         a = (u * w) @ u.conj().T

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import classical_kl, dense_mixture, diluted_ginibre_channel
+from conftest import (classical_kl, commuting_pair, dense_mixture, diluted_ginibre_channel,
+                      haar_unitary)
 from cqcovert.channel import (
     CqChannelPair,
     Povm,
@@ -23,7 +24,6 @@ from cqcovert.operators import (
     DensityOperator,
     diagonal_state,
     ginibre_state,
-    haar_unitary,
     hermitian_part,
 )
 from cqcovert.scaling import (
@@ -32,7 +32,7 @@ from cqcovert.scaling import (
     admissible_symbols,
     converse_bounds,
     expansion_check,
-    expansion_radius,
+    expansion_radii,
     optimize_ptilde,
     product_measurement_coefficients,
     scaling_report,
@@ -377,13 +377,12 @@ class TestExpansionCheck:
         assert check.residuals[0] == pytest.approx(abs(cubic) * alpha ** 3, rel=0.2)
 
     def test_slope_is_cubic_for_commuting_pairs(self):
-        from cqcovert.verify import commuting_pair
         gen = np.random.default_rng(8)
         grid = np.logspace(-3, -1, 9)
         done = 0
         while done < 10:
             b, c, wb, wc = commuting_pair(3, gen)
-            if expansion_radius(b, c) <= grid.max():
+            if expansion_radii(b[None], c[None])[0] <= grid.max():
                 continue
             cubic = float(np.sum((wc - wb) ** 3 / wb ** 2))
             if abs(cubic) < 0.05 * float(np.sum((wc - wb) ** 2 / wb)):
@@ -405,7 +404,7 @@ class TestExpansionCheck:
 
         b = floored_state(rng)
         c = floored_state(rng)
-        assert expansion_radius(b, c) > 0.1
+        assert expansion_radii(b[None], c[None])[0] > 0.1
         w, v = np.linalg.eigh(b.matrix)
         delta = v.conj().T @ (c.matrix - b.matrix) @ v
         curvature = 0.0
@@ -429,7 +428,7 @@ class TestExpansionCheck:
     def test_radius_enforced(self):
         b = diagonal_state([0.999, 0.001])
         c = diagonal_state([0.001, 0.999])
-        assert expansion_radius(b, c) < 0.1
+        assert expansion_radii(b[None], c[None])[0] < 0.1
         with pytest.raises(AlphaOutOfRadius):
             expansion_check(b, c, [0.5])
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import cqcovert.verify as verify_mod
+from conftest import commuting_pair
 from cqcovert.cli import main
 from cqcovert.errors import InvalidParameter
 from cqcovert.operators import (
@@ -15,8 +16,8 @@ from cqcovert.operators import (
     random_hermitian,
     spectral_decomposition,
 )
-from cqcovert.scaling import expansion_check, expansion_radius
-from cqcovert.verify import SUITES, SuiteResult, commuting_pair, run_suites
+from cqcovert.scaling import expansion_check, expansion_radii
+from cqcovert.verify import SUITES, SuiteResult, run_suites
 
 
 def test_all_suites_pass_at_reduced_trials():
@@ -245,7 +246,7 @@ def _expansion_reference(rng, trials):
         done = 0
         while done < trials:
             b, c, wb, wc = commuting_pair(dim, rng)
-            if expansion_radius(b, c) <= grid.max():
+            if expansion_radii(b[None], c[None])[0] <= grid.max():
                 continue
             chi2 = float(np.sum((wc - wb) ** 2 / wb))
             if abs(float(np.sum((wc - wb) ** 3 / wb ** 2))) < 0.05 * chi2:
