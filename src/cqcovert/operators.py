@@ -440,7 +440,7 @@ def spectral_projection_nonneg(a: Operand, strict: bool = False) -> np.ndarray:
     kept = np.sum(w > ZERO_EIGENVALUE_TOL if strict else w >= -ZERO_EIGENVALUE_TOL, axis=-1)
     out = np.empty(v.shape, dtype=v.dtype)
     # a set, not np.unique, whose first call (a hash table) keeps about
-    # 0.2 MiB resident for the rest of the process
+    # 0.25 MiB resident for the rest of the process
     for k in set(np.ravel(kept).tolist()):
         at = kept == k  # for one matrix, a boolean scalar: a one-matrix stack
         cols = v[at, :, :k]
