@@ -3,7 +3,6 @@
 from .operators import (
     DensityOperator,
     Spectrum,
-    diagonal_state,
     dimension_cap,
     kron_power,
     make_density,
@@ -12,7 +11,6 @@ from .operators import (
     matrix_log,
     matrix_pinv,
     matrix_power,
-    matrix_to_json,
     pinching,
     spectral_decomposition,
     spectral_projection_nonneg,

@@ -38,7 +38,6 @@ from .operators import (
     make_density,
     matrix_from_json,
     matrix_inv_sqrt,
-    matrix_to_json,
     mixture,
     require_hermitian,
 )
@@ -100,14 +99,6 @@ class CqChannelPair:
     def non_innocent(self) -> range:
         return range(1, self.alphabet_size)
 
-    @property
-    def dim_bob(self) -> int:
-        return self.bob_states[0].dim
-
-    @property
-    def dim_willie(self) -> int:
-        return self.willie_states[0].dim
-
     @cached_property
     def summary(self) -> "ChannelSummary":
         """Single-letter quantities of the pair, computed once per channel."""
@@ -117,12 +108,6 @@ class CqChannelPair:
     def scenario(self) -> "ScenarioReport":
         """``classify_scenario`` of the pair, computed once per channel."""
         return classify_scenario(self)
-
-    def to_json(self) -> dict:
-        return {
-            "bob": [matrix_to_json(s.matrix) for s in self.bob_states],
-            "willie": [matrix_to_json(s.matrix) for s in self.willie_states],
-        }
 
 
 def channel_from_json(doc: dict) -> CqChannelPair:
@@ -145,16 +130,21 @@ def channel_from_json(doc: dict) -> CqChannelPair:
     return CqChannelPair(bob_states=sides["bob"], willie_states=sides["willie"])
 
 
-def load_channel(path: str) -> CqChannelPair:
-    """Read and validate a channel-pair JSON file."""
+def read_json(path: str, what: str) -> dict:
+    """The JSON document in a ``what`` file (``ParseError`` when the file
+    cannot be read or is not JSON)."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read channel file {path}: {exc}") from exc
+        raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    return channel_from_json(doc)
+        raise ParseError(f"invalid JSON in {what} file {path}: {exc}") from exc
+
+
+def load_channel(path: str) -> CqChannelPair:
+    """Read and validate a channel-pair JSON file."""
+    return channel_from_json(read_json(path, "channel"))
 
 
 class SideSummary:

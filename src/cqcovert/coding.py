@@ -77,13 +77,6 @@ class Codebook:
     ptilde: np.ndarray
     symbols: np.ndarray
 
-    @property
-    def alpha(self) -> float:
-        return self.gamma / math.sqrt(self.n)
-
-    def codeword(self, m: int, k: int) -> np.ndarray:
-        return self.symbols[m * self.k_count + k]
-
     def codewords(self, k: int) -> np.ndarray:
         """The M codewords under key k, in message order."""
         return self.symbols[k::self.k_count]
@@ -369,10 +362,6 @@ class DecoderPovm:
         self.factors = tuple(factors)
         self.basis = basis
         self.source = source
-
-    @property
-    def dim(self) -> int:
-        return self.partition.dim
 
     @property
     def m_count(self) -> int:
@@ -686,16 +675,15 @@ class ExperimentConfig:
     """Knobs for a deterministic experiment sweep.
 
     Message and key counts follow the achievability formulas (rounded up to
-    integers >= 1) unless overridden; ``epsilon_target`` defaults to the
-    quadratic covertness prediction ``gamma^2 chi^2 / 2`` of the channel.
-    Checked on construction, whether given directly or read from JSON, so
-    ``run_experiment`` starts no work on a bad config: ``trials`` must be at
-    least 1 and ``varsigma``, ``mu`` and ``nu`` finite and in [0, 1)
-    (``InvalidParameter`` otherwise); ``gamma`` must be finite with
-    ``0 <= gamma < sqrt(n)`` for every n in ``n_list``, so the innocent
-    symbol keeps a positive weight (``AlphaOutOfRange`` otherwise); the
-    code sizes follow the square-root law, so the channel must be
-    classified SquareRootLaw (``WrongRegime`` otherwise).
+    integers >= 1) unless overridden.  Checked on construction, whether
+    given directly or read from JSON, so ``run_experiment`` starts no work
+    on a bad config: ``trials`` must be at least 1 and ``varsigma``, ``mu``
+    and ``nu`` finite and in [0, 1) (``InvalidParameter`` otherwise);
+    ``gamma`` must be finite with ``0 <= gamma < sqrt(n)`` for every n in
+    ``n_list``, so the innocent symbol keeps a positive weight
+    (``AlphaOutOfRange`` otherwise); the code sizes follow the square-root
+    law, so the channel must be classified SquareRootLaw (``WrongRegime``
+    otherwise).
     """
 
     channel: CqChannelPair
@@ -709,8 +697,6 @@ class ExperimentConfig:
     ptilde: np.ndarray | None = None
     m_override: int | None = None
     k_override: int | None = None
-    delta_target: float = 0.1
-    epsilon_target: float | None = None
     workers: int = 1
 
     def __post_init__(self):
@@ -748,9 +734,6 @@ class ExperimentConfig:
             trials=int(doc.get("trials", 1)),
             seed=int(doc.get("seed", 0)),
             ptilde=None if ptilde is None else np.asarray(ptilde, dtype=float),
-            delta_target=float(doc.get("delta", 0.1)),
-            epsilon_target=(None if doc.get("epsilon") is None
-                            else float(doc["epsilon"])),
             workers=int(doc.get("workers", 1)))
 
 

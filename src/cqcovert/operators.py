@@ -284,10 +284,6 @@ class DensityOperator:
         """``spectral_decomposition(self.matrix)``, computed once."""
         return spectral_decomposition(self.matrix)
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.spectrum.eigenvalues
-
     @cached_property
     def eigenvalues_only(self) -> np.ndarray:
         """The eigenvalues from ``eigvalsh``, without eigenvectors, computed
@@ -493,15 +489,6 @@ def pinching(a: Operand, b: np.ndarray) -> np.ndarray:
 
 # --- JSON wire format: {"dim": d, "re": [[...]], "im": [[...]]} ---
 
-def matrix_to_json(a: np.ndarray) -> dict:
-    a = np.asarray(a, dtype=complex)
-    return {
-        "dim": int(a.shape[0]),
-        "re": a.real.tolist(),
-        "im": a.imag.tolist(),
-    }
-
-
 def matrix_from_json(doc: dict) -> np.ndarray:
     try:
         dim = int(doc["dim"])
@@ -561,8 +548,3 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian matrix, the Hermitian part of a complex Ginibre
     matrix: the one-draw call of :func:`random_hermitians`."""
     return random_hermitians(rng.standard_normal((1, 2, dim, dim)))[0]
-
-
-def diagonal_state(probs: Sequence[float]) -> DensityOperator:
-    """Density operator with the given probability vector on the diagonal."""
-    return make_density(np.diag(np.asarray(probs, dtype=complex)))

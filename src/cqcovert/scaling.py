@@ -54,28 +54,25 @@ OBJECTIVES = ("max-message", "min-key", "tradeoff")
 
 @dataclass(frozen=True)
 class ScalingReport:
-    """Scaling coefficients for a channel at a given input distribution.
-
-    ``message_coeff`` and ``key_coeff`` are in nats per unit of
-    sqrt(n * covertness divergence); ``kappa`` is present only in the
-    SqrtNLogN regime.
+    """Square-root-law coefficients for a channel at a given input
+    distribution, in nats per unit of sqrt(n * covertness divergence).  The
+    document names the regime and carries a null ``kappa``, the SqrtNLogN
+    constant (see :class:`SqrtnLognReport`), so both regimes share keys.
     """
 
     message_coeff: float
     key_coeff: float
     ptilde: np.ndarray
-    regime: ScenarioClass
-    kappa: float | None = None
 
     def to_json(self, unit: str = "nats") -> dict:
         scale = 1.0 if unit == "nats" else 1.0 / math.log(2.0)
         return {
-            "regime": self.regime.value,
+            "regime": ScenarioClass.SQUARE_ROOT_LAW.value,
             "message_coeff": self.message_coeff * scale,
             "key_coeff": self.key_coeff * scale,
             "unit": unit,
             "ptilde": self.ptilde.tolist(),
-            "kappa": self.kappa,
+            "kappa": None,
         }
 
 
@@ -118,8 +115,7 @@ def scaling_report(channel: CqChannelPair, ptilde) -> ScalingReport:
     """Both square-root-law coefficients at a given input distribution."""
     p = _srl_ptilde(channel, ptilde)
     message, key = _coefficient_pair(channel, p)
-    return ScalingReport(message_coeff=message, key_coeff=key,
-                         ptilde=p, regime=ScenarioClass.SQUARE_ROOT_LAW)
+    return ScalingReport(message_coeff=message, key_coeff=key, ptilde=p)
 
 
 def _classical_kl(row: np.ndarray, innocent_row: np.ndarray) -> float:
@@ -149,8 +145,7 @@ def product_measurement_coefficients(channel: CqChannelPair, povm: Povm,
     gap = summary.weighted(p, summary.willie.divergences - kl)
     denom = math.sqrt(chi2 / 2.0)
     return ScalingReport(message_coeff=num / denom,
-                         key_coeff=max(0.0, gap) / denom,
-                         ptilde=p, regime=ScenarioClass.SQUARE_ROOT_LAW)
+                         key_coeff=max(0.0, gap) / denom, ptilde=p)
 
 
 @dataclass(frozen=True)
@@ -240,13 +235,15 @@ def optimize_ptilde(channel: CqChannelPair, objective: str,
         return min(a @ p, b @ p) / math.sqrt(chi2 / 2.0) if chi2 > 0.0 else -math.inf
 
     k = len(admissible)
+    # stationary points on a face S: Q_SS z = c_S, or with w.z = 0 active,
+    # [[Q_SS, w_S], [w_S^T, 0]] [z; multiplier] = [c_S; 0], the rows and
+    # columns S + [k] of the bordered matrix
+    bordered = np.block([[q, w[:, None]], [w[None, :], np.zeros((1, 1))]])
     candidates = list(np.eye(k))  # the vertices
     for size in range(1, k + 1):
         for face in itertools.combinations(range(k), size):
             s = list(face)
-            # stationary points on the face: Q_SS z = c_S, or with w.z = 0
-            # active, [[Q_SS, w_S], [w_S^T, 0]] [z; multiplier] = [c_S; 0]
-            kkt = np.block([[q[np.ix_(s, s)], w[s, None]], [w[None, s], np.zeros((1, 1))]])
+            kkt = bordered[np.ix_(s + [k], s + [k])]
             for c in ((a,) if a is b else (a, b)):
                 for matrix, rhs in ((kkt[:size, :size], c[s]), (kkt, np.append(c[s], 0.0))):
                     try:

@@ -4,9 +4,32 @@ import numpy as np
 import pytest
 
 from cqcovert import CqChannelPair
-from cqcovert.operators import (DensityOperator, diagonal_state, ginibre_state, haar_unitaries,
-                                hermitian_part)
+from cqcovert.operators import (DensityOperator, ginibre_state, haar_unitaries, hermitian_part,
+                                make_density)
 from cqcovert.verify import _commuting_draws, _commuting_pairs
+
+
+def diagonal_state(probs):
+    """Density operator with the probability vector ``probs`` on the diagonal."""
+    return make_density(np.diag(np.asarray(probs, dtype=complex)))
+
+
+def matrix_to_json(a):
+    """The wire document ``{"dim", "re", "im"}`` of a square matrix, as
+    ``matrix_from_json`` reads it."""
+    a = np.asarray(a, dtype=complex)
+    return {"dim": int(a.shape[0]), "re": a.real.tolist(), "im": a.imag.tolist()}
+
+
+def channel_to_json(channel):
+    """The channel-file document of a pair, as ``load_channel`` reads it."""
+    return {"bob": [matrix_to_json(s.matrix) for s in channel.bob_states],
+            "willie": [matrix_to_json(s.matrix) for s in channel.willie_states]}
+
+
+def codeword(codebook, m, k):
+    """The symbols of codeword (m, k): row ``m * k_count + k``."""
+    return codebook.symbols[m * codebook.k_count + k]
 
 
 @pytest.fixture

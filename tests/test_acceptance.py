@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import classical_chi2, classical_kl, commuting_pair, haar_unitary
+from conftest import (classical_chi2, classical_kl, codeword, commuting_pair, diagonal_state,
+                      haar_unitary, matrix_to_json)
 from cqcovert.channel import (
     CqChannelPair,
     ScenarioClass,
@@ -44,11 +45,9 @@ from cqcovert.divergences import (
 )
 from cqcovert.operators import (
     DensityOperator,
-    diagonal_state,
     ginibre_state,
     hermitian_part,
     make_density,
-    matrix_to_json,
 )
 from cqcovert.scaling import expansion_check, expansion_radii
 
@@ -251,7 +250,7 @@ def test_acceptance_07_srl_trend_at_desk_scale(canonical_channel):
     config = ExperimentConfig(
         channel=canonical_channel, n_list=(4, 6, 8, 10), gamma=gamma,
         varsigma=varsigma, trials=50, seed=0, ptilde=np.array([1.0]),
-        k_override=1, delta_target=0.5, epsilon_target=epsilon_target)
+        k_override=1)
     reports = run_experiment(config)
     best_pe, best_d = [], []
     for n in config.n_list:
@@ -286,7 +285,7 @@ def test_acceptance_08_srm_never_beats_helstrom(canonical_channel, rng):
             blocks = []
             for m in range(2):
                 block = np.ones((1, 1), dtype=complex)
-                for x in cb.codeword(m, 0):
+                for x in codeword(cb, m, 0):
                     block = np.kron(block, channel.bob_states[x].matrix)
                 blocks.append(DensityOperator(block))
             if pe < helstrom_error(blocks[0], blocks[1]) - 1e-12:
@@ -342,7 +341,7 @@ def test_acceptance_09_classifier_matches_fixtures_and_grid():
             assert r in report.refinements, f"fixture {idx} missing {r}"
         # cross-check the mixture decision by dense simplex grid (dim-2 only)
         non_innocent = [channel.willie_states[x] for x in channel.non_innocent]
-        if channel.dim_willie == 2 and len(non_innocent) <= 3:
+        if channel.willie_states[0].dim == 2 and len(non_innocent) <= 3:
             feasible, _ = mixture_feasibility(channel.willie_states[0], non_innocent)
             grid_feasible = _grid_mixture(channel.willie_states[0], non_innocent)
             assert feasible == grid_feasible, f"fixture {idx} grid disagreement"

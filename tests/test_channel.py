@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_mixture, diluted_ginibre_channel, haar_unitary
+from conftest import (channel_to_json, dense_mixture, diagonal_state, diluted_ginibre_channel,
+                      haar_unitary, matrix_to_json)
 from cqcovert.channel import (
     CqChannelPair,
     Povm,
@@ -28,11 +29,9 @@ from cqcovert.errors import (
 )
 from cqcovert.operators import (
     DensityOperator,
-    diagonal_state,
     ginibre_state,
     hermitian_part,
     make_density,
-    matrix_to_json,
 )
 
 
@@ -55,7 +54,7 @@ class TestLoadChannel:
         path.write_text(json.dumps(doc))
         channel = load_channel(str(path))
         assert channel.alphabet_size == 2
-        assert channel.dim_bob == channel.dim_willie == 2
+        assert channel.bob_states[0].dim == channel.willie_states[0].dim == 2
 
     def test_missing_side_is_parse_error(self):
         with pytest.raises(ParseError):
@@ -84,7 +83,7 @@ class TestLoadChannel:
             channel_from_json(doc)
 
     def test_json_roundtrip(self, canonical_channel):
-        doc = canonical_channel.to_json()
+        doc = channel_to_json(canonical_channel)
         again = channel_from_json(doc)
         assert np.allclose(again.bob_states[1].matrix,
                            canonical_channel.bob_states[1].matrix)

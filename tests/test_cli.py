@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import channel_to_json, matrix_to_json
 from cqcovert import cli
 from cqcovert.cli import main
-from cqcovert.operators import matrix_to_json
 
 
 def _write_channel(path, bob, willie):
@@ -31,6 +31,13 @@ def constant_rate_path(tmp_path):
 
 
 @pytest.fixture
+def sqrtnlogn_path(tmp_path):
+    bob = [np.diag([1.0, 0.0]), np.diag([0.5, 0.5])]
+    willie = [np.diag([0.9, 0.1]), np.diag([0.6, 0.4])]
+    return _write_channel(tmp_path / "snl.json", bob, willie)
+
+
+@pytest.fixture
 def leaking_path(tmp_path):
     bob = [np.diag([1.0, 0.0]),
            np.outer([math.sqrt(0.8), math.sqrt(0.2)], [math.sqrt(0.8), math.sqrt(0.2)])]
@@ -41,7 +48,7 @@ def leaking_path(tmp_path):
 @pytest.fixture
 def willie_leak_path(tmp_path, willie_leak_channel):
     path = tmp_path / "willie_leak.json"
-    path.write_text(json.dumps(willie_leak_channel.to_json()))
+    path.write_text(json.dumps(channel_to_json(willie_leak_channel)))
     return str(path)
 
 
@@ -154,6 +161,45 @@ class TestCoefficients:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert '"elements" list' in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("text", [None, "{oops"])
+    def test_unreadable_povm_file_exits_2(self, canonical_path, tmp_path, capsys, text):
+        povm_path = tmp_path / "povm.json"
+        if text is not None:
+            povm_path.write_text(text)
+        assert main(["coefficients", "--channel", canonical_path,
+                     "--povm", str(povm_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "POVM file" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("fixture, argv", [
+        ("canonical_path", ["classify"]), ("canonical_path", ["coefficients"]),
+        ("canonical_path", ["coefficients", "--bits"]),
+        ("canonical_path", ["coefficients", "--optimize", "min-key"]),
+        ("canonical_path", ["coefficients", "--povm"]),
+        ("sqrtnlogn_path", ["coefficients"]), ("constant_rate_path", ["coefficients"])])
+    def test_a_call_classifies_the_channel_once(self, request, tmp_path, monkeypatch,
+                                                fixture, argv):
+        from cqcovert import channel as channel_module
+        if argv[-1] == "--povm":
+            povm_path = tmp_path / "povm.json"
+            povm_path.write_text(json.dumps({"elements": [matrix_to_json(np.diag([1.0, 0.0])),
+                                                          matrix_to_json(np.diag([0.0, 1.0]))]}))
+            argv = [*argv, str(povm_path)]
+        calls = []
+        classify = channel_module.classify_scenario
+
+        def counted(pair):
+            calls.append(pair)
+            return classify(pair)
+
+        # every module binding, as the benchmark's tracer wraps it
+        for module in (channel_module, cli):
+            monkeypatch.setattr(module, "classify_scenario", counted)
+        assert main([*argv, "--channel", request.getfixturevalue(fixture),
+                     "--out", str(tmp_path / "out")]) in (0, 3)
+        assert len(calls) == 1
 
     def test_sqrtnlogn_channel_reports_kappa(self, tmp_path, capsys):
         bob = [np.diag([1.0, 0.0]), np.diag([0.5, 0.5])]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import haar_unitary, kron
+from conftest import (channel_to_json, codeword, diagonal_state, haar_unitary, kron,
+                      matrix_to_json)
 from cqcovert.channel import CqChannelPair
 from cqcovert.coding import (
     Codebook,
@@ -42,7 +43,6 @@ from cqcovert.errors import (
 )
 from cqcovert.operators import (
     DensityOperator,
-    diagonal_state,
     hermitian_part,
     kron_chain,
     make_density,
@@ -106,7 +106,7 @@ class TestSrmDecoder:
         cb = sample_codebook(canonical_channel, n=3, m_count=1, k_count=1,
                              gamma=0.5, ptilde=[1.0], seed=5)
         decoder = build_srm_decoder(cb, canonical_channel, a=0.2)
-        sig = cb.codeword(0, 0)
+        sig = codeword(cb, 0, 0)
         block = canonical_channel.bob_states[sig[0]].matrix
         for x in sig[1:]:
             block = np.kron(block, canonical_channel.bob_states[x].matrix)
@@ -135,11 +135,11 @@ class TestSrmDecoder:
                     out = np.kron(out, diags[x])
                 return out
             innocent = block([0] * cb.n)
-            projs = [(block(cb.codeword(m, key)) - math.exp(a) * innocent > 0).astype(float)
+            projs = [(block(codeword(cb, m, key)) - math.exp(a) * innocent > 0).astype(float)
                      for m in range(cb.m_count)]
             total = sum(projs)
             inv_sqrt = np.where(total > 1e-10, total, np.inf) ** -0.5
-            pe = sum(1.0 - float(np.sum(inv_sqrt * proj * inv_sqrt * block(cb.codeword(m, key))))
+            pe = sum(1.0 - float(np.sum(inv_sqrt * proj * inv_sqrt * block(codeword(cb, m, key))))
                      for m, proj in enumerate(projs))
             return pe / cb.m_count
 
@@ -196,7 +196,7 @@ class TestDecoderBasis:
         projectors = []
         for m in range(cb.m_count):
             block = np.ones((1, 1), dtype=complex)
-            for x in cb.codeword(m, 0):
+            for x in codeword(cb, m, 0):
                 block = np.kron(block, ch.bob_states[x].matrix)
             projectors.append(spectral_projection_nonneg(
                 pinching(innocent, block) - math.exp(a) * innocent, strict=True))
@@ -265,7 +265,7 @@ class TestExactPeBob:
             states = []
             for m in range(2):
                 block = np.ones((1, 1), dtype=complex)
-                for x in cb.codeword(m, 0):
+                for x in codeword(cb, m, 0):
                     block = np.kron(block, canonical_channel.bob_states[x].matrix)
                 states.append(DensityOperator(block))
             assert pe >= helstrom_error(states[0], states[1]) - 1e-10
@@ -578,24 +578,18 @@ class TestRunExperiment:
 
     def test_config_from_json(self, canonical_channel, tmp_path):
         import json
-        from cqcovert.operators import matrix_to_json
-        doc = {"bob": [matrix_to_json(s.matrix) for s in canonical_channel.bob_states],
-               "willie": [matrix_to_json(s.matrix) for s in canonical_channel.willie_states]}
         channel_path = tmp_path / "chan.json"
-        channel_path.write_text(json.dumps(doc))
+        channel_path.write_text(json.dumps(channel_to_json(canonical_channel)))
         config = ExperimentConfig.from_json({
             "channel": str(channel_path), "n": [3, 4], "gamma": 0.4,
-            "varsigma": 0.2, "trials": 2, "seed": 7, "delta": 0.3,
-            "epsilon": 0.05, "ptilde": [1.0]})
+            "varsigma": 0.2, "trials": 2, "seed": 7, "ptilde": [1.0]})
         assert config.n_list == (3, 4)
         assert config.varsigma == 0.2
-        assert config.epsilon_target == 0.05
         (r, *_rest) = run_experiment(config)
         assert r.n == 3
 
     def test_config_from_json_rejects_zero_trials(self, tmp_path):
         import json
-        from cqcovert.operators import matrix_to_json
         doc = {"bob": [matrix_to_json(np.eye(2) / 2)] * 2,
                "willie": [matrix_to_json(np.eye(2) / 2)] * 2}
         channel_path = tmp_path / "chan.json"
@@ -697,13 +691,13 @@ def _dense_pinched_srm(cb, ch, a, key):
     from cqcovert.operators import matrix_inv_sqrt, spectral_projection_nonneg
     innocent = kron(*[ch.bob_states[0].matrix] * cb.n)
     u = kron_chain([ch.bob_states[0].spectrum.eigenvectors] * cb.n)
-    digits = np.array(list(itertools.product(range(ch.dim_bob), repeat=cb.n)))
+    digits = np.array(list(itertools.product(range(ch.bob_states[0].dim), repeat=cb.n)))
     tie = np.unique(np.sort(digits, axis=1), axis=0, return_inverse=True)[1].ravel()
     same = tie[:, None] == tie[None, :]
     projectors = []
     for m in range(cb.m_count):
         block = np.ones((1, 1), dtype=complex)
-        for x in cb.codeword(m, key):
+        for x in codeword(cb, m, key):
             block = np.kron(block, ch.bob_states[x].matrix)
         pinched = u @ ((u.conj().T @ block @ u) * same) @ u.conj().T
         projectors.append(spectral_projection_nonneg(
@@ -724,7 +718,7 @@ class TestNonCommutingInvariants:
 
     @staticmethod
     def _codebook(ch, n, m_count, k_count, seed):
-        if ch.dim_bob == 3 and n > 4:
+        if ch.bob_states[0].dim == 3 and n > 4:
             m_count = 2  # keeps the dense qutrit oracle at D = 243 quick
         return sample_codebook(ch, n=n, m_count=m_count, k_count=k_count, gamma=0.9,
                                ptilde=[1.0], seed=seed)
@@ -764,7 +758,7 @@ class TestNonCommutingInvariants:
         states = []
         for m in range(2):
             block = np.ones((1, 1), dtype=complex)
-            for x in cb.codeword(m, 0):
+            for x in codeword(cb, m, 0):
                 block = np.kron(block, ch.bob_states[x].matrix)
             states.append(DensityOperator(block))
         assert pe >= helstrom_error(states[0], states[1]) - 1e-10
@@ -1087,7 +1081,7 @@ class TestTypeSharing:
     def test_clusters_and_joint_blocks_map_onto_themselves(self, kind, n, seed):
         ch = _typed_channel(kind, seed)
         basis = ProductBasis(ch.bob_states, n)
-        d = ch.dim_bob
+        d = ch.bob_states[0].dim
 
         def sets(index_sets, image):
             return {tuple(sorted(image[s].tolist())) for s in index_sets}
@@ -1167,7 +1161,7 @@ class TestFactoredDecoder:
         ch = _typed_channel(kind, seed)
         cb = _typed_codebook(ch, n, seed)
         gen = np.random.default_rng(seed)
-        dim = ch.dim_bob ** n
+        dim = ch.bob_states[0].dim ** n
         elements = []
         for _ in range(cb.m_count):
             g = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import classical_chi2, classical_kl, haar_unitary, kron, random_probs
+from conftest import (classical_chi2, classical_kl, diagonal_state, haar_unitary, kron,
+                      random_probs)
 import cqcovert.divergences as divergences_mod
 from cqcovert.divergences import (
     NEG_CLIP,
@@ -27,7 +28,6 @@ from cqcovert.divergences import (
 from cqcovert.errors import DimensionMismatch, SupportViolation
 from cqcovert.operators import (
     RANK_TOL,
-    diagonal_state,
     ginibre_state,
     make_density,
     matrix_log,
@@ -298,7 +298,7 @@ def test_relative_entropy_containment_threshold(t, finite):
 def test_support_cutoff_boundary(t, rank):
     # an eigenvalue exactly at the cutoff is off the support, the next float above is on it
     sigma = diagonal_state([1.0 - t, t])
-    assert sigma.eigenvalues[1] == t
+    assert sigma.spectrum.eigenvalues[1] == t
     assert sigma.rank == rank
     probe = diagonal_state([0.5, 0.5])
     contained = rank == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_mixture, haar_unitary
+from conftest import dense_mixture, diagonal_state, haar_unitary, matrix_to_json
 from cqcovert.coding import ProductBasis, product_state
 from cqcovert.errors import (
     DimensionCapExceeded,
@@ -14,7 +14,6 @@ from cqcovert.errors import (
 from cqcovert.operators import (
     DensityOperator,
     Partition,
-    diagonal_state,
     eigenvalue_clusters,
     ginibre_state,
     ginibre_states,
@@ -26,7 +25,6 @@ from cqcovert.operators import (
     matrix_log,
     matrix_pinv,
     matrix_power,
-    matrix_to_json,
     mixture,
     pinching,
     random_hermitian,

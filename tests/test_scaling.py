@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (classical_kl, commuting_pair, dense_mixture, diluted_ginibre_channel,
-                      haar_unitary)
+from conftest import (classical_kl, commuting_pair, dense_mixture, diagonal_state,
+                      diluted_ginibre_channel, haar_unitary)
 from cqcovert.channel import (
     CqChannelPair,
     Povm,
@@ -22,7 +22,6 @@ from cqcovert.errors import (
 )
 from cqcovert.operators import (
     DensityOperator,
-    diagonal_state,
     ginibre_state,
     hermitian_part,
 )
