@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -50,6 +51,9 @@ from .operators import (
 )
 
 
+KEY_CHUNK = 16  # keys whose decoders run_experiment builds and scores together
+SLICE_ENTRIES = 2 ** 15  # most block entries one stacked decoder call gathers (at least one key's)
+PIECE_SPREAD = 2 ** 40  # moves a block entry across two pieces out of any store
 COUNT_ROUNDING_TOL = 1e-12  # subtracted before a code size is rounded up to a count
 INNOCENT_FIDELITY_TOL = 1e-12  # a codeword of fidelity at least 1 - this does not signal
 DECODER_TOL = 1e-8  # most negative element eigenvalue, and largest excess of the sum over I
@@ -166,6 +170,87 @@ def _kron_indices(left: np.ndarray, right: np.ndarray, base: int) -> np.ndarray:
     return out.reshape(left.shape[0] * right.shape[0], left.shape[1] * right.shape[1])
 
 
+def _cut(labels: np.ndarray) -> dict[int, np.ndarray]:
+    """The sets of a (G, s) stack of index sets cut by the indices' ``labels``
+    (same shape): per size t, ascending, the (H, t) positions in the stack's
+    ravelled order of the pieces of equal label within one set, each piece
+    ascending."""
+    count, size = labels.shape
+    if size == 1 or np.all(labels == labels[:, :1]):  # each set is one piece
+        return {size: np.arange(labels.size).reshape(count, size)}
+    key = (np.arange(count)[:, None] * (int(labels.max()) + 1) + labels).ravel()
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    lengths = np.diff(first, append=key.size)
+    return {t: order[first[lengths == t, None] + np.arange(t)]
+            for t in sorted(set(lengths.tolist()))}
+
+
+def _gather(store: tuple, g: int, which: np.ndarray, rows: np.ndarray,
+            transpose: bool = False) -> np.ndarray:
+    """Blocks of operators held in a store, ``(flat, base, layout,
+    tables)``: operator i's nonzero pieces lie in the 1-D ``flat`` from
+    ``base[i]`` on (its first and last entries are 0), in its piece layout
+    ``layout[i]``, and ``tables[g]`` is ``(start, position)``, per layout and
+    row of group g's blocks stacked to (G s) rows: the offset of the row's
+    first entry from the operator's base, less ``PIECE_SPREAD`` times its
+    piece, and its position in the piece, plus as much.  For each leading
+    index, the block of operator ``which`` on its rows ``rows`` (the
+    trailing axis of ``rows``, all in one block of group g), ``(..., H, t,
+    t)`` and C-contiguous: an entry across two pieces falls outside
+    ``flat`` and clips onto one of its zero ends.  Transposed when asked."""
+    flat, base, layout, tables = store
+    which = np.asarray(which)[..., None, None]
+    key = layout[which] * tables[g].shape[-1] + rows
+    first = np.take(tables[g][0], key) + base[which]
+    position = np.take(tables[g][1], key)
+    if transpose:
+        first, position = position, first
+    return np.take(flat, first[..., :, None] + position[..., None, :], mode="clip")
+
+
+def _tables(piece: np.ndarray, start: np.ndarray, position: np.ndarray) -> np.ndarray:
+    """One layout's ``_gather`` table, ``(start, position)`` with the pieces spread."""
+    return np.stack([start - PIECE_SPREAD * piece, position + PIECE_SPREAD * piece])
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, as an elementwise product when the summed axis has length
+    1, where one BLAS call per 1 x 1 piece would cost more than the piece."""
+    return a * b if a.shape[-1] == 1 else a @ b
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh``, with a 1 x 1 block its own eigenvalue and
+    eigenvector 1, the numbers LAPACK returns, without a call per block."""
+    if a.shape[-1] == 1:
+        return a.real[..., 0], np.ones_like(a)
+    return np.linalg.eigh(a)
+
+
+def _slices(count: int, entries: int) -> list[slice]:
+    """Consecutive slices of ``range(count)``, items of ``entries`` block
+    entries each, of at most ``SLICE_ENTRIES`` entries (at least one item),
+    so a stacked call's temporaries stay bounded."""
+    step = max(1, SLICE_ENTRIES // entries)
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _dense_store(stacks: Sequence[np.ndarray]) -> tuple:
+    """The store (see ``_gather``) of operators given by per-group (T, G s,
+    s) stacks of their blocks stacked to rows, one piece per block."""
+    count = len(stacks[0])
+    sizes = [stack[0].size for stack in stacks]
+    flat = np.concatenate([np.zeros(1, dtype=complex), np.concatenate(
+        [stack.reshape(count, -1) for stack in stacks], axis=1).ravel(), np.zeros(1)])
+    tables = []
+    for offset, stack in zip(itertools.accumulate(sizes, initial=0), stacks):
+        rows, size = np.arange(stack.shape[1]), stack.shape[-1]
+        tables.append(_tables(rows // size, offset + rows * size, rows % size)[:, None])
+    return flat, 1 + np.arange(count) * sum(sizes), np.zeros(count, dtype=np.intp), tables
+
+
 class ProductBasis:
     """Eigenstructure of the n-fold power of a party's innocent state.
 
@@ -189,7 +274,8 @@ class ProductBasis:
         self.n = n
         self.single_state = states[0]
         self.single_vectors = vectors
-        self.eigenvalues = kron_chain([np.where(single > RANK_TOL, single, 0.0)] * n)
+        self._single = np.where(single > RANK_TOL, single, 0.0)
+        self.eigenvalues = kron_chain([self._single] * n)
         ids = eigenvalue_clusters(self.eigenvalues)
         self.clusters = [np.flatnonzero(ids == c) for c in range(ids.max() + 1)]
         self._cluster_ids = ids
@@ -207,7 +293,9 @@ class ProductBasis:
         self._class_strings = [[string for string, _ in by_size[s]] for s in sorted(by_size)]
         self.strings = Partition(self.eigenvalues.size, [
             np.concatenate([idx for _, idx in by_size[s]]) for s in sorted(by_size)])
-        self._types = (None, {})  # ((states, a), {type: blocks}), see _pinched_types
+        self._splits = {}  # c -> split(c)
+        self._types = (None, {}, ())  # see _pinched_types
+        self._lock = threading.RLock()  # guards _types, _splits and _piece_tables
 
     @cached_property
     def joint(self) -> Partition:
@@ -215,18 +303,43 @@ class ProductBasis:
         blocks of Bob's decoder, with ascending indices in each set."""
         by_size = {}
         for idx in self.strings.groups:
-            count, size = idx.shape
-            key = (np.arange(count)[:, None] * len(self.clusters)
-                   + self._cluster_ids[idx]).ravel()
-            order = np.argsort(key, kind="stable")
-            flat = idx.ravel()[order]
-            first = np.flatnonzero(np.diff(key[order], prepend=-1))
-            lengths = np.diff(np.append(first, key.size))
-            for length in np.unique(lengths):
-                sets = flat[first[lengths == length, None] + np.arange(length)]
-                by_size.setdefault(int(length), []).append(sets)
+            for size, pos in _cut(self._cluster_ids[idx]).items():
+                by_size.setdefault(size, []).append(idx.ravel()[pos])
         return Partition(self.strings.dim,
                          [np.concatenate(by_size[s]) for s in sorted(by_size)])
+
+    def split(self, c: int) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The joint blocks cut by the eigenbasis labels of the first c tensor
+        positions: per ``joint`` group, one (H, t) array per piece size t
+        (ascending) of the pieces' row positions in the group's blocks stacked
+        to (G s) rows.  An operator whose first c factors are diagonal in the
+        single-use eigenbasis is zero off these pieces; ``split(0)`` is
+        ``joint`` itself.  Cached per c, and written into ``_piece_tables``
+        as layout c."""
+        if c in self._splits:
+            return self._splits[c]
+        with self._lock:
+            if c not in self._splits:
+                d, offset = self.single_vectors.shape[0], 0
+                pieces = tuple(tuple(_cut(idx // d ** (self.n - c)).values())
+                               for idx in self.joint.groups)
+                for table, subs in zip(self._piece_tables, pieces):
+                    for rows in subs:
+                        size = rows.shape[1]
+                        starts = offset + np.arange(rows.size).reshape(rows.shape) * size
+                        table[:, c, rows] = _tables(rows[:, :1], starts, np.arange(size))
+                        offset += rows.size * size
+                self._splits[c] = pieces
+            return self._splits[c]
+
+    @cached_property
+    def _piece_tables(self) -> list[np.ndarray]:
+        """The ``_gather`` tables of operators stored as their pieces of
+        ``split(z)``, layout z, filled as ``split`` is first called for z: per
+        group, ``(start, position)``, (2, n + 1, G s), for pieces stored
+        group by group, size by size, each t x t piece row by row.  A piece
+        is named by its first row."""
+        return [np.zeros((2, self.n + 1, idx.size), dtype=np.intp) for idx in self.joint.groups]
 
     def require(self, states: Sequence[DensityOperator], n: int, party: str) -> None:
         """Raise ``IndexMismatch`` unless this is the basis of the party with
@@ -264,11 +377,14 @@ class ProductBasis:
                       symbols: Sequence[int]) -> dict:
         """Per symbol x in ``symbols``, ``states[x]`` in this basis cut into
         its component blocks: one (count, size, size) stack per class of
-        equal-size components."""
+        equal-size components.  The innocent state (x = 0, the state this
+        basis diagonalises) is written as the diagonal of its eigenvalues, the
+        ones ``eigenvalues`` and ``state`` are built from, so it is exactly
+        zero off the diagonal."""
         u = self.single_vectors
         out = {}
         for x in set(symbols):
-            rotated = u.conj().T @ states[x].matrix @ u
+            rotated = np.diag(self._single + 0j) if x == 0 else u.conj().T @ states[x].matrix @ u
             out[x] = [rotated[q[:, :, None], q[:, None, :]] for q in self._classes]
         return out
 
@@ -294,30 +410,25 @@ class ProductBasis:
             rows[idx] = np.arange(idx.size).reshape(idx.shape)
         return digits, rows
 
-    def reorderings(self, orders: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    def reorderings(self, orders: np.ndarray) -> list[np.ndarray]:
         """Row maps that reorder the tensor positions of operators held over
-        ``joint``, ``(forward, inverse)``: per group, the (len(orders), G, s)
-        stack whose slice m gathers, from an operator's blocks stacked to (G
-        s) rows, the rows of the operator with its tensor positions
-        reordered by ``orders[m]``, and by its inverse.
+        ``joint``: per group, the (len(orders), G, s) stack whose slice m
+        gathers, from an operator's blocks stacked to (G s) rows, the rows of
+        the operator with its tensor positions reordered by ``orders[m]``.
 
-        Index i of the forward result is index p(i) of the operand, where the
-        digits of p(i) are ``i[order[0]], ..., i[order[n-1]]``: with A's rows
-        so gathered (and its columns likewise), the product state of the
-        symbols ``x[order]`` becomes that of ``x``; the inverse maps back.
-        The innocent n-fold state is invariant under every such reordering,
-        so each joint block maps onto a joint block of the same size (the
-        same one only when the component string is unchanged) and a map
-        never leaves its group.
+        Index i of the result is index p(i) of the operand, where the digits
+        of p(i) are ``i[order[0]], ..., i[order[n-1]]``: with A's rows so
+        gathered (and its columns likewise), the product state of the
+        symbols ``x[order]`` becomes that of ``x``.  The innocent n-fold
+        state is invariant under every such reordering, so each joint block
+        maps onto a joint block of the same size (the same one only when the
+        component string is unchanged) and a map never leaves its group.
         """
         digits, rows = self._reorder_tables
         weights = float(self.single_vectors.shape[0]) ** np.arange(self.n - 1, -1, -1)
-        inverse = np.argsort(orders, axis=1)
-        # p(i) = sum_t digit_t(i) weights[inverse[t]], and the inverse's are weights[order]
-        image = rows[(weights[np.concatenate([inverse, orders])] @ digits).astype(np.intp)]
-        count = len(orders)
-        return ([image[:count, idx] for idx in self.joint.groups],
-                [image[count:, idx] for idx in self.joint.groups])
+        # p(i) = sum_t digit_t(i) weights[inverse[t]]
+        image = rows[(weights[np.argsort(orders, axis=1)] @ digits).astype(np.intp)]
+        return [image[:, idx] for idx in self.joint.groups]
 
     def to_original_basis(self, rotated: np.ndarray) -> np.ndarray:
         """Conjugate back to the computational basis: (u^(x) n) rotated
@@ -329,70 +440,87 @@ class ProductBasis:
 class DecoderPovm:
     """Sub-POVM decoder: per-message elements plus an implicit failure element.
 
-    Every element is block-diagonal over ``partition`` and is held as its
-    factor there, ``E_m = X_m X_m^dagger``: ``factors[m][g]`` is the (G, s,
-    r) stack of X_m's blocks on ``partition.groups[g]`` (see
-    :class:`Partition`), r columns each.  ``build_srm_decoder`` gives
-    factors over the joint blocks of its product eigenbasis ``basis``
-    (``ProductBasis.joint``), written in that basis.  A decoder given by
-    full ``elements`` (written in ``basis``, or in the computational basis
-    when it is None) is the one-block case, factored once as ``V sqrt(w+)``
-    from each element's eigendecomposition.  The blocks ``stacks`` (per
-    group, the (M, G, s, s) stack of the elements' blocks) and the full
-    matrices ``elements`` are formed only when asked for.
+    Every element is held on blocks as ``E_m = N P_m N``, in the frame that
+    reorders the tensor positions of ``basis`` by ``frame`` (None: its own
+    order).  ``subs[g]`` lists, per size, the (H, t) row positions of the
+    blocks in ``partition.groups[g]``'s blocks stacked to (G s) rows;
+    ``norms[g][j]`` is the (H, t, t) stack of N on the blocks ``subs[g][j]``
+    (None: N is the identity); ``projectors`` is ``(store, which, maps)``:
+    P_m's blocks are the rows ``maps[g][m]`` of operator ``which[m]`` of
+    ``store`` (see ``_gather``).
 
-    ``source`` is ``(states, rows, sigma, maps)``: the single-use states and
-    the codeword rows the decoder was built for and, per row, the block
-    states of its symbol type and the row maps that take X_m into that
-    type's frame (``ProductBasis.reorderings``), so scoring the same
-    codewords reads each type's state as it was built.
+    ``build_srm_decoder`` gives the pinched square-root measurement over its
+    product eigenbasis ``basis``: the joint blocks (``ProductBasis.joint``)
+    cut by the labels of the key's ``shared`` innocent positions, which
+    ``frame`` puts first, so that ``subs`` is ``basis.split(shared)``; P_m is
+    its symbol type's projector, read from the type store through the row
+    maps of ``ProductBasis.reorderings``.  ``source`` is ``(states, rows,
+    sigma)``: the single-use states and codeword rows it was built for and
+    their types' block states, ``(store, which, maps)`` like
+    ``projectors``, so scoring those codewords reads each type's state as it
+    was built.  A decoder given by full ``elements`` (written in ``basis``,
+    or in the computational basis when it is None) is the one-block case
+    with P_m = E_m and no N.  The blocks ``stacks`` (per group, the (M, G,
+    s, s) stack of the elements' blocks in the basis's own order) and the
+    full matrices ``elements`` are formed only when asked for.
     """
 
     def __init__(self, elements: Sequence[np.ndarray] | None = None,
-                 basis: ProductBasis | None = None, *,
-                 partition: Partition | None = None, factors: Sequence | None = None,
-                 source: tuple | None = None):
-        if factors is None:
+                 basis: ProductBasis | None = None, *, shared: int = 0,
+                 frame: np.ndarray | None = None, norms: Sequence | None = None,
+                 projectors: tuple | None = None, source: tuple | None = None):
+        if projectors is None:
             vars(self)["elements"] = tuple(elements)
-            partition = Partition.whole(self.elements[0].shape[0])
             vars(self)["stacks"] = (np.stack(self.elements)[:, None],)
-            w, v = np.linalg.eigh(hermitian_part(self.stacks[0]))
-            factors = [(x,) for x in v * np.sqrt(np.maximum(w, 0.0))[..., None, :]]
-        self.partition = partition
-        self.factors = tuple(factors)
+            count, dim = len(self.elements), self.elements[0].shape[0]
+            partition, subs = Partition.whole(dim), ((np.arange(dim)[None],),)
+            projectors = (_dense_store([self.stacks[0][:, 0]]), np.arange(count),
+                          (np.broadcast_to(np.arange(dim), (count, dim)),))
+        else:
+            partition, subs = basis.joint, basis.split(shared)
         self.basis = basis
+        self.partition = partition
+        self.shared = shared
+        self.frame = frame
+        self.subs = subs
+        self.norms = norms
+        self.projectors = projectors
         self.source = source
 
     @property
     def m_count(self) -> int:
-        return len(self.factors)
+        return len(self.projectors[1])
+
+    def _element_blocks(self, g: int, which: np.ndarray, rows: np.ndarray,
+                        norm: np.ndarray | None) -> np.ndarray:
+        """The blocks ``N P N`` of the elements on the rows ``rows`` of the
+        projector operators ``which``, with N's blocks ``norm``."""
+        blocks = _gather(self.projectors[0], g, which, rows)
+        if norm is not None:
+            blocks = _matmul(norm, blocks)
+            blocks = _matmul(blocks, norm)
+        return blocks
 
     @cached_property
     def stacks(self) -> tuple[np.ndarray, ...]:
         """Per group, the (M, G, s, s) stack of the elements' blocks."""
-        return tuple(np.stack([x @ dagger(x) for x in group]) for group in zip(*self.factors))
+        _, which, maps = self.projectors
+        out = []
+        for g, (idx, back) in enumerate(zip(self.partition.groups,
+                                            self.basis.reorderings(self.frame[None]))):
+            size = idx.shape[1]
+            stack = np.zeros((self.m_count, idx.size, size), dtype=complex)
+            for rows, norm in zip(self.subs[g], self.norms[g]):
+                stack[:, rows[..., :, None], rows[..., None, :] % size] = self._element_blocks(
+                    g, which, maps[g][:, rows], norm)
+            back = back[0]  # rows of the key's frame in the basis's own order
+            out.append(stack[:, back[..., :, None], back[..., None, :] % size])
+        return tuple(out)
 
     @cached_property
     def elements(self) -> tuple[np.ndarray, ...]:
         """The elements as full matrices, zero off their blocks."""
         return tuple(self.partition.assemble(self.stacks))
-
-    def frames(self, states: Sequence[DensityOperator], rows: np.ndarray) -> list:
-        """Per message m, per group, ``(sigma, y)``: the blocks of codeword
-        ``rows[m]``'s state and of element m's factor, written in one frame,
-        so that ``Tr{E_m sigma_m} = sum_g <y, sigma y>``.  For the rows the
-        decoder was built for, the frame is each row's symbol type's; for
-        any other rows, or a decoder given by its elements, it is the
-        decoder's own (the identity reordering)."""
-        if (self.source is not None and self.source[0] is states
-                and np.array_equal(self.source[1], rows)):
-            _, _, sigma, maps = self.source
-        else:
-            sigma = list(zip(*self.codeword_blocks(states, rows)))
-            maps = [[np.arange(idx.size).reshape(idx.shape) for idx in self.partition.groups]]
-            maps *= len(rows)
-        return [[(s, x.reshape(into.size, x.shape[-1])[into]) for s, x, into in zip(*per_row)]
-                for per_row in zip(sigma, self.factors, maps)]
 
     def codeword_blocks(self, states: Sequence[DensityOperator], rows: np.ndarray) -> tuple:
         """The codeword ``rows``' states in this decoder's basis (the
@@ -403,6 +531,21 @@ class DecoderPovm:
                                            source)
                    for row in rows]
         return tuple(np.stack(group) for group in zip(*per_row))
+
+    def _states(self, states: Sequence[DensityOperator], rows: np.ndarray) -> tuple:
+        """``(store, which, maps)`` of the codeword ``rows``' block states in
+        this decoder's frame, as ``projectors`` holds the projectors: the
+        types' of ``source`` for the codewords it was built for, else the
+        rows' own blocks (``codeword_blocks``)."""
+        if (self.source is not None and self.source[0] is states
+                and np.array_equal(self.source[1], rows)):
+            return self.source[2]
+        if self.frame is not None:
+            rows = rows[:, self.frame]
+        stacks = [s.reshape(len(rows), -1, s.shape[-1])
+                  for s in self.codeword_blocks(states, rows)]
+        return (_dense_store(stacks), np.arange(len(rows)),
+                tuple(np.broadcast_to(np.arange(s.shape[1]), s.shape[:2]) for s in stacks))
 
     def validate(self) -> None:
         """Check PSD elements and sum bounded by identity within
@@ -418,8 +561,18 @@ class DecoderPovm:
                 raise ValidationError(f"decoder sum exceeds identity by {excess:.3e}")
 
 
+def _keys(codebook: Codebook, key) -> tuple[list[int], bool]:
+    """``(keys, one)``: the keys of an int or a sequence of keys, each checked."""
+    one = isinstance(key, (int, np.integer))
+    keys = [int(key)] if one else [int(k) for k in key]
+    for k in keys:
+        if not 0 <= k < codebook.k_count:
+            raise IndexMismatch(f"key {k} outside 0..{codebook.k_count - 1}")
+    return keys, one
+
+
 def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
-                      key: int = 0, basis: ProductBasis | None = None) -> DecoderPovm:
+                      key=0, basis: ProductBasis | None = None):
     """Square-root-measurement decoder for the given key.
 
     Per-message projectors keep the strictly positive eigenspaces of the
@@ -429,105 +582,183 @@ def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
 
     Everything after the pinching is block-diagonal over the joint blocks,
     the innocent state's eigenvalue clusters cut by Bob's component strings
-    (``ProductBasis.joint``), and is held as factors: projector m is ``K_m
-    K_m^dagger`` with K_m its kept eigenvectors, and element m is ``X_m
-    X_m^dagger`` with ``X_m = N K_m`` and ``N = (sum_m K_m K_m^dagger)^(-1/2)``
-    (pseudo inverse), so no element is formed.  A codeword's state and
-    projector are those of its sorted symbol type with the tensor positions
-    reordered, so they are built once per type (``_pinched_types``) and K_m
-    is the type's K with its rows gathered (``ProductBasis.reorderings``);
-    only the normalisation is per key.  The spectral work runs on stacks of
-    equal-size blocks, and the factors stay in them (``DecoderPovm.factors``,
-    in the basis ``DecoderPovm.basis``).
+    (``ProductBasis.joint``), and more: at the key's shared innocent
+    positions, where all M codewords send the innocent symbol, every factor
+    is the diagonal ``diag(lambda)``, so the codeword states, the projectors
+    ``P_m``, their sum and ``N = (sum_m P_m)^(-1/2)`` (pseudo inverse) are
+    block-diagonal over the labels of those positions too.  The key's frame
+    puts its c shared positions first, so its blocks are
+    ``basis.split(c)``, and element m is ``N P_m N`` with N solved there.  A
+    codeword's state and projector are those of its sorted symbol type with
+    the tensor positions reordered, so they are built once per type
+    (``_pinched_types``) and read through row maps
+    (``ProductBasis.reorderings``); only the normalisation is per key.
+
+    ``key`` is one key, or a sequence of keys whose decoders are built
+    together and returned as a list: their types are found in one call,
+    their maps in one call, and the normalisation runs one stacked
+    eigensolve per piece size and shared count across the keys.  Each
+    matrix is solved on its own, so a key's decoder does not depend on the
+    keys built with it; one key is the one-element case.
     """
     if a < 0:
         raise ValidationError(f"threshold exponent a must be >= 0, got {a}")
-    if not 0 <= key < codebook.k_count:
-        raise IndexMismatch(f"key {key} outside 0..{codebook.k_count - 1}")
+    keys, one = _keys(codebook, key)
     if basis is None:
         basis = ProductBasis(channel.bob_states, codebook.n)
     else:
         basis.require(channel.bob_states, codebook.n, "Bob")
-    rows = codebook.codewords(key)
-    orders = np.argsort(rows, axis=1, kind="stable")
-    types = _pinched_types(basis, channel.bob_states, a,
-                           np.take_along_axis(rows, orders, axis=1))
-    into_rows, into_types = basis.reorderings(orders)
-    factors = []
-    for g, fwd in enumerate(into_rows):
-        kept = [t[g][1] for t in types]
-        k = np.concatenate([t[into] for t, into in zip(kept, fwd)], axis=-1)
-        w, v = np.linalg.eigh(k @ dagger(k))
-        inv_sqrt_w = np.where(w > RANK_TOL, w, np.inf) ** -0.5
-        x = v @ (inv_sqrt_w[..., None] * (dagger(v) @ k))
-        cuts = list(itertools.accumulate((t.shape[1] for t in kept), initial=0))
-        factors.append([x[..., i:j] for i, j in zip(cuts, cuts[1:])])
-    source = (channel.bob_states, rows, [[s for s, _ in t] for t in types],
-              list(zip(*into_types)))
-    return DecoderPovm(basis=basis, partition=basis.joint, factors=list(zip(*factors)),
-                       source=source)
+    m, n = codebook.m_count, codebook.n
+    rows = codebook.symbols.reshape(m, codebook.k_count, n)[:, keys]   # (M, B, n)
+    shared = ~rows.any(axis=0)                  # innocent in every codeword of the key
+    frames = np.argsort(~shared, axis=1, kind="stable")
+    keyed = np.take_along_axis(rows, frames[None], axis=2).reshape(-1, n)
+    orders = np.argsort(keyed, axis=1, kind="stable")
+    which, store = _pinched_types(basis, channel.bob_states, a,
+                                  np.take_along_axis(keyed, orders, axis=1))
+    which = which.reshape(m, len(keys))
+    maps = [f.reshape(m, len(keys), -1) for f in basis.reorderings(orders)]
+    counts = shared.sum(axis=1)
+    norms = [[[] for _ in maps] for _ in keys]
+    for c in np.unique(counts):
+        sel = np.flatnonzero(counts == c)
+        for g, subs in enumerate(basis.split(int(c))):
+            for piece in subs:
+                for part in _slices(len(sel), m * piece.size * piece.shape[1]):
+                    some = sel[part]
+                    gram = _gather(store, g, which[:, some] + 1, maps[g][:, some][..., piece])
+                    w, v = _eigh(gram.sum(axis=0))
+                    norm = _matmul(v * (np.where(w > RANK_TOL, w, np.inf) ** -0.5)[..., None, :],
+                                   dagger(v))
+                    for i, b in enumerate(some):
+                        norms[b][g].append(norm[i])
+    decoders = []
+    for b, c in enumerate(counts.tolist()):
+        key_maps = [f[:, b] for f in maps]
+        decoders.append(DecoderPovm(basis=basis, shared=c, frame=frames[b], norms=norms[b],
+                                    projectors=(store, which[:, b] + 1, key_maps),
+                                    source=(channel.bob_states, rows[:, b],
+                                            (store, which[:, b], key_maps))))
+    return decoders[0] if one else decoders
 
 
 def _pinched_types(basis: ProductBasis, states: Sequence[DensityOperator], a: float,
-                   sorted_rows: np.ndarray) -> list[tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """Per sorted codeword row (symbol type), per ``basis.joint`` group, the
-    pair ``(sigma, k)``: the (G, s, s) stack of its block state and the (G s,
-    r) rows of its pinched projector's factor, ``P = K K^dagger`` on each
-    block, the projector onto the positive part of ``sigma^b - e^a
-    lambda_b``.  K holds the kept eigenvectors (eigenvalue above
-    ``ZERO_EIGENVALUE_TOL``), the last columns of ``eigh``'s ascending
-    output, with zero columns padding every block to the group's largest
-    kept count r.
+                   sorted_rows: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """``(which, store)``: per sorted codeword row (symbol type), the index
+    in ``store`` (see ``_gather``) of its block state; the next operator is
+    its pinched projector, on each ``basis.joint`` block the projector onto
+    the positive part of ``sigma^b - e^a lambda_b``, from the eigenvectors
+    of eigenvalue above ``ZERO_EIGENVALUE_TOL``.  A type with z innocent
+    symbols has them first, so its state and projector are block-diagonal
+    over ``basis.split(z)``: the projector is solved there, and both are
+    stored as those pieces only, layout z.
 
     Each type is built once, the missing ones of a call in one stacked
-    eigensolve, and kept on ``basis`` for the last ``(states, a)`` it
-    served, so the memo holds at most one entry per type and threads share
-    it.  Every matrix is solved on its own, so an entry does not depend on
-    which types were built with it or whether it was found or built.
+    eigensolve per piece size, and kept on ``basis`` for the last
+    ``(states, a)`` it served, so the memo holds at most one entry per type;
+    threads share it under a lock.  Every matrix is solved on its own, so an
+    entry does not depend on which types were built with it or whether it
+    was found or built.
     """
-    key, cache = basis._types
-    if key is None or key[0] is not states or key[1] != a:
-        cache = {}
-        basis._types = ((states, a), cache)
-    types = [tuple(t) for t in sorted_rows.tolist()]
-    new = [t for t in dict.fromkeys(types) if t not in cache]
-    if new:
-        threshold = math.exp(a) * basis.eigenvalues
-        per_type = [basis.joint.restrict(basis.rotated_block(states, t), basis.strings)
-                    for t in new]
-        sigma = [np.stack(blocks) for blocks in zip(*per_type)]
-        built = []
-        for idx, stack in zip(basis.joint.groups, sigma):
-            size = idx.shape[1]
-            diag = np.arange(size)
-            shifted = stack.copy()
-            shifted[..., diag, diag] -= threshold[idx]
-            w, v = np.linalg.eigh(hermitian_part(shifted))
-            kept = w > ZERO_EIGENVALUE_TOL
-            keep = v * kept[..., None, :]
-            built.append([(s, k[..., size - r:].reshape(idx.size, r).copy())
-                          for s, k, r in zip(stack, keep, kept.sum(axis=-1).max(axis=-1))])
-        for i, t in enumerate(new):
-            cache.setdefault(t, tuple(b[i] for b in built))
-    return [cache[t] for t in types]
+    with basis._lock:
+        key, index, store = basis._types
+        if key is None or key[0] is not states or key[1] != a:
+            index, store = {}, (np.zeros(2, dtype=complex), np.zeros(0, dtype=np.intp),
+                                np.zeros(0, dtype=np.intp), basis._piece_tables)
+        types = [tuple(t) for t in sorted_rows.tolist()]
+        new = [t for t in dict.fromkeys(types) if t not in index]
+        if new:
+            threshold = math.exp(a) * basis.eigenvalues
+            zeros = np.count_nonzero(np.asarray(new) == 0, axis=1).tolist()
+            pieces = {}  # (z, group, size class) -> (piece rows, each new type's state there)
+            for t, z in zip(new, zeros):
+                blocks = basis.joint.restrict(basis.rotated_block(states, t), basis.strings)
+                for g, (stack, subs) in enumerate(zip(blocks, basis.split(z))):
+                    stack = stack.reshape(-1, stack.shape[-1])
+                    for j, rows in enumerate(subs):
+                        pieces.setdefault((z, g, j), (rows, []))[1].append(
+                            stack[rows[..., :, None], rows[..., None, :] % stack.shape[-1]])
+            parts = [[] for _ in range(2 * len(new))]  # per state and projector, its pieces
+            for (z, g, _), (rows, built) in pieces.items():
+                sigma = np.stack(built)
+                shifted = sigma.copy()
+                diag = np.arange(sigma.shape[-1])
+                shifted[..., diag, diag] -= threshold[basis.joint.groups[g].ravel()[rows]]
+                w, v = _eigh(hermitian_part(shifted))
+                keep = v * (w > ZERO_EIGENVALUE_TOL)[..., None, :]
+                owners = [i for i, y in enumerate(zeros) if y == z]
+                for i, state, projector in zip(owners, sigma, _matmul(keep, dagger(keep))):
+                    parts[2 * i].append(state.ravel())
+                    parts[2 * i + 1].append(projector.ravel())
+            flat, base, layout, tables = store
+            parts = [np.concatenate(p) for p in parts]
+            starts = flat.size - 1 + np.cumsum([0] + [p.size for p in parts[:-1]])
+            store = (np.concatenate([flat[:-1], *parts, flat[-1:]]), np.append(base, starts),
+                     np.append(layout, np.repeat(zeros, 2)), tables)
+            index.update(zip(new, range(len(base), len(base) + 2 * len(new), 2)))
+            basis._types = ((states, a), index, store)
+        return np.array([index[t] for t in types]), store
 
 
-def exact_pe_bob(codebook: Codebook, channel: CqChannelPair,
-                 decoder: DecoderPovm, key: int = 0) -> float:
+def _hits(decoders: Sequence[DecoderPovm], states: Sequence[DensityOperator],
+          rows: Sequence[np.ndarray]) -> np.ndarray:
+    """``Tr{E_m sigma_m}`` for each decoder and message, (len(decoders), M):
+    ``sigma_m`` is the state of codeword ``rows[i][m]``, and the trace is
+    summed over the decoder's blocks, ``vec(E) . vec(sigma^T)``.  Decoders
+    that share their pieces and their stores are scored together, one
+    gather, product and sum per piece size; each sum runs over one decoder
+    and message, so a decoder's hits do not depend on the decoders scored
+    with it."""
+    out = np.zeros((len(decoders), decoders[0].m_count))
+    batches = {}
+    for i, (decoder, r) in enumerate(zip(decoders, rows)):
+        sigma = decoder._states(states, r)
+        batch = (id(decoder.subs), id(decoder.projectors[0]), id(sigma[0]))
+        batches.setdefault(batch, []).append((i, decoder, sigma))
+    for batch in batches.values():
+        members, batched, sigmas = zip(*batch)
+        lead = batched[0]
+        which = np.stack([d.projectors[1] for d in batched], axis=1)
+        which_sigma = np.stack([s[1] for s in sigmas], axis=1)
+        hits = np.zeros((lead.m_count, len(members)))
+        for g, subs in enumerate(lead.subs):
+            maps = np.stack([d.projectors[2][g] for d in batched], axis=1)
+            maps_sigma = np.stack([s[2][g] for s in sigmas], axis=1)
+            for j, piece in enumerate(subs):
+                size = piece.shape[-1] ** 2
+                for part in _slices(len(members), lead.m_count * piece.shape[0] * size):
+                    norm = (None if lead.norms is None
+                            else np.stack([d.norms[g][j] for d in batched[part]]))
+                    element = lead._element_blocks(g, which[:, part], maps[:, part][..., piece],
+                                                   norm)
+                    state = _gather(sigmas[0][0], g, which_sigma[:, part],
+                                    maps_sigma[:, part][..., piece], transpose=True)
+                    traces = _matmul(element.reshape(*element.shape[:-2], 1, size),
+                                     state.reshape(*state.shape[:-2], size, 1))
+                    hits[:, part] += traces.sum(axis=(-3, -2, -1)).real
+        out[list(members)] = hits.T
+    return out
+
+
+def exact_pe_bob(codebook: Codebook, channel: CqChannelPair, decoder, key=0):
     """Exact average decoding error (1/M) sum_m (1 - Tr{element_m state_m}),
-    with each trace summed over the decoder's blocks on the element's
-    factor, ``Tr{E_m sigma_m} = sum_b sum conj(Y) (sigma Y)`` for the blocks
-    Y of X_m and sigma of sigma_m written in one frame
-    (``DecoderPovm.frames``)."""
-    if decoder.m_count != codebook.m_count:
-        raise IndexMismatch(f"decoder has {decoder.m_count} elements "
-                            f"for {codebook.m_count} messages")
-    if not 0 <= key < codebook.k_count:
-        raise IndexMismatch(f"key {key} outside 0..{codebook.k_count - 1}")
-    frames = decoder.frames(channel.bob_states, codebook.codewords(key))
-    hits = np.array([sum(np.vdot(y, s @ y).real for s, y in frame) for frame in frames])
-    total = float(np.sum(1.0 - hits))
-    return min(max(total / codebook.m_count, 0.0), 1.0)
+    with each trace summed over the decoder's blocks (``_hits``).
+
+    ``decoder`` and ``key`` are one decoder and its key, or equal-length
+    sequences of them (as ``build_srm_decoder`` returns for a sequence of
+    keys), scored together and returned as an array; one decoder is the
+    one-element case."""
+    keys, one = _keys(codebook, key)
+    decoders = [decoder] if one else list(decoder)
+    if len(decoders) != len(keys):
+        raise IndexMismatch(f"{len(decoders)} decoders for {len(keys)} keys")
+    for d in decoders:
+        if d.m_count != codebook.m_count:
+            raise IndexMismatch(f"decoder has {d.m_count} elements "
+                                f"for {codebook.m_count} messages")
+    hits = _hits(decoders, channel.bob_states, [codebook.codewords(k) for k in keys])
+    pe = np.clip(np.sum(1.0 - hits, axis=1) / codebook.m_count, 0.0, 1.0)
+    return float(pe[0]) if one else pe
 
 
 def willie_average_state(codebook: Codebook, channel: CqChannelPair,
@@ -634,7 +865,10 @@ class TrialReport:
     as the scores: Bob's pinching ``clusters``, the joint blocks Bob's
     decoder (``bob_blocks``) and Willie's average state (``willie_blocks``)
     are scored on, the ``distinct_rows`` of the codebook, the symbol types
-    Bob's decoders were built from (``bob_types``) and its ``keys``.
+    Bob's decoders were built from (``bob_types``), its ``keys``, the mean
+    number of shared innocent positions per key (``shared_innocent``) and
+    the number of pieces the keys' normalisations ran on, summed over the
+    keys (``bob_sub_blocks``, see ``ProductBasis.split``).
     """
 
     n: int
@@ -798,17 +1032,23 @@ def run_experiment(config: ExperimentConfig) -> list[TrialReport]:
     def run_one(task) -> TrialReport:
         n, m, k, log_m_raw, log_k_raw, a, bob_basis, willie_basis, seed, note = task
         codebook = sample_codebook(channel, n, m, k, config.gamma, p, seed)
-        # each key's decoder is freed before the next one is built
-        pe_values = [exact_pe_bob(codebook, channel,
-                                  build_srm_decoder(codebook, channel, a, key=key,
-                                                    basis=bob_basis), key=key)
-                     for key in range(k)]
+        # each chunk's decoders are freed before the next chunk is built
+        pe_values, shared = [], []
+        for start in range(0, k, KEY_CHUNK):
+            keys = range(start, min(start + KEY_CHUNK, k))
+            decoders = build_srm_decoder(codebook, channel, a, key=keys, basis=bob_basis)
+            pe_values.extend(exact_pe_bob(codebook, channel, decoders, key=keys).tolist())
+            shared.extend(d.shared for d in decoders)
+            del decoders
         covert_d, pe_willie = covertness_report(codebook, channel, willie_basis)
         diagnostics = {"clusters": len(bob_basis.clusters),
                        "bob_blocks": bob_basis.joint.count,
                        "willie_blocks": willie_basis.strings.count,
                        "distinct_rows": len(codebook.distinct_rows[0]),
-                       "bob_types": codebook.type_count, "keys": k}
+                       "bob_types": codebook.type_count, "keys": k,
+                       "shared_innocent": float(np.mean(shared)),
+                       "bob_sub_blocks": sum(len(r) for c in shared
+                                             for subs in bob_basis.split(c) for r in subs)}
         return TrialReport(n=n, gamma=config.gamma, seed=seed, m_count=m, k_count=k,
                            log_m_raw=log_m_raw, log_k_raw=log_k_raw,
                            pe_bob=float(np.mean(pe_values)), covert_d=covert_d,

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (channel_to_json, codeword, diagonal_state, haar_unitary, kron,
                       matrix_to_json)
+from cqcovert import coding
 from cqcovert.channel import CqChannelPair
 from cqcovert.coding import (
     Codebook,
@@ -964,12 +965,24 @@ class TestTrialDiagnostics:
         for r in run_experiment(config):
             cb = sample_codebook(canonical_channel, r.n, r.m_count, r.k_count, 0.5,
                                  [1.0], r.seed)
+            shared = [np.sum(~cb.codewords(k).any(axis=0)) for k in range(r.k_count)]
+            # every joint block of a classical channel is 1 x 1, and so is every piece
             assert r.to_json()["diagnostics"] == {
                 "clusters": {6: 7, 10: 11}[r.n], "bob_blocks": 2 ** r.n,
                 "willie_blocks": 2 ** r.n,
                 "distinct_rows": len(np.unique(cb.symbols, axis=0)),
                 "bob_types": len(np.unique(np.sort(cb.symbols, axis=1), axis=0)),
-                "keys": r.k_count}
+                "keys": r.k_count, "shared_innocent": float(np.mean(shared)),
+                "bob_sub_blocks": r.k_count * 2 ** r.n}
+
+    def test_all_innocent_keys_split_into_single_indices(self):
+        ch = _ginibre_pair(2, 3)
+        config = ExperimentConfig(channel=ch, n_list=(4,), gamma=0.0, trials=1, seed=2,
+                                  ptilde=np.array([1.0]), m_override=3, k_override=2)
+        (report,) = run_experiment(config)
+        assert report.diagnostics["shared_innocent"] == 4.0
+        assert report.diagnostics["bob_sub_blocks"] == 2 * 2 ** 4
+        assert report.pe_bob == 1.0
 
     def test_binary_alphabet_has_at_most_n_plus_one_types(self, canonical_channel):
         config = ExperimentConfig(channel=canonical_channel, n_list=(6,), gamma=0.9,
@@ -1118,14 +1131,14 @@ class TestTypeSharing:
                 assert np.array_equal(x, y)
 
 
-class TestFactoredDecoder:
-    """Bob's decoder is held as factors, ``E_m = X_m X_m^dagger``, and each
-    message is scored in its symbol type's frame; a decoder given by its
-    elements is factored and scored by the same formula."""
+class TestNormalisedDecoder:
+    """Bob's decoder is held as ``E_m = N P_m N`` on the pieces of its key,
+    with each state and projector read from its symbol type; a decoder given
+    by its elements is scored by the same formula."""
 
     @seeded
     @typed_cases
-    def test_factors_match_the_per_row_oracle_in_either_frame(self, kind, n, seed):
+    def test_hits_match_the_per_row_oracle_from_types_or_rows(self, kind, n, seed):
         ch = _typed_channel(kind, seed)
         cb = _typed_codebook(ch, n, seed)
         basis = ProductBasis(ch.bob_states, n)
@@ -1135,13 +1148,13 @@ class TestFactoredDecoder:
             decoder.validate()
             hits = sum(np.sum(e * np.swapaxes(s, -1, -2), axis=(-3, -2, -1)).real
                        for e, s in zip(elements, sigma))
-            # each message's hit, in its type's frame for the states the
-            # decoder was built for and in the decoder's own for any others
+            # each message's hit, with the states read from the type stacks
+            # for the states the decoder was built for and from the rows'
+            # own blocks for any others
             rows = cb.codewords(key)
             for states in (ch.bob_states, list(ch.bob_states)):
-                mine = [sum(np.vdot(y, s @ y).real for s, y in frame)
-                        for frame in decoder.frames(states, rows)]
-                assert np.max(np.abs(np.asarray(mine) - hits)) <= 1e-12
+                mine = coding._hits([decoder], states, [rows])[0]
+                assert np.max(np.abs(mine - hits)) <= 1e-12
 
     @seeded
     @typed_cases
@@ -1151,7 +1164,9 @@ class TestFactoredDecoder:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             decoder = build_srm_decoder(cb, ch, a=50.0)
-            assert all(x.shape[-1] == 0 for factor in decoder.factors for x in factor)
+            store, which, maps = decoder.projectors
+            for g, idx in enumerate(decoder.partition.groups):
+                assert not np.any(coding._gather(store, g, which, maps[g].reshape(-1, *idx.shape)))
             assert exact_pe_bob(cb, ch, decoder) == 1.0
             assert all(np.all(stack == 0) for stack in decoder.stacks)
 
@@ -1175,3 +1190,132 @@ class TestFactoredDecoder:
             hits = [np.sum(e * sigma[m, 0].T).real for m, e in enumerate(elements)]
             assert exact_pe_bob(cb, ch, decoder) == pytest.approx(
                 np.mean(1.0 - np.asarray(hits)), abs=1e-12)
+
+
+def _shared_codebook(ch, n, shared, m_count=3, seed=0):
+    """Random codewords, ``len(shared)`` keys of ``m_count`` messages, whose
+    key k has exactly ``shared[k]`` innocent columns in common, at random
+    positions: every other column sends a non-innocent symbol somewhere."""
+    gen = np.random.default_rng(seed)
+    k_count = len(shared)
+    symbols = gen.integers(0, ch.alphabet_size, size=(m_count * k_count, n))
+    for k, c in enumerate(shared):
+        rows = symbols[k::k_count]
+        columns = gen.permutation(n)
+        rows[:, columns[:c]] = 0
+        for column in columns[c:]:
+            if not rows[:, column].any():
+                rows[gen.integers(m_count), column] = gen.integers(1, ch.alphabet_size)
+    return Codebook(n=n, m_count=m_count, k_count=k_count, gamma=0.9, seed=seed,
+                    ptilde=np.array([1.0]), symbols=symbols)
+
+
+def _piece_masks(basis, c):
+    """Per joint group, the (G s, s) mask of the entries of the pieces
+    ``basis.split(c)``, blocks stacked to rows."""
+    masks = []
+    for idx, subs in zip(basis.joint.groups, basis.split(c)):
+        mask = np.zeros((idx.size, idx.shape[1]), dtype=bool)
+        for rows in subs:
+            mask[rows[..., :, None], rows[..., None, :] % idx.shape[1]] = True
+        masks.append(mask)
+    return masks
+
+
+class TestSharedInnocentSplit:
+    """At a key's shared innocent positions every factor is diag(lambda), so
+    its decoder is solved on the joint blocks cut by their labels; the split
+    is exact, and a key's decoder does not depend on the keys built with it."""
+
+    @pytest.mark.parametrize("kind, n", [("qubit", 5), ("qutrit", 4), ("flag", 4)])
+    @pytest.mark.parametrize("shared", ["none", "one", "all_but_one", "all"])
+    def test_split_decoder_matches_the_dense_and_per_row_oracles(self, kind, n, shared):
+        ch = _typed_channel(kind, 17)
+        c = {"none": 0, "one": 1, "all_but_one": n - 1, "all": n}[shared]
+        cb = _shared_codebook(ch, n, [c, c], seed=c)
+        basis = ProductBasis(ch.bob_states, n)
+        for key in range(cb.k_count):
+            decoder = build_srm_decoder(cb, ch, a=0.1, key=key, basis=basis)
+            assert decoder.shared == c
+            decoder.validate()
+            for mine, oracle in zip(decoder.elements, _dense_pinched_srm(cb, ch, 0.1, key)):
+                assert np.max(np.abs(basis.to_original_basis(mine) - oracle)) <= 1e-9
+            elements, sigma = _per_row_decoder(cb, ch, 0.1, key, basis)
+            mine = decoder.stacks + decoder.codeword_blocks(ch.bob_states, cb.codewords(key))
+            for mine, oracle in zip(mine, elements + sigma):
+                assert np.max(np.abs(mine - oracle)) <= 1e-12
+            hits = sum(np.sum(e * np.swapaxes(s, -1, -2), axis=(-3, -2, -1)).real
+                       for e, s in zip(elements, sigma))
+            assert exact_pe_bob(cb, ch, decoder, key=key) == pytest.approx(
+                np.mean(1.0 - hits), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["qubit", "qutrit", "flag"])
+    def test_projector_sum_and_normaliser_are_zero_off_the_pieces(self, kind):
+        from cqcovert.operators import RANK_TOL, dagger
+        n = 4
+        ch = _typed_channel(kind, 23)
+        cb = _shared_codebook(ch, n, [0, 1, 2, 3, 4], seed=5)
+        basis = ProductBasis(ch.bob_states, n)
+        for key in range(cb.k_count):
+            decoder = build_srm_decoder(cb, ch, a=0.1, key=key, basis=basis)
+            store, which, maps = decoder.projectors
+            for g, (idx, mask) in enumerate(zip(basis.joint.groups,
+                                                _piece_masks(basis, decoder.shared))):
+                # in the key's frame, sum_m P_m over whole joint blocks
+                size = idx.shape[1]
+                gram = coding._gather(store, g, which, maps[g].reshape(-1, *idx.shape))
+                gram = gram.sum(axis=0).reshape(-1, size)
+                assert np.all(gram[~mask] == 0)
+                norm = np.zeros_like(gram)
+                for rows, piece in zip(decoder.subs[g], decoder.norms[g]):
+                    norm[rows[..., :, None], rows[..., None, :] % size] = piece
+                assert np.all(norm[~mask] == 0)
+                w, v = np.linalg.eigh(gram.reshape(idx.shape + (size,)))
+                dense = (v * np.where(w > RANK_TOL, w, np.inf)[..., None, :] ** -0.5) @ dagger(v)
+                assert np.max(np.abs(dense.reshape(-1, size) - norm)) <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["qubit", "qutrit", "flag"])
+    def test_keys_built_together_are_bit_identical_to_one_key_calls(self, kind):
+        n = 4
+        ch = _typed_channel(kind, 29)
+        shared = [2, 0, 4, 1, 3, 1, 0, 2]
+        cb = _shared_codebook(ch, n, shared, m_count=9, seed=7)
+        keys = range(cb.k_count)
+        together = build_srm_decoder(cb, ch, a=0.1, key=keys,
+                                     basis=ProductBasis(ch.bob_states, n))
+        pe = exact_pe_bob(cb, ch, together, key=keys)
+        assert [d.shared for d in together] == shared
+        for key in keys:
+            alone = build_srm_decoder(cb, ch, a=0.1, key=key,
+                                      basis=ProductBasis(ch.bob_states, n))
+            for mine, theirs in zip(itertools.chain(*alone.norms),
+                                    itertools.chain(*together[key].norms)):
+                assert np.array_equal(mine, theirs)
+            for mine, theirs in zip(alone.stacks, together[key].stacks):
+                assert np.array_equal(mine, theirs)
+            assert exact_pe_bob(cb, ch, alone, key=key) == pe[key]
+        subset = [5, 0, 3]
+        assert np.array_equal(exact_pe_bob(cb, ch, [together[k] for k in subset], key=subset),
+                              pe[subset])
+
+    def test_sweep_over_several_chunks_equals_one_key_calls(self):
+        ch = _ginibre_pair(2, 11)
+        config = ExperimentConfig(channel=ch, n_list=(3,), gamma=0.8, trials=1, seed=4,
+                                  ptilde=np.array([1.0]), m_override=3,
+                                  k_override=coding.KEY_CHUNK + 5)
+        (report,) = run_experiment(config)
+        cb = sample_codebook(ch, 3, 3, report.k_count, 0.8, [1.0], report.seed)
+        a = 0.9 * 0.9 * 0.8 * math.sqrt(3) * ch.summary.weighted(
+            np.array([1.0]), ch.summary.bob.divergences)
+        basis = ProductBasis(ch.bob_states, 3)
+        pe = [exact_pe_bob(cb, ch, build_srm_decoder(cb, ch, a, key=k, basis=basis), key=k)
+              for k in range(report.k_count)]
+        assert report.pe_bob == float(np.mean(pe))
+
+    @pytest.mark.parametrize("kind", ["qubit", "qutrit", "flag"])
+    def test_all_innocent_codeword_is_the_innocent_state_bit_for_bit(self, kind):
+        ch = _typed_channel(kind, 31)
+        for states in (ch.bob_states, ch.willie_states):
+            basis = ProductBasis(states, 3)
+            for mine, state in zip(basis.rotated_block(states, [0, 0, 0]), basis.state.blocks[1]):
+                assert np.array_equal(mine, state)
