@@ -263,8 +263,7 @@ def cmd_nogo(args) -> int:
     symbols[0, 0] = x_star
     if n >= 2:
         symbols[1, 1] = x_star
-    codebook = Codebook(n=n, m_count=2, k_count=1, gamma=0.0, seed=0,
-                        ptilde=uniform_nontrivial_ptilde(channel), symbols=symbols)
+    codebook = Codebook(n=n, m_count=2, k_count=1, symbols=symbols)
     probe = nogo_experiment(channel, codebook, epsilon=1.0)
     if args.epsilon is not None:
         grid = [args.epsilon]

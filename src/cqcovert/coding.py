@@ -42,7 +42,6 @@ from .operators import (
     Partition,
     Spectrum,
     ZERO_EIGENVALUE_TOL,
-    check_dimension,
     dagger,
     eigenvalue_clusters,
     hermitian_part,
@@ -69,16 +68,12 @@ class Codebook:
     """Random codebook over the channel alphabet.
 
     ``symbols[m * k_count + k]`` is the n-symbol codeword for message m under
-    key k (both 0-based).  Regeneration from the stored parameters is
-    bit-exact.
+    key k (both 0-based).
     """
 
     n: int
     m_count: int
     k_count: int
-    gamma: float
-    seed: int
-    ptilde: np.ndarray
     symbols: np.ndarray
 
     def codewords(self, k: int) -> np.ndarray:
@@ -122,8 +117,7 @@ def sample_codebook(channel: CqChannelPair, n: int, m_count: int, k_count: int,
     picks = np.minimum(np.searchsorted(cum, draws, side="right"), p.size - 1) + 1
     symbols = np.where(send, picks, 0).astype(np.int64)
     symbols.flags.writeable = False
-    return Codebook(n=n, m_count=m_count, k_count=k_count, gamma=float(gamma),
-                    seed=int(seed), ptilde=p, symbols=symbols)
+    return Codebook(n=n, m_count=m_count, k_count=k_count, symbols=symbols)
 
 
 @lru_cache(maxsize=64)
@@ -235,20 +229,6 @@ def _slices(count: int, entries: int) -> list[slice]:
     so a stacked call's temporaries stay bounded."""
     step = max(1, SLICE_ENTRIES // entries)
     return [slice(i, i + step) for i in range(0, count, step)]
-
-
-def _dense_store(stacks: Sequence[np.ndarray]) -> tuple:
-    """The store (see ``_gather``) of operators given by per-group (T, G s,
-    s) stacks of their blocks stacked to rows, one piece per block."""
-    count = len(stacks[0])
-    sizes = [stack[0].size for stack in stacks]
-    flat = np.concatenate([np.zeros(1, dtype=complex), np.concatenate(
-        [stack.reshape(count, -1) for stack in stacks], axis=1).ravel(), np.zeros(1)])
-    tables = []
-    for offset, stack in zip(itertools.accumulate(sizes, initial=0), stacks):
-        rows, size = np.arange(stack.shape[1]), stack.shape[-1]
-        tables.append(_tables(rows // size, offset + rows * size, rows % size)[:, None])
-    return flat, 1 + np.arange(count) * sum(sizes), np.zeros(count, dtype=np.intp), tables
 
 
 class ProductBasis:
@@ -438,114 +418,70 @@ class ProductBasis:
 
 
 class DecoderPovm:
-    """Sub-POVM decoder: per-message elements plus an implicit failure element.
+    """Bob's pinched square-root measurement for one key, as
+    ``build_srm_decoder`` builds it: per-message elements plus an implicit
+    failure element.
 
     Every element is held on blocks as ``E_m = N P_m N``, in the frame that
-    reorders the tensor positions of ``basis`` by ``frame`` (None: its own
-    order).  ``subs[g]`` lists, per size, the (H, t) row positions of the
-    blocks in ``partition.groups[g]``'s blocks stacked to (G s) rows;
-    ``norms[g][j]`` is the (H, t, t) stack of N on the blocks ``subs[g][j]``
-    (None: N is the identity); ``projectors`` is ``(store, which, maps)``:
-    P_m's blocks are the rows ``maps[g][m]`` of operator ``which[m]`` of
-    ``store`` (see ``_gather``).
-
-    ``build_srm_decoder`` gives the pinched square-root measurement over its
-    product eigenbasis ``basis``: the joint blocks (``ProductBasis.joint``)
-    cut by the labels of the key's ``shared`` innocent positions, which
-    ``frame`` puts first, so that ``subs`` is ``basis.split(shared)``; P_m is
-    its symbol type's projector, read from the type store through the row
-    maps of ``ProductBasis.reorderings``.  ``source`` is ``(states, rows,
-    sigma)``: the single-use states and codeword rows it was built for and
-    their types' block states, ``(store, which, maps)`` like
-    ``projectors``, so scoring those codewords reads each type's state as it
-    was built.  A decoder given by full ``elements`` (written in ``basis``,
-    or in the computational basis when it is None) is the one-block case
-    with P_m = E_m and no N.  The blocks ``stacks`` (per group, the (M, G,
-    s, s) stack of the elements' blocks in the basis's own order) and the
-    full matrices ``elements`` are formed only when asked for.
+    reorders the tensor positions of the product eigenbasis ``basis`` by
+    ``frame``, which puts the key's ``shared`` innocent positions first, so
+    that the blocks are the joint blocks (``ProductBasis.joint``) cut by
+    their labels: ``subs = basis.split(shared)`` lists, per joint group g
+    and size, the (H, t) row positions of the pieces in the group's blocks
+    stacked to (G s) rows, and ``norms[g][j]`` is the (H, t, t) stack of N
+    on the pieces ``subs[g][j]``.  ``types`` is ``(store, which, maps)``:
+    codeword m's block state is operator ``which[m]`` of ``store`` (see
+    ``_gather``) and its pinched projector P_m the next operator, both its
+    symbol type's, read on the rows ``maps[g][m]`` (``ProductBasis.
+    reorderings``).  The decoder scores only the codewords it was built for,
+    the key's M codeword ``rows`` with Bob's single-use ``states``.  The
+    blocks ``stacks`` (per group, the (M, G, s, s) stack of the elements'
+    blocks in the basis's own order) and the full matrices ``elements`` are
+    formed only when asked for.
     """
 
-    def __init__(self, elements: Sequence[np.ndarray] | None = None,
-                 basis: ProductBasis | None = None, *, shared: int = 0,
-                 frame: np.ndarray | None = None, norms: Sequence | None = None,
-                 projectors: tuple | None = None, source: tuple | None = None):
-        if projectors is None:
-            vars(self)["elements"] = tuple(elements)
-            vars(self)["stacks"] = (np.stack(self.elements)[:, None],)
-            count, dim = len(self.elements), self.elements[0].shape[0]
-            partition, subs = Partition.whole(dim), ((np.arange(dim)[None],),)
-            projectors = (_dense_store([self.stacks[0][:, 0]]), np.arange(count),
-                          (np.broadcast_to(np.arange(dim), (count, dim)),))
-        else:
-            partition, subs = basis.joint, basis.split(shared)
+    def __init__(self, basis: ProductBasis, shared: int, frame: np.ndarray, norms: Sequence,
+                 types: tuple, states: Sequence[DensityOperator], rows: np.ndarray):
         self.basis = basis
-        self.partition = partition
         self.shared = shared
         self.frame = frame
-        self.subs = subs
+        self.subs = basis.split(shared)
         self.norms = norms
-        self.projectors = projectors
-        self.source = source
+        self.types = types
+        self.states = states
+        self.rows = rows
 
     @property
     def m_count(self) -> int:
-        return len(self.projectors[1])
+        return len(self.types[1])
 
     def _element_blocks(self, g: int, which: np.ndarray, rows: np.ndarray,
-                        norm: np.ndarray | None) -> np.ndarray:
+                        norm: np.ndarray) -> np.ndarray:
         """The blocks ``N P N`` of the elements on the rows ``rows`` of the
         projector operators ``which``, with N's blocks ``norm``."""
-        blocks = _gather(self.projectors[0], g, which, rows)
-        if norm is not None:
-            blocks = _matmul(norm, blocks)
-            blocks = _matmul(blocks, norm)
-        return blocks
+        blocks = _matmul(norm, _gather(self.types[0], g, which, rows))
+        return _matmul(blocks, norm)
 
     @cached_property
     def stacks(self) -> tuple[np.ndarray, ...]:
         """Per group, the (M, G, s, s) stack of the elements' blocks."""
-        _, which, maps = self.projectors
+        _, which, maps = self.types
         out = []
-        for g, (idx, back) in enumerate(zip(self.partition.groups,
+        for g, (idx, back) in enumerate(zip(self.basis.joint.groups,
                                             self.basis.reorderings(self.frame[None]))):
             size = idx.shape[1]
             stack = np.zeros((self.m_count, idx.size, size), dtype=complex)
             for rows, norm in zip(self.subs[g], self.norms[g]):
                 stack[:, rows[..., :, None], rows[..., None, :] % size] = self._element_blocks(
-                    g, which, maps[g][:, rows], norm)
+                    g, which + 1, maps[g][:, rows], norm)
             back = back[0]  # rows of the key's frame in the basis's own order
             out.append(stack[:, back[..., :, None], back[..., None, :] % size])
         return tuple(out)
 
     @cached_property
     def elements(self) -> tuple[np.ndarray, ...]:
-        """The elements as full matrices, zero off their blocks."""
-        return tuple(self.partition.assemble(self.stacks))
-
-    def codeword_blocks(self, states: Sequence[DensityOperator], rows: np.ndarray) -> tuple:
-        """The codeword ``rows``' states in this decoder's basis (the
-        computational basis when it is None) over its partition: per group,
-        the (rows, G, s, s) stack of their blocks."""
-        per_symbol, source, strings = _symbol_blocks(states, rows, self.basis)
-        per_row = [self.partition.restrict(_trie_sum(per_symbol, row[None], np.ones(1), strings),
-                                           source)
-                   for row in rows]
-        return tuple(np.stack(group) for group in zip(*per_row))
-
-    def _states(self, states: Sequence[DensityOperator], rows: np.ndarray) -> tuple:
-        """``(store, which, maps)`` of the codeword ``rows``' block states in
-        this decoder's frame, as ``projectors`` holds the projectors: the
-        types' of ``source`` for the codewords it was built for, else the
-        rows' own blocks (``codeword_blocks``)."""
-        if (self.source is not None and self.source[0] is states
-                and np.array_equal(self.source[1], rows)):
-            return self.source[2]
-        if self.frame is not None:
-            rows = rows[:, self.frame]
-        stacks = [s.reshape(len(rows), -1, s.shape[-1])
-                  for s in self.codeword_blocks(states, rows)]
-        return (_dense_store(stacks), np.arange(len(rows)),
-                tuple(np.broadcast_to(np.arange(s.shape[1]), s.shape[:2]) for s in stacks))
+        """The elements as full matrices in ``basis``, zero off their blocks."""
+        return tuple(self.basis.joint.assemble(self.stacks))
 
     def validate(self) -> None:
         """Check PSD elements and sum bounded by identity within
@@ -592,7 +528,11 @@ def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
     codeword's state and projector are those of its sorted symbol type with
     the tensor positions reordered, so they are built once per type
     (``_pinched_types``) and read through row maps
-    (``ProductBasis.reorderings``); only the normalisation is per key.
+    (``ProductBasis.reorderings``); only the normalisation is per key.  The
+    decoder holds the type store, its codewords' type indices and row maps
+    once (``DecoderPovm.types``: a projector follows its state), and the
+    codeword rows and Bob states it was built for, the only codewords
+    ``exact_pe_bob`` scores it on.
 
     ``key`` is one key, or a sequence of keys whose decoders are built
     together and returned as a list: their types are found in one call,
@@ -632,13 +572,10 @@ def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
                                    dagger(v))
                     for i, b in enumerate(some):
                         norms[b][g].append(norm[i])
-    decoders = []
-    for b, c in enumerate(counts.tolist()):
-        key_maps = [f[:, b] for f in maps]
-        decoders.append(DecoderPovm(basis=basis, shared=c, frame=frames[b], norms=norms[b],
-                                    projectors=(store, which[:, b] + 1, key_maps),
-                                    source=(channel.bob_states, rows[:, b],
-                                            (store, which[:, b], key_maps))))
+    decoders = [DecoderPovm(basis, c, frames[b], norms[b],
+                            (store, which[:, b], [f[:, b] for f in maps]),
+                            channel.bob_states, rows[:, b])
+                for b, c in enumerate(counts.tolist())]
     return decoders[0] if one else decoders
 
 
@@ -700,39 +637,35 @@ def _pinched_types(basis: ProductBasis, states: Sequence[DensityOperator], a: fl
         return np.array([index[t] for t in types]), store
 
 
-def _hits(decoders: Sequence[DecoderPovm], states: Sequence[DensityOperator],
-          rows: Sequence[np.ndarray]) -> np.ndarray:
+def _hits(decoders: Sequence[DecoderPovm]) -> np.ndarray:
     """``Tr{E_m sigma_m}`` for each decoder and message, (len(decoders), M):
-    ``sigma_m`` is the state of codeword ``rows[i][m]``, and the trace is
-    summed over the decoder's blocks, ``vec(E) . vec(sigma^T)``.  Decoders
-    that share their pieces and their stores are scored together, one
-    gather, product and sum per piece size; each sum runs over one decoder
-    and message, so a decoder's hits do not depend on the decoders scored
-    with it."""
+    ``sigma_m`` is the state of the decoder's codeword m, read from its
+    symbol type as it was built, and the trace is summed over the decoder's
+    blocks, ``vec(E) . vec(sigma^T)``.  Decoders that share their pieces and
+    their type store are scored together, one gather, product and sum per
+    piece size; each sum runs over one decoder and message, so a decoder's
+    hits do not depend on the decoders scored with it."""
     out = np.zeros((len(decoders), decoders[0].m_count))
     batches = {}
-    for i, (decoder, r) in enumerate(zip(decoders, rows)):
-        sigma = decoder._states(states, r)
-        batch = (id(decoder.subs), id(decoder.projectors[0]), id(sigma[0]))
-        batches.setdefault(batch, []).append((i, decoder, sigma))
+    for i, decoder in enumerate(decoders):
+        batch = (id(decoder.subs), id(decoder.types[0]))
+        batches.setdefault(batch, []).append((i, decoder))
     for batch in batches.values():
-        members, batched, sigmas = zip(*batch)
+        members, batched = zip(*batch)
         lead = batched[0]
-        which = np.stack([d.projectors[1] for d in batched], axis=1)
-        which_sigma = np.stack([s[1] for s in sigmas], axis=1)
+        store = lead.types[0]
+        which_sigma = np.stack([d.types[1] for d in batched], axis=1)
+        which = which_sigma + 1
         hits = np.zeros((lead.m_count, len(members)))
         for g, subs in enumerate(lead.subs):
-            maps = np.stack([d.projectors[2][g] for d in batched], axis=1)
-            maps_sigma = np.stack([s[2][g] for s in sigmas], axis=1)
+            maps = np.stack([d.types[2][g] for d in batched], axis=1)
             for j, piece in enumerate(subs):
                 size = piece.shape[-1] ** 2
                 for part in _slices(len(members), lead.m_count * piece.shape[0] * size):
-                    norm = (None if lead.norms is None
-                            else np.stack([d.norms[g][j] for d in batched[part]]))
-                    element = lead._element_blocks(g, which[:, part], maps[:, part][..., piece],
-                                                   norm)
-                    state = _gather(sigmas[0][0], g, which_sigma[:, part],
-                                    maps_sigma[:, part][..., piece], transpose=True)
+                    norm = np.stack([d.norms[g][j] for d in batched[part]])
+                    rows = maps[:, part][..., piece]
+                    element = lead._element_blocks(g, which[:, part], rows, norm)
+                    state = _gather(store, g, which_sigma[:, part], rows, transpose=True)
                     traces = _matmul(element.reshape(*element.shape[:-2], 1, size),
                                      state.reshape(*state.shape[:-2], size, 1))
                     hits[:, part] += traces.sum(axis=(-3, -2, -1)).real
@@ -747,52 +680,40 @@ def exact_pe_bob(codebook: Codebook, channel: CqChannelPair, decoder, key=0):
     ``decoder`` and ``key`` are one decoder and its key, or equal-length
     sequences of them (as ``build_srm_decoder`` returns for a sequence of
     keys), scored together and returned as an array; one decoder is the
-    one-element case."""
+    one-element case.  A decoder scores the codewords it was built for, so
+    ``IndexMismatch`` is raised unless its codeword rows are the key's and
+    its Bob states are the channel's, the same objects or equal matrices."""
     keys, one = _keys(codebook, key)
     decoders = [decoder] if one else list(decoder)
     if len(decoders) != len(keys):
         raise IndexMismatch(f"{len(decoders)} decoders for {len(keys)} keys")
-    for d in decoders:
-        if d.m_count != codebook.m_count:
-            raise IndexMismatch(f"decoder has {d.m_count} elements "
-                                f"for {codebook.m_count} messages")
-    hits = _hits(decoders, channel.bob_states, [codebook.codewords(k) for k in keys])
-    pe = np.clip(np.sum(1.0 - hits, axis=1) / codebook.m_count, 0.0, 1.0)
+    states = channel.bob_states
+    for d, k in zip(decoders, keys):
+        same = d.states is states or (len(d.states) == len(states) and all(
+            np.array_equal(a.matrix, b.matrix) for a, b in zip(d.states, states)))
+        if not (same and np.array_equal(d.rows, codebook.codewords(k))):
+            raise IndexMismatch(f"decoder was not built for key {k}'s codewords "
+                                f"and Bob's states")
+    pe = np.clip(np.sum(1.0 - _hits(decoders), axis=1) / codebook.m_count, 0.0, 1.0)
     return float(pe[0]) if one else pe
 
 
 def willie_average_state(codebook: Codebook, channel: CqChannelPair,
-                         basis: ProductBasis | None = None) -> DensityOperator:
+                         basis: ProductBasis) -> DensityOperator:
     """Uniform mixture of the adversary's codeword block states, written in
-    ``basis`` and held over its component strings or, when it is None, in
-    the computational basis as one dense block.  The distinct codeword rows
-    are summed with their multiplicities over their prefix trie
-    (``_trie_sum``)."""
+    the product eigenbasis ``basis`` of the adversary's innocent state and
+    held over its component strings.  The distinct codeword rows are summed
+    with their multiplicities over their prefix trie (``_trie_sum``).
+    ``IndexMismatch`` unless ``basis`` is the adversary's at the codebook's
+    blocklength."""
     states = channel.willie_states
     rows, counts = codebook.distinct_rows
-    if basis is not None:
-        basis.require(states, codebook.n, "Willie")
-    per_symbol, partition, strings = _symbol_blocks(states, rows, basis)
-    stacks = _trie_sum(per_symbol, rows, counts, strings)
+    basis.require(states, codebook.n, "Willie")
+    stacks = _trie_sum(basis.single_blocks(states, np.unique(rows).tolist()), rows, counts,
+                       basis._class_strings)
     for stack in stacks:
         stack /= len(codebook.symbols)
-    return DensityOperator(blocks=(partition, [hermitian_part(s) for s in stacks]))
-
-
-def _symbol_blocks(states: Sequence[DensityOperator], rows: np.ndarray,
-                   basis: ProductBasis | None) -> tuple[dict, Partition, list]:
-    """``(per_symbol, partition, strings)`` for ``_trie_sum`` over ``rows``:
-    component blocks over ``basis.strings``, or, when ``basis`` is None, each
-    state in the computational basis as one whole block.  The n-fold
-    dimension is checked against the cap first."""
-    n = rows.shape[1]
-    dim = states[0].dim ** n
-    check_dimension(dim)
-    symbols = set(rows.ravel().tolist())
-    if basis is None:
-        return ({x: [states[x].matrix[None]] for x in symbols}, Partition.whole(dim),
-                [[(0,) * n]])
-    return basis.single_blocks(states, symbols), basis.strings, basis._class_strings
+    return DensityOperator(blocks=(basis.strings, [hermitian_part(s) for s in stacks]))
 
 
 def _trie_sum(per_symbol: dict, rows: np.ndarray, counts: np.ndarray,
@@ -909,15 +830,14 @@ class ExperimentConfig:
     """Knobs for a deterministic experiment sweep.
 
     Message and key counts follow the achievability formulas (rounded up to
-    integers >= 1) unless overridden.  Checked on construction, whether
-    given directly or read from JSON, so ``run_experiment`` starts no work
-    on a bad config: ``trials`` must be at least 1 and ``varsigma``, ``mu``
-    and ``nu`` finite and in [0, 1) (``InvalidParameter`` otherwise);
-    ``gamma`` must be finite with ``0 <= gamma < sqrt(n)`` for every n in
-    ``n_list``, so the innocent symbol keeps a positive weight
-    (``AlphaOutOfRange`` otherwise); the code sizes follow the square-root
-    law, so the channel must be classified SquareRootLaw (``WrongRegime``
-    otherwise).
+    integers >= 1) unless overridden.  Checked on construction, so
+    ``run_experiment`` starts no work on a bad config: ``trials`` must be at
+    least 1 and ``varsigma``, ``mu`` and ``nu`` finite and in [0, 1)
+    (``InvalidParameter`` otherwise); ``gamma`` must be finite with ``0 <=
+    gamma < sqrt(n)`` for every n in ``n_list``, so the innocent symbol
+    keeps a positive weight (``AlphaOutOfRange`` otherwise); the code sizes
+    follow the square-root law, so the channel must be classified
+    SquareRootLaw (``WrongRegime`` otherwise).
     """
 
     channel: CqChannelPair
@@ -948,27 +868,6 @@ class ExperimentConfig:
                                   f"blocklength n, got gamma={self.gamma!r} for "
                                   f"n={list(self.n_list)}")
         require_regime(self.channel, ScenarioClass.SQUARE_ROOT_LAW)
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ExperimentConfig":
-        """Build a config from its JSON document (channel given as a path)."""
-        from .channel import load_channel
-        try:
-            channel = load_channel(doc["channel"])
-            n_list = tuple(int(n) for n in doc["n"])
-            gamma = float(doc["gamma"])
-        except KeyError as exc:
-            raise ValidationError(f"experiment config missing key {exc}") from exc
-        ptilde = doc.get("ptilde")
-        return cls(
-            channel=channel, n_list=n_list, gamma=gamma,
-            varsigma=float(doc.get("varsigma", 0.1)),
-            mu=float(doc.get("mu", 0.1)),
-            nu=float(doc.get("nu", 0.1)),
-            trials=int(doc.get("trials", 1)),
-            seed=int(doc.get("seed", 0)),
-            ptilde=None if ptilde is None else np.asarray(ptilde, dtype=float),
-            workers=int(doc.get("workers", 1)))
 
 
 def code_sizes(channel: CqChannelPair, ptilde, n: int, gamma: float,

@@ -63,6 +63,26 @@ def kron(*factors):
     return functools.reduce(np.kron, factors)
 
 
+def dense_pe(elements, states, rows):
+    """Average decoding error ``(1/M) sum_m (1 - Tr{E_m rho_m})`` of full
+    computational-basis ``elements`` against the codeword ``rows``, each
+    ``rho_m`` the ``np.kron`` of its symbols' ``states`` and each trace
+    ``np.trace``: a scoring oracle that shares no code with the package's
+    ``exact_pe_bob``."""
+    hits = [np.trace(e @ kron(*(states[x].matrix for x in row))).real
+            for e, row in zip(elements, rows)]
+    return float(np.mean(1.0 - np.asarray(hits)))
+
+
+def dense_average(states, rows):
+    """``(1/R) sum_r states[rows[r, 0]] (x) ... (x) states[rows[r, n-1]]``, the
+    uniform mixture of the codeword rows' states summed row by row from
+    ``np.kron``: an average-state oracle that shares no code with the
+    package's ``willie_average_state``."""
+    return hermitian_part(sum(kron(*(states[x].matrix for x in row)) for row in rows)
+                          / len(rows))
+
+
 def haar_unitary(dim, rng):
     """One Haar unitary from ``rng``: the one-draw call of the package's
     ``haar_unitaries``."""

@@ -378,8 +378,7 @@ def test_acceptance_10_nogo_bound_on_fully_leaking_channel():
         bob_states=(bob0, bob1),
         willie_states=(diagonal_state([1.0, 0.0]), diagonal_state([0.0, 1.0])))
     symbols = np.array([[1, 0], [0, 1]])
-    codebook = Codebook(n=2, m_count=2, k_count=1, gamma=0.0, seed=0,
-                        ptilde=np.array([1.0]), symbols=symbols)
+    codebook = Codebook(n=2, m_count=2, k_count=1, symbols=symbols)
 
     probe = nogo_experiment(channel, codebook, epsilon=1e-3)
     # both codewords are fully leaked: detection is perfect

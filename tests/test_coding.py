@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (channel_to_json, codeword, diagonal_state, haar_unitary, kron,
-                      matrix_to_json)
+from conftest import codeword, dense_average, dense_pe, diagonal_state, haar_unitary, kron
 from cqcovert import coding
 from cqcovert.channel import CqChannelPair
 from cqcovert.coding import (
     Codebook,
-    DecoderPovm,
     ExperimentConfig,
     ProductBasis,
     TrialReport,
@@ -226,34 +224,31 @@ class TestDecoderBasis:
                                  gamma=0.9, ptilde=[1.0], seed=seed)
             for key in range(2):
                 decoder = build_srm_decoder(cb, ch, a=0.15, key=key)
-                original = DecoderPovm(elements=tuple(
-                    decoder.basis.to_original_basis(e) for e in decoder.elements))
-                assert original.basis is None
+                original = [decoder.basis.to_original_basis(e) for e in decoder.elements]
                 assert exact_pe_bob(cb, ch, decoder, key=key) == pytest.approx(
-                    exact_pe_bob(cb, ch, original, key=key), abs=1e-12)
+                    dense_pe(original, ch.bob_states, cb.codewords(key)), abs=1e-12)
 
 
 class TestExactPeBob:
-    def test_orthogonal_codewords_matched_projectors_decode_perfectly(self):
+    def test_orthogonal_codewords_decode_perfectly(self):
         ch = CqChannelPair(
             bob_states=(_pure([1, 0]), _pure([0, 1])),
             willie_states=(diagonal_state([0.9, 0.1]), diagonal_state([0.6, 0.4])))
         symbols = np.array([[1, 0], [0, 1]])
-        cb = Codebook(n=2, m_count=2, k_count=1, gamma=0.5, seed=0,
-                      ptilde=np.array([1.0]), symbols=symbols)
-        elements = []
-        for m in range(2):
-            block = ch.bob_states[symbols[m][0]].matrix
-            block = np.kron(block, ch.bob_states[symbols[m][1]].matrix)
-            elements.append(block)  # rank-1 projectors onto the codewords
-        decoder = DecoderPovm(elements=tuple(elements))
+        cb = Codebook(n=2, m_count=2, k_count=1, symbols=symbols)
+        # the codewords' states are orthogonal rank-1 projectors, so they
+        # decode themselves perfectly, and so does the SRM built from them
+        matched = [kron(*(ch.bob_states[x].matrix for x in row)) for row in symbols]
+        assert dense_pe(matched, ch.bob_states, symbols) <= 1e-10
+        decoder = build_srm_decoder(cb, ch, a=0.1)
         decoder.validate()
         assert exact_pe_bob(cb, ch, decoder) <= 1e-10
+        for mine, oracle in zip(decoder.elements, matched):
+            assert np.max(np.abs(decoder.basis.to_original_basis(mine) - oracle)) <= 1e-12
 
     def test_identical_codewords_cannot_beat_half(self, canonical_channel):
         symbols = np.array([[1, 1, 0], [1, 1, 0]])
-        cb = Codebook(n=3, m_count=2, k_count=1, gamma=0.5, seed=0,
-                      ptilde=np.array([1.0]), symbols=symbols)
+        cb = Codebook(n=3, m_count=2, k_count=1, symbols=symbols)
         decoder = build_srm_decoder(cb, canonical_channel, a=0.05)
         assert exact_pe_bob(cb, canonical_channel, decoder) >= 0.5
 
@@ -271,45 +266,80 @@ class TestExactPeBob:
                 states.append(DensityOperator(block))
             assert pe >= helstrom_error(states[0], states[1]) - 1e-10
 
-    def test_dense_codeword_blocks_are_product_states(self, monkeypatch):
+    def test_codeword_blocks_are_product_states(self, monkeypatch):
         ch = CqChannelPair(bob_states=(_pure([1, 1j]), diagonal_state([0.7, 0.3])),
                            willie_states=(diagonal_state([0.9, 0.1]),
                                           diagonal_state([0.6, 0.4])))
         cb = sample_codebook(ch, n=3, m_count=4, k_count=1, gamma=0.9, ptilde=[1.0], seed=3)
-        decoder = DecoderPovm(elements=(np.eye(8),) * 4)
-        (stack,) = decoder.codeword_blocks(ch.bob_states, cb.symbols)
-        assert stack.shape == (4, 1, 8, 8)
-        for row, block in zip(cb.symbols, stack):
-            assert np.array_equal(block[0], kron(*(ch.bob_states[x].matrix for x in row)))
+        basis = ProductBasis(ch.bob_states, 3)
+        assert basis.strings.count == 1
+        for row in cb.symbols:
+            block = basis.strings.assemble(basis.rotated_block(ch.bob_states, row))
+            assert np.max(np.abs(basis.to_original_basis(block)
+                                 - kron(*(ch.bob_states[x].matrix for x in row)))) <= 1e-12
         monkeypatch.setenv("CQCOVERT_DIM_CAP", "4")
         with pytest.raises(DimensionCapExceeded):
-            decoder.codeword_blocks(ch.bob_states, cb.symbols)
+            build_srm_decoder(cb, ch, a=0.1)
 
-    def test_element_count_checked(self, canonical_channel):
-        cb = sample_codebook(canonical_channel, n=2, m_count=3, k_count=1,
-                             gamma=0.5, ptilde=[1.0], seed=1)
-        decoder = DecoderPovm(elements=(np.eye(4),))
+    @pytest.mark.parametrize("case", ["another-key", "another-codebook", "fewer-messages",
+                                      "stacked-pair", "another-channel"])
+    def test_decoder_scores_only_what_it_was_built_for(self, case):
+        ch = _ginibre_pair(2, 3)
+        cb = sample_codebook(ch, n=3, m_count=3, k_count=2, gamma=1.0, ptilde=[1.0], seed=1)
+        decoder = build_srm_decoder(cb, ch, a=0.2, key=0)
+        codebook, channel, decoders, key = cb, ch, decoder, 0
+        if case == "another-key":
+            key = 1
+            assert not np.array_equal(cb.codewords(1), cb.codewords(0))
+        elif case == "another-codebook":
+            # same shape, other codewords
+            codebook = sample_codebook(ch, n=3, m_count=3, k_count=2, gamma=1.0,
+                                       ptilde=[1.0], seed=2)
+            assert not np.array_equal(codebook.codewords(0), cb.codewords(0))
+        elif case == "fewer-messages":
+            codebook = Codebook(n=3, m_count=2, k_count=1, symbols=cb.codewords(0)[:2])
+        elif case == "stacked-pair":
+            # the second decoder was built for key 0, not key 1
+            decoders, key = [decoder, decoder], [0, 1]
+        else:
+            # Bob's signal state differs
+            channel = CqChannelPair(
+                bob_states=(ch.bob_states[0], _ginibre_pair(2, 4).bob_states[1]),
+                willie_states=ch.willie_states)
         with pytest.raises(IndexMismatch):
-            exact_pe_bob(cb, canonical_channel, decoder)
+            exact_pe_bob(codebook, channel, decoders, key=key)
+
+    def test_equal_states_from_other_objects_are_the_same_channel(self):
+        ch = _ginibre_pair(2, 3)
+        cb = sample_codebook(ch, n=3, m_count=3, k_count=2, gamma=1.0, ptilde=[1.0], seed=1)
+        decoder = build_srm_decoder(cb, ch, a=0.2, key=0)
+        twin = CqChannelPair(
+            bob_states=tuple(DensityOperator(np.array(s.matrix)) for s in ch.bob_states),
+            willie_states=ch.willie_states)
+        assert exact_pe_bob(cb, twin, decoder) == exact_pe_bob(cb, ch, decoder)
+
+
+def _average_matrix(cb, ch):
+    """Willie's average state in the computational basis, mapped back from
+    his product eigenbasis."""
+    basis = ProductBasis(ch.willie_states, cb.n)
+    return basis.to_original_basis(willie_average_state(cb, ch, basis).matrix)
 
 
 class TestWillieAverageState:
     def test_all_innocent_is_innocent_block(self, canonical_channel):
         cb = sample_codebook(canonical_channel, n=4, m_count=2, k_count=2,
                              gamma=0.0, ptilde=[1.0], seed=0)
-        avg = willie_average_state(cb, canonical_channel)
         expected = kron(*[canonical_channel.willie_states[0].matrix] * 4)
-        assert np.linalg.norm(avg.matrix - expected) <= 1e-12
+        assert np.linalg.norm(_average_matrix(cb, canonical_channel) - expected) <= 1e-12
 
     def test_single_codeword_is_its_block_state(self, canonical_channel):
         symbols = np.array([[1, 0, 1]])
-        cb = Codebook(n=3, m_count=1, k_count=1, gamma=0.5, seed=0,
-                      ptilde=np.array([1.0]), symbols=symbols)
-        avg = willie_average_state(cb, canonical_channel)
+        cb = Codebook(n=3, m_count=1, k_count=1, symbols=symbols)
         block = np.ones((1, 1), dtype=complex)
         for x in symbols[0]:
             block = np.kron(block, canonical_channel.willie_states[x].matrix)
-        assert np.linalg.norm(avg.matrix - block) <= 1e-12
+        assert np.linalg.norm(_average_matrix(cb, canonical_channel) - block) <= 1e-12
 
     def test_ensemble_mean_approaches_iid_average(self, canonical_channel):
         # law of large numbers against the exact i.i.d. product state
@@ -323,16 +353,15 @@ class TestWillieAverageState:
         for seed in range(codebooks):
             cb = sample_codebook(canonical_channel, n=n, m_count=mk, k_count=1,
                                  gamma=gamma, ptilde=[1.0], seed=seed)
-            acc += willie_average_state(cb, canonical_channel).matrix
+            acc += _average_matrix(cb, canonical_channel)
         acc /= codebooks
         assert np.linalg.norm(acc - target.matrix) <= 5.0 / math.sqrt(codebooks * mk)
 
     def test_dimension_cap(self, canonical_channel, monkeypatch):
         monkeypatch.setenv("CQCOVERT_DIM_CAP", "4")
-        cb = Codebook(n=3, m_count=1, k_count=1, gamma=0.5, seed=0,
-                      ptilde=np.array([1.0]), symbols=np.zeros((1, 3), dtype=int))
+        cb = Codebook(n=3, m_count=1, k_count=1, symbols=np.zeros((1, 3), dtype=int))
         with pytest.raises(DimensionCapExceeded):
-            willie_average_state(cb, canonical_channel)
+            covertness_report(cb, canonical_channel)
 
 
 class TestCovertness:
@@ -345,8 +374,7 @@ class TestCovertness:
 
     def test_single_use_single_codeword_reduces_to_state_divergence(self, canonical_channel):
         symbols = np.array([[1]])
-        cb = Codebook(n=1, m_count=1, k_count=1, gamma=0.5, seed=0,
-                      ptilde=np.array([1.0]), symbols=symbols)
+        cb = Codebook(n=1, m_count=1, k_count=1, symbols=symbols)
         d, _ = covertness_report(cb, canonical_channel)
         expected = relative_entropy(canonical_channel.willie_states[1],
                                     canonical_channel.willie_states[0])
@@ -356,7 +384,7 @@ class TestCovertness:
         cb = sample_codebook(canonical_channel, n=4, m_count=2, k_count=2,
                              gamma=0.7, ptilde=[1.0], seed=13)
         _, pe = covertness_report(cb, canonical_channel)
-        rho_bar = willie_average_state(cb, canonical_channel)
+        rho_bar = DensityOperator(hermitian_part(_average_matrix(cb, canonical_channel)))
         block = DensityOperator(kron(*[canonical_channel.willie_states[0].matrix] * 4))
         expected = 0.5 * (1.0 - 0.5 * trace_distance(rho_bar, block))
         assert pe == pytest.approx(expected, abs=1e-10)
@@ -369,7 +397,7 @@ class TestWillieProductBasis:
 
     @staticmethod
     def _dense(cb, ch):
-        rho_bar = willie_average_state(cb, ch)
+        rho_bar = DensityOperator(dense_average(ch.willie_states, cb.symbols))
         block = DensityOperator(kron(*[ch.willie_states[0].matrix] * cb.n))
         return relative_entropy(rho_bar, block), helstrom_error(rho_bar, block)
 
@@ -405,8 +433,7 @@ class TestWillieProductBasis:
         ch = CqChannelPair(bob_states=(diagonal_state([0.9, 0.1]), diagonal_state([0.5, 0.5])),
                            willie_states=(innocent, ginibre_state(3, gen)))
         assert ProductBasis(innocent, 3).eigenvalues.min() == 0.0
-        cb = Codebook(n=3, m_count=2, k_count=1, gamma=0.5, seed=0, ptilde=np.array([1.0]),
-                      symbols=np.array([[0, 0, 0], [0, 1, 0]]))
+        cb = Codebook(n=3, m_count=2, k_count=1, symbols=np.array([[0, 0, 0], [0, 1, 0]]))
         self._assert_agrees(cb, ch, finite=False)
 
     def test_product_eigenvalues_below_rank_tolerance(self):
@@ -418,8 +445,7 @@ class TestWillieProductBasis:
         ch = CqChannelPair(bob_states=(innocent, signal), willie_states=(innocent, signal))
         for n, finite in ((6, True), (8, False)):
             symbols = np.array([[1] * n, [0] * (n - 1) + [1], [0] * n])
-            cb = Codebook(n=n, m_count=3, k_count=1, gamma=0.5, seed=0,
-                          ptilde=np.array([1.0]), symbols=symbols)
+            cb = Codebook(n=n, m_count=3, k_count=1, symbols=symbols)
             self._assert_agrees(cb, ch, finite=finite)
 
     def test_state_is_the_diagonal_innocent_block(self, monkeypatch):
@@ -577,32 +603,6 @@ class TestRunExperiment:
         assert default_epsilon_target(canonical_channel, [1.0], 0.5) \
             == pytest.approx(0.125, abs=1e-9)
 
-    def test_config_from_json(self, canonical_channel, tmp_path):
-        import json
-        channel_path = tmp_path / "chan.json"
-        channel_path.write_text(json.dumps(channel_to_json(canonical_channel)))
-        config = ExperimentConfig.from_json({
-            "channel": str(channel_path), "n": [3, 4], "gamma": 0.4,
-            "varsigma": 0.2, "trials": 2, "seed": 7, "ptilde": [1.0]})
-        assert config.n_list == (3, 4)
-        assert config.varsigma == 0.2
-        (r, *_rest) = run_experiment(config)
-        assert r.n == 3
-
-    def test_config_from_json_rejects_zero_trials(self, tmp_path):
-        import json
-        doc = {"bob": [matrix_to_json(np.eye(2) / 2)] * 2,
-               "willie": [matrix_to_json(np.eye(2) / 2)] * 2}
-        channel_path = tmp_path / "chan.json"
-        channel_path.write_text(json.dumps(doc))
-        with pytest.raises(InvalidParameter):
-            ExperimentConfig.from_json({"channel": str(channel_path), "n": [2],
-                                        "gamma": 0.1, "trials": 0})
-
-    def test_config_from_json_missing_key(self):
-        with pytest.raises(ValidationError):
-            ExperimentConfig.from_json({"n": [2], "gamma": 0.1})
-
 
 class TestNogoExperiment:
     def _leaking_channel(self, overlap=0.8):
@@ -617,8 +617,7 @@ class TestNogoExperiment:
     def test_innocent_codeword_contributes_half(self):
         ch = self._leaking_channel()
         symbols = np.array([[0, 0], [1, 0]])
-        cb = Codebook(n=2, m_count=2, k_count=1, gamma=0.0, seed=0,
-                      ptilde=np.array([1.0]), symbols=symbols)
+        cb = Codebook(n=2, m_count=2, k_count=1, symbols=symbols)
         report = nogo_experiment(ch, cb, epsilon=0.01)
         # innocent codeword detected never (term 1/2M), leaked codeword never missed
         assert report.pe_willie == pytest.approx(0.25, abs=1e-12)
@@ -626,16 +625,14 @@ class TestNogoExperiment:
     def test_fully_leaked_codeword_has_zero_overlap(self):
         ch = self._leaking_channel()
         symbols = np.array([[1, 1], [1, 0]])
-        cb = Codebook(n=2, m_count=2, k_count=1, gamma=0.0, seed=0,
-                      ptilde=np.array([1.0]), symbols=symbols)
+        cb = Codebook(n=2, m_count=2, k_count=1, symbols=symbols)
         report = nogo_experiment(ch, cb, epsilon=0.01)
         assert report.pe_willie == pytest.approx(0.0, abs=1e-12)
 
     def test_bound_boundary_behavior(self):
         ch = self._leaking_channel()
         symbols = np.array([[1, 0], [0, 1]])
-        cb = Codebook(n=2, m_count=2, k_count=1, gamma=0.0, seed=0,
-                      ptilde=np.array([1.0]), symbols=symbols)
+        cb = Codebook(n=2, m_count=2, k_count=1, symbols=symbols)
         probe = nogo_experiment(ch, cb, epsilon=1e-6)
         c_min = probe.c_min
         at_boundary = nogo_experiment(ch, cb, epsilon=c_min / 16)
@@ -656,16 +653,14 @@ class TestNogoExperiment:
             bob_states=(diagonal_state([0.9, 0.1]), diagonal_state([0.6, 0.4])),
             willie_states=(diagonal_state([1.0, 0.0]), diagonal_state([0.0, 1.0])))
         symbols = np.array([[1, 0]])
-        cb = Codebook(n=2, m_count=1, k_count=1, gamma=0.0, seed=0,
-                      ptilde=np.array([1.0]), symbols=symbols)
+        cb = Codebook(n=2, m_count=1, k_count=1, symbols=symbols)
         with pytest.raises(ValidationError):
             nogo_experiment(ch, cb, epsilon=0.01)
 
     def test_all_innocent_codebook_rejected(self):
         ch = self._leaking_channel()
         symbols = np.zeros((2, 2), dtype=int)
-        cb = Codebook(n=2, m_count=2, k_count=1, gamma=0.0, seed=0,
-                      ptilde=np.array([1.0]), symbols=symbols)
+        cb = Codebook(n=2, m_count=2, k_count=1, symbols=symbols)
         with pytest.raises(ValidationError):
             nogo_experiment(ch, cb, epsilon=0.01)
 
@@ -744,11 +739,11 @@ class TestNonCommutingInvariants:
         cb = self._codebook(ch, n, 3, 2, seed)
         for key in range(cb.k_count):
             decoder = build_srm_decoder(cb, ch, a=0.1, key=key)
-            dense = DecoderPovm(elements=tuple(
-                decoder.basis.to_original_basis(e) for e in decoder.elements))
+            dense = [decoder.basis.to_original_basis(e) for e in decoder.elements]
             pe = exact_pe_bob(cb, ch, decoder, key=key)
             assert 0.0 <= pe <= 1.0
-            assert pe == pytest.approx(exact_pe_bob(cb, ch, dense, key=key), abs=1e-12)
+            assert pe == pytest.approx(dense_pe(dense, ch.bob_states, cb.codewords(key)),
+                                       abs=1e-12)
 
     @seeded
     @ginibre_cases
@@ -772,8 +767,7 @@ class TestNonCommutingInvariants:
         distinct = gen.integers(0, 2, size=(3, n))
         symbols = distinct[gen.integers(0, 3, size=8)]
         symbols[:3] = distinct  # every distinct row occurs, most of them repeatedly
-        cb = Codebook(n=n, m_count=4, k_count=2, gamma=0.9, seed=seed,
-                      ptilde=np.array([1.0]), symbols=symbols)
+        cb = Codebook(n=n, m_count=4, k_count=2, symbols=symbols)
         basis = ProductBasis(ch.willie_states[0], n)
         by_row = sum(basis.strings.assemble(basis.rotated_block(ch.willie_states, row))
                      for row in symbols) / 8
@@ -916,7 +910,7 @@ class TestBlockDiagonalEquivalence:
         un = kron_chain([u] * n)
         assert np.max(np.abs(un.conj().T @ dense @ un - mine)) <= 1e-9
         basis = ProductBasis(split.willie_states, n)
-        dense = willie_average_state(cb, split).matrix
+        dense = dense_average(split.willie_states, cb.symbols)
         assert np.max(np.abs(basis.to_original_basis(
             willie_average_state(cb, split, basis).matrix) - dense)) <= 1e-12
         d_split, pe_split = covertness_report(cb, split)
@@ -1020,8 +1014,7 @@ def _typed_codebook(ch, n, seed):
     symbols[0, 0], symbols[0, -1] = 1, 0
     symbols[2] = gen.permutation(symbols[0])
     symbols[5] = symbols[3]
-    return Codebook(n=n, m_count=3, k_count=2, gamma=0.9, seed=seed,
-                    ptilde=np.array([1.0]), symbols=symbols)
+    return Codebook(n=n, m_count=3, k_count=2, symbols=symbols)
 
 
 def _per_row_decoder(cb, ch, a, key, basis):
@@ -1066,8 +1059,7 @@ class TestTypeSharing:
         for key in range(cb.k_count):
             decoder = build_srm_decoder(cb, ch, a=0.1, key=key, basis=basis)
             elements, sigma = _per_row_decoder(cb, ch, 0.1, key, basis)
-            mine = decoder.stacks + decoder.codeword_blocks(ch.bob_states, cb.codewords(key))
-            for mine, oracle in zip(mine, elements + sigma):
+            for mine, oracle in zip(decoder.stacks, elements):
                 assert np.max(np.abs(mine - oracle)) <= 1e-12
             hits = sum(np.sum(e * np.swapaxes(s, -1, -2), axis=(-3, -2, -1)).real
                        for e, s in zip(elements, sigma))
@@ -1085,9 +1077,8 @@ class TestTypeSharing:
                      for row in cb.symbols) / len(cb.symbols)
         trie = willie_average_state(cb, ch, basis).matrix
         assert np.max(np.abs(trie - hermitian_part(by_row))) <= 1e-14
-        dense = sum(kron(*(states[x].matrix for x in row)) for row in cb.symbols) / len(cb.symbols)
-        trie = willie_average_state(cb, ch).matrix
-        assert np.max(np.abs(trie - hermitian_part(dense))) <= 1e-14
+        assert np.max(np.abs(basis.to_original_basis(trie)
+                             - dense_average(states, cb.symbols))) <= 1e-14
 
     @seeded
     @typed_cases
@@ -1118,27 +1109,25 @@ class TestTypeSharing:
         # key 1 first: key 0 then finds the type 0001 and builds 0011 and 0111
         symbols = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1],
                             [1, 1, 1, 0], [0, 0, 0, 0]])
-        cb = Codebook(n=4, m_count=3, k_count=2, gamma=0.9, seed=0,
-                      ptilde=np.array([1.0]), symbols=symbols)
+        cb = Codebook(n=4, m_count=3, k_count=2, symbols=symbols)
         shared = ProductBasis(ch.bob_states[0], 4)
         for channel, a in ((ch, 0.1), (ch, 0.3), (twin, 0.3), (ch, 0.1)):
             build_srm_decoder(cb, channel, a=a, key=1, basis=shared)
             mine = build_srm_decoder(cb, channel, a=a, basis=shared)
             fresh = build_srm_decoder(cb, channel, a=a, basis=ProductBasis(ch.bob_states[0], 4))
-            rows = cb.codewords(0)
-            for x, y in zip(mine.stacks + mine.codeword_blocks(channel.bob_states, rows),
-                            fresh.stacks + fresh.codeword_blocks(channel.bob_states, rows)):
+            for x, y in zip(mine.stacks, fresh.stacks):
                 assert np.array_equal(x, y)
+            assert exact_pe_bob(cb, channel, mine) == exact_pe_bob(cb, channel, fresh)
 
 
 class TestNormalisedDecoder:
     """Bob's decoder is held as ``E_m = N P_m N`` on the pieces of its key,
-    with each state and projector read from its symbol type; a decoder given
-    by its elements is scored by the same formula."""
+    with each state and projector read from its symbol type, and it is
+    scored on the states it was built from."""
 
     @seeded
     @typed_cases
-    def test_hits_match_the_per_row_oracle_from_types_or_rows(self, kind, n, seed):
+    def test_hits_match_the_per_row_oracle(self, kind, n, seed):
         ch = _typed_channel(kind, seed)
         cb = _typed_codebook(ch, n, seed)
         basis = ProductBasis(ch.bob_states, n)
@@ -1148,13 +1137,8 @@ class TestNormalisedDecoder:
             decoder.validate()
             hits = sum(np.sum(e * np.swapaxes(s, -1, -2), axis=(-3, -2, -1)).real
                        for e, s in zip(elements, sigma))
-            # each message's hit, with the states read from the type stacks
-            # for the states the decoder was built for and from the rows'
-            # own blocks for any others
-            rows = cb.codewords(key)
-            for states in (ch.bob_states, list(ch.bob_states)):
-                mine = coding._hits([decoder], states, [rows])[0]
-                assert np.max(np.abs(mine - hits)) <= 1e-12
+            # each message's hit, with the states read from the type store
+            assert np.max(np.abs(coding._hits([decoder])[0] - hits)) <= 1e-12
 
     @seeded
     @typed_cases
@@ -1164,32 +1148,12 @@ class TestNormalisedDecoder:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             decoder = build_srm_decoder(cb, ch, a=50.0)
-            store, which, maps = decoder.projectors
-            for g, idx in enumerate(decoder.partition.groups):
-                assert not np.any(coding._gather(store, g, which, maps[g].reshape(-1, *idx.shape)))
+            store, which, maps = decoder.types
+            for g, idx in enumerate(decoder.basis.joint.groups):
+                assert not np.any(coding._gather(store, g, which + 1,
+                                                 maps[g].reshape(-1, *idx.shape)))
             assert exact_pe_bob(cb, ch, decoder) == 1.0
             assert all(np.all(stack == 0) for stack in decoder.stacks)
-
-    @seeded
-    @typed_cases
-    def test_given_elements_score_as_the_element_formula(self, kind, n, seed):
-        ch = _typed_channel(kind, seed)
-        cb = _typed_codebook(ch, n, seed)
-        gen = np.random.default_rng(seed)
-        dim = ch.bob_states[0].dim ** n
-        elements = []
-        for _ in range(cb.m_count):
-            g = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
-            e = g @ g.conj().T
-            elements.append(e / (cb.m_count * np.linalg.eigvalsh(e).max()))
-        rows = cb.codewords(0)
-        for basis in (None, ProductBasis(ch.bob_states, n)):
-            decoder = DecoderPovm(elements=tuple(elements), basis=basis)
-            decoder.validate()
-            (sigma,) = decoder.codeword_blocks(ch.bob_states, rows)
-            hits = [np.sum(e * sigma[m, 0].T).real for m, e in enumerate(elements)]
-            assert exact_pe_bob(cb, ch, decoder) == pytest.approx(
-                np.mean(1.0 - np.asarray(hits)), abs=1e-12)
 
 
 def _shared_codebook(ch, n, shared, m_count=3, seed=0):
@@ -1206,8 +1170,7 @@ def _shared_codebook(ch, n, shared, m_count=3, seed=0):
         for column in columns[c:]:
             if not rows[:, column].any():
                 rows[gen.integers(m_count), column] = gen.integers(1, ch.alphabet_size)
-    return Codebook(n=n, m_count=m_count, k_count=k_count, gamma=0.9, seed=seed,
-                    ptilde=np.array([1.0]), symbols=symbols)
+    return Codebook(n=n, m_count=m_count, k_count=k_count, symbols=symbols)
 
 
 def _piece_masks(basis, c):
@@ -1241,8 +1204,7 @@ class TestSharedInnocentSplit:
             for mine, oracle in zip(decoder.elements, _dense_pinched_srm(cb, ch, 0.1, key)):
                 assert np.max(np.abs(basis.to_original_basis(mine) - oracle)) <= 1e-9
             elements, sigma = _per_row_decoder(cb, ch, 0.1, key, basis)
-            mine = decoder.stacks + decoder.codeword_blocks(ch.bob_states, cb.codewords(key))
-            for mine, oracle in zip(mine, elements + sigma):
+            for mine, oracle in zip(decoder.stacks, elements):
                 assert np.max(np.abs(mine - oracle)) <= 1e-12
             hits = sum(np.sum(e * np.swapaxes(s, -1, -2), axis=(-3, -2, -1)).real
                        for e, s in zip(elements, sigma))
@@ -1258,12 +1220,12 @@ class TestSharedInnocentSplit:
         basis = ProductBasis(ch.bob_states, n)
         for key in range(cb.k_count):
             decoder = build_srm_decoder(cb, ch, a=0.1, key=key, basis=basis)
-            store, which, maps = decoder.projectors
+            store, which, maps = decoder.types
             for g, (idx, mask) in enumerate(zip(basis.joint.groups,
                                                 _piece_masks(basis, decoder.shared))):
                 # in the key's frame, sum_m P_m over whole joint blocks
                 size = idx.shape[1]
-                gram = coding._gather(store, g, which, maps[g].reshape(-1, *idx.shape))
+                gram = coding._gather(store, g, which + 1, maps[g].reshape(-1, *idx.shape))
                 gram = gram.sum(axis=0).reshape(-1, size)
                 assert np.all(gram[~mask] == 0)
                 norm = np.zeros_like(gram)
