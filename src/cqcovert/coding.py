@@ -215,6 +215,12 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b if a.shape[-1] == 1 else a @ b
 
 
+def _sandwich(norm: np.ndarray, projector: np.ndarray) -> np.ndarray:
+    """The blocks ``N P N`` of decoder elements, from N's blocks ``norm``
+    and the projector blocks ``projector`` on the same rows."""
+    return _matmul(_matmul(norm, projector), norm)
+
+
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.eigh``, with a 1 x 1 block its own eigenvalue and
     eigenvector 1, the numbers LAPACK returns, without a call per block."""
@@ -433,15 +439,18 @@ class DecoderPovm:
     codeword m's block state is operator ``which[m]`` of ``store`` (see
     ``_gather``) and its pinched projector P_m the next operator, both its
     symbol type's, read on the rows ``maps[g][m]`` (``ProductBasis.
-    reorderings``).  The decoder scores only the codewords it was built for,
-    the key's M codeword ``rows`` with Bob's single-use ``states``.  The
-    blocks ``stacks`` (per group, the (M, G, s, s) stack of the elements'
-    blocks in the basis's own order) and the full matrices ``elements`` are
-    formed only when asked for.
+    reorderings``).  ``hits[m]`` is ``Tr{E_m sigma_m}`` for codeword m's
+    block state ``sigma_m``, traced as the decoder was built: it holds the
+    score of the codewords it was built for, the key's M codeword ``rows``
+    with Bob's single-use ``states``, and of no others.  The blocks
+    ``stacks`` (per group, the (M, G, s, s) stack of the elements' blocks in
+    the basis's own order) and the full matrices ``elements`` are formed
+    only when asked for.
     """
 
     def __init__(self, basis: ProductBasis, shared: int, frame: np.ndarray, norms: Sequence,
-                 types: tuple, states: Sequence[DensityOperator], rows: np.ndarray):
+                 types: tuple, states: Sequence[DensityOperator], rows: np.ndarray,
+                 hits: np.ndarray):
         self.basis = basis
         self.shared = shared
         self.frame = frame
@@ -450,17 +459,11 @@ class DecoderPovm:
         self.types = types
         self.states = states
         self.rows = rows
+        self.hits = hits
 
     @property
     def m_count(self) -> int:
         return len(self.types[1])
-
-    def _element_blocks(self, g: int, which: np.ndarray, rows: np.ndarray,
-                        norm: np.ndarray) -> np.ndarray:
-        """The blocks ``N P N`` of the elements on the rows ``rows`` of the
-        projector operators ``which``, with N's blocks ``norm``."""
-        blocks = _matmul(norm, _gather(self.types[0], g, which, rows))
-        return _matmul(blocks, norm)
 
     @cached_property
     def stacks(self) -> tuple[np.ndarray, ...]:
@@ -472,8 +475,8 @@ class DecoderPovm:
             size = idx.shape[1]
             stack = np.zeros((self.m_count, idx.size, size), dtype=complex)
             for rows, norm in zip(self.subs[g], self.norms[g]):
-                stack[:, rows[..., :, None], rows[..., None, :] % size] = self._element_blocks(
-                    g, which + 1, maps[g][:, rows], norm)
+                stack[:, rows[..., :, None], rows[..., None, :] % size] = _sandwich(
+                    norm, _gather(self.types[0], g, which + 1, maps[g][:, rows]))
             back = back[0]  # rows of the key's frame in the basis's own order
             out.append(stack[:, back[..., :, None], back[..., None, :] % size])
         return tuple(out)
@@ -531,15 +534,20 @@ def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
     (``ProductBasis.reorderings``); only the normalisation is per key.  The
     decoder holds the type store, its codewords' type indices and row maps
     once (``DecoderPovm.types``: a projector follows its state), and the
-    codeword rows and Bob states it was built for, the only codewords
-    ``exact_pe_bob`` scores it on.
+    codeword rows and Bob states it was built for.
+
+    The decoder is scored as it is built: each piece's projector blocks are
+    gathered once, summed into the Gram matrix that N is solved from, and
+    sandwiched into ``N P_m N``, whose traces against the codeword states'
+    blocks, ``vec(E) . vec(sigma^T)``, are added piece by piece into
+    ``DecoderPovm.hits``, the numbers ``exact_pe_bob`` reads.
 
     ``key`` is one key, or a sequence of keys whose decoders are built
     together and returned as a list: their types are found in one call,
-    their maps in one call, and the normalisation runs one stacked
-    eigensolve per piece size and shared count across the keys.  Each
-    matrix is solved on its own, so a key's decoder does not depend on the
-    keys built with it; one key is the one-element case.
+    their maps in one call, and the normalisation and traces run one stacked
+    call per piece size and shared count across the keys.  Each matrix is
+    solved and each trace summed on its own, so a key's decoder and hits do
+    not depend on the keys built with it; one key is the one-element case.
     """
     if a < 0:
         raise ValidationError(f"threshold exponent a must be >= 0, got {a}")
@@ -560,21 +568,30 @@ def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
     maps = [f.reshape(m, len(keys), -1) for f in basis.reorderings(orders)]
     counts = shared.sum(axis=1)
     norms = [[[] for _ in maps] for _ in keys]
+    hits = np.zeros((len(keys), m))
     for c in np.unique(counts):
         sel = np.flatnonzero(counts == c)
         for g, subs in enumerate(basis.split(int(c))):
             for piece in subs:
-                for part in _slices(len(sel), m * piece.size * piece.shape[1]):
+                size = piece.shape[1] ** 2
+                for part in _slices(len(sel), m * piece.shape[0] * size):
                     some = sel[part]
-                    gram = _gather(store, g, which[:, some] + 1, maps[g][:, some][..., piece])
-                    w, v = _eigh(gram.sum(axis=0))
+                    piece_rows = maps[g][:, some][..., piece]
+                    projector = _gather(store, g, which[:, some] + 1, piece_rows)
+                    w, v = _eigh(projector.sum(axis=0))
                     norm = _matmul(v * (np.where(w > RANK_TOL, w, np.inf) ** -0.5)[..., None, :],
                                    dagger(v))
                     for i, b in enumerate(some):
                         norms[b][g].append(norm[i])
+                    # Tr{E_m sigma_m} on these pieces, vec(E) . vec(sigma^T)
+                    element = _sandwich(norm, projector)
+                    state = _gather(store, g, which[:, some], piece_rows, transpose=True)
+                    traces = _matmul(element.reshape(*element.shape[:-2], 1, size),
+                                     state.reshape(*state.shape[:-2], size, 1))
+                    hits[some] += traces.sum(axis=(-3, -2, -1)).real.T
     decoders = [DecoderPovm(basis, c, frames[b], norms[b],
                             (store, which[:, b], [f[:, b] for f in maps]),
-                            channel.bob_states, rows[:, b])
+                            channel.bob_states, rows[:, b], hits[b])
                 for b, c in enumerate(counts.tolist())]
     return decoders[0] if one else decoders
 
@@ -637,50 +654,15 @@ def _pinched_types(basis: ProductBasis, states: Sequence[DensityOperator], a: fl
         return np.array([index[t] for t in types]), store
 
 
-def _hits(decoders: Sequence[DecoderPovm]) -> np.ndarray:
-    """``Tr{E_m sigma_m}`` for each decoder and message, (len(decoders), M):
-    ``sigma_m`` is the state of the decoder's codeword m, read from its
-    symbol type as it was built, and the trace is summed over the decoder's
-    blocks, ``vec(E) . vec(sigma^T)``.  Decoders that share their pieces and
-    their type store are scored together, one gather, product and sum per
-    piece size; each sum runs over one decoder and message, so a decoder's
-    hits do not depend on the decoders scored with it."""
-    out = np.zeros((len(decoders), decoders[0].m_count))
-    batches = {}
-    for i, decoder in enumerate(decoders):
-        batch = (id(decoder.subs), id(decoder.types[0]))
-        batches.setdefault(batch, []).append((i, decoder))
-    for batch in batches.values():
-        members, batched = zip(*batch)
-        lead = batched[0]
-        store = lead.types[0]
-        which_sigma = np.stack([d.types[1] for d in batched], axis=1)
-        which = which_sigma + 1
-        hits = np.zeros((lead.m_count, len(members)))
-        for g, subs in enumerate(lead.subs):
-            maps = np.stack([d.types[2][g] for d in batched], axis=1)
-            for j, piece in enumerate(subs):
-                size = piece.shape[-1] ** 2
-                for part in _slices(len(members), lead.m_count * piece.shape[0] * size):
-                    norm = np.stack([d.norms[g][j] for d in batched[part]])
-                    rows = maps[:, part][..., piece]
-                    element = lead._element_blocks(g, which[:, part], rows, norm)
-                    state = _gather(store, g, which_sigma[:, part], rows, transpose=True)
-                    traces = _matmul(element.reshape(*element.shape[:-2], 1, size),
-                                     state.reshape(*state.shape[:-2], size, 1))
-                    hits[:, part] += traces.sum(axis=(-3, -2, -1)).real
-        out[list(members)] = hits.T
-    return out
-
-
 def exact_pe_bob(codebook: Codebook, channel: CqChannelPair, decoder, key=0):
     """Exact average decoding error (1/M) sum_m (1 - Tr{element_m state_m}),
-    with each trace summed over the decoder's blocks (``_hits``).
+    read off the traces ``DecoderPovm.hits`` taken while the decoder was
+    built.
 
     ``decoder`` and ``key`` are one decoder and its key, or equal-length
     sequences of them (as ``build_srm_decoder`` returns for a sequence of
-    keys), scored together and returned as an array; one decoder is the
-    one-element case.  A decoder scores the codewords it was built for, so
+    keys), returned as an array; one decoder is the one-element case.  A
+    decoder carries the score of the codewords it was built for only, so
     ``IndexMismatch`` is raised unless its codeword rows are the key's and
     its Bob states are the channel's, the same objects or equal matrices."""
     keys, one = _keys(codebook, key)
@@ -694,7 +676,8 @@ def exact_pe_bob(codebook: Codebook, channel: CqChannelPair, decoder, key=0):
         if not (same and np.array_equal(d.rows, codebook.codewords(k))):
             raise IndexMismatch(f"decoder was not built for key {k}'s codewords "
                                 f"and Bob's states")
-    pe = np.clip(np.sum(1.0 - _hits(decoders), axis=1) / codebook.m_count, 0.0, 1.0)
+    hits = np.stack([d.hits for d in decoders])
+    pe = np.clip(np.sum(1.0 - hits, axis=1) / codebook.m_count, 0.0, 1.0)
     return float(pe[0]) if one else pe
 
 
@@ -1021,7 +1004,7 @@ def nogo_experiment(channel: CqChannelPair, codebook: Codebook,
 
     Requires every non-innocent adversary state to have support outside the
     innocent support, and pure receiver states so codeword blocks are pure.
-    The adversary measures the projector onto the innocent block support; his
+    The adversary measures the projector onto the innocent block support; its
     exact error and the leakage constant ``c_min`` then feed the fidelity
     lower bound on the receiver's error.
     """

@@ -195,7 +195,7 @@ class TestClassify:
         assert report.mixture_pi == pytest.approx([0.5, 0.5], abs=1e-6)
 
     def test_sqrt_n_log_n(self):
-        # Bob leaks outside his innocent support, Willie stays contained
+        # Bob leaks outside its innocent support, Willie stays contained
         ch = _diag_channel(
             bob_probs=[[1, 0], [0.5, 0.5]],
             willie_probs=[[0.9, 0.1], [0.6, 0.4]])

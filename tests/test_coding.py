@@ -321,7 +321,7 @@ class TestExactPeBob:
 
 def _average_matrix(cb, ch):
     """Willie's average state in the computational basis, mapped back from
-    his product eigenbasis."""
+    its product eigenbasis."""
     basis = ProductBasis(ch.willie_states, cb.n)
     return basis.to_original_basis(willie_average_state(cb, ch, basis).matrix)
 
@@ -1138,7 +1138,7 @@ class TestNormalisedDecoder:
             hits = sum(np.sum(e * np.swapaxes(s, -1, -2), axis=(-3, -2, -1)).real
                        for e, s in zip(elements, sigma))
             # each message's hit, with the states read from the type store
-            assert np.max(np.abs(coding._hits([decoder])[0] - hits)) <= 1e-12
+            assert np.max(np.abs(decoder.hits - hits)) <= 1e-12
 
     @seeded
     @typed_cases
@@ -1255,6 +1255,7 @@ class TestSharedInnocentSplit:
                 assert np.array_equal(mine, theirs)
             for mine, theirs in zip(alone.stacks, together[key].stacks):
                 assert np.array_equal(mine, theirs)
+            assert np.array_equal(alone.hits, together[key].hits)
             assert exact_pe_bob(cb, ch, alone, key=key) == pe[key]
         subset = [5, 0, 3]
         assert np.array_equal(exact_pe_bob(cb, ch, [together[k] for k in subset], key=subset),
