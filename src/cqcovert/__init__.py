@@ -11,9 +11,7 @@ from .operators import (
     matrix_log,
     matrix_pinv,
     matrix_power,
-    pinching,
     spectral_decomposition,
-    spectral_projection_nonneg,
     support_projector,
 )
 from .divergences import (

@@ -486,10 +486,13 @@ class DecoderPovm:
         """The elements as full matrices in ``basis``, zero off their blocks."""
         return tuple(self.basis.joint.assemble(self.stacks))
 
-    def validate(self) -> None:
+    def validate(self) -> float:
         """Check PSD elements and sum bounded by identity within
         ``DECODER_TOL``, one stacked eigensolve per group of equal-size
-        blocks."""
+        blocks, and return the slack left: ``DECODER_TOL`` less the largest
+        of the elements' most negative eigenvalue, negated, and the sum's
+        excess over the identity."""
+        slack = math.inf
         for stack in self.stacks:
             lowest = np.linalg.eigvalsh(stack).min(axis=-1)
             if lowest.min() < -DECODER_TOL:
@@ -498,6 +501,8 @@ class DecoderPovm:
             excess = np.linalg.eigvalsh(stack.sum(axis=0)).max() - 1.0
             if excess > DECODER_TOL:
                 raise ValidationError(f"decoder sum exceeds identity by {excess:.3e}")
+            slack = min(slack, DECODER_TOL + float(lowest.min()), DECODER_TOL - float(excess))
+        return slack
 
 
 def _keys(codebook: Codebook, key) -> tuple[list[int], bool]:
@@ -814,8 +819,9 @@ class ExperimentConfig:
 
     Message and key counts follow the achievability formulas (rounded up to
     integers >= 1) unless overridden.  Checked on construction, so
-    ``run_experiment`` starts no work on a bad config: ``trials`` must be at
-    least 1 and ``varsigma``, ``mu`` and ``nu`` finite and in [0, 1)
+    ``run_experiment`` starts no work on a bad config: ``trials``,
+    ``workers`` and the overrides given must be integers >= 1 and
+    ``varsigma``, ``mu`` and ``nu`` finite and in [0, 1)
     (``InvalidParameter`` otherwise); ``gamma`` must be finite with ``0 <=
     gamma < sqrt(n)`` for every n in ``n_list``, so the innocent symbol
     keeps a positive weight (``AlphaOutOfRange`` otherwise); the code sizes
@@ -837,8 +843,12 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise InvalidParameter(f"trials must be an integer >= 1, got {self.trials}")
+        for name in ("trials", "workers", "m_override", "k_override"):
+            value = getattr(self, name)
+            if value is None and name.endswith("override"):
+                continue
+            if not (isinstance(value, (int, np.integer)) and value >= 1):
+                raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("varsigma", "mu", "nu"):
             value = getattr(self, name)
             if not (math.isfinite(value) and 0.0 <= value < 1.0):
@@ -884,11 +894,15 @@ def _trial_seed(master: int, n: int, trial: int) -> int:
         1, dtype=np.uint64)[0])
 
 
-def run_experiment(config: ExperimentConfig) -> list[TrialReport]:
+def run_experiment(config: ExperimentConfig, on_decoders=None) -> list[TrialReport]:
     """Run all (n, trial) cells of the sweep and return reports in order.
 
     Deterministic given the config: per-trial randomness derives from
     (seed, n, trial index) only, so the worker count never changes results.
+    ``on_decoders``, when given, is called as ``on_decoders(codebook, keys,
+    decoders)`` with each chunk of a trial's keys and their decoders, the
+    first chunk's keys starting at 0, before the decoders are freed; with
+    more than one worker, from the worker's thread.
     """
     channel = config.channel
     p = (uniform_nontrivial_ptilde(channel) if config.ptilde is None
@@ -919,6 +933,8 @@ def run_experiment(config: ExperimentConfig) -> list[TrialReport]:
         for start in range(0, k, KEY_CHUNK):
             keys = range(start, min(start + KEY_CHUNK, k))
             decoders = build_srm_decoder(codebook, channel, a, key=keys, basis=bob_basis)
+            if on_decoders is not None:
+                on_decoders(codebook, keys, decoders)
             pe_values.extend(exact_pe_bob(codebook, channel, decoders, key=keys).tolist())
             shared.extend(d.shared for d in decoders)
             del decoders

@@ -1,9 +1,9 @@
 """Finite-dimensional Hermitian operator algebra.
 
 Construction and validation of density operators, Kronecker products,
-convex mixtures, spectral decompositions, matrix functions on supports,
-spectral projections, and pinching.  All operations are pure functions over
-immutable inputs; every state-like object is safe to share across threads.
+convex mixtures, spectral decompositions, matrix functions on supports and
+eigenvalue clusters.  All operations are pure functions over immutable
+inputs; every state-like object is safe to share across threads.
 
 Conventions
 -----------
@@ -13,8 +13,9 @@ Conventions
   kernel.
 * The other tolerances are module constants too: ``HERMITICITY_TOL``,
   ``PSD_TOL`` and ``TRACE_TOL`` validate inputs, ``ZERO_EIGENVALUE_TOL`` is
-  the tie window of spectral sign projections and ``CLUSTER_TOL`` the
-  relative merge window of pinching.  No function here takes a tolerance.
+  the tie window of the positive-part projectors of Bob's decoder and
+  ``CLUSTER_TOL`` the relative merge window of its pinching clusters.  No
+  function here takes a tolerance.
 * Tensor products order subsystems left-to-right as channel uses 1..n.
 * Kronecker products are capped at dimension ``CQCOVERT_DIM_CAP``
   (default 16384) so exact simulation stays in memory.
@@ -42,8 +43,8 @@ HERMITICITY_TOL = 1e-12      # largest entry of |A - A†| in a valid input
 PSD_TOL = 1e-10              # most negative eigenvalue of a valid state
 TRACE_TOL = 1e-10            # largest |Tr - 1| of a valid state
 DEFAULT_DIM_CAP = 16384
-ZERO_EIGENVALUE_TOL = 1e-12  # tie window for spectral sign projections
-CLUSTER_TOL = 1e-9           # relative merge window for pinching eigenspaces
+ZERO_EIGENVALUE_TOL = 1e-12  # tie window of the decoder's positive-part projectors
+CLUSTER_TOL = 1e-9           # relative merge window of the pinching clusters
 
 
 def dimension_cap() -> int:
@@ -89,16 +90,13 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
 
 
 class Spectrum:
-    """Eigendecomposition of a Hermitian matrix, or of each matrix of a
-    stack, with eigenvalues sorted in descending order.
+    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted in
+    descending order.
 
-    ``eigenvectors[..., :, i]`` is the unit eigenvector for
-    ``eigenvalues[..., i]``.  Indexing a stack's spectrum gives one
-    matrix's (``spectra[i]``), and ``spectrum[None]`` is a one-matrix
-    stack.  ``permutation`` is set when
-    the operator is diagonal: the eigenvectors are then the standard unit
-    vectors, ``eigenvectors[:, i]`` being ``e_{permutation[i]}``, and they
-    are only built when read.
+    ``eigenvectors[:, i]`` is the unit eigenvector for ``eigenvalues[i]``.
+    ``permutation`` is set when the operator is diagonal: the eigenvectors
+    are then the standard unit vectors, ``eigenvectors[:, i]`` being
+    ``e_{permutation[i]}``, and they are only built when read.
     """
 
     def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray | None = None,
@@ -112,33 +110,17 @@ class Spectrum:
     def eigenvectors(self) -> np.ndarray:
         return np.eye(self.eigenvalues.size)[:, self.permutation]
 
-    def __getitem__(self, index) -> "Spectrum":
-        vectors = vars(self).get("eigenvectors")
-        return Spectrum(self.eigenvalues[index], None if vectors is None else vectors[index],
-                        self.permutation)
-
-
-def spectral_decompositions(stack: np.ndarray) -> Spectrum:
-    """Eigendecompose a stack of Hermitian matrices with one stacked ``eigh``:
-    the stack's ``Spectrum``, whose i-th entry is the i-th matrix's,
-    eigenvalues descending.
-
-    ``eigh`` returns them ascending, so the order is a reversal: tied
-    eigenvalues keep ``eigh``'s order, reversed.  Each matrix is solved on
-    its own, so a spectrum does not depend on the rest of the stack.  The
-    eigenvectors are stored column-major (views into one buffer per stack);
-    another layout would change the rounding of products with them.
-    """
-    w, v = np.linalg.eigh(hermitian_part(np.asarray(stack, dtype=complex)))
-    w = w[..., ::-1].copy()
-    v = v[..., ::-1].swapaxes(-1, -2).copy().swapaxes(-1, -2)
-    return Spectrum(eigenvalues=w, eigenvectors=v)
-
 
 def spectral_decomposition(a: np.ndarray) -> Spectrum:
-    """Eigendecompose a Hermitian matrix (or a stack): the one-matrix call of
-    :func:`spectral_decompositions`."""
-    return spectral_decompositions(np.asarray(a)[None])[0]
+    """Eigendecompose a Hermitian matrix with ``eigh``, eigenvalues descending.
+
+    ``eigh`` returns them ascending, so the order is a reversal: tied
+    eigenvalues keep ``eigh``'s order, reversed.  The eigenvectors are
+    stored column-major; another layout would change the rounding of
+    products with them.
+    """
+    w, v = np.linalg.eigh(hermitian_part(np.asarray(a, dtype=complex)))
+    return Spectrum(eigenvalues=w[::-1].copy(), eigenvectors=np.asfortranarray(v[:, ::-1]))
 
 
 class Partition:
@@ -239,12 +221,6 @@ class DensityOperator:
     :class:`Partition`); the other form is derived once, when first read.  A
     full matrix is the one-block case, a view.  Buffers are frozen.
 
-    One operator may hold a stack of N states of one dimension: ``matrix``
-    is then (N, d, d), ``spectrum`` the stack's ``Spectrum`` and
-    ``eigenvalues_only`` (N, d), the form the stacked functionals of
-    :mod:`cqcovert.divergences` read.  ``states[i]`` is the i-th state and
-    ``state[None]`` a one-element stack, each with what is cached so far.
-
     A state is eigendecomposed at most once: ``spectrum`` is computed on
     first use and cached, and every matrix function of the state
     (``matrix_power``, ``matrix_log``, ``matrix_pinv``, ... given
@@ -275,9 +251,8 @@ class DensityOperator:
     @cached_property
     def blocks(self) -> tuple["Partition", tuple[np.ndarray, ...]]:
         """``(partition, stacks)``: the operator's diagonal blocks; for a full
-        matrix, the one block ``matrix[None]`` over ``Partition.whole(dim)``
-        (per state of a stack)."""
-        return Partition.whole(self.dim), (self.matrix[..., None, :, :],)
+        matrix, the one block ``matrix[None]`` over ``Partition.whole(dim)``."""
+        return Partition.whole(self.dim), (self.matrix[None],)
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -289,15 +264,7 @@ class DensityOperator:
         """The eigenvalues from ``eigvalsh``, without eigenvectors, computed
         once, block by block: one stacked call per group of equal-size blocks
         (each block's descending, the blocks in reverse order)."""
-        return np.concatenate([np.linalg.eigvalsh(s).reshape(s.shape[:-3] + (-1,))
-                               for s in self.blocks[1]], axis=-1)[..., ::-1]
-
-    def __getitem__(self, index) -> "DensityOperator":
-        out = DensityOperator(self.matrix[index])
-        for name in ("spectrum", "eigenvalues_only"):
-            if name in vars(self):
-                vars(out)[name] = getattr(self, name)[index]
-        return out
+        return np.concatenate([np.linalg.eigvalsh(s).ravel() for s in self.blocks[1]])[::-1]
 
     @property
     def rank(self) -> int:
@@ -356,14 +323,13 @@ def kron_power(a: DensityOperator, n: int) -> DensityOperator:
 
 
 def mixture(weights, states: Sequence[DensityOperator]) -> DensityOperator:
-    """The convex mixture ``sum_x weights[..., x] states[x]``, summed in x
-    order, as a state.  A stack of weight vectors, shape (..., X), gives the
-    stack of their mixtures, each bit-identical to its own call.  The
-    package's one mixture builder; the weights are the caller's to check."""
-    w = np.asarray(weights, dtype=float)[..., None, None]
-    total = w[..., 0, :, :] * states[0].matrix
+    """The convex mixture ``sum_x weights[x] states[x]``, summed in x order,
+    as a state.  The package's one mixture builder; the weights are the
+    caller's to check."""
+    w = np.asarray(weights, dtype=float)
+    total = w[0] * states[0].matrix
     for x in range(1, len(states)):
-        total = total + w[..., x, :, :] * states[x].matrix
+        total = total + w[x] * states[x].matrix
     return DensityOperator(hermitian_part(total))
 
 
@@ -384,10 +350,7 @@ def matrix_function(a: Operand, f: Callable[[np.ndarray], np.ndarray]) -> np.nda
     computed, such as a state's cached ``state.spectrum``, which is read
     without a second eigensolve.  Eigenvalues at or below ``RANK_TOL`` map
     to 0 (pseudo-function convention), which absorbs the singularities of
-    logs and negative powers.  A stack of matrices, or a stack's spectrum,
-    gives the stack of their functions: ``f`` is applied to all their
-    support eigenvalues in one call, and each matrix of the result is
-    bit-identical to its one-matrix call.
+    logs and negative powers.
     """
     spec = a if isinstance(a, Spectrum) else spectral_decomposition(a)
     w = spec.eigenvalues
@@ -395,7 +358,7 @@ def matrix_function(a: Operand, f: Callable[[np.ndarray], np.ndarray]) -> np.nda
     on_support = w > RANK_TOL
     fw[on_support] = f(w[on_support])
     v = spec.eigenvectors
-    return hermitian_part((v * fw[..., None, :]) @ dagger(v))
+    return hermitian_part((v * fw) @ dagger(v))
 
 
 def matrix_log(a: Operand) -> np.ndarray:
@@ -418,73 +381,21 @@ def matrix_inv_sqrt(a: Operand) -> np.ndarray:
     return matrix_power(a, -0.5)
 
 
-def spectral_projection_nonneg(a: Operand, strict: bool = False) -> np.ndarray:
-    """Projector onto the non-negative (or strictly positive) eigenspaces.
-
-    Eigenvalues within ``ZERO_EIGENVALUE_TOL`` of zero count as zero: they
-    are included in the non-strict projector and excluded from the strict
-    one.  The complement of the non-strict projector is the
-    strictly-negative projector, and vice versa.  Both projections of one
-    matrix can share one eigensolve by passing its ``Spectrum``.  A stack of
-    matrices, or a stack's spectrum, gives the stack of their projectors:
-    the eigenvalues descend, so each projector spans the first k
-    eigenvectors of its matrix, and the matrices that keep k are projected
-    in one product, bit-identical to their one-matrix calls.
-    """
-    spec = a if isinstance(a, Spectrum) else spectral_decomposition(a)
-    w, v = spec.eigenvalues, spec.eigenvectors
-    kept = np.sum(w > ZERO_EIGENVALUE_TOL if strict else w >= -ZERO_EIGENVALUE_TOL, axis=-1)
-    out = np.empty(v.shape, dtype=v.dtype)
-    # a set, not np.unique, whose first call (a hash table) keeps about
-    # 0.25 MiB resident for the rest of the process
-    for k in set(np.ravel(kept).tolist()):
-        at = kept == k  # for one matrix, a boolean scalar: a one-matrix stack
-        cols = v[at, :, :k]
-        out[at] = cols @ dagger(cols)
-    return out
-
-
 def eigenvalue_clusters(eigenvalues: np.ndarray) -> np.ndarray:
     """Group near-degenerate eigenvalues into clusters.
 
     Adjacent sorted eigenvalues merge when their gap is at most
     ``CLUSTER_TOL * max(|w_i|, |w_j|)``, so exact ties (exact zeros included)
     always share a cluster.  Returns an integer cluster id per entry of
-    ``eigenvalues`` (in the given order); for a stack of eigenvalue rows,
-    each row's ids.
+    ``eigenvalues`` (in the given order).
     """
     w = np.asarray(eigenvalues, dtype=float)
-    order = np.argsort(w, axis=-1)
-    ws = np.take_along_axis(w, order, axis=-1)
-    gaps = np.diff(ws, axis=-1) > CLUSTER_TOL * np.maximum(np.abs(ws[..., :-1]),
-                                                           np.abs(ws[..., 1:]))
+    order = np.argsort(w)
+    ws = w[order]
+    gaps = np.diff(ws) > CLUSTER_TOL * np.maximum(np.abs(ws[:-1]), np.abs(ws[1:]))
     ids = np.zeros(w.shape, dtype=int)
-    np.put_along_axis(ids, order[..., 1:], np.cumsum(gaps, axis=-1), axis=-1)
+    ids[order[1:]] = np.cumsum(gaps)
     return ids
-
-
-def pinching(a: Operand, b: np.ndarray) -> np.ndarray:
-    """Dephase ``b`` in the eigenbasis blocks of ``a``.
-
-    Computes the sum of ``E_i b E_i`` over the projectors ``E_i`` onto the
-    distinct-eigenvalue spaces of ``a``; eigenvalues within ``CLUSTER_TOL``
-    relative distance are merged into one eigenspace.  The result commutes
-    with ``a`` and preserves traces against every operator commuting with
-    ``a``.  As in :func:`matrix_function`, ``a`` is a Hermitian matrix or
-    its ``Spectrum`` already computed; a stack of them, with a stack ``b``,
-    gives the stack of the pinched matrices, each bit-identical to its
-    one-matrix call.
-    """
-    b = np.asarray(b, dtype=complex)
-    shape = np.shape(a.eigenvectors if isinstance(a, Spectrum) else a)
-    if shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {shape} vs {b.shape}")
-    spec = a if isinstance(a, Spectrum) else spectral_decomposition(a)
-    ids = eigenvalue_clusters(spec.eigenvalues)
-    v = spec.eigenvectors
-    rotated = dagger(v) @ b @ v
-    mask = ids[..., :, None] == ids[..., None, :]
-    return v @ (rotated * mask) @ dagger(v)
 
 
 # --- JSON wire format: {"dim": d, "re": [[...]], "im": [[...]]} ---
@@ -502,49 +413,21 @@ def matrix_from_json(doc: dict) -> np.ndarray:
     return re + 1j * im
 
 
-# --- random generators for sweeps and tests ---
-
-def ginibre_states(draws: np.ndarray) -> DensityOperator:
-    """Random density operators G G† / Tr, one per Ginibre draw, as one stack.
-
-    ``draws`` has shape (N, 2, dim, k): per state, the real block of G, then
-    the imaginary one.  The N states are built as one stack (one product,
-    one normalisation); the stack's ``spectrum`` and ``eigenvalues_only``
-    are each computed on first use, by one stacked ``eigh`` or
-    ``eigvalsh``.  Every matrix is treated on its own, so each state is
-    bit-identical to the one built from its draw alone.
-    """
-    g = draws[:, 0] + 1j * draws[:, 1]
-    m = g @ dagger(g)
-    return DensityOperator(hermitian_part(m / np.trace(m, axis1=1, axis2=2).real[:, None, None]))
-
+# --- random states for verify and the tests ---
 
 def ginibre_state(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
-    """Random density operator G G† / Tr from a complex Ginibre block of
-    ``rank`` columns (default ``dim``): the one-draw call of
-    :func:`ginibre_states`."""
-    k = dim if rank is None else rank
-    return ginibre_states(rng.standard_normal((1, 2, dim, k)))[0]
-
-
-def haar_unitaries(draws: np.ndarray) -> np.ndarray:
-    """Haar-distributed unitaries via QR of complex Ginibre matrices, one per
-    draw: ``draws`` has shape (N, 2, dim, dim), as in
-    :func:`random_hermitians`.  One stacked QR; each unitary is
-    bit-identical to the one built from its draw alone."""
-    q, r = np.linalg.qr(draws[:, 0] + 1j * draws[:, 1])
-    phases = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (phases / np.abs(phases))[:, None, :]
-
-
-def random_hermitians(draws: np.ndarray) -> np.ndarray:
-    """Hermitian parts of complex Ginibre matrices, one per draw: ``draws``
-    has shape (N, 2, dim, dim), the real block, then the imaginary one (the
-    stream of a real ``(dim, dim)`` draw followed by an imaginary one)."""
-    return hermitian_part(draws[:, 0] + 1j * draws[:, 1])
+    """Random density operator G G† / Tr from a complex Ginibre block G of
+    ``rank`` columns (default ``dim``): its real part, then its imaginary
+    part, drawn from ``rng`` as one ``(2, dim, rank)`` array."""
+    draws = rng.standard_normal((2, dim, dim if rank is None else rank))
+    g = draws[0] + 1j * draws[1]
+    m = g @ dagger(g)
+    return DensityOperator(hermitian_part(m / np.trace(m).real))
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian matrix, the Hermitian part of a complex Ginibre
-    matrix: the one-draw call of :func:`random_hermitians`."""
-    return random_hermitians(rng.standard_normal((1, 2, dim, dim)))[0]
+    matrix: its real part, then its imaginary part, drawn from ``rng`` as
+    one ``(2, dim, dim)`` array."""
+    draws = rng.standard_normal((2, dim, dim))
+    return hermitian_part(draws[0] + 1j * draws[1])

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from cqcovert import CqChannelPair
-from cqcovert.operators import (DensityOperator, ginibre_state, haar_unitaries, hermitian_part,
-                                make_density)
-from cqcovert.verify import _commuting_draws, _commuting_pairs
+from cqcovert.operators import (ZERO_EIGENVALUE_TOL, DensityOperator, eigenvalue_clusters,
+                                ginibre_state, hermitian_part, make_density)
 
 
 def diagonal_state(probs):
@@ -84,18 +83,46 @@ def dense_average(states, rows):
 
 
 def haar_unitary(dim, rng):
-    """One Haar unitary from ``rng``: the one-draw call of the package's
-    ``haar_unitaries``."""
-    return haar_unitaries(rng.standard_normal((1, 2, dim, dim)))[0]
+    """One Haar unitary from ``rng``: the QR factor of a complex Ginibre
+    matrix (real part, then imaginary part, one ``(2, dim, dim)`` draw),
+    its columns rephased by the signs of R's diagonal."""
+    g = rng.standard_normal((2, dim, dim))
+    q, r = np.linalg.qr(g[0] + 1j * g[1])
+    phases = np.diagonal(r)
+    return q * (phases / np.abs(phases))
 
 
 def commuting_pair(dim, rng):
-    """One random full-rank pair sharing a Haar eigenbasis, drawn from
-    ``rng`` as the verify expansion suite draws it: the two states and
-    their spectra."""
-    g, wb, wc = _commuting_draws(dim, rng)
-    b, c = _commuting_pairs(g[None], wb[None], wc[None])
-    return b[0], c[0], wb, wc
+    """One random full-rank pair sharing a Haar eigenbasis: the two states
+    and their spectra, each a Dirichlet draw floored at 0.1 and normalised."""
+    u = haar_unitary(dim, rng)
+
+    def spectrum():
+        w = rng.dirichlet(np.ones(dim)) + 0.1
+        return w / w.sum()
+
+    wb, wc = spectrum(), spectrum()
+    b, c = (DensityOperator(hermitian_part((u * w) @ u.conj().T)) for w in (wb, wc))
+    return b, c, wb, wc
+
+
+def pinching(a, b):
+    """Dephase ``b`` in the eigenspaces of the Hermitian ``a``, eigenvalues
+    merged into clusters by the package's ``eigenvalue_clusters``: a dense
+    oracle for the cluster pinching of Bob's decoder."""
+    w, v = np.linalg.eigh(a)
+    ids = eigenvalue_clusters(w)
+    return v @ ((v.conj().T @ b @ v) * (ids[:, None] == ids[None, :])) @ v.conj().T
+
+
+def positive_projector(a, strict=True):
+    """Projector onto the eigenspaces of the Hermitian ``a`` of eigenvalue
+    above ``ZERO_EIGENVALUE_TOL`` (``strict``), else of eigenvalue at least
+    ``-ZERO_EIGENVALUE_TOL``: a dense oracle for the positive-part
+    projectors of Bob's decoder and for the Helstrom test."""
+    w, v = np.linalg.eigh(hermitian_part(np.asarray(a, dtype=complex)))
+    cols = v[:, w > ZERO_EIGENVALUE_TOL if strict else w >= -ZERO_EIGENVALUE_TOL]
+    return cols @ cols.conj().T
 
 
 def dense_mixture(weights, states):

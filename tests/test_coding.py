@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import codeword, dense_average, dense_pe, diagonal_state, haar_unitary, kron
+from conftest import (codeword, dense_average, dense_pe, diagonal_state, haar_unitary, kron,
+                      pinching, positive_projector)
 from cqcovert import coding
 from cqcovert.channel import CqChannelPair
 from cqcovert.coding import (
@@ -101,7 +102,6 @@ class TestSampleCodebook:
 
 class TestSrmDecoder:
     def test_single_message_element_is_projector(self, canonical_channel):
-        from cqcovert.operators import pinching, spectral_projection_nonneg
         cb = sample_codebook(canonical_channel, n=3, m_count=1, k_count=1,
                              gamma=0.5, ptilde=[1.0], seed=5)
         decoder = build_srm_decoder(cb, canonical_channel, a=0.2)
@@ -110,8 +110,7 @@ class TestSrmDecoder:
         for x in sig[1:]:
             block = np.kron(block, canonical_channel.bob_states[x].matrix)
         innocent = kron(*[canonical_channel.bob_states[0].matrix] * 3)
-        projector = spectral_projection_nonneg(
-            pinching(innocent, block) - math.exp(0.2) * innocent, strict=True)
+        projector = positive_projector(pinching(innocent, block) - math.exp(0.2) * innocent)
         element = decoder.basis.to_original_basis(decoder.elements[0])
         assert np.linalg.norm(element - projector) <= 1e-9
 
@@ -190,15 +189,15 @@ class TestDecoderBasis:
 
     @staticmethod
     def _dense_srm(cb, ch, a):
-        from cqcovert.operators import matrix_inv_sqrt, pinching, spectral_projection_nonneg
+        from cqcovert.operators import matrix_inv_sqrt
         innocent = kron(*[ch.bob_states[0].matrix] * cb.n)
         projectors = []
         for m in range(cb.m_count):
             block = np.ones((1, 1), dtype=complex)
             for x in codeword(cb, m, 0):
                 block = np.kron(block, ch.bob_states[x].matrix)
-            projectors.append(spectral_projection_nonneg(
-                pinching(innocent, block) - math.exp(a) * innocent, strict=True))
+            projectors.append(positive_projector(pinching(innocent, block)
+                                                 - math.exp(a) * innocent))
         if cb.m_count == 1:
             return projectors
         norm = matrix_inv_sqrt(sum(projectors))
@@ -542,6 +541,26 @@ class TestRunExperiment:
             run_experiment(ExperimentConfig(channel=canonical_channel, n_list=(3,),
                                             gamma=0.5, trials=trials))
 
+    # each bad count is caught on construction, before run_experiment builds
+    # a product basis or samples a codebook
+    @pytest.mark.parametrize("value", [0, -3, 2.0])
+    def test_bad_message_count_override_rejected(self, canonical_channel, value):
+        with pytest.raises(InvalidParameter, match="m_override"):
+            ExperimentConfig(channel=canonical_channel, n_list=(3,), gamma=0.5,
+                             m_override=value)
+
+    @pytest.mark.parametrize("value", [0, -3, 2.0])
+    def test_bad_key_count_override_rejected(self, canonical_channel, value):
+        with pytest.raises(InvalidParameter, match="k_override"):
+            ExperimentConfig(channel=canonical_channel, n_list=(3,), gamma=0.5,
+                             k_override=value)
+
+    @pytest.mark.parametrize("value", [0, -2, 2.0])
+    def test_bad_worker_count_rejected(self, canonical_channel, value):
+        with pytest.raises(InvalidParameter, match="workers"):
+            ExperimentConfig(channel=canonical_channel, n_list=(3,), gamma=0.5,
+                             workers=value)
+
     @pytest.mark.parametrize("gamma", [math.inf, 1e6, math.nan, -1.0, 2.0])
     def test_gamma_outside_the_root_of_every_blocklength_rejected(self, canonical_channel,
                                                                   gamma):
@@ -684,7 +703,7 @@ def _dense_pinched_srm(cb, ch, a, key):
     eigenvalues, read from the digits of each index: with distinct
     single-use eigenvalues, two product eigenvectors share an eigenvalue iff
     their indices have the same digits up to order."""
-    from cqcovert.operators import matrix_inv_sqrt, spectral_projection_nonneg
+    from cqcovert.operators import matrix_inv_sqrt
     innocent = kron(*[ch.bob_states[0].matrix] * cb.n)
     u = kron_chain([ch.bob_states[0].spectrum.eigenvectors] * cb.n)
     digits = np.array(list(itertools.product(range(ch.bob_states[0].dim), repeat=cb.n)))
@@ -696,8 +715,7 @@ def _dense_pinched_srm(cb, ch, a, key):
         for x in codeword(cb, m, key):
             block = np.kron(block, ch.bob_states[x].matrix)
         pinched = u @ ((u.conj().T @ block @ u) * same) @ u.conj().T
-        projectors.append(spectral_projection_nonneg(
-            pinched - math.exp(a) * innocent, strict=True))
+        projectors.append(positive_projector(pinched - math.exp(a) * innocent))
     norm = matrix_inv_sqrt(sum(projectors))
     return [norm @ proj @ norm for proj in projectors]
 
@@ -731,6 +749,22 @@ class TestNonCommutingInvariants:
             decoder.validate()
             for mine, oracle in zip(decoder.elements, _dense_pinched_srm(cb, ch, 0.15, key)):
                 assert np.max(np.abs(basis.to_original_basis(mine) - oracle)) <= 1e-9
+
+    @pytest.mark.parametrize("dim, n", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)])
+    def test_elements_commute_with_the_innocent_product_state(self, dim, n):
+        # each E_m = N P_m N is a function of the pinched states and the
+        # innocent product state, so it commutes with that state
+        ch = _ginibre_pair(dim, 40 + 10 * dim + n)
+        cb = self._codebook(ch, n, 3, 2, n)
+        innocent = kron(*[ch.bob_states[0].matrix] * n)
+        largest = 0.0  # some element is not empty, so the check is not vacuous
+        for key in range(cb.k_count):
+            decoder = build_srm_decoder(cb, ch, a=0.1, key=key)
+            for element in decoder.elements:
+                e = decoder.basis.to_original_basis(element)
+                largest = max(largest, np.abs(e).max())
+                assert np.abs(e @ innocent - innocent @ e).max() <= 1e-12
+        assert largest > 0.1
 
     @seeded
     @ginibre_cases

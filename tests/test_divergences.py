@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (classical_chi2, classical_kl, diagonal_state, haar_unitary, kron,
-                      random_probs)
+                      pinching, positive_projector, random_probs)
 import cqcovert.divergences as divergences_mod
 from cqcovert.divergences import (
     NEG_CLIP,
@@ -12,28 +12,20 @@ from cqcovert.divergences import (
     helstrom_error,
     holevo_information,
     phi_functional,
-    phi_functionals,
     pinsker_gap,
-    pinsker_gaps,
     psi_functional,
-    psi_functionals,
-    relative_entropies,
     relative_entropy,
     support_leak,
     supports_contained,
     trace_distance,
-    trace_distances,
     von_neumann_entropy,
 )
 from cqcovert.errors import DimensionMismatch, SupportViolation
 from cqcovert.operators import (
     RANK_TOL,
     ginibre_state,
-    make_density,
     matrix_log,
     matrix_power,
-    pinching,
-    spectral_projection_nonneg,
     DensityOperator,
     hermitian_part,
 )
@@ -126,7 +118,7 @@ class TestHelstrom:
         for _ in range(30):
             rho = ginibre_state(3, rng)
             sigma = ginibre_state(3, rng)
-            q = spectral_projection_nonneg(rho.matrix - sigma.matrix)
+            q = positive_projector(rho.matrix - sigma.matrix, strict=False)
             pe_projector = 0.5 * (np.trace(q @ sigma.matrix).real
                                   + 1.0 - np.trace(q @ rho.matrix).real)
             assert helstrom_error(rho, sigma) == pytest.approx(pe_projector, abs=1e-10)
@@ -307,12 +299,8 @@ def test_support_cutoff_boundary(t, rank):
     assert supports_contained(probe, sigma) == contained
 
 
-def _stack(states):
-    return DensityOperator(np.stack([s.matrix for s in states]))
-
-
 def _relative_entropy_formula(rho, sigma):
-    """D(rho||sigma) from one pair's own support sums: the weights over the
+    """D(rho||sigma) from the pair's support sums: the weights over the
     support eigenvectors of sigma, the cross term and the entropy, each a
     one-dimensional sum over the support entries alone."""
     spec = sigma.spectrum
@@ -347,11 +335,11 @@ def _psi_formula(r1, r0, r):
     return math.log(t), num / t
 
 
-class TestStackedFunctionals:
-    """Each stacked functional equals, bit for bit, its one-pair call on
-    every pair of the stack: dimensions 2-6, full-rank and rank-deficient
-    states (so support violations), self-pairs whose raw divergence lands in
-    the ``NEG_CLIP`` window, and one-element stacks."""
+class TestFunctionalsAreTheirFormulas:
+    """Each functional equals, bit for bit, its formula written out for the
+    pair: dimensions 2-6, full-rank and rank-deficient states (so support
+    violations), and self-pairs whose raw divergence lands in the
+    ``NEG_CLIP`` window."""
 
     @staticmethod
     def _pairs(dim):
@@ -369,71 +357,54 @@ class TestStackedFunctionals:
         return contained, leaking
 
     @pytest.mark.parametrize("dim", range(2, 7))
-    def test_divergences_equal_their_one_pair_calls(self, dim):
+    def test_divergences_equal_their_formulas(self, dim):
         contained, leaking = self._pairs(dim)
-        for pairs in (contained + leaking, contained[:1], leaking[:1]):
-            rho, sigma = _stack([r for r, _ in pairs]), _stack([s for _, s in pairs])
-            for stacked, single in ((relative_entropies, relative_entropy),
-                                    (trace_distances, trace_distance),
-                                    (pinsker_gaps, pinsker_gap)):
-                assert _bytes(stacked(rho, sigma)) == _bytes([single(r, s) for r, s in pairs])
-            assert _bytes(relative_entropies(rho, sigma)) == _bytes(
-                [_relative_entropy_formula(r, s) for r, s in pairs])
-            assert _bytes(trace_distances(rho, sigma)) == _bytes(
-                [np.abs(np.linalg.eigvalsh(r.matrix - s.matrix)).sum() for r, s in pairs])
-        d = relative_entropies(_stack([r for r, _ in leaking]), _stack([s for _, s in leaking]))
-        assert np.all(np.isinf(d))
+        for r, s in contained + leaking:
+            assert _bytes(relative_entropy(r, s)) == _bytes(_relative_entropy_formula(r, s))
+            assert _bytes(trace_distance(r, s)) == _bytes(
+                np.abs(np.linalg.eigvalsh(r.matrix - s.matrix)).sum())
+            t = trace_distance(r, s)
+            assert _bytes(pinsker_gap(r, s)) == _bytes(relative_entropy(r, s) - t * t / 2.0)
+        assert all(math.isinf(relative_entropy(r, s)) for r, s in leaking)
 
     @pytest.mark.parametrize("dim", range(2, 7))
-    def test_exponent_functionals_equal_their_one_pair_calls(self, dim):
+    def test_exponent_functionals_equal_their_formulas(self, dim):
         contained, leaking = self._pairs(dim)
-        rs = [0.0, 0.1, 0.5 + 1e-5, 0.9]
-        for pairs in (contained, contained[-1:]):
-            first, second = _stack([a for a, _ in pairs]), _stack([b for _, b in pairs])
-            for stacked, single, formula in ((phi_functionals, phi_functional, _phi_formula),
-                                             (psi_functionals, psi_functional, _psi_formula)):
-                values, slopes = stacked(first, second, rs)
-                assert values.shape == slopes.shape == (len(rs), len(pairs))
-                for j, r in enumerate(rs):
-                    for one in ([single(a, b, r) for a, b in pairs],
-                                [formula(a, b, r) for a, b in pairs]):
-                        assert _bytes(values[j]) == _bytes([v for v, _ in one])
-                        assert _bytes(slopes[j]) == _bytes([g for _, g in one])
-        # one leaking pair fails the whole stack, as it fails its own call
-        pairs = contained + leaking[:1]
-        first, second = _stack([a for a, _ in pairs]), _stack([b for _, b in pairs])
-        for stacked, single in ((phi_functionals, phi_functional),
-                                (psi_functionals, psi_functional)):
+        for a, b in contained:
+            for r in (0.0, 0.1, 0.5 + 1e-5, 0.9):
+                assert _bytes(phi_functional(a, b, r)) == _bytes(_phi_formula(a, b, r))
+                assert _bytes(psi_functional(a, b, r)) == _bytes(_psi_formula(a, b, r))
+        for functional in (phi_functional, psi_functional):
             with pytest.raises(SupportViolation):
-                stacked(first, second, rs)
-            with pytest.raises(SupportViolation):
-                single(*leaking[0], 0.5)
+                functional(*leaking[0], 0.5)
 
     @pytest.mark.parametrize("dim", range(2, 7))
-    def test_matrix_functions_equal_their_one_matrix_calls(self, dim):
+    def test_matrix_functions_equal_their_formulas(self, dim):
+        # f on the eigenvalues above RANK_TOL, zero on the kernel, read from a
+        # state's cached spectrum or from its matrix with the same bits
         contained, _ = self._pairs(dim)
-        states = [a for a, _ in contained]
-        spectra = _stack(states).spectrum
-        for c in (0.5, -0.5, 1.3, -1.0, 2.0):
-            stacked = matrix_power(spectra, c)
-            for k, state in enumerate(states):
-                assert stacked[k].tobytes() == matrix_power(state.spectrum, c).tobytes()
-        stacked = matrix_log(spectra)
-        for k, state in enumerate(states):
-            assert stacked[k].tobytes() == matrix_log(state.spectrum).tobytes()
+        for a in {id(x): x for pair in contained for x in pair}.values():
+            spec = a.spectrum
+            w, v = spec.eigenvalues, spec.eigenvectors
+            on_support = w > RANK_TOL
+            for c in (0.5, -0.5, 1.3, -1.0, 2.0, None):
+                fw = np.zeros_like(w)
+                fw[on_support] = np.log(w[on_support]) if c is None else w[on_support] ** c
+                formula = hermitian_part((v * fw) @ v.conj().T)
+                for operand in (spec, a.matrix):
+                    value = matrix_log(operand) if c is None else matrix_power(operand, c)
+                    assert value.tobytes() == formula.tobytes()
 
     def test_self_pairs_land_in_the_clipping_window(self, monkeypatch):
         # the raw self-divergence of a state is a rounding-size number, here
-        # negative for some, which both forms clip to exactly zero
+        # negative for some, which the clip sets to exactly zero
         in_window = 0
         for dim in range(2, 7):
-            selves = [r for r, s in self._pairs(dim)[0] if r is s]
-            rho = _stack(selves)
-            with monkeypatch.context() as patch:
-                patch.setattr(divergences_mod, "_clip", lambda values: values)
-                raw = relative_entropies(rho, rho)
-            clipped = relative_entropies(rho, rho)
-            assert _bytes(clipped) == _bytes([relative_entropy(r, r) for r in selves])
-            assert np.all(clipped[raw < 0.0] == 0.0)
-            in_window += np.count_nonzero((raw > -NEG_CLIP) & (raw < 0.0))
+            for rho in [r for r, s in self._pairs(dim)[0] if r is s]:
+                with monkeypatch.context() as patch:
+                    patch.setattr(divergences_mod, "_clip", lambda value: value)
+                    raw = relative_entropy(rho, rho)
+                clipped = relative_entropy(rho, rho)
+                assert clipped == (0.0 if raw < 0.0 else raw)
+                in_window += -NEG_CLIP < raw < 0.0
         assert in_window > 0

@@ -3,7 +3,7 @@ also ``ValueError``s."""
 
 import pytest
 
-from cqcovert.divergences import helstrom_error, validate_distribution
+from cqcovert.divergences import validate_distribution
 from cqcovert.errors import InputError, InvalidDistribution, InvalidParameter
 from cqcovert.scaling import converse_bounds, optimize_ptilde
 
@@ -12,13 +12,6 @@ from cqcovert.scaling import converse_bounds, optimize_ptilde
 def test_validate_distribution(probs):
     with pytest.raises(InvalidDistribution) as info:
         validate_distribution(probs)
-    assert isinstance(info.value, InputError) and isinstance(info.value, ValueError)
-
-
-def test_helstrom_priors(canonical_channel):
-    rho0, rho1 = canonical_channel.willie_states
-    with pytest.raises(InvalidDistribution) as info:
-        helstrom_error(rho1, rho0, priors=(0.7, 0.7))
     assert isinstance(info.value, InputError) and isinstance(info.value, ValueError)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_mixture, diagonal_state, haar_unitary, matrix_to_json
+from conftest import dense_mixture, diagonal_state, matrix_to_json
 from cqcovert.coding import ProductBasis, product_state
 from cqcovert.errors import (
     DimensionCapExceeded,
@@ -16,7 +16,6 @@ from cqcovert.operators import (
     Partition,
     eigenvalue_clusters,
     ginibre_state,
-    ginibre_states,
     hermitian_part,
     kron_chain,
     kron_power,
@@ -26,11 +25,8 @@ from cqcovert.operators import (
     matrix_pinv,
     matrix_power,
     mixture,
-    pinching,
     random_hermitian,
     spectral_decomposition,
-    spectral_decompositions,
-    spectral_projection_nonneg,
     support_projector,
 )
 
@@ -95,16 +91,6 @@ class TestMixture:
             assert np.max(np.abs(got.matrix - dense_mixture(p, states).matrix)) <= 1e-15
             assert np.array_equal(got.matrix, got.matrix.conj().T)
 
-    def test_stacked_weights_equal_one_call_each(self, rng):
-        states = [ginibre_state(3, rng) for _ in range(4)]
-        weights = rng.dirichlet(np.ones(4), size=(2, 5))
-        stacked = mixture(weights, states).matrix
-        assert stacked.shape == (2, 5, 3, 3)
-        for i in range(2):
-            for j in range(5):
-                one = mixture(weights[i, j], states).matrix
-                assert stacked[i, j].tobytes() == one.tobytes()
-
 
 @settings(max_examples=40, deadline=None)
 @given(dim=st.integers(2, 6), seed=st.integers(0, 2 ** 31))
@@ -154,39 +140,29 @@ def _state_bytes(state):
             spec.eigenvectors.tobytes(), state.eigenvalues_only.tobytes())
 
 
-class TestStackedBuilder:
-    """``ginibre_states`` builds and diagonalises a stack of draws; each state
-    must equal, bit for bit, the state built from its draw alone and the
-    per-state formula G G† / Tr with its own ``eigh`` and ``eigvalsh``."""
+class TestGinibreState:
+    """``ginibre_state`` is the per-draw formula G G† / Tr, with its own
+    ``eigh`` and ``eigvalsh``, bit for bit."""
 
     @pytest.mark.parametrize("dim, rank", [(2, 2), (3, 3), (4, 4), (5, 5), (6, 6),
                                            (4, 2), (6, 1), (5, 3)])
-    def test_stack_equals_one_draw_at_a_time(self, dim, rank):
-        draws = np.random.default_rng(100 + 10 * dim + rank).standard_normal((40, 2, dim, rank))
-        stacked = ginibre_states(draws)
-        rng = np.random.default_rng(100 + 10 * dim + rank)
-        single = [ginibre_state(dim, rng, rank=rank) for _ in range(40)]
-        for x, a, b in zip(draws, stacked, single):
-            assert _state_bytes(a) == _state_bytes(b)
+    def test_state_is_the_formula_of_its_draw(self, dim, rank):
+        seed = 100 + 10 * dim + rank
+        draws = np.random.default_rng(seed).standard_normal((40, 2, dim, rank))
+        rng = np.random.default_rng(seed)
+        for x in draws:
+            a = ginibre_state(dim, rng, rank=rank)
             g = x[0] + 1j * x[1]
             m = g @ g.conj().T
             m = hermitian_part(m / m.trace().real)
             w, v = np.linalg.eigh(hermitian_part(m))
+            assert a.spectrum.eigenvectors.flags.f_contiguous
             assert a.matrix.tobytes() == m.tobytes()
             assert a.spectrum.eigenvalues.tobytes() == w[::-1].tobytes()
             assert a.spectrum.eigenvectors.tobytes() == v[:, ::-1].tobytes()
             assert a.eigenvalues_only.tobytes() == np.linalg.eigvalsh(m)[::-1].tobytes()
             assert a.rank == rank
 
-    def test_spectral_decompositions_equal_one_matrix_at_a_time(self, rng):
-        for dim in range(1, 7):
-            stack = np.stack([ginibre_state(dim, rng).matrix for _ in range(9)])
-            stack[0] = np.eye(dim)  # ties too
-            for spec, a in zip(spectral_decompositions(stack), stack):
-                one = spectral_decomposition(a)
-                assert spec.eigenvalues.tobytes() == one.eigenvalues.tobytes()
-                assert spec.eigenvectors.tobytes() == one.eigenvectors.tobytes()
-                assert spec.eigenvectors.flags.f_contiguous
 
 class TestTensor:
     def test_pure_product(self):
@@ -340,25 +316,22 @@ class TestMatrixFunctions:
     def test_a_state_is_decomposed_once(self, monkeypatch):
         import cqcovert.operators as operators_mod
         from cqcovert.divergences import phi_functional, psi_functional
-        from cqcovert.verify import derivative_suite
 
-        # every eigendecomposition, stacked or of one matrix, goes through
-        # spectral_decompositions: count the matrices it is given
+        # every eigendecomposition goes through spectral_decomposition:
+        # count the matrices it is given
         seen = []
-        real = operators_mod.spectral_decompositions
+        real = operators_mod.spectral_decomposition
 
-        def counting(stack):
-            seen.extend(np.asarray(a).tobytes() for a in stack)
-            return real(stack)
+        def counting(a):
+            seen.append(np.asarray(a).tobytes())
+            return real(a)
 
-        monkeypatch.setattr(operators_mod, "spectral_decompositions", counting)
-        derivative_suite(trials=3)
-        assert len(seen) == 6 and len(set(seen)) == 6  # two fresh states per trial
-        seen.clear()
+        monkeypatch.setattr(operators_mod, "spectral_decomposition", counting)
         rng = np.random.default_rng(7)
         s1, s0 = ginibre_state(3, rng), ginibre_state(3, rng)
-        phi_functional(s1, s0, 0.3)
-        psi_functional(s1, s0, 0.3)
+        for r in (0.0, 0.3, 0.9):
+            phi_functional(s1, s0, r)
+            psi_functional(s1, s0, r)
         assert sorted(seen) == sorted([s1.matrix.tobytes(), s0.matrix.tobytes()])
 
     def test_non_diagonal_log_exp_roundtrip(self, rng):
@@ -367,107 +340,6 @@ class TestMatrixFunctions:
         w, v = np.linalg.eigh(logm)
         back = (v * np.exp(w)) @ v.conj().T
         assert np.linalg.norm(back - rho.matrix) <= 1e-9
-
-
-class TestSpectralProjection:
-    def test_signature_split(self):
-        assert np.allclose(spectral_projection_nonneg(np.diag([1.0, -1.0])),
-                           np.diag([1.0, 0.0]), atol=1e-12)
-
-    def test_zero_matrix_boundary(self):
-        z = np.zeros((2, 2))
-        assert np.allclose(spectral_projection_nonneg(z), np.eye(2))
-        assert np.allclose(spectral_projection_nonneg(z, strict=True), z)
-
-    def test_tolerance_window(self):
-        a = np.diag([3.0, 1e-13, -2.0])
-        assert np.allclose(spectral_projection_nonneg(a, strict=True),
-                           np.diag([1.0, 0.0, 0.0]), atol=1e-12)
-        assert np.allclose(spectral_projection_nonneg(a, strict=False),
-                           np.diag([1.0, 1.0, 0.0]), atol=1e-12)
-
-    def test_complement_sums_to_identity(self, rng):
-        for _ in range(50):
-            a = random_hermitian(4, rng)
-            nonneg = spectral_projection_nonneg(a)
-            strictly_neg = np.eye(4) - nonneg
-            pos = spectral_projection_nonneg(a, strict=True)
-            assert np.linalg.norm(nonneg + strictly_neg - np.eye(4)) <= 1e-10
-            # strict projector is dominated by the non-strict one
-            assert np.linalg.eigvalsh(nonneg - pos).min() >= -1e-10
-
-    def test_spectrum_operand_shares_one_eigensolve(self, rng):
-        a = random_hermitian(4, rng)
-        spec = spectral_decomposition(a)
-        for strict in (True, False):
-            assert np.array_equal(spectral_projection_nonneg(spec, strict=strict),
-                                  spectral_projection_nonneg(a, strict=strict))
-
-    def test_signed_trace_inequality(self, rng):
-        # Tr{B A {A<0}} <= 0 and Tr{B A {A>0}} >= 0 for positive-definite B
-        for dim in range(2, 6):
-            for _ in range(200):
-                a = random_hermitian(dim, rng)
-                b = ginibre_state(dim, rng).matrix + 1e-3 * np.eye(dim)
-                neg = np.eye(dim) - spectral_projection_nonneg(a)
-                pos = spectral_projection_nonneg(a, strict=True)
-                assert np.trace(b @ a @ neg).real <= 1e-10
-                assert np.trace(b @ a @ pos).real >= -1e-10
-
-
-class TestPinching:
-    def test_spectrum_operand_equals_the_matrix_path(self, rng):
-        for dim in (2, 3, 4):
-            a, b = random_hermitian(dim, rng), random_hermitian(dim, rng)
-            spec = spectral_decomposition(a)
-            assert np.array_equal(pinching(spec, b), pinching(a, b))
-            with pytest.raises(DimensionMismatch):
-                pinching(spec, np.eye(dim + 1))
-
-    def test_identity_basis_is_noop(self, rng):
-        b = random_hermitian(3, rng)
-        assert np.linalg.norm(pinching(np.eye(3), b) - b) <= 1e-12
-
-    def test_distinct_diagonal_dephases(self, rng):
-        a = np.diag([3.0, 1.0, -2.0])
-        b = random_hermitian(3, rng)
-        assert np.linalg.norm(pinching(a, b) - np.diag(np.diag(b))) <= 1e-12
-
-    def test_degenerate_block_oracle(self, rng):
-        # explicit E_i B E_i sum over the known eigenspaces
-        a = np.diag([2.0, 2.0, 5.0])
-        b = random_hermitian(3, rng)
-        e1 = np.diag([1.0, 1.0, 0.0])
-        e2 = np.diag([0.0, 0.0, 1.0])
-        expected = e1 @ b @ e1 + e2 @ b @ e2
-        assert np.linalg.norm(pinching(a, b) - expected) <= 1e-12
-
-    def test_rotated_degenerate_block_oracle(self, rng):
-        u = haar_unitary(4, rng)
-        w = np.array([1.0, 1.0, 2.0, 3.0])
-        a = (u * w) @ u.conj().T
-        b = random_hermitian(4, rng)
-        projectors = [u[:, :2] @ u[:, :2].conj().T,
-                      u[:, 2:3] @ u[:, 2:3].conj().T,
-                      u[:, 3:] @ u[:, 3:].conj().T]
-        expected = sum(p @ b @ p for p in projectors)
-        assert np.linalg.norm(pinching(a, b) - expected) <= 1e-9
-
-    @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_commutation_and_trace_preservation(self, dim, rng):
-        for i in range(200):
-            a = random_hermitian(dim, rng) / (2 * np.sqrt(dim))
-            b = random_hermitian(dim, rng) / (2 * np.sqrt(dim))
-            pinched = pinching(a, b)
-            assert np.linalg.norm(pinched @ a - a @ pinched) <= 1e-9
-            coeffs = rng.uniform(-1, 1, size=4)
-            poly = (coeffs[0] * np.eye(dim) + coeffs[1] * a
-                    + coeffs[2] * a @ a + coeffs[3] * a @ a @ a)
-            assert abs(np.trace(b @ poly).real - np.trace(pinched @ poly).real) <= 1e-9
-
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(DimensionMismatch):
-            pinching(np.eye(2), np.eye(3))
 
 
 def test_eigenvalue_clusters_merges_near_ties():
