@@ -112,7 +112,6 @@ def cmd_coefficients(args) -> int:
     channel = load_channel(args.channel)
     verdict = channel.scenario
     unit = "bits" if args.bits else "nats"
-    scale = 1.0 / math.log(2.0) if args.bits else 1.0
 
     if verdict.scenario is ScenarioClass.SQUARE_ROOT_LAW:
         if args.optimize and args.povm:
@@ -167,13 +166,7 @@ def cmd_coefficients(args) -> int:
                       f"(refinements: {list(verdict.refinements)})")
 
 
-def _require_trials(trials: int | None) -> None:
-    if trials is not None and trials < 1:
-        raise ParseError(f"--trials must be an integer >= 1, got {trials}")
-
-
 def cmd_simulate(args) -> int:
-    _require_trials(args.trials)
     channel = load_channel(args.channel)
     n_list = tuple(_parse_ints(args.n, "--n"))
     if not n_list:
@@ -234,7 +227,6 @@ def _trial_csv_row(r) -> str:
 
 
 def cmd_verify(args) -> int:
-    _require_trials(args.trials)
     names = [args.suite] if args.suite else None
     try:
         results = run_suites(names, trials=args.trials, seed=args.seed)

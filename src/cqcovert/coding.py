@@ -240,36 +240,41 @@ def _slices(count: int, entries: int) -> list[slice]:
 class ProductBasis:
     """Eigenstructure of the n-fold power of a party's innocent state.
 
-    ``states`` is the party's single-use states, innocent state first (one
-    state alone is the party of that state).  They are block-diagonal over
-    the connected components of the union of their exact nonzero patterns,
-    and the innocent state is eigendecomposed component by component: the
-    single-use eigenbasis lists each component's eigenvectors in turn.  In
-    its Kronecker power every n-fold state of the party is block-diagonal
-    over the component strings c in C^n (``strings``); a party with one
-    component is the dense case.  The eigenvalues are products of single-use
-    eigenvalues, and near-degenerate products are merged into pinching
-    clusters (``clusters``).  Shared across trials at a fixed blocklength.
+    ``states``, kept here, is the party's single-use states, innocent state
+    first.  They are block-diagonal over the connected components of the
+    union of their exact nonzero patterns, and the innocent state is
+    eigendecomposed component by component: the single-use eigenbasis lists
+    each component's eigenvectors in turn.  In its Kronecker power every
+    n-fold state of the party is block-diagonal over the component strings
+    c in C^n (``strings``); a party with one component is the dense case.
+    The eigenvalues are products of single-use eigenvalues, and
+    near-degenerate products are merged into pinching clusters
+    (``clusters``).  ``single_blocks[x]``, rotated once here, is state x in
+    this eigenbasis cut into one (count, size, size) stack per class of
+    equal-size components; the innocent state is the diagonal of its
+    eigenvalues, exactly zero off it.  Shared across trials at a fixed
+    blocklength.
     """
 
-    def __init__(self, states: DensityOperator | Sequence[DensityOperator], n: int):
+    def __init__(self, states: Sequence[DensityOperator], n: int):
         if n < 1:
             raise DimensionMismatch(f"product basis requires n >= 1, got {n}")
-        states = (states,) if isinstance(states, DensityOperator) else tuple(states)
-        label, sizes, starts, vectors, single = _single_use_basis(states)
+        self.states = tuple(states)
+        label, sizes, starts, u, single = _single_use_basis(self.states)
+        single = np.where(single > RANK_TOL, single, 0.0)
         self.n = n
-        self.single_state = states[0]
-        self.single_vectors = vectors
-        self._single = np.where(single > RANK_TOL, single, 0.0)
-        self.eigenvalues = kron_chain([self._single] * n)
+        self.single_vectors = u
+        self.eigenvalues = kron_chain([single] * n)
         ids = eigenvalue_clusters(self.eigenvalues)
         self.clusters = [np.flatnonzero(ids == c) for c in range(ids.max() + 1)]
         self._cluster_ids = ids
-        self._coupled = label[:, None] == label[None, :]
         # components of equal size form a class; per class, the (count, size)
         # stack of their eigenbasis positions
         self._classes = [starts[sizes == size, None] + np.arange(size)
                          for size in np.unique(sizes)]
+        rotated = [np.diag(single + 0j)] + [u.conj().T @ s.matrix @ u for s in self.states[1:]]
+        self.single_blocks = [[r[q[:, :, None], q[:, None, :]] for q in self._classes]
+                              for r in rotated]
         by_size = {}
         for string in itertools.product(range(len(self._classes)), repeat=n):
             idx = self._classes[string[0]]
@@ -329,17 +334,14 @@ class ProductBasis:
 
     def require(self, states: Sequence[DensityOperator], n: int, party: str) -> None:
         """Raise ``IndexMismatch`` unless this is the basis of the party with
-        single-use ``states`` at blocklength n: built from its innocent state,
-        with components that block-diagonalise every one of the states."""
-        innocent = states[0]
-        same = (self.single_state is innocent
-                or np.array_equal(self.single_state.matrix, innocent.matrix))
+        single-use ``states`` at blocklength n: built from those states, the
+        same objects or equal matrices, at n."""
+        same = self.states is states or (len(self.states) == len(states) and all(
+            np.array_equal(mine.matrix, theirs.matrix)
+            for mine, theirs in zip(self.states, states)))
         if self.n != n or not same:
             raise IndexMismatch(f"basis is not the product eigenbasis of {party}'s "
-                                f"innocent state at n={n}")
-        for x, s in enumerate(states):
-            if np.any(s.matrix[~self._coupled] != 0):
-                raise IndexMismatch(f"{party}'s state {x} couples components of the basis")
+                                f"states at n={n}")
 
     @cached_property
     def state(self) -> DensityOperator:
@@ -359,27 +361,11 @@ class ProductBasis:
                                            permutation=order)
         return block
 
-    def single_blocks(self, states: Sequence[DensityOperator],
-                      symbols: Sequence[int]) -> dict:
-        """Per symbol x in ``symbols``, ``states[x]`` in this basis cut into
-        its component blocks: one (count, size, size) stack per class of
-        equal-size components.  The innocent state (x = 0, the state this
-        basis diagonalises) is written as the diagonal of its eigenvalues, the
-        ones ``eigenvalues`` and ``state`` are built from, so it is exactly
-        zero off the diagonal."""
-        u = self.single_vectors
-        out = {}
-        for x in set(symbols):
-            rotated = np.diag(self._single + 0j) if x == 0 else u.conj().T @ states[x].matrix @ u
-            out[x] = [rotated[q[:, :, None], q[:, None, :]] for q in self._classes]
-        return out
-
-    def rotated_block(self, states: Sequence[DensityOperator],
-                      symbols: Sequence[int]) -> tuple[np.ndarray, ...]:
+    def rotated_block(self, symbols: Sequence[int]) -> tuple[np.ndarray, ...]:
         """Product block state of a codeword in this basis, as its stacks over
         ``strings``: the one-row case of ``_trie_sum``."""
-        return tuple(_trie_sum(self.single_blocks(states, symbols), np.asarray([symbols]),
-                               np.ones(1), self._class_strings))
+        return tuple(_trie_sum(self.single_blocks, np.asarray([symbols]), np.ones(1),
+                               self._class_strings))
 
     @cached_property
     def _reorder_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -442,22 +428,20 @@ class DecoderPovm:
     reorderings``).  ``hits[m]`` is ``Tr{E_m sigma_m}`` for codeword m's
     block state ``sigma_m``, traced as the decoder was built: it holds the
     score of the codewords it was built for, the key's M codeword ``rows``
-    with Bob's single-use ``states``, and of no others.  The blocks
+    with the states of ``basis``, and of no others.  The blocks
     ``stacks`` (per group, the (M, G, s, s) stack of the elements' blocks in
     the basis's own order) and the full matrices ``elements`` are formed
     only when asked for.
     """
 
     def __init__(self, basis: ProductBasis, shared: int, frame: np.ndarray, norms: Sequence,
-                 types: tuple, states: Sequence[DensityOperator], rows: np.ndarray,
-                 hits: np.ndarray):
+                 types: tuple, rows: np.ndarray, hits: np.ndarray):
         self.basis = basis
         self.shared = shared
         self.frame = frame
         self.subs = basis.split(shared)
         self.norms = norms
         self.types = types
-        self.states = states
         self.rows = rows
         self.hits = hits
 
@@ -539,7 +523,7 @@ def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
     (``ProductBasis.reorderings``); only the normalisation is per key.  The
     decoder holds the type store, its codewords' type indices and row maps
     once (``DecoderPovm.types``: a projector follows its state), and the
-    codeword rows and Bob states it was built for.
+    codeword rows it was built for.
 
     The decoder is scored as it is built: each piece's projector blocks are
     gathered once, summed into the Gram matrix that N is solved from, and
@@ -559,16 +543,14 @@ def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
     keys, one = _keys(codebook, key)
     if basis is None:
         basis = ProductBasis(channel.bob_states, codebook.n)
-    else:
-        basis.require(channel.bob_states, codebook.n, "Bob")
+    basis.require(channel.bob_states, codebook.n, "Bob")
     m, n = codebook.m_count, codebook.n
     rows = codebook.symbols.reshape(m, codebook.k_count, n)[:, keys]   # (M, B, n)
     shared = ~rows.any(axis=0)                  # innocent in every codeword of the key
     frames = np.argsort(~shared, axis=1, kind="stable")
     keyed = np.take_along_axis(rows, frames[None], axis=2).reshape(-1, n)
     orders = np.argsort(keyed, axis=1, kind="stable")
-    which, store = _pinched_types(basis, channel.bob_states, a,
-                                  np.take_along_axis(keyed, orders, axis=1))
+    which, store = _pinched_types(basis, a, np.take_along_axis(keyed, orders, axis=1))
     which = which.reshape(m, len(keys))
     maps = [f.reshape(m, len(keys), -1) for f in basis.reorderings(orders)]
     counts = shared.sum(axis=1)
@@ -595,13 +577,12 @@ def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
                                      state.reshape(*state.shape[:-2], size, 1))
                     hits[some] += traces.sum(axis=(-3, -2, -1)).real.T
     decoders = [DecoderPovm(basis, c, frames[b], norms[b],
-                            (store, which[:, b], [f[:, b] for f in maps]),
-                            channel.bob_states, rows[:, b], hits[b])
+                            (store, which[:, b], [f[:, b] for f in maps]), rows[:, b], hits[b])
                 for b, c in enumerate(counts.tolist())]
     return decoders[0] if one else decoders
 
 
-def _pinched_types(basis: ProductBasis, states: Sequence[DensityOperator], a: float,
+def _pinched_types(basis: ProductBasis, a: float,
                    sorted_rows: np.ndarray) -> tuple[np.ndarray, tuple]:
     """``(which, store)``: per sorted codeword row (symbol type), the index
     in ``store`` (see ``_gather``) of its block state; the next operator is
@@ -613,15 +594,15 @@ def _pinched_types(basis: ProductBasis, states: Sequence[DensityOperator], a: fl
     stored as those pieces only, layout z.
 
     Each type is built once, the missing ones of a call in one stacked
-    eigensolve per piece size, and kept on ``basis`` for the last
-    ``(states, a)`` it served, so the memo holds at most one entry per type;
+    eigensolve per piece size, and kept on ``basis`` for the last threshold
+    ``a`` it served, so the memo holds at most one entry per type;
     threads share it under a lock.  Every matrix is solved on its own, so an
     entry does not depend on which types were built with it or whether it
     was found or built.
     """
     with basis._lock:
-        key, index, store = basis._types
-        if key is None or key[0] is not states or key[1] != a:
+        served, index, store = basis._types
+        if served != a:
             index, store = {}, (np.zeros(2, dtype=complex), np.zeros(0, dtype=np.intp),
                                 np.zeros(0, dtype=np.intp), basis._piece_tables)
         types = [tuple(t) for t in sorted_rows.tolist()]
@@ -631,7 +612,7 @@ def _pinched_types(basis: ProductBasis, states: Sequence[DensityOperator], a: fl
             zeros = np.count_nonzero(np.asarray(new) == 0, axis=1).tolist()
             pieces = {}  # (z, group, size class) -> (piece rows, each new type's state there)
             for t, z in zip(new, zeros):
-                blocks = basis.joint.restrict(basis.rotated_block(states, t), basis.strings)
+                blocks = basis.joint.restrict(basis.rotated_block(t), basis.strings)
                 for g, (stack, subs) in enumerate(zip(blocks, basis.split(z))):
                     stack = stack.reshape(-1, stack.shape[-1])
                     for j, rows in enumerate(subs):
@@ -655,7 +636,7 @@ def _pinched_types(basis: ProductBasis, states: Sequence[DensityOperator], a: fl
             store = (np.concatenate([flat[:-1], *parts, flat[-1:]]), np.append(base, starts),
                      np.append(layout, np.repeat(zeros, 2)), tables)
             index.update(zip(new, range(len(base), len(base) + 2 * len(new), 2)))
-            basis._types = ((states, a), index, store)
+            basis._types = (a, index, store)
         return np.array([index[t] for t in types]), store
 
 
@@ -668,19 +649,17 @@ def exact_pe_bob(codebook: Codebook, channel: CqChannelPair, decoder, key=0):
     sequences of them (as ``build_srm_decoder`` returns for a sequence of
     keys), returned as an array; one decoder is the one-element case.  A
     decoder carries the score of the codewords it was built for only, so
-    ``IndexMismatch`` is raised unless its codeword rows are the key's and
-    its Bob states are the channel's, the same objects or equal matrices."""
+    ``IndexMismatch`` is raised unless its basis is Bob's at the codebook's
+    blocklength (``ProductBasis.require``) and its codeword rows are the
+    key's."""
     keys, one = _keys(codebook, key)
     decoders = [decoder] if one else list(decoder)
     if len(decoders) != len(keys):
         raise IndexMismatch(f"{len(decoders)} decoders for {len(keys)} keys")
-    states = channel.bob_states
     for d, k in zip(decoders, keys):
-        same = d.states is states or (len(d.states) == len(states) and all(
-            np.array_equal(a.matrix, b.matrix) for a, b in zip(d.states, states)))
-        if not (same and np.array_equal(d.rows, codebook.codewords(k))):
-            raise IndexMismatch(f"decoder was not built for key {k}'s codewords "
-                                f"and Bob's states")
+        d.basis.require(channel.bob_states, codebook.n, "Bob")
+        if not np.array_equal(d.rows, codebook.codewords(k)):
+            raise IndexMismatch(f"decoder was not built for key {k}'s codewords")
     hits = np.stack([d.hits for d in decoders])
     pe = np.clip(np.sum(1.0 - hits, axis=1) / codebook.m_count, 0.0, 1.0)
     return float(pe[0]) if one else pe
@@ -693,18 +672,16 @@ def willie_average_state(codebook: Codebook, channel: CqChannelPair,
     held over its component strings.  The distinct codeword rows are summed
     with their multiplicities over their prefix trie (``_trie_sum``).
     ``IndexMismatch`` unless ``basis`` is the adversary's at the codebook's
-    blocklength."""
-    states = channel.willie_states
+    blocklength (``ProductBasis.require``)."""
     rows, counts = codebook.distinct_rows
-    basis.require(states, codebook.n, "Willie")
-    stacks = _trie_sum(basis.single_blocks(states, np.unique(rows).tolist()), rows, counts,
-                       basis._class_strings)
+    basis.require(channel.willie_states, codebook.n, "Willie")
+    stacks = _trie_sum(basis.single_blocks, rows, counts, basis._class_strings)
     for stack in stacks:
         stack /= len(codebook.symbols)
     return DensityOperator(blocks=(basis.strings, [hermitian_part(s) for s in stacks]))
 
 
-def _trie_sum(per_symbol: dict, rows: np.ndarray, counts: np.ndarray,
+def _trie_sum(per_symbol: Sequence, rows: np.ndarray, counts: np.ndarray,
               strings: Sequence[Sequence[tuple]]) -> list[np.ndarray]:
     """``sum_r counts[r] per_symbol[rows[r, 0]] (x) ... (x) per_symbol[rows[r, n-1]]``
     over the distinct, lexicographically sorted ``rows``.
@@ -719,7 +696,7 @@ def _trie_sum(per_symbol: dict, rows: np.ndarray, counts: np.ndarray,
     one builder of product block states: one row with count 1 is a codeword's.
     """
     n = rows.shape[1]
-    classes = len(next(iter(per_symbol.values())))
+    classes = len(per_symbol[0])
     lcp = np.argmax(rows[1:] != rows[:-1], axis=1)  # first column where rows i, i+1 differ
 
     def factors(lo: int, t: int, u: int):
@@ -819,14 +796,14 @@ class ExperimentConfig:
 
     Message and key counts follow the achievability formulas (rounded up to
     integers >= 1) unless overridden.  Checked on construction, so
-    ``run_experiment`` starts no work on a bad config: ``trials``,
-    ``workers`` and the overrides given must be integers >= 1 and
-    ``varsigma``, ``mu`` and ``nu`` finite and in [0, 1)
-    (``InvalidParameter`` otherwise); ``gamma`` must be finite with ``0 <=
-    gamma < sqrt(n)`` for every n in ``n_list``, so the innocent symbol
-    keeps a positive weight (``AlphaOutOfRange`` otherwise); the code sizes
-    follow the square-root law, so the channel must be classified
-    SquareRootLaw (``WrongRegime`` otherwise).
+    ``run_experiment`` starts no work on a bad config: the distinct
+    blocklengths ``n_list``, ``trials``, ``workers`` and the overrides given
+    must be counts (``require_count``) and ``varsigma``, ``mu`` and ``nu``
+    finite and in [0, 1) (``InvalidParameter`` otherwise); ``gamma`` must
+    be finite with ``0 <= gamma < sqrt(n)`` for every n in ``n_list``, so
+    the innocent symbol keeps a positive weight (``AlphaOutOfRange``
+    otherwise); the code sizes follow the square-root law, so the channel
+    must be classified SquareRootLaw (``WrongRegime`` otherwise).
     """
 
     channel: CqChannelPair
@@ -843,24 +820,30 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for n in self.n_list:
+            require_count("blocklength n", n)
+        if len(set(self.n_list)) != len(self.n_list):
+            raise InvalidParameter(f"blocklengths must not repeat, got {list(self.n_list)}")
         for name in ("trials", "workers", "m_override", "k_override"):
             value = getattr(self, name)
-            if value is None and name.endswith("override"):
-                continue
-            if not (isinstance(value, (int, np.integer)) and value >= 1):
-                raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}")
+            if not (value is None and name.endswith("override")):
+                require_count(name, value)
         for name in ("varsigma", "mu", "nu"):
             value = getattr(self, name)
             if not (math.isfinite(value) and 0.0 <= value < 1.0):
                 raise InvalidParameter(f"{name} must be a finite number in [0, 1), got {value!r}")
-        if any(n < 1 for n in self.n_list):
-            raise InvalidParameter(f"blocklengths need n >= 1, got {list(self.n_list)}")
         if not (math.isfinite(self.gamma)
                 and all(0.0 <= self.gamma < math.sqrt(n) for n in self.n_list)):
             raise AlphaOutOfRange(f"gamma must be finite with 0 <= gamma < sqrt(n) for every "
                                   f"blocklength n, got gamma={self.gamma!r} for "
                                   f"n={list(self.n_list)}")
         require_regime(self.channel, ScenarioClass.SQUARE_ROOT_LAW)
+
+
+def require_count(name: str, value) -> None:
+    """``InvalidParameter`` unless ``value`` is an int or NumPy integer >= 1, not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise InvalidParameter(f"need an integer {name} >= 1, got {value!r}")
 
 
 def code_sizes(channel: CqChannelPair, ptilde, n: int, gamma: float,

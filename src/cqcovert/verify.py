@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import CqChannelPair
-from .coding import ExperimentConfig, product_state, run_experiment
+from .coding import ExperimentConfig, product_state, require_count, run_experiment
 from .divergences import helstrom_error, relative_entropy
-from .errors import InvalidParameter, ValidationError
+from .errors import ValidationError
 from .operators import DensityOperator, ginibre_state, hermitian_part, kron_chain, make_density
 from .scaling import OBJECTIVES, optimize_ptilde, scaling_report
 
@@ -250,11 +250,12 @@ def run_suites(names=None, trials: int | None = None, seed: int = 0) -> list[Sui
 
     ``trials`` (default ``DEFAULT_TRIALS``) is the number of trials per
     blocklength of each simulated channel, and the number of channels the
-    optimum suite draws; it must be at least 1: a suite of no checks would
-    report a pass it never tested.
+    optimum suite draws; it must be an integer >= 1 (``require_count``,
+    ``InvalidParameter`` otherwise): a suite of no checks would report a
+    pass it never tested.
     """
-    if trials is not None and trials < 1:
-        raise InvalidParameter(f"trials must be an integer >= 1, got {trials}")
+    if trials is not None:
+        require_count("trials", trials)
     chosen = list(SUITES) if not names else list(names)
     for name in chosen:
         if name not in SUITES:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import channel_to_json, matrix_to_json
-from cqcovert import cli
+from cqcovert import cli, verify
 from cqcovert.cli import main
 
 
@@ -347,13 +347,24 @@ class TestSimulate:
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_nonpositive_trials_exit_2_before_any_work(self, canonical_path, capsys,
                                                        monkeypatch, value):
-        monkeypatch.setattr(cli, "load_channel",
-                            lambda path: pytest.fail("channel loaded before --trials was checked"))
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *a: pytest.fail("trials ran before --trials was checked"))
         assert main(["simulate", "--channel", canonical_path, "--n", "2",
                      "--trials", value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--trials" in captured.err and "Traceback" not in captured.err
+        assert "trials" in captured.err and "Traceback" not in captured.err
+
+    def test_repeated_blocklength_exits_2_before_any_work(self, canonical_path, capsys,
+                                                          monkeypatch):
+        # trial seeds derive from (seed, n, trial): a repeated n would print its trials twice
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *a: pytest.fail("trials ran on a repeated blocklength"))
+        assert main(["simulate", "--channel", canonical_path, "--n", "4,4",
+                     "--trials", "1", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repeat" in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("flag, value", [
         ("--gamma", "inf"), ("--gamma", "1e6"), ("--gamma", "nan"), ("--gamma", "-1"),
@@ -423,12 +434,13 @@ class TestVerify:
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_nonpositive_trials_exit_2(self, capsys, monkeypatch, value):
         # a run that checks nothing must not pass
-        monkeypatch.setattr(cli, "run_suites",
-                            lambda *a, **k: pytest.fail("suites ran before --trials was checked"))
+        for name in list(verify.SUITES):
+            monkeypatch.setitem(verify.SUITES, name,
+                                lambda runs: pytest.fail("a suite ran before --trials was checked"))
         assert main(["verify", "--trials", value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--trials" in captured.err and "Traceback" not in captured.err
+        assert "trials" in captured.err and "Traceback" not in captured.err
 
 
 class TestNogo:

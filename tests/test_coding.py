@@ -161,7 +161,7 @@ class TestSrmDecoder:
         ch = CqChannelPair(
             bob_states=(ginibre_state(2, rng), ginibre_state(2, rng)),
             willie_states=(ginibre_state(2, rng), ginibre_state(2, rng)))
-        basis = ProductBasis(ch.bob_states[0], 3)
+        basis = ProductBasis(ch.bob_states, 3)
         for seed in range(20):
             cb = sample_codebook(ch, n=3, m_count=3, k_count=1,
                                  gamma=0.8, ptilde=[1.0], seed=seed)
@@ -273,7 +273,7 @@ class TestExactPeBob:
         basis = ProductBasis(ch.bob_states, 3)
         assert basis.strings.count == 1
         for row in cb.symbols:
-            block = basis.strings.assemble(basis.rotated_block(ch.bob_states, row))
+            block = basis.strings.assemble(basis.rotated_block(row))
             assert np.max(np.abs(basis.to_original_basis(block)
                                  - kron(*(ch.bob_states[x].matrix for x in row)))) <= 1e-12
         monkeypatch.setenv("CQCOVERT_DIM_CAP", "4")
@@ -431,7 +431,7 @@ class TestWillieProductBasis:
         innocent = ginibre_state(3, gen, rank=2)
         ch = CqChannelPair(bob_states=(diagonal_state([0.9, 0.1]), diagonal_state([0.5, 0.5])),
                            willie_states=(innocent, ginibre_state(3, gen)))
-        assert ProductBasis(innocent, 3).eigenvalues.min() == 0.0
+        assert ProductBasis(ch.willie_states, 3).eigenvalues.min() == 0.0
         cb = Codebook(n=3, m_count=2, k_count=1, symbols=np.array([[0, 0, 0], [0, 1, 0]]))
         self._assert_agrees(cb, ch, finite=False)
 
@@ -451,7 +451,7 @@ class TestWillieProductBasis:
         from cqcovert import operators
         from cqcovert.operators import ginibre_state
         single = ginibre_state(2, np.random.default_rng(5))
-        basis = ProductBasis(single, 4)
+        basis = ProductBasis([single], 4)
         monkeypatch.setattr(operators, "spectral_decomposition",
                             lambda a: pytest.fail("ProductBasis.state ran an eigensolve"))
         state = basis.state
@@ -543,23 +543,26 @@ class TestRunExperiment:
 
     # each bad count is caught on construction, before run_experiment builds
     # a product basis or samples a codebook
-    @pytest.mark.parametrize("value", [0, -3, 2.0])
-    def test_bad_message_count_override_rejected(self, canonical_channel, value):
-        with pytest.raises(InvalidParameter, match="m_override"):
-            ExperimentConfig(channel=canonical_channel, n_list=(3,), gamma=0.5,
-                             m_override=value)
+    @pytest.mark.parametrize("field", ["n_list", "trials", "workers", "m_override",
+                                       "k_override"])
+    @pytest.mark.parametrize("value", [0, -3, 2.0, 2.5, np.float64(3.0), True, np.bool_(True),
+                                       "3"])
+    def test_counts_must_be_integers(self, canonical_channel, field, value):
+        # one rule for every count: an int or NumPy integer >= 1, not a bool
+        def config(value):
+            fields = {"n_list": (value,)} if field == "n_list" else {"n_list": (3,), field: value}
+            return ExperimentConfig(channel=canonical_channel, gamma=0.5, **fields)
 
-    @pytest.mark.parametrize("value", [0, -3, 2.0])
-    def test_bad_key_count_override_rejected(self, canonical_channel, value):
-        with pytest.raises(InvalidParameter, match="k_override"):
-            ExperimentConfig(channel=canonical_channel, n_list=(3,), gamma=0.5,
-                             k_override=value)
+        with pytest.raises(InvalidParameter, match="blocklength" if field == "n_list" else field):
+            config(value)
+        config(np.int64(3))
 
-    @pytest.mark.parametrize("value", [0, -2, 2.0])
-    def test_bad_worker_count_rejected(self, canonical_channel, value):
-        with pytest.raises(InvalidParameter, match="workers"):
-            ExperimentConfig(channel=canonical_channel, n_list=(3,), gamma=0.5,
-                             workers=value)
+    def test_repeated_blocklength_rejected(self, canonical_channel):
+        # trial seeds derive from (seed, n, trial), so a repeated n reruns its trials
+        with pytest.raises(InvalidParameter, match="repeat"):
+            ExperimentConfig(channel=canonical_channel, n_list=(4, 3, 4), gamma=0.5)
+        with pytest.raises(InvalidParameter, match="repeat"):
+            ExperimentConfig(channel=canonical_channel, n_list=(4, np.int64(4)), gamma=0.5)
 
     @pytest.mark.parametrize("gamma", [math.inf, 1e6, math.nan, -1.0, 2.0])
     def test_gamma_outside_the_root_of_every_blocklength_rejected(self, canonical_channel,
@@ -742,7 +745,7 @@ class TestNonCommutingInvariants:
     def test_block_decoder_matches_dense_pinched_srm(self, dim, n, seed):
         ch = _ginibre_pair(dim, seed)
         cb = self._codebook(ch, n, 3, 2, seed)
-        basis = ProductBasis(ch.bob_states[0], n)
+        basis = ProductBasis(ch.bob_states, n)
         assert len(basis.clusters) > 1
         for key in range(cb.k_count):
             decoder = build_srm_decoder(cb, ch, a=0.15, key=key, basis=basis)
@@ -802,8 +805,8 @@ class TestNonCommutingInvariants:
         symbols = distinct[gen.integers(0, 3, size=8)]
         symbols[:3] = distinct  # every distinct row occurs, most of them repeatedly
         cb = Codebook(n=n, m_count=4, k_count=2, symbols=symbols)
-        basis = ProductBasis(ch.willie_states[0], n)
-        by_row = sum(basis.strings.assemble(basis.rotated_block(ch.willie_states, row))
+        basis = ProductBasis(ch.willie_states, n)
+        by_row = sum(basis.strings.assemble(basis.rotated_block(row))
                      for row in symbols) / 8
         collapsed = willie_average_state(cb, ch, basis).matrix
         assert np.max(np.abs(collapsed - hermitian_part(by_row))) <= 1e-14
@@ -829,30 +832,59 @@ class TestNonCommutingInvariants:
 
 
 class TestBasisOfTheWrongParty:
-    """A product basis remembers the state and blocklength it was built for."""
+    """A product basis keeps its party's states and blocklength, and every
+    entry point that takes one checks both (``ProductBasis.require``)."""
 
-    def test_covertness_rejects_bob_basis_and_wrong_blocklength(self):
-        ch = _ginibre_pair(2, 3)
+    @pytest.mark.parametrize("case", ["other-party", "other-n", "twin-channel", "equal-copy"])
+    def test_basis_must_be_the_party_s_at_the_codebook_s_blocklength(self, case):
+        ch, other = _ginibre_pair(2, 3), _ginibre_pair(2, 4)
         cb = sample_codebook(ch, n=4, m_count=3, k_count=2, gamma=1.0, ptilde=[1.0], seed=3)
-        with pytest.raises(IndexMismatch):
-            covertness_report(cb, ch, ProductBasis(ch.bob_states[0], 4))
-        with pytest.raises(IndexMismatch):
-            covertness_report(cb, ch, ProductBasis(ch.willie_states[0], 3))
-        covertness_report(cb, ch, ProductBasis(ch.willie_states[0], 4))
+        # the channel whose states the bases are built from, at blocklength n
+        carrier, n = {
+            "other-party": (CqChannelPair(bob_states=ch.willie_states,
+                                          willie_states=ch.bob_states), 4),
+            "other-n": (ch, 3),
+            # same innocent states, other signal states
+            "twin-channel": (CqChannelPair(
+                bob_states=(ch.bob_states[0], other.bob_states[1]),
+                willie_states=(ch.willie_states[0], other.willie_states[1])), 4),
+            "equal-copy": (CqChannelPair(
+                bob_states=tuple(DensityOperator(np.array(s.matrix)) for s in ch.bob_states),
+                willie_states=tuple(DensityOperator(np.array(s.matrix))
+                                    for s in ch.willie_states)), 4),
+        }[case]
+        bob, willie = ProductBasis(carrier.bob_states, n), ProductBasis(carrier.willie_states, n)
+        own = cb if n == cb.n else sample_codebook(carrier, n=n, m_count=3, k_count=2,
+                                                   gamma=1.0, ptilde=[1.0], seed=3)
+        # a decoder built on the carrier's basis, then scored on ch
+        decoder = build_srm_decoder(own, carrier, a=0.2, basis=bob)
+        calls = [lambda: build_srm_decoder(cb, ch, a=0.2, basis=bob).hits,
+                 lambda: covertness_report(cb, ch, willie),
+                 lambda: exact_pe_bob(cb, ch, decoder)]
+        if case != "equal-copy":
+            for call in calls:
+                with pytest.raises(IndexMismatch, match="product eigenbasis"):
+                    call()
+            return
+        reference = [build_srm_decoder(cb, ch, a=0.2).hits, covertness_report(cb, ch),
+                     exact_pe_bob(cb, ch, build_srm_decoder(cb, ch, a=0.2))]
+        for call, expected in zip(calls, reference):
+            assert np.array_equal(call(), expected)
 
-    def test_decoder_rejects_willie_basis_and_wrong_blocklength(self):
-        ch = _ginibre_pair(2, 3)
-        cb = sample_codebook(ch, n=4, m_count=3, k_count=2, gamma=1.0, ptilde=[1.0], seed=3)
-        with pytest.raises(IndexMismatch):
-            build_srm_decoder(cb, ch, a=0.2, basis=ProductBasis(ch.willie_states[0], 4))
-        with pytest.raises(IndexMismatch):
-            build_srm_decoder(cb, ch, a=0.2, basis=ProductBasis(ch.bob_states[0], 5))
-
-    def test_equal_state_from_another_object_is_accepted(self):
-        ch = _ginibre_pair(2, 3)
-        cb = sample_codebook(ch, n=3, m_count=2, k_count=1, gamma=1.0, ptilde=[1.0], seed=1)
-        twin = DensityOperator(np.array(ch.bob_states[0].matrix))
-        build_srm_decoder(cb, ch, a=0.2, basis=ProductBasis(twin, 3)).validate()
+    def test_single_blocks_are_built_once_per_basis(self):
+        ch = _direct_sum_pair(31)[0]
+        basis = ProductBasis(ch.willie_states, 3)
+        blocks = basis.single_blocks
+        assert len(blocks) == ch.alphabet_size
+        u = basis.single_vectors
+        for state, stacks in zip(ch.willie_states, blocks):
+            rotated = u.conj().T @ state.matrix @ u
+            for q, stack in zip(basis._classes, stacks):
+                assert np.max(np.abs(stack - rotated[q[:, :, None], q[:, None, :]])) <= 1e-15
+        cb = sample_codebook(ch, n=3, m_count=3, k_count=2, gamma=1.0, ptilde=[1.0], seed=2)
+        willie_average_state(cb, ch, basis)
+        basis.rotated_block([1, 0, 1])
+        assert basis.single_blocks is blocks
 
 
 class TestComponents:
@@ -861,8 +893,8 @@ class TestComponents:
 
     def test_tiny_coupling_keeps_one_component(self):
         innocent = DensityOperator(np.array([[0.7, 1e-300], [1e-300, 0.3]]))
-        assert ProductBasis(innocent, 3).strings.count == 1
-        assert ProductBasis(diagonal_state([0.7, 0.3]), 3).strings.count == 8
+        assert ProductBasis([innocent], 3).strings.count == 1
+        assert ProductBasis([diagonal_state([0.7, 0.3])], 3).strings.count == 8
 
     def test_components_come_from_every_state_of_the_party(self):
         innocent = diagonal_state([0.5, 0.3, 0.2])
@@ -876,21 +908,7 @@ class TestComponents:
         qubit = (diagonal_state([0.9, 0.1]),
                  DensityOperator(np.array([[0.6, 0.2], [0.2, 0.4]])))
         assert ProductBasis(qubit, 4).strings.count == 1
-        assert ProductBasis(qubit[0], 4).strings.count == 2 ** 4
-
-    def test_basis_that_does_not_block_diagonalise_is_rejected(self):
-        innocent = diagonal_state([0.9, 0.1])
-        signal = DensityOperator(np.array([[0.6, 0.2], [0.2, 0.4]]))
-        ch = CqChannelPair(bob_states=(innocent, signal), willie_states=(innocent, signal))
-        cb = sample_codebook(ch, n=3, m_count=2, k_count=1, gamma=1.0, ptilde=[1.0], seed=2)
-        innocent_only = ProductBasis(innocent, 3)
-        with pytest.raises(IndexMismatch):
-            innocent_only.require(ch.bob_states, 3, "Bob")
-        with pytest.raises(IndexMismatch):
-            build_srm_decoder(cb, ch, a=0.1, basis=innocent_only)
-        with pytest.raises(IndexMismatch):
-            covertness_report(cb, ch, innocent_only)
-        covertness_report(cb, ch, ProductBasis(ch.willie_states, 3))
+        assert ProductBasis(qubit[:1], 4).strings.count == 2 ** 4
 
 
 def _direct_sum_pair(seed):
@@ -1026,7 +1044,7 @@ class TestTrialDiagnostics:
         config = ExperimentConfig(channel=ch, n_list=(4,), gamma=0.8, trials=1, seed=2,
                                   ptilde=np.array([1.0]), m_override=3, k_override=2)
         (report,) = run_experiment(config)
-        clusters = len(ProductBasis(ch.bob_states[0], 4).clusters)
+        clusters = len(ProductBasis(ch.bob_states, 4).clusters)
         assert report.diagnostics["clusters"] == report.diagnostics["bob_blocks"] == clusters
         assert report.diagnostics["willie_blocks"] == 1
 
@@ -1051,13 +1069,13 @@ def _typed_codebook(ch, n, seed):
     return Codebook(n=n, m_count=3, k_count=2, symbols=symbols)
 
 
-def _per_row_decoder(cb, ch, a, key, basis):
+def _per_row_decoder(cb, a, key, basis):
     """The pinched SRM for one key built row by row, each codeword's state
     from its own Kronecker product: its element and state stacks over
     ``basis.joint``."""
     from cqcovert.operators import dagger
     threshold = math.exp(a) * basis.eigenvalues
-    rows = [basis.joint.restrict(basis.rotated_block(ch.bob_states, row), basis.strings)
+    rows = [basis.joint.restrict(basis.rotated_block(row), basis.strings)
             for row in cb.codewords(key)]
     elements, sigma = [], []
     for idx, *blocks in zip(basis.joint.groups, *rows):
@@ -1092,7 +1110,7 @@ class TestTypeSharing:
         basis = ProductBasis(ch.bob_states, n)
         for key in range(cb.k_count):
             decoder = build_srm_decoder(cb, ch, a=0.1, key=key, basis=basis)
-            elements, sigma = _per_row_decoder(cb, ch, 0.1, key, basis)
+            elements, sigma = _per_row_decoder(cb, 0.1, key, basis)
             for mine, oracle in zip(decoder.stacks, elements):
                 assert np.max(np.abs(mine - oracle)) <= 1e-12
             hits = sum(np.sum(e * np.swapaxes(s, -1, -2), axis=(-3, -2, -1)).real
@@ -1107,7 +1125,7 @@ class TestTypeSharing:
         cb = _typed_codebook(ch, n, seed)
         states = ch.willie_states
         basis = ProductBasis(states, n)
-        by_row = sum(basis.strings.assemble(basis.rotated_block(states, row))
+        by_row = sum(basis.strings.assemble(basis.rotated_block(row))
                      for row in cb.symbols) / len(cb.symbols)
         trie = willie_average_state(cb, ch, basis).matrix
         assert np.max(np.abs(trie - hermitian_part(by_row))) <= 1e-14
@@ -1136,22 +1154,26 @@ class TestTypeSharing:
             moved |= any(set(image[s].tolist()) != set(s.tolist()) for s in joint)
         assert moved == (kind == "flag")
 
-    def test_type_memo_follows_the_threshold_and_the_channel(self):
-        ch, other = _ginibre_pair(2, 4), _ginibre_pair(2, 9)
+    def test_type_memo_follows_the_threshold(self):
+        ch = _ginibre_pair(2, 4)
+        other = _ginibre_pair(2, 9)
         twin = CqChannelPair(bob_states=(ch.bob_states[0], other.bob_states[1]),
                              willie_states=ch.willie_states)
         # key 1 first: key 0 then finds the type 0001 and builds 0011 and 0111
         symbols = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1],
                             [1, 1, 1, 0], [0, 0, 0, 0]])
         cb = Codebook(n=4, m_count=3, k_count=2, symbols=symbols)
-        shared = ProductBasis(ch.bob_states[0], 4)
-        for channel, a in ((ch, 0.1), (ch, 0.3), (twin, 0.3), (ch, 0.1)):
-            build_srm_decoder(cb, channel, a=a, key=1, basis=shared)
-            mine = build_srm_decoder(cb, channel, a=a, basis=shared)
-            fresh = build_srm_decoder(cb, channel, a=a, basis=ProductBasis(ch.bob_states[0], 4))
+        shared = ProductBasis(ch.bob_states, 4)
+        for a in (0.1, 0.3, 0.1):
+            build_srm_decoder(cb, ch, a=a, key=1, basis=shared)
+            mine = build_srm_decoder(cb, ch, a=a, basis=shared)
+            fresh = build_srm_decoder(cb, ch, a=a, basis=ProductBasis(ch.bob_states, 4))
             for x, y in zip(mine.stacks, fresh.stacks):
                 assert np.array_equal(x, y)
-            assert exact_pe_bob(cb, channel, mine) == exact_pe_bob(cb, channel, fresh)
+            assert exact_pe_bob(cb, ch, mine) == exact_pe_bob(cb, ch, fresh)
+        # the memo holds one party's types: another channel's Bob needs its own basis
+        with pytest.raises(IndexMismatch):
+            build_srm_decoder(cb, twin, a=0.1, basis=shared)
 
 
 class TestNormalisedDecoder:
@@ -1167,7 +1189,7 @@ class TestNormalisedDecoder:
         basis = ProductBasis(ch.bob_states, n)
         for key in range(cb.k_count):
             decoder = build_srm_decoder(cb, ch, a=0.1, key=key, basis=basis)
-            elements, sigma = _per_row_decoder(cb, ch, 0.1, key, basis)
+            elements, sigma = _per_row_decoder(cb, 0.1, key, basis)
             decoder.validate()
             hits = sum(np.sum(e * np.swapaxes(s, -1, -2), axis=(-3, -2, -1)).real
                        for e, s in zip(elements, sigma))
@@ -1237,7 +1259,7 @@ class TestSharedInnocentSplit:
             decoder.validate()
             for mine, oracle in zip(decoder.elements, _dense_pinched_srm(cb, ch, 0.1, key)):
                 assert np.max(np.abs(basis.to_original_basis(mine) - oracle)) <= 1e-9
-            elements, sigma = _per_row_decoder(cb, ch, 0.1, key, basis)
+            elements, sigma = _per_row_decoder(cb, 0.1, key, basis)
             for mine, oracle in zip(decoder.stacks, elements):
                 assert np.max(np.abs(mine - oracle)) <= 1e-12
             hits = sum(np.sum(e * np.swapaxes(s, -1, -2), axis=(-3, -2, -1)).real
@@ -1314,5 +1336,5 @@ class TestSharedInnocentSplit:
         ch = _typed_channel(kind, 31)
         for states in (ch.bob_states, ch.willie_states):
             basis = ProductBasis(states, 3)
-            for mine, state in zip(basis.rotated_block(states, [0, 0, 0]), basis.state.blocks[1]):
+            for mine, state in zip(basis.rotated_block([0, 0, 0]), basis.state.blocks[1]):
                 assert np.array_equal(mine, state)

@@ -221,11 +221,11 @@ class TestTensor:
             kron_chain([kron_power(rho, 3).matrix, rho.matrix])
         states = (rho, diagonal_state([0.9, 0.1]))
         product_state(states, [0, 1, 1])
-        ProductBasis(rho, 3)
+        ProductBasis([rho], 3)
         with pytest.raises(DimensionCapExceeded):
             product_state(states, [0, 1, 1, 0])
         with pytest.raises(DimensionCapExceeded):
-            ProductBasis(rho, 4)
+            ProductBasis([rho], 4)
 
 
 class TestPartition:
@@ -363,13 +363,13 @@ def test_eigenvalue_clusters_are_relative_below_one():
     ([1.0, 0.0], 4, 2),   # the exact zero products share one cluster
 ])
 def test_product_basis_has_one_cluster_per_distinct_product(probs, n, count):
-    assert len(ProductBasis(diagonal_state(probs), n).clusters) == count
+    assert len(ProductBasis([diagonal_state(probs)], n).clusters) == count
 
 
 def test_product_basis_needs_a_positive_blocklength():
     for n in (0, -1):
         with pytest.raises(DimensionMismatch):
-            ProductBasis(diagonal_state([0.9, 0.1]), n)
+            ProductBasis([diagonal_state([0.9, 0.1])], n)
 
 
 def test_matrix_json_roundtrip(rng):

@@ -173,7 +173,7 @@ def test_a_wrong_optimum_fails(monkeypatch, capsys):
     _failing(out, "optimum")
 
 
-@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("trials", [0, -1, 2.5, True])
 def test_nonpositive_trials_rejected(trials):
     # a suite of no checks would report PASS with worst_margin=inf
     with pytest.raises(InvalidParameter):
