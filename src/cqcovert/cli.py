@@ -4,8 +4,8 @@ Subcommands: ``classify``, ``coefficients``, ``simulate``, ``verify``,
 ``nogo``.  Data outputs go to ``--out`` (default stdout) and are
 deterministic given the flags and seed; progress lines go to stderr.
 
-Exit codes: 0 success, 2 input error, 3 regime mismatch, 4 resource cap,
-5 verification failure.
+Exit codes: 0 success, 2 input error, 3 regime mismatch, 4 resource cap
+or out of memory, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -336,6 +336,9 @@ def main(argv=None) -> int:
         return 3
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

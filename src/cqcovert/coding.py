@@ -249,11 +249,11 @@ class ProductBasis:
     c in C^n (``strings``); a party with one component is the dense case.
     The eigenvalues are products of single-use eigenvalues, and
     near-degenerate products are merged into pinching clusters
-    (``clusters``).  ``single_blocks[x]``, rotated once here, is state x in
-    this eigenbasis cut into one (count, size, size) stack per class of
-    equal-size components; the innocent state is the diagonal of its
-    eigenvalues, exactly zero off it.  Shared across trials at a fixed
-    blocklength.
+    (``clusters``).  ``single_states[x]``, rotated once here, is state x in
+    this eigenbasis, ``u^dagger rho_x u``, and ``single_blocks[x]`` the same
+    cut into one (count, size, size) stack per class of equal-size
+    components; the innocent state is the diagonal of its eigenvalues,
+    exactly zero off it.  Shared across trials at a fixed blocklength.
     """
 
     def __init__(self, states: Sequence[DensityOperator], n: int):
@@ -272,9 +272,10 @@ class ProductBasis:
         # stack of their eigenbasis positions
         self._classes = [starts[sizes == size, None] + np.arange(size)
                          for size in np.unique(sizes)]
-        rotated = [np.diag(single + 0j)] + [u.conj().T @ s.matrix @ u for s in self.states[1:]]
+        self.single_states = np.stack([np.diag(single + 0j)] + [
+            u.conj().T @ s.matrix @ u for s in self.states[1:]])
         self.single_blocks = [[r[q[:, :, None], q[:, None, :]] for q in self._classes]
-                              for r in rotated]
+                              for r in self.single_states]
         by_size = {}
         for string in itertools.product(range(len(self._classes)), repeat=n):
             idx = self._classes[string[0]]
@@ -361,11 +362,30 @@ class ProductBasis:
                                            permutation=order)
         return block
 
+    def product_blocks(self, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Entries of product states in this basis: for a (T, n) stack of
+        symbol ``rows`` and a (..., t) array of index sets, each set inside
+        one component string, the (T, ..., t, t) stack of
+        ``prod_k single_states[x_k][i_k, j_k]`` over the tensor positions k,
+        with ``i_k`` and ``j_k`` the base-d digits of the set's indices.  The
+        factors are multiplied left to right, so each entry is bit-identical
+        to the same entry of ``kron_chain`` over the rows' single-use states;
+        no entry outside the sets is formed."""
+        d = self.single_vectors.shape[0]
+        flat = self.single_states.reshape(-1)
+        symbols = rows.reshape(rows.shape + (1,) * (index.ndim + 1)) * d * d
+        out = None
+        for k in range(self.n):
+            digit = index // d ** (self.n - 1 - k) % d
+            factor = np.take(flat, symbols[:, k] + digit[..., :, None] * d + digit[..., None, :])
+            out = factor if out is None else out * factor
+        return out
+
     def rotated_block(self, symbols: Sequence[int]) -> tuple[np.ndarray, ...]:
         """Product block state of a codeword in this basis, as its stacks over
-        ``strings``: the one-row case of ``_trie_sum``."""
-        return tuple(_trie_sum(self.single_blocks, np.asarray([symbols]), np.ones(1),
-                               self._class_strings))
+        ``strings`` (``product_blocks`` of the one row)."""
+        row = np.asarray([symbols])
+        return tuple(self.product_blocks(row, idx)[0] for idx in self.strings.groups)
 
     @cached_property
     def _reorder_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -590,15 +610,16 @@ def _pinched_types(basis: ProductBasis, a: float,
     the positive part of ``sigma^b - e^a lambda_b``, from the eigenvectors
     of eigenvalue above ``ZERO_EIGENVALUE_TOL``.  A type with z innocent
     symbols has them first, so its state and projector are block-diagonal
-    over ``basis.split(z)``: the projector is solved there, and both are
-    stored as those pieces only, layout z.
+    over ``basis.split(z)``: both are formed on those pieces only
+    (``ProductBasis.product_blocks``), never as a whole block, the projector
+    is solved there, and both are stored as those pieces, layout z.
 
     Each type is built once, the missing ones of a call in one stacked
-    eigensolve per piece size, and kept on ``basis`` for the last threshold
-    ``a`` it served, so the memo holds at most one entry per type;
-    threads share it under a lock.  Every matrix is solved on its own, so an
-    entry does not depend on which types were built with it or whether it
-    was found or built.
+    product and eigensolve per piece size, and kept on ``basis`` for the
+    last threshold ``a`` it served, so the memo holds at most one entry per
+    type; threads share it under a lock.  Every matrix is solved on its
+    own, so an entry does not depend on which types were built with it or
+    whether it was found or built.
     """
     with basis._lock:
         served, index, store = basis._types
@@ -609,27 +630,24 @@ def _pinched_types(basis: ProductBasis, a: float,
         new = [t for t in dict.fromkeys(types) if t not in index]
         if new:
             threshold = math.exp(a) * basis.eigenvalues
-            zeros = np.count_nonzero(np.asarray(new) == 0, axis=1).tolist()
-            pieces = {}  # (z, group, size class) -> (piece rows, each new type's state there)
-            for t, z in zip(new, zeros):
-                blocks = basis.joint.restrict(basis.rotated_block(t), basis.strings)
-                for g, (stack, subs) in enumerate(zip(blocks, basis.split(z))):
-                    stack = stack.reshape(-1, stack.shape[-1])
-                    for j, rows in enumerate(subs):
-                        pieces.setdefault((z, g, j), (rows, []))[1].append(
-                            stack[rows[..., :, None], rows[..., None, :] % stack.shape[-1]])
+            built = np.asarray(new)
+            zeros = np.count_nonzero(built == 0, axis=1)
             parts = [[] for _ in range(2 * len(new))]  # per state and projector, its pieces
-            for (z, g, _), (rows, built) in pieces.items():
-                sigma = np.stack(built)
-                shifted = sigma.copy()
-                diag = np.arange(sigma.shape[-1])
-                shifted[..., diag, diag] -= threshold[basis.joint.groups[g].ravel()[rows]]
-                w, v = _eigh(hermitian_part(shifted))
-                keep = v * (w > ZERO_EIGENVALUE_TOL)[..., None, :]
-                owners = [i for i, y in enumerate(zeros) if y == z]
-                for i, state, projector in zip(owners, sigma, _matmul(keep, dagger(keep))):
-                    parts[2 * i].append(state.ravel())
-                    parts[2 * i + 1].append(projector.ravel())
+            for z in np.unique(zeros).tolist():
+                owners = np.flatnonzero(zeros == z)
+                rows = built[owners]
+                for idx, subs in zip(basis.joint.groups, basis.split(z)):
+                    for piece in subs:
+                        levels = idx.ravel()[piece]
+                        sigma = basis.product_blocks(rows, levels)
+                        shifted = sigma.copy()
+                        diag = np.arange(sigma.shape[-1])
+                        shifted[..., diag, diag] -= threshold[levels]
+                        w, v = _eigh(hermitian_part(shifted))
+                        keep = v * (w > ZERO_EIGENVALUE_TOL)[..., None, :]
+                        for i, state, projector in zip(owners, sigma, _matmul(keep, dagger(keep))):
+                            parts[2 * i].append(state.ravel())
+                            parts[2 * i + 1].append(projector.ravel())
             flat, base, layout, tables = store
             parts = [np.concatenate(p) for p in parts]
             starts = flat.size - 1 + np.cumsum([0] + [p.size for p in parts[:-1]])
@@ -692,8 +710,9 @@ def _trie_sum(per_symbol: Sequence, rows: np.ndarray, counts: np.ndarray,
     a run of columns on which all rows below a node agree is one product.
     ``per_symbol[x]`` holds the symbol's blocks as one stack per component
     class; the result has one stack per group of ``strings``, each group
-    listing class strings whose blocks are concatenated in that order.  The
-    one builder of product block states: one row with count 1 is a codeword's.
+    listing class strings whose blocks are concatenated in that order.
+    Willie's row sum; a single state's entries come from
+    ``ProductBasis.product_blocks``.
     """
     n = rows.shape[1]
     classes = len(per_symbol[0])

@@ -21,7 +21,6 @@ from .errors import DimensionMismatch, InvalidDistribution, SupportViolation
 from .operators import (
     RANK_TOL,
     DensityOperator,
-    Partition,
     matrix_log,
     matrix_power,
     mixture,
@@ -130,8 +129,7 @@ def _difference_eigenvalues(a: DensityOperator, b: DensityOperator,
     difference."""
     (pa, sa), (pb, sb) = a.blocks, b.blocks
     if pa is not pb:
-        whole = Partition.whole(a.dim)
-        sa, sb = whole.restrict(sa, pa), whole.restrict(sb, pb)
+        sa, sb = (pa.assemble(sa)[None],), (pb.assemble(sb)[None],)
     return np.concatenate([np.linalg.eigvalsh(scale * x - scale * y).ravel()
                            for x, y in zip(sa, sb)])
 

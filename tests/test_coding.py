@@ -1075,8 +1075,9 @@ def _per_row_decoder(cb, a, key, basis):
     ``basis.joint``."""
     from cqcovert.operators import dagger
     threshold = math.exp(a) * basis.eigenvalues
-    rows = [basis.joint.restrict(basis.rotated_block(row), basis.strings)
-            for row in cb.codewords(key)]
+    full = [basis.strings.assemble(basis.rotated_block(row)) for row in cb.codewords(key)]
+    rows = [[block[idx[:, :, None], idx[:, None, :]] for idx in basis.joint.groups]
+            for block in full]
     elements, sigma = [], []
     for idx, *blocks in zip(basis.joint.groups, *rows):
         stack = np.stack(blocks)
@@ -1338,3 +1339,53 @@ class TestSharedInnocentSplit:
             basis = ProductBasis(states, 3)
             for mine, state in zip(basis.rotated_block([0, 0, 0]), basis.state.blocks[1]):
                 assert np.array_equal(mine, state)
+
+
+class TestProductBlocks:
+    """A symbol type is built on its pieces only (``ProductBasis.
+    product_blocks``), with the entries a Kronecker product of the rotated
+    single-use states would have, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["qubit", "qutrit", "flag", "diagonal"])
+    def test_every_piece_of_every_type_is_its_kronecker_entries(self, kind, canonical_channel):
+        n = 4
+        ch = canonical_channel if kind == "diagonal" else _typed_channel(kind, 37)
+        basis = ProductBasis(ch.bob_states, n)
+        u = basis.single_vectors
+        for x, state in enumerate(ch.bob_states[1:], start=1):
+            assert np.array_equal(basis.single_states[x], u.conj().T @ state.matrix @ u)
+        # every sorted row: each count z of innocent symbols, first
+        types = np.array(sorted({tuple(sorted(r)) for r in itertools.product(
+            range(ch.alphabet_size), repeat=n)}))
+        which, store = coding._pinched_types(basis, 0.1, types)
+        zs = set()
+        for row, i in zip(types, which):
+            full = kron_chain([basis.single_states[x] for x in row])
+            assert np.array_equal(basis.strings.assemble(basis.rotated_block(row)), full)
+            z = int(np.count_nonzero(row == 0))
+            zs.add(z)
+            for g, (idx, subs) in enumerate(zip(basis.joint.groups, basis.split(z))):
+                for piece in subs:
+                    levels = idx.ravel()[piece]
+                    assert np.array_equal(coding._gather(store, g, i, piece),
+                                          full[levels[..., :, None], levels[..., None, :]])
+        assert zs == set(range(n + 1))
+
+    def test_a_type_build_never_forms_a_whole_block(self):
+        import tracemalloc
+        n = 7
+        ch = _ginibre_pair(3, 5)
+        basis = ProductBasis(ch.bob_states, n)
+        assert basis.strings.count == 1
+        dim = basis.strings.dim
+        # three types, with 3, 4 and no innocent symbols
+        cb = Codebook(n=n, m_count=3, k_count=1, symbols=np.array(
+            [[1, 0, 1, 1, 0, 1, 0], [0, 1, 0, 0, 1, 0, 1], [1, 1, 1, 1, 1, 1, 1]]))
+        tracemalloc.start()
+        try:
+            build_srm_decoder(cb, ch, a=0.2, basis=basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one dim x dim complex block would be 73 MiB
+        assert peak < dim ** 2 * 16

@@ -1,11 +1,12 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import (classical_kl, commuting_pair, dense_mixture, diagonal_state,
-                      diluted_ginibre_channel, haar_unitary)
+                      diluted_ginibre_channel, haar_unitary, optimize_ptilde_per_face)
 from cqcovert.channel import (
     CqChannelPair,
     Povm,
@@ -27,6 +28,7 @@ from cqcovert.operators import (
 )
 from cqcovert.scaling import (
     MAX_OPTIMIZE_SYMBOLS,
+    OBJECTIVES,
     ScalingReport,
     admissible_symbols,
     converse_bounds,
@@ -320,6 +322,38 @@ class TestExactOptimizer:
         denom = np.sqrt(np.einsum("ij,jk,ik->i", points, q, points) / 2.0)
         values = (points @ d - lam * np.maximum(points @ w, 0.0)) / denom
         assert values.max() <= best + 1e-12 * max(1.0, abs(best))
+
+
+class TestStackedFaceSolves:
+    """``optimize_ptilde`` solves all faces of one size in one stacked call,
+    screening singular systems by ``slogdet``, and keeps the candidates in
+    the per-face order, so it returns the per-face search's point bit for
+    bit."""
+
+    def test_matches_the_per_face_oracle_bit_for_bit(self):
+        singular, channels = 0, 0
+        for seed in itertools.count():
+            if channels == 100:
+                break
+            gen = np.random.default_rng(seed)
+            dim, k = (2, 6 + seed % 2) if seed % 4 == 0 else (int(gen.integers(2, 4)),
+                                                               int(gen.integers(2, 6)))
+            ch = diluted_ginibre_channel(seed, dim, k, bool(seed % 3))
+            if classify_scenario(ch).scenario is not ScenarioClass.SQUARE_ROOT_LAW:
+                continue
+            channels += 1
+            adm = [x - 1 for x in admissible_symbols(ch)]
+            q = ch.summary.gram[np.ix_(adm, adm)]
+            faces = [list(f) for size in range(1, len(adm) + 1)
+                     for f in itertools.combinations(range(len(adm)), size)]
+            singular += any(np.linalg.slogdet(q[np.ix_(f, f)])[0] == 0 for f in faces)
+            for objective in OBJECTIVES:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    mine, _ = optimize_ptilde(ch, objective)
+                assert np.array_equal(mine, optimize_ptilde_per_face(ch, objective))
+        # qubit channels of six or more symbols: Q has rank at most 3
+        assert singular >= 20
 
 
 class TestConverseBounds:
