@@ -128,7 +128,7 @@ def cmd_coefficients(args) -> int:
                 raise ParseError(f"--optimize tradeoff weight must be a number: {exc}") from exc
             ptilde, report = optimize_ptilde(channel, objective, *weights)
         else:
-            if args.ptilde:
+            if args.ptilde is not None:
                 ptilde = np.asarray(_parse_floats(args.ptilde, "--ptilde"))
             else:
                 ptilde = _uniform_ptilde(channel, admissible_symbols(channel))
@@ -149,7 +149,7 @@ def cmd_coefficients(args) -> int:
             if value:
                 raise WrongRegime(f"{flag} needs a SquareRootLaw channel; this channel "
                                   "is SqrtNLogN, where only the kappa constant applies")
-        if args.ptilde:
+        if args.ptilde is not None:
             ptilde = np.asarray(_parse_floats(args.ptilde, "--ptilde"))
         else:
             ptilde = _uniform_ptilde(channel, verdict.sqrtnlogn_symbols)
@@ -174,7 +174,7 @@ def cmd_simulate(args) -> int:
     knobs = _parse_floats(args.sigma_knobs, "--sigma-knobs")
     if len(knobs) != 3:
         raise ParseError("--sigma-knobs expects three values: varsigma,mu,nu")
-    if args.ptilde:
+    if args.ptilde is not None:
         ptilde = np.asarray(_parse_floats(args.ptilde, "--ptilde"))
     else:
         ptilde = uniform_nontrivial_ptilde(channel)

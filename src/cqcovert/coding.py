@@ -164,49 +164,59 @@ def _kron_indices(left: np.ndarray, right: np.ndarray, base: int) -> np.ndarray:
     return out.reshape(left.shape[0] * right.shape[0], left.shape[1] * right.shape[1])
 
 
-def _cut(labels: np.ndarray) -> dict[int, np.ndarray]:
-    """The sets of a (G, s) stack of index sets cut by the indices' ``labels``
-    (same shape): per size t, ascending, the (H, t) positions in the stack's
-    ravelled order of the pieces of equal label within one set, each piece
-    ascending."""
-    count, size = labels.shape
-    if size == 1 or np.all(labels == labels[:, :1]):  # each set is one piece
-        return {size: np.arange(labels.size).reshape(count, size)}
-    key = (np.arange(count)[:, None] * (int(labels.max()) + 1) + labels).ravel()
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    lengths = np.diff(first, append=key.size)
-    return {t: order[first[lengths == t, None] + np.arange(t)]
-            for t in sorted(set(lengths.tolist()))}
+def _cut(groups: Sequence[np.ndarray], labels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The sets of a partition's ``groups`` ((G, s) stacks of index sets)
+    cut where the indices' ``labels`` differ, regrouped by size: per piece
+    size t, ascending, the (H, t) stack of the pieces, each ascending, taken
+    group by group, set by set and label by label."""
+    by_size = {}
+    for idx in groups:
+        count, size = idx.shape
+        cut = labels[idx]
+        if size == 1 or np.all(cut == cut[:, :1]):  # each set is one piece
+            by_size.setdefault(size, []).append(idx)
+            continue
+        key = (np.arange(count)[:, None] * (int(cut.max()) + 1) + cut).ravel()
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+        first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        lengths = np.diff(first, append=key.size)
+        for t in np.unique(lengths).tolist():
+            by_size.setdefault(t, []).append(idx.ravel()[order[first[lengths == t, None]
+                                                               + np.arange(t)]])
+    return tuple(np.concatenate(by_size[t]) for t in sorted(by_size))
 
 
-def _gather(store: tuple, g: int, which: np.ndarray, rows: np.ndarray,
+def _gather(store: tuple, which: np.ndarray, index: np.ndarray,
             transpose: bool = False) -> np.ndarray:
     """Blocks of operators held in a store, ``(flat, base, layout,
     tables)``: operator i's nonzero pieces lie in the 1-D ``flat`` from
     ``base[i]`` on (its first and last entries are 0), in its piece layout
-    ``layout[i]``, and ``tables[g]`` is ``(start, position)``, per layout and
-    row of group g's blocks stacked to (G s) rows: the offset of the row's
-    first entry from the operator's base, less ``PIECE_SPREAD`` times its
-    piece, and its position in the piece, plus as much.  For each leading
-    index, the block of operator ``which`` on its rows ``rows`` (the
-    trailing axis of ``rows``, all in one block of group g), ``(..., H, t,
-    t)`` and C-contiguous: an entry across two pieces falls outside
-    ``flat`` and clips onto one of its zero ends.  Transposed when asked."""
+    ``layout[i]``, and ``tables`` is ``(start, position)``, per layout and
+    index of the space: the offset of the index's row from the operator's
+    base, less ``PIECE_SPREAD`` times its piece, and its position in the
+    piece, plus as much.  For each leading index, the block of operator
+    ``which`` on the index set ``index`` (its trailing axis), ``(..., H, t,
+    t)`` and C-contiguous: an entry across two pieces falls outside ``flat``
+    and clips onto one of its zero ends.  Transposed when asked."""
     flat, base, layout, tables = store
     which = np.asarray(which)[..., None, None]
-    key = layout[which] * tables[g].shape[-1] + rows
-    first = np.take(tables[g][0], key) + base[which]
-    position = np.take(tables[g][1], key)
+    key = layout[which] * tables.shape[-1] + index
+    first = np.take(tables[0], key) + base[which]
+    position = np.take(tables[1], key)
     if transpose:
         first, position = position, first
     return np.take(flat, first[..., :, None] + position[..., None, :], mode="clip")
 
 
-def _tables(piece: np.ndarray, start: np.ndarray, position: np.ndarray) -> np.ndarray:
-    """One layout's ``_gather`` table, ``(start, position)`` with the pieces spread."""
-    return np.stack([start - PIECE_SPREAD * piece, position + PIECE_SPREAD * piece])
+def _append(store: tuple, parts: Sequence[Sequence[np.ndarray]], layouts) -> tuple:
+    """``store`` (see ``_gather``) with operators appended: operator i's
+    pieces ``parts[i]``, each ravelled in turn, in layout ``layouts[i]``."""
+    flat, base, layout, tables = store
+    parts = [np.concatenate([p.ravel() for p in pieces]) for pieces in parts]
+    starts = flat.size - 1 + np.cumsum([0] + [p.size for p in parts[:-1]])
+    return (np.concatenate([flat[:-1], *parts, flat[-1:]]), np.append(base, starts),
+            np.append(layout, layouts), tables)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -215,9 +225,13 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b if a.shape[-1] == 1 else a @ b
 
 
-def _sandwich(norm: np.ndarray, projector: np.ndarray) -> np.ndarray:
-    """The blocks ``N P N`` of decoder elements, from N's blocks ``norm``
-    and the projector blocks ``projector`` on the same rows."""
+def _elements(projector: np.ndarray) -> np.ndarray:
+    """The pieces ``N P_m N`` of decoder elements from the pieces
+    ``projector`` (M, ..., t, t) of their projectors on the same index
+    sets, with ``N = (sum_m P_m)^(-1/2)`` (pseudo inverse) solved per
+    piece."""
+    w, v = _eigh(projector.sum(axis=0))
+    norm = _matmul(v * (np.where(w > RANK_TOL, w, np.inf) ** -0.5)[..., None, :], dagger(v))
     return _matmul(_matmul(norm, projector), norm)
 
 
@@ -293,45 +307,39 @@ class ProductBasis:
     def joint(self) -> Partition:
         """The component-string blocks cut by the pinching clusters, the
         blocks of Bob's decoder, with ascending indices in each set."""
-        by_size = {}
-        for idx in self.strings.groups:
-            for size, pos in _cut(self._cluster_ids[idx]).items():
-                by_size.setdefault(size, []).append(idx.ravel()[pos])
-        return Partition(self.strings.dim,
-                         [np.concatenate(by_size[s]) for s in sorted(by_size)])
+        return Partition(self.strings.dim, _cut(self.strings.groups, self._cluster_ids))
 
-    def split(self, c: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    def split(self, c: int) -> tuple[np.ndarray, ...]:
         """The joint blocks cut by the eigenbasis labels of the first c tensor
-        positions: per ``joint`` group, one (H, t) array per piece size t
-        (ascending) of the pieces' row positions in the group's blocks stacked
-        to (G s) rows.  An operator whose first c factors are diagonal in the
-        single-use eigenbasis is zero off these pieces; ``split(0)`` is
-        ``joint`` itself.  Cached per c, and written into ``_piece_tables``
-        as layout c."""
+        positions: one (H, t) stack of index sets per piece size t,
+        ascending, over all joint blocks.  An operator whose first c factors
+        are diagonal in the single-use eigenbasis is zero off these pieces;
+        ``split(0)`` is ``joint.groups``.  Cached per c, and written into
+        ``_piece_tables`` as layout c."""
         if c in self._splits:
             return self._splits[c]
         with self._lock:
             if c not in self._splits:
                 d, offset = self.single_vectors.shape[0], 0
-                pieces = tuple(tuple(_cut(idx // d ** (self.n - c)).values())
-                               for idx in self.joint.groups)
-                for table, subs in zip(self._piece_tables, pieces):
-                    for rows in subs:
-                        size = rows.shape[1]
-                        starts = offset + np.arange(rows.size).reshape(rows.shape) * size
-                        table[:, c, rows] = _tables(rows[:, :1], starts, np.arange(size))
-                        offset += rows.size * size
+                pieces = _cut(self.joint.groups, np.arange(self.joint.dim) // d ** (self.n - c))
+                for piece in pieces:
+                    size = piece.shape[1]
+                    start = offset + np.arange(piece.size).reshape(piece.shape) * size
+                    spread = PIECE_SPREAD * piece[:, :1]
+                    self._piece_tables[:, c, piece] = np.stack(
+                        [start - spread, np.arange(size) + spread])
+                    offset += piece.size * size
                 self._splits[c] = pieces
             return self._splits[c]
 
     @cached_property
-    def _piece_tables(self) -> list[np.ndarray]:
+    def _piece_tables(self) -> np.ndarray:
         """The ``_gather`` tables of operators stored as their pieces of
-        ``split(z)``, layout z, filled as ``split`` is first called for z: per
-        group, ``(start, position)``, (2, n + 1, G s), for pieces stored
-        group by group, size by size, each t x t piece row by row.  A piece
-        is named by its first row."""
-        return [np.zeros((2, self.n + 1, idx.size), dtype=np.intp) for idx in self.joint.groups]
+        ``split(z)``, layout z, filled as ``split`` is first called for z:
+        ``(start, position)``, (2, n + 1, dim), for pieces stored size by
+        size, each t x t piece row by row.  A piece is named by its first
+        index."""
+        return np.zeros((2, self.n + 1, self.joint.dim), dtype=np.intp)
 
     def require(self, states: Sequence[DensityOperator], n: int, party: str) -> None:
         """Raise ``IndexMismatch`` unless this is the basis of the party with
@@ -388,39 +396,29 @@ class ProductBasis:
         return tuple(self.product_blocks(row, idx)[0] for idx in self.strings.groups)
 
     @cached_property
-    def _reorder_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(digits, rows)``: the (n, dim) base-d digits of every index,
-        tensor position 0 (most significant) first, as floats so that one
-        BLAS product gives the images of many orders (exact: every index is
-        below 2^53), and each index's row in its ``joint`` group's blocks
-        stacked to (G s) rows."""
+    def _digits(self) -> np.ndarray:
+        """The (n, dim) base-d digits of every index, tensor position 0
+        (most significant) first, as floats so that one BLAS product gives
+        the images of many orders (exact: every index is below 2^53)."""
         d = self.single_vectors.shape[0]
-        index = np.arange(self.joint.dim)
-        digits = (index // d ** np.arange(self.n - 1, -1, -1)[:, None] % d).astype(float)
-        rows = np.empty_like(index)
-        for idx in self.joint.groups:
-            rows[idx] = np.arange(idx.size).reshape(idx.shape)
-        return digits, rows
+        index = np.arange(self.eigenvalues.size)
+        return (index // d ** np.arange(self.n - 1, -1, -1)[:, None] % d).astype(float)
 
-    def reorderings(self, orders: np.ndarray) -> list[np.ndarray]:
-        """Row maps that reorder the tensor positions of operators held over
-        ``joint``: per group, the (len(orders), G, s) stack whose slice m
-        gathers, from an operator's blocks stacked to (G s) rows, the rows of
-        the operator with its tensor positions reordered by ``orders[m]``.
+    def reorderings(self, orders: np.ndarray) -> np.ndarray:
+        """Index maps that reorder the tensor positions: the (len(orders),
+        dim) array whose row m maps each index i to p(i), the index whose
+        digits are ``i[order[0]], ..., i[order[n-1]]`` for ``order =
+        orders[m]``.
 
-        Index i of the result is index p(i) of the operand, where the digits
-        of p(i) are ``i[order[0]], ..., i[order[n-1]]``: with A's rows so
-        gathered (and its columns likewise), the product state of the
+        With A's rows and columns so gathered, the product state of the
         symbols ``x[order]`` becomes that of ``x``.  The innocent n-fold
         state is invariant under every such reordering, so each joint block
         maps onto a joint block of the same size (the same one only when the
-        component string is unchanged) and a map never leaves its group.
+        component string is unchanged).
         """
-        digits, rows = self._reorder_tables
         weights = float(self.single_vectors.shape[0]) ** np.arange(self.n - 1, -1, -1)
         # p(i) = sum_t digit_t(i) weights[inverse[t]]
-        image = rows[(weights[np.argsort(orders, axis=1)] @ digits).astype(np.intp)]
-        return [image[:, idx] for idx in self.joint.groups]
+        return (weights[np.argsort(orders, axis=1)] @ self._digits).astype(np.intp)
 
     def to_original_basis(self, rotated: np.ndarray) -> np.ndarray:
         """Conjugate back to the computational basis: (u^(x) n) rotated
@@ -434,33 +432,27 @@ class DecoderPovm:
     ``build_srm_decoder`` builds it: per-message elements plus an implicit
     failure element.
 
-    Every element is held on blocks as ``E_m = N P_m N``, in the frame that
-    reorders the tensor positions of the product eigenbasis ``basis`` by
-    ``frame``, which puts the key's ``shared`` innocent positions first, so
-    that the blocks are the joint blocks (``ProductBasis.joint``) cut by
-    their labels: ``subs = basis.split(shared)`` lists, per joint group g
-    and size, the (H, t) row positions of the pieces in the group's blocks
-    stacked to (G s) rows, and ``norms[g][j]`` is the (H, t, t) stack of N
-    on the pieces ``subs[g][j]``.  ``types`` is ``(store, which, maps)``:
-    codeword m's block state is operator ``which[m]`` of ``store`` (see
-    ``_gather``) and its pinched projector P_m the next operator, both its
-    symbol type's, read on the rows ``maps[g][m]`` (``ProductBasis.
-    reorderings``).  ``hits[m]`` is ``Tr{E_m sigma_m}`` for codeword m's
-    block state ``sigma_m``, traced as the decoder was built: it holds the
-    score of the codewords it was built for, the key's M codeword ``rows``
-    with the states of ``basis``, and of no others.  The blocks
-    ``stacks`` (per group, the (M, G, s, s) stack of the elements' blocks in
-    the basis's own order) and the full matrices ``elements`` are formed
-    only when asked for.
+    Every element is held as ``E_m = N P_m N`` on the pieces
+    ``basis.split(shared)``, in the frame that reorders the tensor positions
+    of the product eigenbasis ``basis`` by ``frame``, which puts the key's
+    ``shared`` innocent positions first.  ``types`` is ``(store, which,
+    maps)``: codeword m's block state is operator ``which[m]`` of ``store``
+    (see ``_gather``) and its pinched projector P_m the next operator, both
+    its symbol type's, read through the index map ``maps[m]``
+    (``ProductBasis.reorderings``).  ``hits[m]`` is ``Tr{E_m sigma_m}`` for
+    codeword m's block state ``sigma_m``, traced as the decoder was built:
+    it holds the score of the codewords it was built for, the key's M
+    codeword ``rows`` with the states of ``basis``, and of no others.  The
+    blocks ``stacks`` (per joint group, the (M, G, s, s) stack of the
+    elements' blocks in the basis's own order) and the full matrices
+    ``elements`` are formed only when asked for.
     """
 
-    def __init__(self, basis: ProductBasis, shared: int, frame: np.ndarray, norms: Sequence,
-                 types: tuple, rows: np.ndarray, hits: np.ndarray):
+    def __init__(self, basis: ProductBasis, shared: int, frame: np.ndarray, types: tuple,
+                 rows: np.ndarray, hits: np.ndarray):
         self.basis = basis
         self.shared = shared
         self.frame = frame
-        self.subs = basis.split(shared)
-        self.norms = norms
         self.types = types
         self.rows = rows
         self.hits = hits
@@ -471,19 +463,20 @@ class DecoderPovm:
 
     @cached_property
     def stacks(self) -> tuple[np.ndarray, ...]:
-        """Per group, the (M, G, s, s) stack of the elements' blocks."""
-        _, which, maps = self.types
-        out = []
-        for g, (idx, back) in enumerate(zip(self.basis.joint.groups,
-                                            self.basis.reorderings(self.frame[None]))):
-            size = idx.shape[1]
-            stack = np.zeros((self.m_count, idx.size, size), dtype=complex)
-            for rows, norm in zip(self.subs[g], self.norms[g]):
-                stack[:, rows[..., :, None], rows[..., None, :] % size] = _sandwich(
-                    norm, _gather(self.types[0], g, which + 1, maps[g][:, rows]))
-            back = back[0]  # rows of the key's frame in the basis's own order
-            out.append(stack[:, back[..., :, None], back[..., None, :] % size])
-        return tuple(out)
+        """Per joint group, the (M, G, s, s) stack of the elements' blocks:
+        N is solved again on each piece, the elements are stored as their
+        pieces, layout ``shared``, and each joint block is read back
+        through the frame's index map."""
+        store, which, maps = self.types
+        pieces = [_elements(_gather(store, which + 1, maps[:, piece]))
+                  for piece in self.basis.split(self.shared)]
+        own = _append((np.zeros(2, dtype=complex), np.zeros(0, dtype=np.intp),
+                       np.zeros(0, dtype=np.intp), store[3]),
+                      [[p[m] for p in pieces] for m in range(self.m_count)],
+                      np.full(self.m_count, self.shared))
+        back = self.basis.reorderings(self.frame[None])[0]  # the frame's index of each index
+        return tuple(_gather(own, np.arange(self.m_count), back[idx])
+                     for idx in self.basis.joint.groups)
 
     @cached_property
     def elements(self) -> tuple[np.ndarray, ...]:
@@ -539,9 +532,9 @@ def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
     ``basis.split(c)``, and element m is ``N P_m N`` with N solved there.  A
     codeword's state and projector are those of its sorted symbol type with
     the tensor positions reordered, so they are built once per type
-    (``_pinched_types``) and read through row maps
+    (``_pinched_types``) and read through index maps
     (``ProductBasis.reorderings``); only the normalisation is per key.  The
-    decoder holds the type store, its codewords' type indices and row maps
+    decoder holds the type store, its codewords' type indices and index maps
     once (``DecoderPovm.types``: a projector follows its state), and the
     codeword rows it was built for.
 
@@ -572,32 +565,24 @@ def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
     orders = np.argsort(keyed, axis=1, kind="stable")
     which, store = _pinched_types(basis, a, np.take_along_axis(keyed, orders, axis=1))
     which = which.reshape(m, len(keys))
-    maps = [f.reshape(m, len(keys), -1) for f in basis.reorderings(orders)]
+    maps = basis.reorderings(orders).reshape(m, len(keys), -1)
     counts = shared.sum(axis=1)
-    norms = [[[] for _ in maps] for _ in keys]
     hits = np.zeros((len(keys), m))
     for c in np.unique(counts):
         sel = np.flatnonzero(counts == c)
-        for g, subs in enumerate(basis.split(int(c))):
-            for piece in subs:
-                size = piece.shape[1] ** 2
-                for part in _slices(len(sel), m * piece.shape[0] * size):
-                    some = sel[part]
-                    piece_rows = maps[g][:, some][..., piece]
-                    projector = _gather(store, g, which[:, some] + 1, piece_rows)
-                    w, v = _eigh(projector.sum(axis=0))
-                    norm = _matmul(v * (np.where(w > RANK_TOL, w, np.inf) ** -0.5)[..., None, :],
-                                   dagger(v))
-                    for i, b in enumerate(some):
-                        norms[b][g].append(norm[i])
-                    # Tr{E_m sigma_m} on these pieces, vec(E) . vec(sigma^T)
-                    element = _sandwich(norm, projector)
-                    state = _gather(store, g, which[:, some], piece_rows, transpose=True)
-                    traces = _matmul(element.reshape(*element.shape[:-2], 1, size),
-                                     state.reshape(*state.shape[:-2], size, 1))
-                    hits[some] += traces.sum(axis=(-3, -2, -1)).real.T
-    decoders = [DecoderPovm(basis, c, frames[b], norms[b],
-                            (store, which[:, b], [f[:, b] for f in maps]), rows[:, b], hits[b])
+        for piece in basis.split(int(c)):
+            size = piece.shape[1] ** 2
+            for part in _slices(len(sel), m * piece.shape[0] * size):
+                some = sel[part]
+                index = maps[:, some][..., piece]
+                element = _elements(_gather(store, which[:, some] + 1, index))
+                # Tr{E_m sigma_m} on these pieces, vec(E) . vec(sigma^T)
+                state = _gather(store, which[:, some], index, transpose=True)
+                traces = _matmul(element.reshape(*element.shape[:-2], 1, size),
+                                 state.reshape(*state.shape[:-2], size, 1))
+                hits[some] += traces.sum(axis=(-3, -2, -1)).real.T
+    decoders = [DecoderPovm(basis, c, frames[b], (store, which[:, b], maps[:, b]),
+                            rows[:, b], hits[b])
                 for b, c in enumerate(counts.tolist())]
     return decoders[0] if one else decoders
 
@@ -635,25 +620,19 @@ def _pinched_types(basis: ProductBasis, a: float,
             parts = [[] for _ in range(2 * len(new))]  # per state and projector, its pieces
             for z in np.unique(zeros).tolist():
                 owners = np.flatnonzero(zeros == z)
-                rows = built[owners]
-                for idx, subs in zip(basis.joint.groups, basis.split(z)):
-                    for piece in subs:
-                        levels = idx.ravel()[piece]
-                        sigma = basis.product_blocks(rows, levels)
-                        shifted = sigma.copy()
-                        diag = np.arange(sigma.shape[-1])
-                        shifted[..., diag, diag] -= threshold[levels]
-                        w, v = _eigh(hermitian_part(shifted))
-                        keep = v * (w > ZERO_EIGENVALUE_TOL)[..., None, :]
-                        for i, state, projector in zip(owners, sigma, _matmul(keep, dagger(keep))):
-                            parts[2 * i].append(state.ravel())
-                            parts[2 * i + 1].append(projector.ravel())
-            flat, base, layout, tables = store
-            parts = [np.concatenate(p) for p in parts]
-            starts = flat.size - 1 + np.cumsum([0] + [p.size for p in parts[:-1]])
-            store = (np.concatenate([flat[:-1], *parts, flat[-1:]]), np.append(base, starts),
-                     np.append(layout, np.repeat(zeros, 2)), tables)
-            index.update(zip(new, range(len(base), len(base) + 2 * len(new), 2)))
+                for piece in basis.split(z):
+                    sigma = basis.product_blocks(built[owners], piece)
+                    shifted = sigma.copy()
+                    diag = np.arange(sigma.shape[-1])
+                    shifted[..., diag, diag] -= threshold[piece]
+                    w, v = _eigh(hermitian_part(shifted))
+                    keep = v * (w > ZERO_EIGENVALUE_TOL)[..., None, :]
+                    for i, state, projector in zip(owners, sigma, _matmul(keep, dagger(keep))):
+                        parts[2 * i].append(state)
+                        parts[2 * i + 1].append(projector)
+            first = len(store[1])
+            index.update(zip(new, range(first, first + 2 * len(new), 2)))
+            store = _append(store, parts, np.repeat(zeros, 2))
             basis._types = (a, index, store)
         return np.array([index[t] for t in types]), store
 
@@ -817,7 +796,8 @@ class ExperimentConfig:
     integers >= 1) unless overridden.  Checked on construction, so
     ``run_experiment`` starts no work on a bad config: the distinct
     blocklengths ``n_list``, ``trials``, ``workers`` and the overrides given
-    must be counts (``require_count``) and ``varsigma``, ``mu`` and ``nu``
+    must be counts and ``seed`` an integer >= 0 (``require_count``), and
+    ``varsigma``, ``mu`` and ``nu``
     finite and in [0, 1) (``InvalidParameter`` otherwise); ``gamma`` must
     be finite with ``0 <= gamma < sqrt(n)`` for every n in ``n_list``, so
     the innocent symbol keeps a positive weight (``AlphaOutOfRange``
@@ -847,6 +827,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (value is None and name.endswith("override")):
                 require_count(name, value)
+        require_count("seed", self.seed, least=0)
         for name in ("varsigma", "mu", "nu"):
             value = getattr(self, name)
             if not (math.isfinite(value) and 0.0 <= value < 1.0):
@@ -859,10 +840,11 @@ class ExperimentConfig:
         require_regime(self.channel, ScenarioClass.SQUARE_ROOT_LAW)
 
 
-def require_count(name: str, value) -> None:
-    """``InvalidParameter`` unless ``value`` is an int or NumPy integer >= 1, not a bool."""
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 1):
-        raise InvalidParameter(f"need an integer {name} >= 1, got {value!r}")
+def require_count(name: str, value, least: int = 1) -> None:
+    """``InvalidParameter`` unless ``value`` is an int or NumPy integer >=
+    ``least``, not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+        raise InvalidParameter(f"need an integer {name} >= {least}, got {value!r}")
 
 
 def code_sizes(channel: CqChannelPair, ptilde, n: int, gamma: float,
@@ -948,7 +930,7 @@ def run_experiment(config: ExperimentConfig, on_decoders=None) -> list[TrialRepo
                        "bob_types": codebook.type_count, "keys": k,
                        "shared_innocent": float(np.mean(shared)),
                        "bob_sub_blocks": sum(len(r) for c in shared
-                                             for subs in bob_basis.split(c) for r in subs)}
+                                             for r in bob_basis.split(c))}
         return TrialReport(n=n, gamma=config.gamma, seed=seed, m_count=m, k_count=k,
                            log_m_raw=log_m_raw, log_k_raw=log_k_raw,
                            pe_bob=float(np.mean(pe_values)), covert_d=covert_d,

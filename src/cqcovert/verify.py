@@ -252,10 +252,12 @@ def run_suites(names=None, trials: int | None = None, seed: int = 0) -> list[Sui
     blocklength of each simulated channel, and the number of channels the
     optimum suite draws; it must be an integer >= 1 (``require_count``,
     ``InvalidParameter`` otherwise): a suite of no checks would report a
-    pass it never tested.
+    pass it never tested.  ``seed`` must be an integer >= 0, checked the
+    same way before any suite runs.
     """
     if trials is not None:
         require_count("trials", trials)
+    require_count("seed", seed, least=0)
     chosen = list(SUITES) if not names else list(names)
     for name in chosen:
         if name not in SUITES:

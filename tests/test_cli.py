@@ -253,6 +253,17 @@ class TestCoefficients:
         assert captured.out == ""
         assert "non-finite" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("path, command", [
+        ("canonical_path", ["coefficients"]), ("sqrtnlogn_path", ["coefficients"]),
+        ("canonical_path", ["simulate", "--n", "2", "--trials", "1"])])
+    def test_empty_ptilde_exits_2(self, request, capsys, path, command):
+        # an empty list is a given ptilde, not a missing one: no uniform default
+        argv = [command[0], "--channel", request.getfixturevalue(path), *command[1:]]
+        assert main(argv + ["--ptilde", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "probability vector" in captured.err and "Traceback" not in captured.err
+
     def test_zero_weight_leaking_symbol(self, willie_leak_path, capsys):
         assert main(["coefficients", "--channel", willie_leak_path]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -369,6 +380,16 @@ class TestSimulate:
         assert captured.out == ""
         assert "trials" in captured.err and "Traceback" not in captured.err
 
+    def test_negative_seed_exits_2_before_any_work(self, canonical_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *a: pytest.fail("trials ran before --seed was checked"))
+        assert main(["simulate", "--channel", canonical_path, "--n", "2",
+                     "--trials", "1", "--seed", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: need an integer seed >= 0, got -3"]
+
     def test_repeated_blocklength_exits_2_before_any_work(self, canonical_path, capsys,
                                                           monkeypatch):
         # trial seeds derive from (seed, n, trial): a repeated n would print its trials twice
@@ -455,6 +476,15 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "trials" in captured.err and "Traceback" not in captured.err
+
+    def test_negative_seed_exits_2(self, capsys, monkeypatch):
+        for name in list(verify.SUITES):
+            monkeypatch.setitem(verify.SUITES, name,
+                                lambda runs: pytest.fail("a suite ran before --seed was checked"))
+        assert main(["verify", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: need an integer seed >= 0, got -1"]
 
 
 class TestNogo:

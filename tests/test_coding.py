@@ -557,6 +557,19 @@ class TestRunExperiment:
             config(value)
         config(np.int64(3))
 
+    @pytest.mark.parametrize("value", [-1, -3, 2.0, 1.5, True, np.bool_(False), "3", None])
+    def test_seed_must_be_a_nonnegative_integer(self, canonical_channel, value):
+        # a negative seed would reach the random streams, whose error names no field
+        def config(seed):
+            return ExperimentConfig(channel=canonical_channel, n_list=(3,), gamma=0.5,
+                                    seed=seed)
+
+        with pytest.raises(InvalidParameter, match="seed"):
+            config(value)
+        config(0)
+        config(np.int64(3))
+        config(2 ** 70)
+
     def test_repeated_blocklength_rejected(self, canonical_channel):
         # trial seeds derive from (seed, n, trial), so a repeated n reruns its trials
         with pytest.raises(InvalidParameter, match="repeat"):
@@ -1206,9 +1219,8 @@ class TestNormalisedDecoder:
             warnings.simplefilter("error", RuntimeWarning)
             decoder = build_srm_decoder(cb, ch, a=50.0)
             store, which, maps = decoder.types
-            for g, idx in enumerate(decoder.basis.joint.groups):
-                assert not np.any(coding._gather(store, g, which + 1,
-                                                 maps[g].reshape(-1, *idx.shape)))
+            for idx in decoder.basis.joint.groups:
+                assert not np.any(coding._gather(store, which + 1, maps[:, idx]))
             assert exact_pe_bob(cb, ch, decoder) == 1.0
             assert all(np.all(stack == 0) for stack in decoder.stacks)
 
@@ -1230,16 +1242,20 @@ def _shared_codebook(ch, n, shared, m_count=3, seed=0):
     return Codebook(n=n, m_count=m_count, k_count=k_count, symbols=symbols)
 
 
-def _piece_masks(basis, c):
-    """Per joint group, the (G s, s) mask of the entries of the pieces
-    ``basis.split(c)``, blocks stacked to rows."""
-    masks = []
-    for idx, subs in zip(basis.joint.groups, basis.split(c)):
-        mask = np.zeros((idx.size, idx.shape[1]), dtype=bool)
-        for rows in subs:
-            mask[rows[..., :, None], rows[..., None, :] % idx.shape[1]] = True
-        masks.append(mask)
-    return masks
+def _joint_block_ids(basis):
+    """Each index's joint block, counted over ``basis.joint``'s sets in order."""
+    block = np.empty(basis.strings.dim, dtype=int)
+    for b, s in enumerate(s for idx in basis.joint.groups for s in idx):
+        block[s] = b
+    return block
+
+
+def _piece_mask(basis, c):
+    """The (dim, dim) mask of the entries of the pieces ``basis.split(c)``."""
+    mask = np.zeros((basis.strings.dim,) * 2, dtype=bool)
+    for piece in basis.split(c):
+        mask[piece[..., :, None], piece[..., None, :]] = True
+    return mask
 
 
 class TestSharedInnocentSplit:
@@ -1268,6 +1284,43 @@ class TestSharedInnocentSplit:
             assert exact_pe_bob(cb, ch, decoder, key=key) == pytest.approx(
                 np.mean(1.0 - hits), abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["qubit", "qutrit", "flag", "diagonal"])
+    def test_split_cuts_each_joint_block_by_its_leading_digits(self, kind, canonical_channel):
+        n = 4
+        ch = canonical_channel if kind == "diagonal" else _typed_channel(kind, 41)
+        basis = ProductBasis(ch.bob_states, n)
+        d, dim = ch.bob_states[0].dim, basis.strings.dim
+        block = _joint_block_ids(basis)
+        for c in range(n + 1):
+            pieces = basis.split(c)
+            owner = np.full(dim, -1)
+            for i, s in enumerate(s for piece in pieces for s in piece):
+                owner[s] = i
+            assert np.array_equal(np.sort(np.concatenate([p.ravel() for p in pieces])),
+                                  np.arange(dim))
+            assert all(np.all(np.diff(piece, axis=1) > 0) for piece in pieces)
+            assert all(np.all(block[piece] == block[piece[:, :1]]) for piece in pieces)
+            for idx in basis.joint.groups:
+                for s in idx:
+                    digits = s // d ** (n - c)
+                    assert np.array_equal(digits[:, None] == digits[None, :],
+                                          owner[s][:, None] == owner[s][None, :])
+            sizes = [piece.shape[1] for piece in pieces]
+            assert sizes == sorted(set(sizes))
+        assert len(basis.split(0)) == len(basis.joint.groups)
+        assert all(np.array_equal(p, g) for p, g in zip(basis.split(0), basis.joint.groups))
+
+    def test_the_committed_block_channel_stacks_pieces_of_several_joint_blocks(self):
+        # CI runs simulate on this file under one and two workers for that reason
+        from pathlib import Path
+        from cqcovert.channel import load_channel
+        ch = load_channel(str(Path(__file__).parent / "data" / "block_qutrit.json"))
+        basis = ProductBasis(ch.bob_states, 4)
+        assert len({len(s) for idx in basis.strings.groups for s in idx}) > 1
+        block = _joint_block_ids(basis)
+        for c in range(5):
+            assert any(len(set(block[piece[:, 0]].tolist())) > 1 for piece in basis.split(c))
+
     @pytest.mark.parametrize("kind", ["qubit", "qutrit", "flag"])
     def test_projector_sum_and_normaliser_are_zero_off_the_pieces(self, kind):
         from cqcovert.operators import RANK_TOL, dagger
@@ -1278,20 +1331,23 @@ class TestSharedInnocentSplit:
         for key in range(cb.k_count):
             decoder = build_srm_decoder(cb, ch, a=0.1, key=key, basis=basis)
             store, which, maps = decoder.types
-            for g, (idx, mask) in enumerate(zip(basis.joint.groups,
-                                                _piece_masks(basis, decoder.shared))):
-                # in the key's frame, sum_m P_m over whole joint blocks
-                size = idx.shape[1]
-                gram = coding._gather(store, g, which + 1, maps[g].reshape(-1, *idx.shape))
-                gram = gram.sum(axis=0).reshape(-1, size)
-                assert np.all(gram[~mask] == 0)
-                norm = np.zeros_like(gram)
-                for rows, piece in zip(decoder.subs[g], decoder.norms[g]):
-                    norm[rows[..., :, None], rows[..., None, :] % size] = piece
-                assert np.all(norm[~mask] == 0)
-                w, v = np.linalg.eigh(gram.reshape(idx.shape + (size,)))
-                dense = (v * np.where(w > RANK_TOL, w, np.inf)[..., None, :] ** -0.5) @ dagger(v)
-                assert np.max(np.abs(dense.reshape(-1, size) - norm)) <= 1e-10
+            mask = _piece_mask(basis, decoder.shared)
+            # in the key's frame, P_m, sum_m P_m and N P_m N solved on whole joint blocks
+            whole = np.zeros((cb.m_count,) + mask.shape, dtype=complex)
+            for idx in basis.joint.groups:
+                rows, cols = idx[..., :, None], idx[..., None, :]
+                projector = coding._gather(store, which + 1, maps[:, idx])
+                gram = projector.sum(axis=0)
+                assert np.all(gram[~mask[rows, cols]] == 0)
+                w, v = np.linalg.eigh(gram)
+                norm = (v * np.where(w > RANK_TOL, w, np.inf)[..., None, :] ** -0.5) @ dagger(v)
+                whole[:, rows, cols] = norm @ projector @ norm
+            # the elements solved piece by piece, in the basis's own order
+            back = basis.reorderings(decoder.frame[None])[0]
+            for idx, piecewise in zip(basis.joint.groups, decoder.stacks):
+                rows, cols = back[idx][..., :, None], back[idx][..., None, :]
+                assert np.all(piecewise[:, ~mask[rows, cols]] == 0)
+                assert np.max(np.abs(piecewise - whole[:, rows, cols])) <= 1e-10
 
     @pytest.mark.parametrize("kind", ["qubit", "qutrit", "flag"])
     def test_keys_built_together_are_bit_identical_to_one_key_calls(self, kind):
@@ -1307,9 +1363,6 @@ class TestSharedInnocentSplit:
         for key in keys:
             alone = build_srm_decoder(cb, ch, a=0.1, key=key,
                                       basis=ProductBasis(ch.bob_states, n))
-            for mine, theirs in zip(itertools.chain(*alone.norms),
-                                    itertools.chain(*together[key].norms)):
-                assert np.array_equal(mine, theirs)
             for mine, theirs in zip(alone.stacks, together[key].stacks):
                 assert np.array_equal(mine, theirs)
             assert np.array_equal(alone.hits, together[key].hits)
@@ -1364,11 +1417,9 @@ class TestProductBlocks:
             assert np.array_equal(basis.strings.assemble(basis.rotated_block(row)), full)
             z = int(np.count_nonzero(row == 0))
             zs.add(z)
-            for g, (idx, subs) in enumerate(zip(basis.joint.groups, basis.split(z))):
-                for piece in subs:
-                    levels = idx.ravel()[piece]
-                    assert np.array_equal(coding._gather(store, g, i, piece),
-                                          full[levels[..., :, None], levels[..., None, :]])
+            for piece in basis.split(z):
+                assert np.array_equal(coding._gather(store, i, piece),
+                                      full[piece[..., :, None], piece[..., None, :]])
         assert zs == set(range(n + 1))
 
     def test_a_type_build_never_forms_a_whole_block(self):

@@ -153,8 +153,8 @@ def test_a_pinsker_violation_fails(monkeypatch, capsys):
 
 def test_an_overscaled_decoder_fails(monkeypatch, capsys):
     # elements N P_m N scaled by 1.01 sum past the identity
-    real = coding_mod._sandwich
-    monkeypatch.setattr(coding_mod, "_sandwich", lambda norm, p: 1.01 * real(norm, p))
+    real = coding_mod._elements
+    monkeypatch.setattr(coding_mod, "_elements", lambda p: 1.01 * real(p))
     code, out = _verify(capsys, "--seed", "1")
     assert code == 5
     _failing(out, "decoders")
@@ -178,6 +178,13 @@ def test_nonpositive_trials_rejected(trials):
     # a suite of no checks would report PASS with worst_margin=inf
     with pytest.raises(InvalidParameter):
         run_suites(trials=trials)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_bad_seed_rejected(seed):
+    # a negative seed would reach the random streams, whose error names no argument
+    with pytest.raises(InvalidParameter, match="seed"):
+        run_suites(seed=seed)
 
 
 def test_unknown_suite_rejected():
