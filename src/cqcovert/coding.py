@@ -11,7 +11,6 @@ trial index), so results do not depend on scheduling.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -92,6 +91,15 @@ class Codebook:
         return len(set(map(tuple, np.sort(self.symbols, axis=1).tolist())))
 
 
+def _checked_ptilde(channel: CqChannelPair, ptilde) -> np.ndarray:
+    """``ptilde`` checked as a distribution over the non-innocent symbols."""
+    p = validate_distribution(ptilde)
+    if p.size != channel.alphabet_size - 1:
+        raise ValidationError(f"ptilde has {p.size} entries for "
+                              f"{channel.alphabet_size - 1} non-innocent symbols")
+    return p
+
+
 def sample_codebook(channel: CqChannelPair, n: int, m_count: int, k_count: int,
                     gamma: float, ptilde, seed: int) -> Codebook:
     """Sample a codebook with i.i.d. symbols.
@@ -102,10 +110,7 @@ def sample_codebook(channel: CqChannelPair, n: int, m_count: int, k_count: int,
     """
     if n < 1 or m_count < 1 or k_count < 1:
         raise ValidationError(f"need n, M, K >= 1, got {(n, m_count, k_count)}")
-    p = validate_distribution(ptilde)
-    if p.size != channel.alphabet_size - 1:
-        raise ValidationError(f"ptilde has {p.size} entries for "
-                              f"{channel.alphabet_size - 1} non-innocent symbols")
+    p = _checked_ptilde(channel, ptilde)
     alpha = gamma / math.sqrt(n)
     if not 0.0 <= alpha < 1.0:
         raise AlphaOutOfRange(f"gamma/sqrt(n) = {alpha!r} outside [0, 1)")
@@ -123,16 +128,15 @@ def sample_codebook(channel: CqChannelPair, n: int, m_count: int, k_count: int,
 @lru_cache(maxsize=64)
 def _single_use_basis(states: tuple[DensityOperator, ...]) -> tuple:
     """Components and eigenbasis of a party's single-use ``states``,
-    innocent state first: ``(label, sizes, starts, vectors, eigenvalues)``.
+    innocent state first: ``(sizes, vectors, eigenvalues)``.
 
-    ``label`` gives each level's connected component in the union of the
-    states' nonzero patterns, where an entry couples two levels iff it is
-    not exactly zero (no tolerance); labels count up in order of each
-    component's lowest level.  The innocent state is eigendecomposed
-    component by component: basis positions ``starts[c]`` to
-    ``starts[c] + sizes[c]`` hold component c's eigenvectors (``vectors``,
-    in the computational basis) with descending eigenvalues.  Cached, so a
-    party's single-use work is done once however many blocklengths use it.
+    The components, of ``sizes[c]`` levels in order of their lowest levels,
+    are those of the union of the states' nonzero patterns, where an entry
+    couples two levels iff it is not exactly zero (no tolerance).  The
+    innocent state is eigendecomposed component by component: ``vectors``
+    (in the computational basis) lists each component's eigenvectors in
+    turn, with descending eigenvalues.  Cached, so a party's single-use
+    work is done once however many blocklengths use it.
     """
     coupled = np.logical_or.reduce([s.matrix != 0 for s in states])
     label = np.arange(coupled.shape[0])
@@ -143,25 +147,45 @@ def _single_use_basis(states: tuple[DensityOperator, ...]) -> tuple:
         label = lowest
     label = np.unique(label, return_inverse=True)[1]
     sizes = np.bincount(label)
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     levels = np.argsort(label, kind="stable")
     vectors = np.zeros((label.size, label.size), dtype=complex)
     eigenvalues = np.empty(label.size)
-    for start, size in zip(starts, sizes):
+    for start, size in zip(np.cumsum(sizes) - sizes, sizes):
         comp = levels[start:start + size]
         spec = spectral_decomposition(states[0].matrix[np.ix_(comp, comp)])
         vectors[comp, start:start + size] = spec.eigenvectors
         eigenvalues[start:start + size] = spec.eigenvalues
-    for array in (label, sizes, starts, vectors, eigenvalues):
+    for array in (sizes, vectors, eigenvalues):
         array.flags.writeable = False
-    return label, sizes, starts, vectors, eigenvalues
+    return sizes, vectors, eigenvalues
 
 
-def _kron_indices(left: np.ndarray, right: np.ndarray, base: int) -> np.ndarray:
-    """Index sets of the Kronecker products of (p, a) and (q, b) stacks of
-    index sets, in a space whose last factor has dimension ``base``."""
-    out = left[:, None, :, None] * base + right[None, :, None, :]
-    return out.reshape(left.shape[0] * right.shape[0], left.shape[1] * right.shape[1])
+@lru_cache(maxsize=64)
+def _component_strings(sizes: tuple[int, ...], n: int) -> tuple:
+    """Block structure of the n-fold power of a single-use eigenbasis listing
+    components of ``sizes`` in turn, cached: ``(within, groups, row, col)``.
+    ``within`` marks the single-use entries inside a component, ``groups``
+    the component strings by block size, then string.  Entry (i, j) of a
+    product state, i and j in one string, is entry ``row[i] + col[j]`` of
+    the Kronecker product of its symbols' ``within`` entries, row by row."""
+    comp = np.repeat(np.arange(len(sizes)), sizes)
+    within = comp[:, None] == comp[None, :]
+    count = within.sum(axis=1)  # the size of each position's component
+    e = int(count.sum())
+    # per index, folded digit by digit: component string, block size, row and column numbers
+    scale = np.stack(np.broadcast_arrays(len(sizes), count, e, e))
+    shift = np.stack([comp, 0 * count, np.cumsum(count) - count, np.tril(within, -1).sum(1)])
+    fold = np.array([[0], [1], [0], [0]])
+    for _ in range(n):
+        fold = (fold[:, :, None] * scale[:, None] + shift[:, None]).reshape(4, -1)
+    code, size = fold[:2]
+    row, col = fold[2:].astype(np.int32 if e ** n < 2 ** 31 else np.intp)
+    # sorted by block size and component string, a size's indices fill its sets in turn
+    order = np.lexsort((code, size))
+    groups = tuple(order[size[order] == s].reshape(-1, s) for s in np.unique(size))
+    for array in (within, row, col, *groups):
+        array.flags.writeable = False
+    return within, groups, row, col
 
 
 def _cut(groups: Sequence[np.ndarray], labels: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -255,26 +279,24 @@ class ProductBasis:
     """Eigenstructure of the n-fold power of a party's innocent state.
 
     ``states``, kept here, is the party's single-use states, innocent state
-    first.  They are block-diagonal over the connected components of the
-    union of their exact nonzero patterns, and the innocent state is
-    eigendecomposed component by component: the single-use eigenbasis lists
-    each component's eigenvectors in turn.  In its Kronecker power every
-    n-fold state of the party is block-diagonal over the component strings
-    c in C^n (``strings``); a party with one component is the dense case.
-    The eigenvalues are products of single-use eigenvalues, and
-    near-degenerate products are merged into pinching clusters
-    (``clusters``).  ``single_states[x]``, rotated once here, is state x in
-    this eigenbasis, ``u^dagger rho_x u``, and ``single_blocks[x]`` the same
-    cut into one (count, size, size) stack per class of equal-size
-    components; the innocent state is the diagonal of its eigenvalues,
-    exactly zero off it.  Shared across trials at a fixed blocklength.
+    first, block-diagonal over the components of ``_single_use_basis``,
+    whose eigenbasis is used here.  In its Kronecker power every n-fold
+    state of the party is block-diagonal over the component strings c in
+    C^n (``strings``, by block size, then string, each set ascending); a
+    party with one component is the dense case.  The eigenvalues are
+    products of single-use eigenvalues, and near-degenerate products are
+    merged into pinching clusters (``clusters``).  ``single_states[x]``,
+    rotated once here, is state x in this eigenbasis, ``u^dagger rho_x u``
+    (the innocent state is exactly diagonal), and ``single_entries[x]`` its
+    component blocks' entries, row by row, block by block, as an (E, 1, 1)
+    stack.  Shared across trials at a fixed blocklength.
     """
 
     def __init__(self, states: Sequence[DensityOperator], n: int):
         if n < 1:
             raise DimensionMismatch(f"product basis requires n >= 1, got {n}")
         self.states = tuple(states)
-        label, sizes, starts, u, single = _single_use_basis(self.states)
+        sizes, u, single = _single_use_basis(self.states)
         single = np.where(single > RANK_TOL, single, 0.0)
         self.n = n
         self.single_vectors = u
@@ -282,23 +304,11 @@ class ProductBasis:
         ids = eigenvalue_clusters(self.eigenvalues)
         self.clusters = [np.flatnonzero(ids == c) for c in range(ids.max() + 1)]
         self._cluster_ids = ids
-        # components of equal size form a class; per class, the (count, size)
-        # stack of their eigenbasis positions
-        self._classes = [starts[sizes == size, None] + np.arange(size)
-                         for size in np.unique(sizes)]
         self.single_states = np.stack([np.diag(single + 0j)] + [
             u.conj().T @ s.matrix @ u for s in self.states[1:]])
-        self.single_blocks = [[r[q[:, :, None], q[:, None, :]] for q in self._classes]
-                              for r in self.single_states]
-        by_size = {}
-        for string in itertools.product(range(len(self._classes)), repeat=n):
-            idx = self._classes[string[0]]
-            for t in string[1:]:
-                idx = _kron_indices(idx, self._classes[t], label.size)
-            by_size.setdefault(idx.shape[1], []).append((string, idx))
-        self._class_strings = [[string for string, _ in by_size[s]] for s in sorted(by_size)]
-        self.strings = Partition(self.eigenvalues.size, [
-            np.concatenate([idx for _, idx in by_size[s]]) for s in sorted(by_size)])
+        within, groups, *self._entry_numbers = _component_strings(tuple(sizes.tolist()), n)
+        self.single_entries = self.single_states[:, within][..., None, None]
+        self.strings = Partition(self.eigenvalues.size, groups)
         self._splits = {}  # c -> split(c)
         self._types = (None, {}, ())  # see _pinched_types
         self._lock = threading.RLock()  # guards _types, _splits and _piece_tables
@@ -394,6 +404,13 @@ class ProductBasis:
         ``strings`` (``product_blocks`` of the one row)."""
         row = np.asarray([symbols])
         return tuple(self.product_blocks(row, idx)[0] for idx in self.strings.groups)
+
+    def blocks_of(self, entries: np.ndarray) -> list[np.ndarray]:
+        """The stacks over ``strings`` of an operator held as its ``entries`` in
+        the Kronecker product of ``single_entries`` (``_component_strings``)."""
+        row, col = self._entry_numbers
+        return [np.take(entries, row[idx][:, :, None] + col[idx][:, None, :])
+                for idx in self.strings.groups]
 
     @cached_property
     def _digits(self) -> np.ndarray:
@@ -664,67 +681,49 @@ def exact_pe_bob(codebook: Codebook, channel: CqChannelPair, decoder, key=0):
 
 def willie_average_state(codebook: Codebook, channel: CqChannelPair,
                          basis: ProductBasis) -> DensityOperator:
-    """Uniform mixture of the adversary's codeword block states, written in
-    the product eigenbasis ``basis`` of the adversary's innocent state and
-    held over its component strings.  The distinct codeword rows are summed
-    with their multiplicities over their prefix trie (``_trie_sum``).
-    ``IndexMismatch`` unless ``basis`` is the adversary's at the codebook's
-    blocklength (``ProductBasis.require``)."""
+    """Uniform mixture of the adversary's codeword block states in the
+    product eigenbasis ``basis`` of its innocent state, over its component
+    strings: the distinct rows summed with their multiplicities over their
+    prefix trie (``_trie_sum``), whose vector is freed before the Hermitian
+    parts are formed.  ``IndexMismatch`` unless ``basis`` is the
+    adversary's at the codebook's blocklength (``ProductBasis.require``)."""
     rows, counts = codebook.distinct_rows
     basis.require(channel.willie_states, codebook.n, "Willie")
-    stacks = _trie_sum(basis.single_blocks, rows, counts, basis._class_strings)
+    stacks = basis.blocks_of(_trie_sum(basis.single_entries, rows, counts))
     for stack in stacks:
         stack /= len(codebook.symbols)
     return DensityOperator(blocks=(basis.strings, [hermitian_part(s) for s in stacks]))
 
 
-def _trie_sum(per_symbol: Sequence, rows: np.ndarray, counts: np.ndarray,
-              strings: Sequence[Sequence[tuple]]) -> list[np.ndarray]:
+def _trie_sum(per_symbol: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``sum_r counts[r] per_symbol[rows[r, 0]] (x) ... (x) per_symbol[rows[r, n-1]]``
-    over the distinct, lexicographically sorted ``rows``.
+    over the distinct, lexicographically sorted ``rows``, as one vector.
 
     Rows that share a prefix share the sum over their suffixes,
     ``R = sum_x S_x (x) R^(x)``, so only the top levels of the trie touch
-    full-size blocks (about 2 D^2 work for a qubit, against D^2 per row);
+    full-size vectors (about 2 D^2 work for a qubit, against D^2 per row);
     a run of columns on which all rows below a node agree is one product.
-    ``per_symbol[x]`` holds the symbol's blocks as one stack per component
-    class; the result has one stack per group of ``strings``, each group
-    listing class strings whose blocks are concatenated in that order.
-    Willie's row sum; a single state's entries come from
-    ``ProductBasis.product_blocks``.
-    """
-    n = rows.shape[1]
-    classes = len(per_symbol[0])
+    ``per_symbol[x]`` is an (E, 1, 1) stack, so ``kron_chain`` checks its
+    cap against 1, not E^n (up to D^2)."""
     lcp = np.argmax(rows[1:] != rows[:-1], axis=1)  # first column where rows i, i+1 differ
 
-    def factors(lo: int, t: int, u: int):
-        """Per class string of columns t..u-1, row lo's blocks there."""
-        shared = [per_symbol[x] for x in rows[lo, t:u]]
-        for string in itertools.product(range(classes), repeat=u - t):
-            yield string, [b[c] for b, c in zip(shared, string)]
-
-    def node(lo: int, hi: int, t: int) -> dict:
+    def node(lo: int, hi: int, t: int) -> np.ndarray:
         """The sum over rows lo..hi-1, which agree before column t, of
         their products from column t on."""
         if hi - lo == 1:  # one row, scaled by its count
-            return {string: kron_chain(blocks) * float(counts[lo])
-                    for string, blocks in factors(lo, t, n)}
+            return kron_chain([per_symbol[x] for x in rows[lo, t:]]) * float(counts[lo])
         # the rows agree on columns t..u-1 and branch at column u
         gaps = lcp[lo:hi - 1]
         u = int(gaps.min())
         cuts = [lo, *(lo + 1 + np.flatnonzero(gaps == u)), hi]
-        tails = node(cuts[0], cuts[1], u)
+        tail = node(cuts[0], cuts[1], u)
         for start, stop in zip(cuts[1:-1], cuts[2:]):
-            for key, stack in node(start, stop, u).items():
-                tails[key] += stack
+            tail += node(start, stop, u)
         if u == t:
-            return tails
-        return {(*string, *suffix): kron_chain(blocks + [stack])
-                for string, blocks in factors(lo, t, u) for suffix, stack in tails.items()}
+            return tail
+        return kron_chain([per_symbol[x] for x in rows[lo, t:u]] + [tail])
 
-    acc = node(0, len(rows), 0)
-    return [acc[group[0]] if len(group) == 1 else np.concatenate([acc[s] for s in group])
-            for group in strings]
+    return node(0, len(rows), 0).reshape(-1)
 
 
 def covertness_report(codebook: Codebook, channel: CqChannelPair,
@@ -797,8 +796,9 @@ class ExperimentConfig:
     ``run_experiment`` starts no work on a bad config: the distinct
     blocklengths ``n_list``, ``trials``, ``workers`` and the overrides given
     must be counts and ``seed`` an integer >= 0 (``require_count``), and
-    ``varsigma``, ``mu`` and ``nu``
-    finite and in [0, 1) (``InvalidParameter`` otherwise); ``gamma`` must
+    ``varsigma``, ``mu`` and ``nu`` finite and in [0, 1) (``InvalidParameter``
+    otherwise); ``ptilde`` (uniform when None) is kept as the checked
+    distribution (an ``InputError`` otherwise); ``gamma`` must
     be finite with ``0 <= gamma < sqrt(n)`` for every n in ``n_list``, so
     the innocent symbol keeps a positive weight (``AlphaOutOfRange``
     otherwise); the code sizes follow the square-root law, so the channel
@@ -837,6 +837,8 @@ class ExperimentConfig:
             raise AlphaOutOfRange(f"gamma must be finite with 0 <= gamma < sqrt(n) for every "
                                   f"blocklength n, got gamma={self.gamma!r} for "
                                   f"n={list(self.n_list)}")
+        object.__setattr__(self, "ptilde", _checked_ptilde(self.channel, (
+            uniform_nontrivial_ptilde(self.channel) if self.ptilde is None else self.ptilde)))
         require_regime(self.channel, ScenarioClass.SQUARE_ROOT_LAW)
 
 
@@ -889,8 +891,7 @@ def run_experiment(config: ExperimentConfig, on_decoders=None) -> list[TrialRepo
     more than one worker, from the worker's thread.
     """
     channel = config.channel
-    p = (uniform_nontrivial_ptilde(channel) if config.ptilde is None
-         else validate_distribution(config.ptilde))
+    p = config.ptilde
 
     tasks = []
     for n in config.n_list:

@@ -172,9 +172,9 @@ def validate_distribution(probs) -> np.ndarray:
     if not np.all(np.isfinite(p)):
         raise InvalidDistribution(f"non-finite probability in {p.tolist()!r}")
     if p.min() < 0:
-        raise InvalidDistribution(f"negative probability {p.min()!r}")
+        raise InvalidDistribution(f"negative probability {float(p.min())!r}")
     if abs(p.sum() - 1.0) > DISTRIBUTION_TOL:
-        raise InvalidDistribution(f"probabilities sum to {p.sum()!r}, not 1")
+        raise InvalidDistribution(f"probabilities sum to {float(p.sum())!r}, not 1")
     return p
 
 

@@ -278,20 +278,22 @@ class TestSimulate:
             "--format", "csv"]
 
     @pytest.mark.parametrize("golden, channel, args", [
-        ("simulate_diag_n10_seed1.csv", "diag_qubit.json",
-         ["--n", "6,8,10", "--gamma", "0.5", "--sigma-knobs", "0.3,0.1,0.1"]),
-        ("simulate_keyed_n8_seed1.csv", "ginibre_qubit.json",
-         ["--n", "6,8", "--gamma", "1.0", "--sigma-knobs", "0.1,0.1,0.1"])])
+        ("simulate_diag_n10_seed1.csv", "perfbench/channels/diag_qubit.json",
+         ["--n", "6,8,10", "--gamma", "0.5", "--sigma-knobs", "0.3,0.1,0.1", "--trials", "1"]),
+        ("simulate_keyed_n8_seed1.csv", "perfbench/channels/ginibre_qubit.json",
+         ["--n", "6,8", "--gamma", "1.0", "--sigma-knobs", "0.1,0.1,0.1", "--trials", "1"]),
+        ("simulate_block_qutrit_seed1.csv", "tests/data/block_qutrit.json",
+         ["--n", "4,5,6", "--gamma", "1", "--trials", "2"])])
     def test_csv_matches_the_recorded_output(self, tmp_path, monkeypatch, golden, channel,
                                              args):
-        # the benchmark's diag-n10 and keyed-n8 arguments at seed 1; the files
-        # change only with a change that is meant to move these numbers
+        # the benchmark's diag-n10 and keyed-n8 arguments, and a 2+1 block
+        # qutrit whose component strings have several sizes, at seed 1; the
+        # files change only with a change that is meant to move these numbers
         root = Path(__file__).resolve().parents[1]
         monkeypatch.delenv("CQCOVERT_WORKERS", raising=False)
         out = tmp_path / golden
-        assert main(["simulate", "--channel", str(root / "perfbench" / "channels" / channel),
-                     "--trials", "1", "--seed", "1", "--format", "csv", "--out", str(out)]
-                    + args) == 0
+        assert main(["simulate", "--channel", str(root / channel), "--seed", "1",
+                     "--format", "csv", "--out", str(out)] + args) == 0
         assert out.read_bytes() == (root / "tests" / "data" / golden).read_bytes()
 
     def test_row_counts(self, canonical_path, tmp_path):
@@ -389,6 +391,22 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: need an integer seed >= 0, got -3"]
+
+    @pytest.mark.parametrize("ptilde, message", [
+        ("0.5,0.5", "error: ptilde has 2 entries for 6 non-innocent symbols"),
+        ("", "error: expected a 1-d probability vector, got shape (0,)")])
+    @pytest.mark.parametrize("epsilon", [[], ["--epsilon", "0.1"]])
+    def test_bad_ptilde_exits_2_before_any_work(self, capsys, monkeypatch, ptilde, message,
+                                                epsilon):
+        # with --epsilon given, no default target checks ptilde before the config does
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *a: pytest.fail("trials ran before --ptilde was checked"))
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "channels" / "srl_d3_k6.json"
+        assert main(["simulate", "--channel", str(path), "--n", "2", "--trials", "1",
+                     "--ptilde", ptilde] + epsilon) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
 
     def test_repeated_blocklength_exits_2_before_any_work(self, canonical_path, capsys,
                                                           monkeypatch):

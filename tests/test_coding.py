@@ -36,6 +36,7 @@ from cqcovert.errors import (
     AlphaOutOfRange,
     DimensionCapExceeded,
     IndexMismatch,
+    InputError,
     InvalidParameter,
     NoLeakage,
     ValidationError,
@@ -570,6 +571,18 @@ class TestRunExperiment:
         config(np.int64(3))
         config(2 ** 70)
 
+    @pytest.mark.parametrize("ptilde, match", [([0.5, 0.5], "2 entries for 1"),
+                                               ([], "probability vector"),
+                                               ([1.5], "sum to 1.5"),
+                                               ([float("nan")], "non-finite")])
+    def test_ptilde_is_checked_on_construction(self, canonical_channel, ptilde, match):
+        with pytest.raises(InputError, match=match):
+            ExperimentConfig(channel=canonical_channel, n_list=(3,), gamma=0.5,
+                             ptilde=np.asarray(ptilde, dtype=float))
+        config = ExperimentConfig(channel=canonical_channel, n_list=(3,), gamma=0.5,
+                                  ptilde=[1])
+        assert isinstance(config.ptilde, np.ndarray) and config.ptilde.tolist() == [1.0]
+
     def test_repeated_blocklength_rejected(self, canonical_channel):
         # trial seeds derive from (seed, n, trial), so a repeated n reruns its trials
         with pytest.raises(InvalidParameter, match="repeat"):
@@ -884,20 +897,24 @@ class TestBasisOfTheWrongParty:
         for call, expected in zip(calls, reference):
             assert np.array_equal(call(), expected)
 
-    def test_single_blocks_are_built_once_per_basis(self):
+    def test_single_entries_are_built_once_per_basis(self):
         ch = _direct_sum_pair(31)[0]
         basis = ProductBasis(ch.willie_states, 3)
-        blocks = basis.single_blocks
-        assert len(blocks) == ch.alphabet_size
+        entries = basis.single_entries
         u = basis.single_vectors
-        for state, stacks in zip(ch.willie_states, blocks):
-            rotated = u.conj().T @ state.matrix @ u
-            for q, stack in zip(basis._classes, stacks):
-                assert np.max(np.abs(stack - rotated[q[:, :, None], q[:, None, :]])) <= 1e-15
+        rotated = np.stack([u.conj().T @ state.matrix @ u for state in ch.willie_states])
+        # a 2 x 2 and a 1 x 1 component block, each read row by row, blocks in
+        # eigenbasis order
+        pairs = np.argwhere(np.any(rotated != 0, axis=0))
+        assert len(pairs) == 2 ** 2 + 1
+        assert entries.shape == (ch.alphabet_size, len(pairs), 1, 1)
+        for x in range(ch.alphabet_size):
+            assert np.max(np.abs(entries[x, :, 0, 0] - rotated[x][pairs[:, 0], pairs[:, 1]])) \
+                <= 1e-15
         cb = sample_codebook(ch, n=3, m_count=3, k_count=2, gamma=1.0, ptilde=[1.0], seed=2)
         willie_average_state(cb, ch, basis)
         basis.rotated_block([1, 0, 1])
-        assert basis.single_blocks is blocks
+        assert basis.single_entries is entries
 
 
 class TestComponents:
@@ -951,6 +968,54 @@ def _direct_sum_pair(seed):
         willie_states=tuple(DensityOperator(hermitian_part(u @ m @ u.conj().T))
                             for m in willie))
     return split, turned, u
+
+
+def _willie_party(kind):
+    """A channel whose Willie has the named block structure: diagonal qubit
+    (two 1 x 1 components), Ginibre qubit (one component), 2+1 qutrit,
+    qubit plus flag (2+1, levels in a random order) or 2+1+1 ququart."""
+    from pathlib import Path
+    from cqcovert.channel import load_channel
+    root = Path(__file__).resolve().parents[1]
+    if kind == "flag":
+        return _direct_sum_pair(8)[0]
+    return load_channel(str({"diagonal": root / "perfbench" / "channels" / "diag_qubit.json",
+                             "qubit": root / "perfbench" / "channels" / "ginibre_qubit.json",
+                             "qutrit": root / "tests" / "data" / "block_qutrit.json",
+                             "ququart": root / "tests" / "data" / "block_ququart.json"}[kind]))
+
+
+class TestComponentStrings:
+    """Willie's blocks are the component strings, ordered by block size and
+    then by component string, and his average state summed over entry
+    vectors is the dense mixture."""
+
+    @pytest.mark.parametrize("kind", ["diagonal", "qubit", "qutrit", "flag", "ququart"])
+    def test_strings_are_the_component_strings_in_order(self, kind):
+        from cqcovert.channel import uniform_nontrivial_ptilde
+        ch = _willie_party(kind)
+        d = ch.willie_states[0].dim
+        for n in range(1, 6):
+            basis = ProductBasis(ch.willie_states, n)
+            # each eigenbasis position's component, named by its lowest position
+            reach = np.any(basis.single_states != 0, axis=0) | np.eye(d, dtype=bool)
+            for _ in range(d):
+                reach = (reach.astype(int) @ reach.astype(int)) > 0
+            first = np.argmax(reach, axis=1)
+            digits = np.array(list(itertools.product(range(d), repeat=n)))
+            string = [tuple(first[row].tolist()) for row in digits]
+            sets = [s for idx in basis.strings.groups for s in idx.tolist()]
+            assert sorted(i for s in sets for i in s) == list(range(d ** n))
+            assert all(s == sorted(s) and {string[i] for i in s} == {string[s[0]]}
+                       for s in sets)
+            assert len({string[s[0]] for s in sets}) == len(sets)
+            keys = [(len(s), string[s[0]]) for s in sets]
+            assert keys == sorted(keys)
+            cb = sample_codebook(ch, n=n, m_count=3, k_count=2, gamma=0.9,
+                                 ptilde=uniform_nontrivial_ptilde(ch), seed=n)
+            rho_bar = basis.to_original_basis(willie_average_state(cb, ch, basis).matrix)
+            assert np.max(np.abs(rho_bar - dense_average(ch.willie_states, cb.symbols))) \
+                <= 1e-12
 
 
 class TestBlockDiagonalEquivalence:

@@ -15,6 +15,14 @@ def test_validate_distribution(probs):
     assert isinstance(info.value, InputError) and isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("probs, message", [([-0.5, 1.5], "negative probability -0.5"),
+                                            ([1.5], "probabilities sum to 1.5, not 1")])
+def test_validate_distribution_names_the_number_as_a_plain_float(probs, message):
+    with pytest.raises(InvalidDistribution) as info:
+        validate_distribution(probs)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("objective, weight", [("max-rate", 0.5), ("tradeoff", -1.0),
                                                ("tradeoff", float("inf"))])
 def test_optimize_ptilde_objective_and_weight(canonical_channel, objective, weight):
