@@ -125,18 +125,67 @@ def sample_codebook(channel: CqChannelPair, n: int, m_count: int, k_count: int,
     return Codebook(n=n, m_count=m_count, k_count=k_count, symbols=symbols)
 
 
+def _real_gauge(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(phases, real)`` for the (X, s, s) stack of one component's rotated
+    signal ``blocks``: ``real`` is ``diag(phases)^dagger block diag(phases)``
+    for each block, built exactly in float64, or None where this rule finds
+    no such phases.  Blocks whose imaginary parts are all exactly zero need
+    none.  Otherwise the entries off the diagonal that are not exactly zero
+    (a symmetric pattern) must form a forest whose every edge is carried by
+    one block; phases along each tree, from its lowest level, turn each
+    edge's upper entry b into |b|.  ``real`` keeps the blocks' real
+    diagonals, |b| on the edges and exact zeros elsewhere."""
+    size = blocks.shape[-1]
+    if not blocks.imag.any():
+        return np.ones(size), blocks.real
+    nonzero = blocks != 0
+    carriers = np.triu(nonzero.sum(axis=0), 1)
+    if np.any(nonzero != nonzero.swapaxes(-1, -2)) or carriers.max() > 1:
+        return None
+    edges = np.argwhere(carriers == 1).tolist()
+    carrier = {(i, k): int(np.argmax(nonzero[:, i, k])) for i, k in edges}
+    phases = np.zeros(size, dtype=complex)
+    trees = 0
+    for root in range(size):
+        if phases[root] != 0:
+            continue
+        trees += 1
+        phases[root], frontier = 1.0, [root]
+        while frontier:
+            j = frontier.pop()
+            for i, k in edges:
+                other = i + k - j
+                if j in (i, k) and phases[other] == 0:
+                    b = blocks[carrier[i, k], i, k]
+                    phases[other] = phases[j] * (b.conjugate() if j == i else b) / abs(b)
+                    frontier.append(other)
+    if len(edges) != size - trees:  # a cycle
+        return None
+    real = np.zeros(blocks.shape)
+    diag = np.arange(size)
+    real[:, diag, diag] = blocks[:, diag, diag].real
+    for (i, k), x in carrier.items():
+        real[x, i, k] = real[x, k, i] = abs(blocks[x, i, k])
+    return phases, real
+
+
 @lru_cache(maxsize=64)
 def _single_use_basis(states: tuple[DensityOperator, ...]) -> tuple:
-    """Components and eigenbasis of a party's single-use ``states``,
-    innocent state first: ``(sizes, vectors, eigenvalues)``.
+    """Components, eigenbasis and rotated signals of a party's single-use
+    ``states``, innocent state first: ``(sizes, vectors, eigenvalues,
+    signals)``.
 
     The components, of ``sizes[c]`` levels in order of their lowest levels,
     are those of the union of the states' nonzero patterns, where an entry
     couples two levels iff it is not exactly zero (no tolerance).  The
     innocent state is eigendecomposed component by component: ``vectors``
     (in the computational basis) lists each component's eigenvectors in
-    turn, with descending eigenvalues.  Cached, so a party's single-use
-    work is done once however many blocklengths use it.
+    turn, with descending eigenvalues.  ``signals`` stacks the other states
+    in that basis, ``u^dagger rho_x u``.  When ``_real_gauge`` finds phases
+    for every component, ``vectors`` carry them and ``signals`` is the real
+    stack it builds: a diagonal phase commutes with the innocent state, so
+    nothing the party is scored on changes.  Cached, so a party's
+    single-use work is done once however many blocklengths use it.
     """
     coupled = np.logical_or.reduce([s.matrix != 0 for s in states])
     label = np.arange(coupled.shape[0])
@@ -155,9 +204,21 @@ def _single_use_basis(states: tuple[DensityOperator, ...]) -> tuple:
         spec = spectral_decomposition(states[0].matrix[np.ix_(comp, comp)])
         vectors[comp, start:start + size] = spec.eigenvectors
         eigenvalues[start:start + size] = spec.eigenvalues
-    for array in (sizes, vectors, eigenvalues):
+    signals = np.zeros((len(states) - 1,) + vectors.shape, dtype=complex)
+    for x, s in enumerate(states[1:]):
+        signals[x] = vectors.conj().T @ s.matrix @ vectors
+    phases, real = np.ones(label.size, dtype=complex), np.zeros(signals.shape)
+    for start, size in zip(np.cumsum(sizes) - sizes, sizes):
+        window = slice(start, start + size)
+        gauge = _real_gauge(signals[:, window, window])
+        if gauge is None:
+            break
+        phases[window], real[:, window, window] = gauge
+    else:
+        vectors, signals = vectors * phases, real
+    for array in (sizes, vectors, eigenvalues, signals):
         array.flags.writeable = False
-    return sizes, vectors, eigenvalues
+    return sizes, vectors, eigenvalues, signals
 
 
 @lru_cache(maxsize=64)
@@ -286,17 +347,20 @@ class ProductBasis:
     party with one component is the dense case.  The eigenvalues are
     products of single-use eigenvalues, and near-degenerate products are
     merged into pinching clusters (``clusters``).  ``single_states[x]``,
-    rotated once here, is state x in this eigenbasis, ``u^dagger rho_x u``
-    (the innocent state is exactly diagonal), and ``single_entries[x]`` its
-    component blocks' entries, row by row, block by block, as an (E, 1, 1)
-    stack.  Shared across trials at a fixed blocklength.
+    rotated once per party, is state x in this eigenbasis ``u``
+    (``single_vectors``), ``u^dagger rho_x u`` (the innocent state is
+    exactly diagonal), and ``single_entries[x]`` its component blocks'
+    entries, row by row, block by block, as an (E, 1, 1) stack.  In a
+    ``real`` party ``u`` carries the phases that make every rotated state
+    real, and every array built from them is float64.  Shared across trials
+    at a fixed blocklength.
     """
 
     def __init__(self, states: Sequence[DensityOperator], n: int):
         if n < 1:
             raise DimensionMismatch(f"product basis requires n >= 1, got {n}")
         self.states = tuple(states)
-        sizes, u, single = _single_use_basis(self.states)
+        sizes, u, single, signals = _single_use_basis(self.states)
         single = np.where(single > RANK_TOL, single, 0.0)
         self.n = n
         self.single_vectors = u
@@ -304,14 +368,18 @@ class ProductBasis:
         ids = eigenvalue_clusters(self.eigenvalues)
         self.clusters = [np.flatnonzero(ids == c) for c in range(ids.max() + 1)]
         self._cluster_ids = ids
-        self.single_states = np.stack([np.diag(single + 0j)] + [
-            u.conj().T @ s.matrix @ u for s in self.states[1:]])
+        self.single_states = np.concatenate([np.diag(single)[None], signals])
         within, groups, *self._entry_numbers = _component_strings(tuple(sizes.tolist()), n)
         self.single_entries = self.single_states[:, within][..., None, None]
         self.strings = Partition(self.eigenvalues.size, groups)
         self._splits = {}  # c -> split(c)
         self._types = (None, {}, ())  # see _pinched_types
         self._lock = threading.RLock()  # guards _types, _splits and _piece_tables
+
+    @property
+    def real(self) -> bool:
+        """Whether the party's rotated states are real (``_real_gauge``)."""
+        return not np.iscomplexobj(self.single_states)
 
     @cached_property
     def joint(self) -> Partition:
@@ -369,7 +437,7 @@ class ProductBasis:
         instead of an eigensolve."""
         stacks = []
         for idx in self.strings.groups:
-            stack = np.zeros(idx.shape + idx.shape[-1:], dtype=complex)
+            stack = np.zeros(idx.shape + idx.shape[-1:], dtype=self.single_states.dtype)
             diag = np.arange(idx.shape[1])
             stack[:, diag, diag] = self.eigenvalues[idx]
             stacks.append(stack)
@@ -487,7 +555,7 @@ class DecoderPovm:
         store, which, maps = self.types
         pieces = [_elements(_gather(store, which + 1, maps[:, piece]))
                   for piece in self.basis.split(self.shared)]
-        own = _append((np.zeros(2, dtype=complex), np.zeros(0, dtype=np.intp),
+        own = _append((np.zeros(2, dtype=store[0].dtype), np.zeros(0, dtype=np.intp),
                        np.zeros(0, dtype=np.intp), store[3]),
                       [[p[m] for p in pieces] for m in range(self.m_count)],
                       np.full(self.m_count, self.shared))
@@ -626,7 +694,8 @@ def _pinched_types(basis: ProductBasis, a: float,
     with basis._lock:
         served, index, store = basis._types
         if served != a:
-            index, store = {}, (np.zeros(2, dtype=complex), np.zeros(0, dtype=np.intp),
+            index, store = {}, (np.zeros(2, dtype=basis.single_states.dtype),
+                                np.zeros(0, dtype=np.intp),
                                 np.zeros(0, dtype=np.intp), basis._piece_tables)
         types = [tuple(t) for t in sorted_rows.tolist()]
         new = [t for t in dict.fromkeys(types) if t not in index]
@@ -749,9 +818,11 @@ class TrialReport:
     decoder (``bob_blocks``) and Willie's average state (``willie_blocks``)
     are scored on, the ``distinct_rows`` of the codebook, the symbol types
     Bob's decoders were built from (``bob_types``), its ``keys``, the mean
-    number of shared innocent positions per key (``shared_innocent``) and
-    the number of pieces the keys' normalisations ran on, summed over the
-    keys (``bob_sub_blocks``, see ``ProductBasis.split``).
+    number of shared innocent positions per key (``shared_innocent``), the
+    number of pieces the keys' normalisations ran on, summed over the keys
+    (``bob_sub_blocks``, see ``ProductBasis.split``), and whether Bob's and
+    Willie's parties are scored in real arithmetic (``bob_real``,
+    ``willie_real``, see ``ProductBasis.real``).
     """
 
     n: int
@@ -931,7 +1002,8 @@ def run_experiment(config: ExperimentConfig, on_decoders=None) -> list[TrialRepo
                        "bob_types": codebook.type_count, "keys": k,
                        "shared_innocent": float(np.mean(shared)),
                        "bob_sub_blocks": sum(len(r) for c in shared
-                                             for r in bob_basis.split(c))}
+                                             for r in bob_basis.split(c)),
+                       "bob_real": bob_basis.real, "willie_real": willie_basis.real}
         return TrialReport(n=n, gamma=config.gamma, seed=seed, m_count=m, k_count=k,
                            log_m_raw=log_m_raw, log_k_raw=log_k_raw,
                            pe_bob=float(np.mean(pe_values)), covert_d=covert_d,

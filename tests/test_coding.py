@@ -1097,7 +1097,7 @@ class TestTrialDiagnostics:
                 "distinct_rows": len(np.unique(cb.symbols, axis=0)),
                 "bob_types": len(np.unique(np.sort(cb.symbols, axis=1), axis=0)),
                 "keys": r.k_count, "shared_innocent": float(np.mean(shared)),
-                "bob_sub_blocks": r.k_count * 2 ** r.n}
+                "bob_sub_blocks": r.k_count * 2 ** r.n, "bob_real": True, "willie_real": True}
 
     def test_all_innocent_keys_split_into_single_indices(self):
         ch = _ginibre_pair(2, 3)
@@ -1423,6 +1423,7 @@ class TestSharedInnocentSplit:
         keys = range(cb.k_count)
         together = build_srm_decoder(cb, ch, a=0.1, key=keys,
                                      basis=ProductBasis(ch.bob_states, n))
+        assert together[0].basis.real == (kind != "qutrit")  # both arithmetics run
         pe = exact_pe_bob(cb, ch, together, key=keys)
         assert [d.shared for d in together] == shared
         for key in keys:
@@ -1436,8 +1437,9 @@ class TestSharedInnocentSplit:
         assert np.array_equal(exact_pe_bob(cb, ch, [together[k] for k in subset], key=subset),
                               pe[subset])
 
-    def test_sweep_over_several_chunks_equals_one_key_calls(self):
-        ch = _ginibre_pair(2, 11)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sweep_over_several_chunks_equals_one_key_calls(self, dim):
+        ch = _ginibre_pair(dim, 11)
         config = ExperimentConfig(channel=ch, n_list=(3,), gamma=0.8, trials=1, seed=4,
                                   ptilde=np.array([1.0]), m_override=3,
                                   k_override=coding.KEY_CHUNK + 5)
@@ -1446,6 +1448,7 @@ class TestSharedInnocentSplit:
         a = 0.9 * 0.9 * 0.8 * math.sqrt(3) * ch.summary.weighted(
             np.array([1.0]), ch.summary.bob.divergences)
         basis = ProductBasis(ch.bob_states, 3)
+        assert basis.real == (dim == 2)  # a Ginibre qubit goes real, a qutrit does not
         pe = [exact_pe_bob(cb, ch, build_srm_decoder(cb, ch, a, key=k, basis=basis), key=k)
               for k in range(report.k_count)]
         assert report.pe_bob == float(np.mean(pe))
@@ -1470,8 +1473,17 @@ class TestProductBlocks:
         ch = canonical_channel if kind == "diagonal" else _typed_channel(kind, 37)
         basis = ProductBasis(ch.bob_states, n)
         u = basis.single_vectors
+        assert basis.real == (kind != "qutrit")
         for x, state in enumerate(ch.bob_states[1:], start=1):
-            assert np.array_equal(basis.single_states[x], u.conj().T @ state.matrix @ u)
+            rotated = u.conj().T @ state.matrix @ u
+            if not basis.real:
+                assert np.array_equal(basis.single_states[x], rotated)
+                continue
+            # the exact gauge construction: real, symmetric, nonnegative off the diagonal
+            mine = basis.single_states[x]
+            assert mine.dtype == np.float64 and np.array_equal(mine, mine.T)
+            assert np.all(mine - np.diag(np.diag(mine)) >= 0)
+            assert np.max(np.abs(mine - rotated)) <= 1e-15
         # every sorted row: each count z of innocent symbols, first
         types = np.array(sorted({tuple(sorted(r)) for r in itertools.product(
             range(ch.alphabet_size), repeat=n)}))
@@ -1505,3 +1517,76 @@ class TestProductBlocks:
             tracemalloc.stop()
         # one dim x dim complex block would be 73 MiB
         assert peak < dim ** 2 * 16
+
+
+def _gauge_party(kind):
+    """A channel by name: those of ``_willie_party``, the committed
+    ``srl_d2_k3`` (three signals on one qubit edge) and ``srl_d3_k6``
+    channels, a seeded Ginibre qutrit, and a qubit whose two signals both
+    couple the innocent eigenvectors, with edge phases 1 and i."""
+    from pathlib import Path
+    from cqcovert.channel import load_channel
+    if kind == "ginibre_qutrit":
+        return _ginibre_pair(3, 19)
+    if kind == "two_phases":
+        states = (diagonal_state([0.7, 0.3]),
+                  make_density(np.array([[0.5, 0.2], [0.2, 0.5]])),
+                  make_density(np.array([[0.4, 0.1j], [-0.1j, 0.6]])))
+        return CqChannelPair(bob_states=states, willie_states=states)
+    if kind.startswith("srl"):
+        root = Path(__file__).resolve().parents[1]
+        return load_channel(str(root / "perfbench" / "channels" / f"{kind}.json"))
+    return _willie_party(kind)
+
+
+class TestRealGauge:
+    """A diagonal phase on the innocent eigenvectors commutes with the
+    innocent product state, so where one makes a party's rotated states real
+    the party is scored in float64 with the same numbers."""
+
+    REAL = ["diagonal", "qubit", "qutrit", "flag", "ququart"]
+    COMPLEX = ["srl_d2_k3", "srl_d3_k6", "ginibre_qutrit", "two_phases"]
+
+    @pytest.mark.parametrize("kind", REAL + COMPLEX)
+    def test_which_parties_go_real(self, kind):
+        ch = _gauge_party(kind)
+        for states in (ch.bob_states, ch.willie_states):
+            basis = ProductBasis(states, 2)
+            assert basis.real == (kind in self.REAL)
+            dtype = np.float64 if basis.real else np.complex128
+            assert basis.single_states.dtype == dtype
+            assert basis.state.blocks[1][0].dtype == dtype
+
+    @pytest.mark.parametrize("kind", REAL)
+    def test_dropped_imaginary_parts_are_a_few_ulps(self, kind):
+        ch = _gauge_party(kind)
+        for states in (ch.bob_states, ch.willie_states):
+            basis = ProductBasis(states, 1)
+            u = basis.single_vectors
+            assert np.allclose(u.conj().T @ u, np.eye(u.shape[0]), rtol=0, atol=1e-15)
+            for mine, state in zip(basis.single_states, states):
+                rotated = u.conj().T @ state.matrix @ u
+                ulp = np.finfo(float).eps * np.linalg.norm(state.matrix, 2)
+                assert np.max(np.abs(rotated - mine)) <= 4 * ulp
+                off = ~np.eye(u.shape[0], dtype=bool)
+                assert np.max(np.abs(np.abs(rotated[off]) - np.abs(mine[off]))) <= 4 * ulp
+
+    @pytest.mark.parametrize("kind", REAL + ["srl_d2_k3", "two_phases"])
+    def test_scores_match_the_dense_oracles(self, kind):
+        ch = _gauge_party(kind)
+        d = ch.bob_states[0].dim
+        n = {2: 6, 3: 5, 4: 4}[d]
+        ptilde = np.full(ch.alphabet_size - 1, 1.0 / (ch.alphabet_size - 1))
+        cb = sample_codebook(ch, n=n, m_count=3, k_count=3, gamma=1.0, ptilde=ptilde, seed=n)
+        bob, willie = ProductBasis(ch.bob_states, n), ProductBasis(ch.willie_states, n)
+        assert bob.real == willie.real == (kind in self.REAL)
+        for key in range(cb.k_count):
+            decoder = build_srm_decoder(cb, ch, a=0.1, key=key, basis=bob)
+            original = [bob.to_original_basis(e) for e in decoder.elements]
+            assert exact_pe_bob(cb, ch, decoder, key=key) == pytest.approx(
+                dense_pe(original, ch.bob_states, cb.codewords(key)), abs=1e-12)
+        covert_d, pe_willie = covertness_report(cb, ch, willie)
+        rho_bar = DensityOperator(dense_average(ch.willie_states, cb.symbols))
+        innocent = DensityOperator(kron(*[ch.willie_states[0].matrix] * n))
+        assert covert_d == pytest.approx(relative_entropy(rho_bar, innocent), abs=1e-12)
+        assert pe_willie == pytest.approx(helstrom_error(rho_bar, innocent), abs=1e-12)
