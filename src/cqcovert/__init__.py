@@ -9,7 +9,6 @@ from .operators import (
     matrix_from_json,
     matrix_inv_sqrt,
     matrix_log,
-    matrix_pinv,
     matrix_power,
     spectral_decomposition,
     support_projector,
@@ -18,13 +17,9 @@ from .divergences import (
     chi_squared,
     helstrom_error,
     holevo_information,
-    phi_functional,
-    pinsker_gap,
     psi_functional,
     relative_entropy,
-    supports_contained,
     trace_distance,
-    von_neumann_entropy,
 )
 from .channel import (
     CqChannelPair,
@@ -38,7 +33,6 @@ from .channel import (
     load_channel,
     mixture_feasibility,
     support_relations,
-    weak_covert_budget,
 )
 from .coding import (
     Codebook,
@@ -57,11 +51,9 @@ from .coding import (
 )
 from .scaling import (
     ConverseBounds,
-    ExpansionCheck,
     ScalingReport,
     SqrtnLognReport,
     converse_bounds,
-    expansion_check,
     optimize_ptilde,
     product_measurement_coefficients,
     scaling_report,

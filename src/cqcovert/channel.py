@@ -26,7 +26,6 @@ from .divergences import (
     validate_distribution,
 )
 from .errors import (
-    DegenerateChannel,
     DimensionMismatch,
     InvalidPovm,
     ParseError,
@@ -45,9 +44,8 @@ from .operators import (
 MIXTURE_RESIDUAL_TOL = 1e-8
 POVM_PSD_TOL = 1e-10
 POVM_SUM_TOL = 1e-9
-DMC_NEG_TOL = 1e-12             # most negative induced probability; milder ones clip to 0
-DMC_ROW_SUM_TOL = 1e-9          # largest |sum_y p(y|x) - 1| of an induced row
-DEGENERATE_DISTANCE_TOL = 1e-12  # largest adversary trace distance of a degenerate channel
+DMC_NEG_TOL = 1e-12      # most negative induced probability; milder ones clip to 0
+DMC_ROW_SUM_TOL = 1e-9   # largest |sum_y p(y|x) - 1| of an induced row
 
 
 class SupportRelation(str, enum.Enum):
@@ -411,25 +409,6 @@ def farthest_adversary_symbol(channel: CqChannelPair) -> tuple[float, int]:
     rho0 = channel.willie_states[0]
     return max((trace_distance(channel.willie_states[x], rho0), x)
                for x in channel.non_innocent)
-
-
-def weak_covert_budget(channel: CqChannelPair, epsilon0: float) -> tuple[float, int]:
-    """Average non-innocent symbol budget under relaxed covertness.
-
-    Returns ``(4 * epsilon0 / max_x ||willie_x - willie_0||_1, argmax x)``.
-
-    Raises
-    ------
-    DegenerateChannel
-        When every non-innocent adversary state coincides with the innocent
-        one (the budget is unbounded, so it is signaled instead of computed).
-    """
-    if epsilon0 <= 0:
-        raise ValidationError(f"epsilon0 must be positive, got {epsilon0}")
-    best_dist, best_x = farthest_adversary_symbol(channel)
-    if best_dist <= DEGENERATE_DISTANCE_TOL:
-        raise DegenerateChannel("all adversary states equal the innocent state")
-    return 4.0 * epsilon0 / best_dist, best_x
 
 
 def uniform_nontrivial_ptilde(channel: CqChannelPair) -> np.ndarray:

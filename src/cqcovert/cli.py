@@ -18,11 +18,11 @@ import sys
 
 import numpy as np
 
-# ``classify_scenario`` is not called here (a channel classifies itself once,
-# in ``CqChannelPair.scenario``), but stays importable from this module: the
-# benchmark's single-letter set-up calls ``cli.classify_scenario``.
-from .channel import (  # noqa: F401
-    classify_scenario,
+from .channel import (
+    # not called here (a channel classifies itself once, in
+    # ``CqChannelPair.scenario``), but importable from this module: the
+    # benchmark's single-letter set-up calls ``cli.classify_scenario``
+    classify_scenario,  # noqa: F401
     farthest_adversary_symbol,
     load_channel,
     povm_from_json,
@@ -324,9 +324,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: str | None) -> None:
+    """``ParseError`` unless ``--out`` names a file in an existing, writable
+    directory; checked before any work, and nothing is created."""
+    if out is None:
+        return
+    folder = os.path.dirname(out) or "."
+    if os.path.isdir(out) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ParseError(f"cannot write {out}: not a file in a writable directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

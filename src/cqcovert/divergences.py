@@ -67,26 +67,10 @@ def support_leak(rho: DensityOperator, sigma: DensityOperator) -> float:
     return max(0.0, float(1.0 - _support_weights(rho, sigma)[0].sum()))
 
 
-def supports_contained(rho: DensityOperator, sigma: DensityOperator) -> bool:
-    """Numerical proxy for supp(rho) ⊆ supp(sigma): a leak of at most
-    ``SUPPORT_TOL``."""
-    return support_leak(rho, sigma) <= SUPPORT_TOL
-
-
 def _entropy(w: np.ndarray) -> float:
     """-sum w log w over the entries of ``w`` above ``RANK_TOL``."""
     support = w[w > RANK_TOL]
     return -float((support * np.log(support)).sum())
-
-
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """Entropy -Tr{rho log rho} in nats.
-
-    Needs the eigenvalues only: reads the state's ``eigenvalues_only``,
-    computed once without eigenvectors, and never its ``spectrum``, so the
-    value does not depend on whether the spectrum was computed before.
-    """
-    return _entropy(rho.eigenvalues_only)
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -153,15 +137,6 @@ def helstrom_error(rho_bar: DensityOperator, rho0: DensityOperator) -> float:
     return min(max(err, 0.0), 1.0)
 
 
-def pinsker_gap(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Slack D(rho||sigma) - ||rho - sigma||_1^2 / 2 (both sides in nats).
-
-    Non-negative up to numerical noise; infinite when D is infinite.
-    """
-    t = trace_distance(rho, sigma)
-    return relative_entropy(rho, sigma) - t * t / 2.0
-
-
 def validate_distribution(probs) -> np.ndarray:
     """Check a probability vector (finite, nonnegative, sums to 1 within
     ``DISTRIBUTION_TOL``); a failure raises ``InvalidDistribution``, a
@@ -202,35 +177,6 @@ def _require_contained(inner: DensityOperator, outer: DensityOperator, label: st
 
 def _trace(x: np.ndarray) -> float:
     return float(np.trace(x).real)
-
-
-def phi_functional(sigma1: DensityOperator, sigma0: DensityOperator,
-                   r: float) -> tuple[float, float]:
-    """Decoding-exponent functional and its analytic r-derivative.
-
-    Returns ``(-log T(r), d/dr of that)``, where
-    ``T(r) = Tr{sigma1 sigma0^{r/2} sigma1^{-r} sigma0^{r/2}}``, with all
-    powers and logs taken on the respective supports.  The value vanishes at
-    r = 0 and the derivative there equals the relative entropy
-    D(sigma1||sigma0).
-
-    Raises
-    ------
-    SupportViolation
-        If supp(sigma1) is not contained in supp(sigma0).
-    """
-    _check_dims(sigma1, sigma0)
-    _require_contained(sigma1, sigma0, "phi_functional")
-    spec0, spec1 = sigma0.spectrum, sigma1.spectrum
-    log0 = matrix_log(spec0)
-    pow0_half = matrix_power(spec0, r / 2.0)
-    pow1_neg = matrix_power(spec1, -r)
-    x = pow0_half @ pow1_neg @ pow0_half
-    t = _trace(sigma1.matrix @ x)
-    # d/dr sigma0^{r/2} = (log sigma0 / 2) sigma0^{r/2} on the support,
-    # d/dr sigma1^{-r} = -(log sigma1) sigma1^{-r} on the support
-    dx = 0.5 * (log0 @ x + x @ log0) - pow0_half @ matrix_log(spec1) @ pow1_neg @ pow0_half
-    return -math.log(t), -_trace(sigma1.matrix @ dx) / t
 
 
 def psi_functional(rho1: DensityOperator, rho0: DensityOperator,

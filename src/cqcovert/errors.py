@@ -73,10 +73,6 @@ class InvalidPovm(InputError):
     pass
 
 
-class DegenerateChannel(RegimeError):
-    """All non-innocent adversary states equal the innocent one."""
-
-
 # --- coding simulation ---
 
 class AlphaOutOfRange(InputError):
@@ -103,7 +99,3 @@ class ZeroChiSquared(RegimeError):
 
 class SupportViolationClassical(InputError):
     """Induced classical channel row not absolutely continuous w.r.t. innocent row."""
-
-
-class AlphaOutOfRadius(InputError):
-    """Mixing weight outside the convergence radius of the quadratic expansion."""

@@ -78,13 +78,18 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
     Raises
     ------
     NotHermitian
-        If the max absolute deviation |A - A†| exceeds ``HERMITICITY_TOL``.
+        If an entry is not finite (NaN or infinite), or the max absolute
+        deviation |A - A†| exceeds ``HERMITICITY_TOL``.
     DimensionMismatch
         If the input is not a square 2-d array.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    finite = np.isfinite(a)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise NotHermitian(f"entry ({i}, {j}) is not a finite number")
     dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
     if dev > HERMITICITY_TOL:
         raise NotHermitian(f"hermiticity deviation {dev:.3e} exceeds {HERMITICITY_TOL:.0e}")
@@ -181,7 +186,7 @@ class DensityOperator:
 
     A state is eigendecomposed at most once: ``spectrum`` is computed on
     first use and cached, and every matrix function of the state
-    (``matrix_power``, ``matrix_log``, ``matrix_pinv``, ... given
+    (``matrix_power``, ``matrix_log``, ``matrix_inv_sqrt`` given
     ``state.spectrum``), its support projector, its rank and the divergences
     against it read that one spectrum.  Entropies need eigenvalues only:
     they always read ``eigenvalues_only``, cached the same way.
@@ -329,11 +334,6 @@ def matrix_power(a: Operand, c: float) -> np.ndarray:
     return matrix_function(a, lambda w: w ** c)
 
 
-def matrix_pinv(a: Operand) -> np.ndarray:
-    """Moore-Penrose inverse of a Hermitian PSD operator via its spectrum."""
-    return matrix_power(a, -1.0)
-
-
 def matrix_inv_sqrt(a: Operand) -> np.ndarray:
     """Pseudo inverse square root ``A^{-1/2}`` on the support."""
     return matrix_power(a, -0.5)
@@ -368,7 +368,8 @@ def matrix_from_json(doc: dict) -> np.ndarray:
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise DimensionMismatch(
             f"matrix document shapes {re.shape}/{im.shape} do not match dim {dim}")
-    return re + 1j * im
+    with np.errstate(invalid="ignore"):  # an infinite part: require_hermitian rejects it
+        return re + 1j * im
 
 
 # --- random states for verify and the tests ---
@@ -382,10 +383,3 @@ def ginibre_state(dim: int, rng: np.random.Generator, rank: int | None = None) -
     m = g @ dagger(g)
     return DensityOperator(hermitian_part(m / np.trace(m).real))
 
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random Hermitian matrix, the Hermitian part of a complex Ginibre
-    matrix: its real part, then its imaginary part, drawn from ``rng`` as
-    one ``(2, dim, dim)`` array."""
-    draws = rng.standard_normal((2, dim, dim))
-    return hermitian_part(draws[0] + 1j * draws[1])

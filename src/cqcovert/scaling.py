@@ -26,24 +26,21 @@ from .channel import (
     require_regime,
     support_relations,
 )
+from .coding import require_count
 from .divergences import (
     SUPPORT_TOL,
-    chi_squared,
     holevo_information,
     relative_entropy,
-    supports_contained,
     validate_distribution,
 )
 from .errors import (
-    AlphaOutOfRadius,
     InvalidParameter,
     ResourceError,
-    SupportViolation,
     SupportViolationClassical,
     WrongRegime,
     ZeroChiSquared,
 )
-from .operators import DensityOperator, matrix_pinv, mixture
+from .operators import mixture
 
 CLASSICAL_ZERO = 1e-12
 CLASSICAL_LEAK_TOL = 1e-9
@@ -304,13 +301,17 @@ def converse_bounds(channel: CqChannelPair, ptilde, mu: float, n: int,
     """Evaluate the converse bounds at innocent mass 1 - mu, non-innocent mu.
 
     ``log_m_upper = (n chi_bob + 1) / (1 - delta)`` and
-    ``log_mk_lower = n chi_willie - epsilon`` in nats.
+    ``log_mk_lower = n chi_willie - epsilon`` in nats.  ``n`` must be a
+    count (``require_count``) and ``epsilon`` finite and >= 0.
     """
     p = validate_distribution(ptilde)
     if not 0.0 <= mu < 1.0:
         raise InvalidParameter(f"mu must lie in [0, 1), got {mu}")
     if not 0.0 <= delta < 1.0:
         raise InvalidParameter(f"delta must lie in [0, 1), got {delta}")
+    require_count("blocklength n", n)
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise InvalidParameter(f"epsilon must be finite and >= 0, got {epsilon!r}")
     p_bar = np.concatenate([[1.0 - mu], mu * p])
     summary = channel.summary
     linear_bob = mu * summary.weighted(p, summary.bob.divergences)
@@ -325,52 +326,3 @@ def converse_bounds(channel: CqChannelPair, ptilde, mu: float, n: int,
         chi_bob=chi[0], chi_willie=chi[1],
         linear_bob=linear_bob, linear_willie=linear_willie,
         d_mix_bob=d_mix[0], d_mix_willie=d_mix[1])
-
-
-@dataclass(frozen=True)
-class ExpansionCheck:
-    """Residuals of the quadratic approximation of the relative entropy."""
-
-    alphas: np.ndarray
-    divergences: np.ndarray
-    predictions: np.ndarray
-    residuals: np.ndarray
-    slope: float | None
-    radius: float
-
-
-def expansion_check(b: DensityOperator, c: DensityOperator,
-                    alpha_grid) -> ExpansionCheck:
-    """Check D(alpha C + (1-alpha) B || B) against alpha^2 chi2(C||B) / 2.
-
-    Residuals shrink as the cube of the mixing weight inside the validity
-    radius min(1, 1/||B^+ (C - B)||) (spectral norm); the fitted log-log
-    slope makes that testable.
-
-    Raises
-    ------
-    AlphaOutOfRadius
-        If any grid point exceeds the convergence radius.
-    SupportViolation
-        If supp(C) is not contained in supp(B).
-    """
-    if not supports_contained(c, b):
-        raise SupportViolation("expansion requires supp(C) inside supp(B)")
-    alphas = np.asarray(sorted(alpha_grid), dtype=float)
-    if alphas.size and (alphas.min() < 0 or alphas.max() > 1):
-        raise AlphaOutOfRadius("mixing weights must lie in [0, 1]")
-    norm = float(np.linalg.norm(matrix_pinv(b.spectrum) @ (c.matrix - b.matrix), 2))
-    radius = min(1.0, 1.0 / norm) if norm != 0.0 else 1.0
-    if alphas.size and alphas.max() > radius:
-        raise AlphaOutOfRadius(f"alpha {alphas.max()} exceeds radius {radius:.6g}")
-    chi2 = chi_squared(c, b)
-    divergences = np.array([relative_entropy(mixture([alpha, 1.0 - alpha], [c, b]), b)
-                            for alpha in alphas.tolist()])
-    predictions = np.array([alpha ** 2 for alpha in alphas]) * chi2 / 2.0
-    residuals = np.abs(divergences - predictions)
-    live = (alphas > 0) & (residuals > 0)
-    slope = None
-    if np.count_nonzero(live) >= 2:
-        slope = float(np.polyfit(np.log(alphas[live]), np.log(residuals[live]), 1)[0])
-    return ExpansionCheck(alphas=alphas, divergences=divergences, predictions=predictions,
-                          residuals=residuals, slope=slope, radius=radius)

@@ -1,11 +1,14 @@
 import functools
+import math
 
 import numpy as np
 import pytest
 
 from cqcovert import CqChannelPair
+from cqcovert.divergences import chi_squared, relative_entropy
 from cqcovert.operators import (ZERO_EIGENVALUE_TOL, DensityOperator, eigenvalue_clusters,
-                                ginibre_state, hermitian_part, make_density)
+                                ginibre_state, hermitian_part, make_density, matrix_power,
+                                mixture)
 
 
 def diagonal_state(probs):
@@ -90,6 +93,62 @@ def haar_unitary(dim, rng):
     q, r = np.linalg.qr(g[0] + 1j * g[1])
     phases = np.diagonal(r)
     return q * (phases / np.abs(phases))
+
+
+def random_hermitian(dim, rng):
+    """Random Hermitian matrix, the Hermitian part of a complex Ginibre
+    matrix: its real part, then its imaginary part, drawn from ``rng`` as
+    one ``(2, dim, dim)`` array."""
+    draws = rng.standard_normal((2, dim, dim))
+    return hermitian_part(draws[0] + 1j * draws[1])
+
+
+def expansion_radius(b, c):
+    """``min(1, 1/||b^+ (c - b)||)`` (spectral norm): the mixing weights
+    inside which ``D(alpha c + (1 - alpha) b || b)`` expands in powers of
+    alpha, for ``c`` inside the support of ``b``."""
+    norm = float(np.linalg.norm(matrix_power(b.spectrum, -1.0) @ (c.matrix - b.matrix), 2))
+    return min(1.0, 1.0 / norm) if norm != 0.0 else 1.0
+
+
+def chi_squared_expansion(b, c, alphas):
+    """``(divergences, predictions, slope)`` over the mixing weights
+    ``alphas``: ``D(alpha c + (1 - alpha) b || b)``, its chi-squared
+    prediction ``alpha^2 chi2(c||b) / 2``, and the log-log slope of their
+    distance over the weights where both are positive (None below two such
+    weights); None when a weight lies past ``expansion_radius``.  The slope
+    is 3 where chi-squared is the curvature of D (commuting pairs) and 2
+    where the curvature is the smaller Kubo-Mori form."""
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.max() > expansion_radius(b, c):
+        return None
+    divergences = np.array([relative_entropy(mixture([alpha, 1.0 - alpha], [c, b]), b)
+                            for alpha in alphas.tolist()])
+    predictions = alphas ** 2 * chi_squared(c, b) / 2.0
+    residuals = np.abs(divergences - predictions)
+    live = (alphas > 0) & (residuals > 0)
+    slope = None
+    if np.count_nonzero(live) >= 2:
+        slope = float(np.polyfit(np.log(alphas[live]), np.log(residuals[live]), 1)[0])
+    return divergences, predictions, slope
+
+
+def kubo_mori_curvature(b, c):
+    """``sum_ij |Delta_ij|^2 (log w_i - log w_j) / (w_i - w_j)`` (``1/w_i`` on
+    ties) with ``Delta = c - b`` in the eigenbasis of ``b``: the curvature
+    of ``D(alpha c + (1 - alpha) b || b)`` in alpha at 0, times 1/2 of it
+    being the alpha^2 coefficient."""
+    w, v = np.linalg.eigh(b.matrix)
+    delta = v.conj().T @ (c.matrix - b.matrix) @ v
+    total = 0.0
+    for i in range(len(w)):
+        for j in range(len(w)):
+            if abs(w[i] - w[j]) < 1e-14:
+                coeff = 1.0 / w[i]
+            else:
+                coeff = (math.log(w[i]) - math.log(w[j])) / (w[i] - w[j])
+            total += abs(delta[i, j]) ** 2 * coeff
+    return total
 
 
 def commuting_pair(dim, rng):

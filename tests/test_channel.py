@@ -13,15 +13,14 @@ from cqcovert.channel import (
     SupportRelation,
     channel_from_json,
     classify_scenario,
+    farthest_adversary_symbol,
     induce_dmc,
     load_channel,
     mixture_feasibility,
     support_relations,
-    weak_covert_budget,
 )
 from cqcovert.divergences import chi_squared, relative_entropy
 from cqcovert.errors import (
-    DegenerateChannel,
     DimensionMismatch,
     InvalidPovm,
     ParseError,
@@ -306,28 +305,21 @@ class TestPovmAndDmc:
             induce_dmc([ginibre_state(3, rng)], povm)
 
 
-class TestWeakCovertBudget:
-    def test_formula(self):
-        ch = _diag_channel([[0.9, 0.1], [0.6, 0.4]], [[0.9, 0.1], [0.6, 0.4]])
-        budget, symbol = weak_covert_budget(ch, epsilon0=0.09)
-        assert budget == pytest.approx(4 * 0.09 / 0.6, abs=1e-12)
-        assert budget == pytest.approx(0.6, abs=1e-12)
-        assert symbol == 1
-
-    def test_vanishing_budget(self):
-        ch = _diag_channel([[0.9, 0.1], [0.6, 0.4]], [[0.9, 0.1], [0.6, 0.4]])
-        budget, _ = weak_covert_budget(ch, epsilon0=1e-9)
-        assert budget < 1e-8
-
+class TestFarthestAdversarySymbol:
     def test_argmax_symbol(self):
         ch = _diag_channel(
             bob_probs=[[0.9, 0.1], [0.6, 0.4], [0.5, 0.5]],
             willie_probs=[[0.9, 0.1], [0.6, 0.4], [0.5, 0.5]])
-        _, symbol = weak_covert_budget(ch, epsilon0=0.1)
+        distance, symbol = farthest_adversary_symbol(ch)
+        assert distance == pytest.approx(0.8, abs=1e-12)
         assert symbol == 2  # trace distance 0.8 beats 0.6
 
-    def test_degenerate_channel_signaled(self):
-        same = [0.9, 0.1]
-        ch = _diag_channel([same, same], [same, same])
-        with pytest.raises(DegenerateChannel):
-            weak_covert_budget(ch, epsilon0=0.1)
+    def test_tie_goes_to_the_largest_symbol(self):
+        probs = [[0.9, 0.1], [0.6, 0.4], [0.8, 0.2], [0.6, 0.4]]
+        distance, symbol = farthest_adversary_symbol(_diag_channel(probs, probs))
+        assert distance == pytest.approx(0.6, abs=1e-12)
+        assert symbol == 3  # symbols 1 and 3 are both 0.6 away, symbol 2 only 0.2
+
+    def test_needs_a_non_innocent_symbol(self):
+        with pytest.raises(ValidationError):
+            farthest_adversary_symbol(_diag_channel([[0.9, 0.1]], [[0.9, 0.1]]))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -535,3 +536,56 @@ class TestNogo:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc) == 1
         assert doc[0]["epsilon"] == pytest.approx(0.001)
+
+
+NON_FINITE_CALLS = [["classify"], ["coefficients"], ["simulate", "--n", "2", "--trials", "1"]]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_CALLS)
+@pytest.mark.parametrize("part, value", [("re", math.nan), ("re", math.inf), ("im", math.inf)])
+def test_non_finite_channel_entry_exits_2(tmp_path, capsys, argv, part, value):
+    # a NaN compares False with every tolerance, so it must be refused by name
+    states = [np.diag([0.9, 0.1]), np.diag([0.6, 0.4])]
+    doc = {"bob": [matrix_to_json(m) for m in states],
+           "willie": [matrix_to_json(m) for m in states]}
+    doc["willie"][1][part][0][1] = value
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([argv[0], "--channel", str(path), *argv[1:]]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "willie[1]" in captured.err and "entry (0, 1)" in captured.err
+    assert "not a finite number" in captured.err and "Traceback" not in captured.err
+
+
+def test_non_finite_povm_element_exits_2(canonical_path, tmp_path, capsys):
+    povm_doc = {"elements": [matrix_to_json(np.diag([1.0, 0.0])),
+                             matrix_to_json(np.diag([0.0, 1.0]))]}
+    povm_doc["elements"][0]["re"][1][1] = math.nan
+    povm_path = tmp_path / "povm.json"
+    povm_path.write_text(json.dumps(povm_doc))
+    assert main(["coefficients", "--channel", canonical_path, "--povm", str(povm_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "element 0: entry (1, 1)" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", [["classify"], ["coefficients"], ["nogo"],
+                                     ["simulate", "--n", "2", "--trials", "1"], ["verify"]])
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_out_exits_2_before_any_work(canonical_path, tmp_path, capsys, monkeypatch,
+                                               command, where):
+    for name in ("load_channel", "run_experiment", "run_suites"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("work ran before --out"))
+    out = tmp_path / "missing" / "x.csv" if where == "missing" else tmp_path
+    before = sorted(tmp_path.iterdir())
+    channel = [] if command == ["verify"] else ["--channel", canonical_path]
+    assert main([command[0], *channel, *command[1:], "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: cannot write {out}: "
+                                         "not a file in a writable directory"]
+    assert sorted(tmp_path.iterdir()) == before

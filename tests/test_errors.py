@@ -31,8 +31,11 @@ def test_optimize_ptilde_objective_and_weight(canonical_channel, objective, weig
     assert isinstance(info.value, InputError) and isinstance(info.value, ValueError)
 
 
-@pytest.mark.parametrize("mu, delta", [(1.0, 0.1), (-0.1, 0.1), (0.1, 1.0), (0.1, -0.5)])
-def test_converse_bound_mu_and_delta(canonical_channel, mu, delta):
+@pytest.mark.parametrize("mu, delta, n, epsilon", [
+    (1.0, 0.1, 10, 0.1), (-0.1, 0.1, 10, 0.1), (0.1, 1.0, 10, 0.1), (0.1, -0.5, 10, 0.1),
+    (0.1, 0.1, -3, 0.1), (0.1, 0.1, 0, 0.1), (0.1, 0.1, 2.5, 0.1), (0.1, 0.1, True, 0.1),
+    (0.1, 0.1, 10, float("nan")), (0.1, 0.1, 10, float("inf")), (0.1, 0.1, 10, -0.1)])
+def test_converse_bound_mu_and_delta(canonical_channel, mu, delta, n, epsilon):
     with pytest.raises(InvalidParameter) as info:
-        converse_bounds(canonical_channel, [1.0], mu=mu, n=10, delta=delta, epsilon=0.1)
+        converse_bounds(canonical_channel, [1.0], mu=mu, n=n, delta=delta, epsilon=epsilon)
     assert isinstance(info.value, InputError) and isinstance(info.value, ValueError)

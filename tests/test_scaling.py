@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (classical_kl, commuting_pair, dense_mixture, diagonal_state,
-                      diluted_ginibre_channel, haar_unitary, optimize_ptilde_per_face)
+from conftest import (chi_squared_expansion, classical_kl, commuting_pair, dense_mixture,
+                      diagonal_state, diluted_ginibre_channel, expansion_radius,
+                      haar_unitary, kubo_mori_curvature, optimize_ptilde_per_face)
 from cqcovert.channel import (
     CqChannelPair,
     Povm,
@@ -15,10 +16,8 @@ from cqcovert.channel import (
 )
 from cqcovert.divergences import chi_squared, holevo_information, relative_entropy
 from cqcovert.errors import (
-    AlphaOutOfRadius,
     DimensionMismatch,
     ResourceError,
-    SupportViolation,
     WrongRegime,
 )
 from cqcovert.operators import (
@@ -32,7 +31,6 @@ from cqcovert.scaling import (
     ScalingReport,
     admissible_symbols,
     converse_bounds,
-    expansion_check,
     optimize_ptilde,
     product_measurement_coefficients,
     scaling_report,
@@ -390,23 +388,22 @@ class TestConverseBounds:
         assert bounds.log_mk_lower <= log_m_raw + log_k_raw + 1e-9
 
 
-class TestExpansionCheck:
-    def test_zero_mixing_weight_zero_residual(self, rng):
-        b = ginibre_state(3, rng)
-        c = ginibre_state(3, rng)
-        check = expansion_check(b, c, [0.0])
-        assert check.residuals[0] == pytest.approx(0.0, abs=1e-12)
+class TestChiSquaredExpansion:
+    """``D(alpha c + (1 - alpha) b || b)`` against its chi-squared prediction
+    ``alpha^2 chi2(c||b) / 2``: the residual is cubic where chi-squared is
+    the curvature (commuting pairs), quadratic where it is not."""
 
     def test_commuting_cubic_oracle(self):
         b = diagonal_state([0.9, 0.1])
         c = diagonal_state([0.6, 0.4])
         alpha = 0.01
-        check = expansion_check(b, c, [alpha])
+        divergences, predictions, _ = chi_squared_expansion(b, c, [alpha])
+        residual = abs(divergences[0] - predictions[0])
         # classical Taylor oracle for the cubic term
         p, q = np.array([0.6, 0.4]), np.array([0.9, 0.1])
         cubic = float(np.sum((p - q) ** 3 / q ** 2)) / 6
-        assert check.residuals[0] <= 10 * alpha ** 3
-        assert check.residuals[0] == pytest.approx(abs(cubic) * alpha ** 3, rel=0.2)
+        assert residual <= 10 * alpha ** 3
+        assert residual == pytest.approx(abs(cubic) * alpha ** 3, rel=0.2)
 
     def test_slope_is_cubic_for_commuting_pairs(self):
         gen = np.random.default_rng(8)
@@ -417,17 +414,16 @@ class TestExpansionCheck:
             cubic = float(np.sum((wc - wb) ** 3 / wb ** 2))
             if abs(cubic) < 0.05 * float(np.sum((wc - wb) ** 2 / wb)):
                 continue
-            try:
-                check = expansion_check(b, c, grid)
-            except AlphaOutOfRadius:
+            expansion = chi_squared_expansion(b, c, grid)
+            if expansion is None:
                 continue
-            assert 2.7 <= check.slope <= 3.3
+            assert 2.7 <= expansion[2] <= 3.3
             done += 1
 
-    def test_noncommuting_curvature_is_divided_difference_form(self, rng):
+    def test_noncommuting_curvature_is_the_kubo_mori_form(self, rng):
         # For generic pairs the chi-squared form strictly overestimates the
         # curvature of the relative entropy: the true quadratic coefficient
-        # is the divided-difference (logarithmic-mean) quadratic form, so the
+        # is the Kubo-Mori (logarithmic-mean) quadratic form, so the
         # residual against the chi-squared prediction is quadratic, not cubic.
         def floored_state(gen):
             u = haar_unitary(3, gen)
@@ -437,36 +433,13 @@ class TestExpansionCheck:
 
         b = floored_state(rng)
         c = floored_state(rng)
-        assert expansion_check(b, c, []).radius > 0.1
-        w, v = np.linalg.eigh(b.matrix)
-        delta = v.conj().T @ (c.matrix - b.matrix) @ v
-        curvature = 0.0
-        for i in range(3):
-            for j in range(3):
-                if abs(w[i] - w[j]) < 1e-14:
-                    coeff = 1.0 / w[i]
-                else:
-                    coeff = (math.log(w[i]) - math.log(w[j])) / (w[i] - w[j])
-                curvature += abs(delta[i, j]) ** 2 * coeff
-        chi2 = chi_squared(c, b)
-        assert curvature < chi2 - 1e-6  # strict gap for a generic pair
+        assert expansion_radius(b, c) > 0.1
+        curvature = kubo_mori_curvature(b, c)
+        assert curvature < chi_squared(c, b) - 1e-6  # strict gap for a generic pair
         alpha = 1e-5
         mixed = DensityOperator(hermitian_part(
             alpha * c.matrix + (1 - alpha) * b.matrix))
         d = relative_entropy(mixed, b)
         assert d / alpha ** 2 == pytest.approx(curvature / 2, rel=5e-3)
-        check = expansion_check(b, c, np.logspace(-3, -1, 9))
-        assert check.slope < 2.3  # quadratic residual, not cubic
-
-    def test_radius_enforced(self):
-        b = diagonal_state([0.999, 0.001])
-        c = diagonal_state([0.001, 0.999])
-        assert expansion_check(b, c, []).radius < 0.1
-        with pytest.raises(AlphaOutOfRadius):
-            expansion_check(b, c, [0.5])
-
-    def test_support_violation(self):
-        b = diagonal_state([1.0, 0.0])
-        c = diagonal_state([0.0, 1.0])
-        with pytest.raises(SupportViolation):
-            expansion_check(b, c, [0.01])
+        _, _, slope = chi_squared_expansion(b, c, np.logspace(-3, -1, 9))
+        assert slope < 2.3  # quadratic residual, not cubic

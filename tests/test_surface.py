@@ -12,7 +12,10 @@ receivers, and unpacking, loops and indexing over typed tuples and
 sequences.  A read whose receiver cannot be typed counts for a member only
 when no other package class has a member or attribute of that name; for the
 same reason, such a shared member counts as documented only where the README
-names it ``Owner.member``."""
+names it ``Owner.member``.
+
+No module but ``__init__.py`` imports a name it never reads, unless the
+line of that name carries ``# noqa: F401``."""
 
 import ast
 import importlib
@@ -377,3 +380,22 @@ def test_every_tracer_span_resolves():
         if owner is None or (rest and rest[0] not in vars(owner)):
             missing.append(span)
     assert missing == [], f"tracer spans that name nothing in the package: {missing}"
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = []
+    for module, tree in TREES.items():
+        if module == "__init__":
+            continue
+        lines = (ROOT / "src" / "cqcovert" / f"{module}.py").read_text().splitlines()
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unread.append(f"{module}.{name}")
+    assert unread == [], f"imports that their module never reads: {unread}"
