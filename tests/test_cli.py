@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import channel_to_json, matrix_to_json
+from conftest import matrix_to_json
 from cqcovert import cli, verify
 from cqcovert.cli import main
 
@@ -24,33 +24,40 @@ def canonical_path(tmp_path):
     return _write_channel(tmp_path / "canonical.json", states, states)
 
 
-@pytest.fixture
-def constant_rate_path(tmp_path):
-    bob = [np.diag([0.5, 0.5]), np.diag([0.9, 0.1]), np.diag([0.2, 0.8])]
-    willie = [np.diag([0.5, 0.5]), np.diag([0.7, 0.3]), np.diag([0.3, 0.7])]
-    return _write_channel(tmp_path / "mixture.json", bob, willie)
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
 
 
 @pytest.fixture
-def sqrtnlogn_path(tmp_path):
-    bob = [np.diag([1.0, 0.0]), np.diag([0.5, 0.5])]
-    willie = [np.diag([0.9, 0.1]), np.diag([0.6, 0.4])]
-    return _write_channel(tmp_path / "snl.json", bob, willie)
+def constant_rate_path():
+    """A ConstantRate channel: Willie's innocent state is a mixture of the others."""
+    return str(DATA / "constant_rate.json")
 
 
 @pytest.fixture
-def leaking_path(tmp_path):
-    bob = [np.diag([1.0, 0.0]),
-           np.outer([math.sqrt(0.8), math.sqrt(0.2)], [math.sqrt(0.8), math.sqrt(0.2)])]
-    willie = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    return _write_channel(tmp_path / "leaking.json", bob, willie)
+def sqrtnlogn_path():
+    """A SqrtNLogN channel: symbol 1 leaks at Bob and is contained at Willie."""
+    return str(DATA / "sqrtnlogn.json")
 
 
 @pytest.fixture
-def willie_leak_path(tmp_path, willie_leak_channel):
-    path = tmp_path / "willie_leak.json"
-    path.write_text(json.dumps(channel_to_json(willie_leak_channel)))
-    return str(path)
+def leaking_path():
+    """A NoGo channel: pure Bob states, and symbol 1 disjoint at Willie."""
+    return str(DATA / "leaking.json")
+
+
+@pytest.fixture
+def willie_leak_path():
+    """The ``willie_leak_channel`` fixture as a file."""
+    return str(DATA / "willie_leak.json")
+
+
+def test_channel_files_hold_the_fixtures(willie_leak_channel):
+    from cqcovert.channel import load_channel
+    loaded = load_channel(str(DATA / "willie_leak.json"))
+    for mine, theirs in zip(loaded.bob_states + loaded.willie_states,
+                            willie_leak_channel.bob_states + willie_leak_channel.willie_states):
+        assert np.array_equal(mine.matrix, theirs.matrix)
 
 
 GOLDEN_CHANNELS = ("diag_qubit", "ginibre_qubit", "srl_d2_k3", "srl_d3_k6")
@@ -69,6 +76,38 @@ def test_single_letter_json_matches_the_recorded_output(tmp_path, channel, golde
     assert main([*argv, "--channel", str(root / "perfbench" / "channels" / f"{channel}.json"),
                  "--out", str(out)]) == 0
     assert out.read_bytes() == (root / "tests" / "data" / golden.format(channel)).read_bytes()
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("nogo_leaking_default.json", ["nogo", "--channel", "leaking.json"]),
+    ("nogo_leaking_epsilon0.001.csv", ["nogo", "--channel", "leaking.json",
+                                       "--epsilon", "0.001", "--format", "csv"]),
+    ("coefficients_sqrtnlogn_default.json", ["coefficients", "--channel", "sqrtnlogn.json"]),
+    ("coefficients_sqrtnlogn_bits.csv", ["coefficients", "--channel", "sqrtnlogn.json",
+                                         "--bits", "--format", "csv"]),
+    *[(f"coefficients_{c}_povm.json",
+       ["coefficients", "--channel", f"../../perfbench/channels/{c}.json",
+        "--povm", "povm_computational_qubit.json"]) for c in ("diag_qubit", "ginibre_qubit")]])
+def test_other_regimes_match_the_recorded_output(tmp_path, golden, argv):
+    # the NoGo and SqrtNLogN paths and the per-use measurement, byte for byte
+    out = tmp_path / golden
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("channel", ["leaking", "constant_rate", "sqrtnlogn"])
+def test_classify_matches_the_recorded_output(tmp_path, channel):
+    # the NNLS witness may differ in its last bits between scipy builds
+    out = tmp_path / "out.json"
+    assert main(["classify", "--channel", str(DATA / f"{channel}.json"),
+                 "--out", str(out)]) == 0
+    doc, want = (json.loads(p.read_text()) for p in (out, DATA / f"classify_{channel}.json"))
+    pi, want_pi = doc.pop("mixture_pi"), want.pop("mixture_pi")
+    assert doc == want
+    assert (pi is None) == (want_pi is None)
+    if pi is not None:
+        assert np.max(np.abs(np.subtract(pi, want_pi))) <= 1e-12
 
 
 @pytest.mark.parametrize("command", ["classify", "coefficients", "nogo"])
@@ -202,22 +241,16 @@ class TestCoefficients:
                      "--out", str(tmp_path / "out")]) in (0, 3)
         assert len(calls) == 1
 
-    def test_sqrtnlogn_channel_reports_kappa(self, tmp_path, capsys):
-        bob = [np.diag([1.0, 0.0]), np.diag([0.5, 0.5])]
-        willie = [np.diag([0.9, 0.1]), np.diag([0.6, 0.4])]
-        path = _write_channel(tmp_path / "snl.json", bob, willie)
-        assert main(["coefficients", "--channel", path]) == 0
+    def test_sqrtnlogn_channel_reports_kappa(self, sqrtnlogn_path, capsys):
+        assert main(["coefficients", "--channel", sqrtnlogn_path]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["regime"] == "SqrtNLogN"
         assert doc["kappa"] == pytest.approx(0.5, abs=1e-10)
 
     @pytest.mark.parametrize("flag, value", [("--optimize", "max-message"),
                                              ("--povm", "/nonexistent.json")])
-    def test_sqrtnlogn_channel_rejects_flag(self, tmp_path, capsys, flag, value):
-        bob = [np.diag([1.0, 0.0]), np.diag([0.5, 0.5])]
-        willie = [np.diag([0.9, 0.1]), np.diag([0.6, 0.4])]
-        path = _write_channel(tmp_path / "snl.json", bob, willie)
-        assert main(["coefficients", "--channel", path, flag, value]) == 3
+    def test_sqrtnlogn_channel_rejects_flag(self, sqrtnlogn_path, capsys, flag, value):
+        assert main(["coefficients", "--channel", sqrtnlogn_path, flag, value]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert flag in captured.err
@@ -436,14 +469,11 @@ class TestSimulate:
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_sqrtnlogn_channel_exits_3_before_any_work(self, tmp_path, capsys, monkeypatch,
-                                                       fmt):
-        bob = [np.diag([1.0, 0.0]), np.diag([0.5, 0.5])]
-        willie = [np.diag([0.9, 0.1]), np.diag([0.6, 0.4])]
-        path = _write_channel(tmp_path / "snl.json", bob, willie)
+    def test_sqrtnlogn_channel_exits_3_before_any_work(self, sqrtnlogn_path, capsys,
+                                                       monkeypatch, fmt):
         monkeypatch.setattr(cli, "run_experiment", lambda *args: pytest.fail(
             "run_experiment ran on a SqrtNLogN channel"))
-        assert main(["simulate", "--channel", path, "--n", "4", "--gamma", "0.5",
+        assert main(["simulate", "--channel", sqrtnlogn_path, "--n", "4", "--gamma", "0.5",
                      "--format", fmt]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
