@@ -32,7 +32,6 @@ from .channel import (
     induce_dmc,
     load_channel,
     mixture_feasibility,
-    support_relations,
 )
 from .coding import (
     Codebook,

@@ -206,10 +206,13 @@ def _relation(inside: float) -> SupportRelation:
     return SupportRelation.OVERLAPPING
 
 
-def support_relations(channel: CqChannelPair) -> list[tuple[SupportRelation, SupportRelation]]:
-    """Per non-innocent symbol: (Bob relation, Willie relation) to the innocent support."""
-    bob, willie = channel.summary.bob.inside, channel.summary.willie.inside
-    return [(_relation(bob[x]), _relation(willie[x])) for x in channel.non_innocent]
+def _contained(relations: list[tuple[SupportRelation, SupportRelation]],
+               bob: bool) -> tuple[int, ...]:
+    """The non-innocent symbols whose Willie state lies inside the innocent
+    support, and whose Bob state does too when ``bob``."""
+    return tuple(x for x, (b_rel, w_rel) in enumerate(relations, 1)
+                 if w_rel is SupportRelation.CONTAINED
+                 and (b_rel is SupportRelation.CONTAINED or not bob))
 
 
 def mixture_feasibility(rho0: DensityOperator, non_innocent: list[DensityOperator]
@@ -289,7 +292,10 @@ def _bob_pair_disjoint(channel: CqChannelPair) -> bool:
 def classify_scenario(channel: CqChannelPair) -> ScenarioReport:
     """Place a channel pair in its covertness scaling regime.
 
-    Strict covertness first: if no non-innocent symbol keeps Willie's state
+    The support relations of each non-innocent symbol to the innocent
+    support, (Bob, Willie), are derived here, once per channel (read them
+    from ``CqChannelPair.scenario``).  Strict covertness first: if no
+    non-innocent symbol keeps Willie's state
     inside the innocent support, the verdict is NoGo, annotated with the
     applicable weak-covertness refinements (ConstantBits when two
     non-innocent Bob supports are orthogonal, LogLaw when some Bob support is
@@ -298,9 +304,9 @@ def classify_scenario(channel: CqChannelPair) -> ScenarioReport:
     non-innocent ones), SqrtNLogN (some contained symbol leaks at Bob), and
     SquareRootLaw.
     """
-    relations = support_relations(channel)
-    contained = [x for x, (_, w_rel) in zip(channel.non_innocent, relations)
-                 if w_rel is SupportRelation.CONTAINED]
+    bob, willie = channel.summary.bob.inside, channel.summary.willie.inside
+    relations = [(_relation(bob[x]), _relation(willie[x])) for x in channel.non_innocent]
+    contained = _contained(relations, bob=False)
 
     if not contained:
         refinements = []
@@ -411,18 +417,67 @@ def farthest_adversary_symbol(channel: CqChannelPair) -> tuple[float, int]:
                for x in channel.non_innocent)
 
 
+def admissible_symbols(channel: CqChannelPair) -> tuple[int, ...]:
+    """Symbols whose Bob and Willie states are both inside the innocent
+    supports, read from the cached verdict ``channel.scenario``."""
+    return _contained(channel.scenario.relations, bob=True)
+
+
+def uniform_ptilde(channel: CqChannelPair, symbols) -> np.ndarray:
+    """The one default input distribution: uniform over the non-innocent
+    ``symbols``, as a vector over every non-innocent symbol."""
+    if len(symbols) == 0:
+        raise ValidationError("no non-innocent symbols to weight")
+    p = np.zeros(channel.alphabet_size - 1)
+    p[np.asarray(symbols) - 1] = 1.0 / len(symbols)
+    return p
+
+
 def uniform_nontrivial_ptilde(channel: CqChannelPair) -> np.ndarray:
     """Uniform distribution over the non-innocent alphabet."""
-    n = channel.alphabet_size - 1
-    if n < 1:
-        raise ValidationError("channel has no non-innocent symbols")
-    return np.full(n, 1.0 / n)
+    return uniform_ptilde(channel, channel.non_innocent)
+
+
+def checked_ptilde(channel: CqChannelPair, ptilde,
+                   regime: ScenarioClass | None = None) -> np.ndarray:
+    """The one check of an input distribution over the non-innocent symbols.
+
+    ``ptilde`` must be a probability vector (``validate_distribution``) of
+    ``alphabet_size - 1`` entries (``DimensionMismatch``).  With a
+    ``regime``, the channel must be classified there (``require_regime``)
+    and ``ptilde`` may weight only the symbols a code of that regime uses
+    (``WrongRegime``): the admissible symbols for SquareRootLaw, where both
+    divergences are finite, and those whose Willie state lies inside the
+    innocent support for SqrtNLogN.  None is the default, ``uniform_ptilde``
+    over the admissible symbols (SquareRootLaw), the ``sqrtnlogn_symbols``
+    (SqrtNLogN), or every non-innocent symbol (no regime).  Only a call
+    with a regime reads the verdict, the cached ``channel.scenario``.
+    """
+    if ptilde is None:
+        if regime is None:
+            ptilde = uniform_nontrivial_ptilde(channel)
+        else:
+            require_regime(channel, regime)
+            ptilde = uniform_ptilde(channel, admissible_symbols(channel)
+                                    if regime is ScenarioClass.SQUARE_ROOT_LAW
+                                    else channel.scenario.sqrtnlogn_symbols)
+    p = validate_distribution(ptilde)
+    if p.size != channel.alphabet_size - 1:
+        raise DimensionMismatch(f"ptilde has {p.size} entries for "
+                                f"{channel.alphabet_size - 1} non-innocent symbols")
+    if regime is not None:
+        require_regime(channel, regime)
+        allowed = _contained(channel.scenario.relations,
+                             bob=regime is ScenarioClass.SQUARE_ROOT_LAW)
+        for x in (np.flatnonzero(p) + 1).tolist():
+            if x not in allowed:
+                raise WrongRegime(f"ptilde puts weight on symbol {x}; a {regime.value} "
+                                  f"code may weight only the symbols {list(allowed)}")
+    return p
 
 
 def average_states(channel: CqChannelPair, ptilde) -> tuple[DensityOperator, DensityOperator]:
-    """Average non-innocent states (Bob, Willie) under a distribution on x != 0."""
-    p = validate_distribution(ptilde)
-    if p.size != channel.alphabet_size - 1:
-        raise DimensionMismatch(
-            f"ptilde has {p.size} entries for {channel.alphabet_size - 1} symbols")
+    """Average non-innocent states (Bob, Willie) under a distribution on x != 0
+    (``checked_ptilde``)."""
+    p = checked_ptilde(channel, ptilde)
     return mixture(p, channel.bob_states[1:]), mixture(p, channel.willie_states[1:])

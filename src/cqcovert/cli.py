@@ -19,20 +19,23 @@ import sys
 import numpy as np
 
 from .channel import (
-    # not called here (a channel classifies itself once, in
-    # ``CqChannelPair.scenario``), but importable from this module: the
-    # benchmark's single-letter set-up calls ``cli.classify_scenario``
+    # the two marked F401 are not called here (a channel classifies itself
+    # once, in ``CqChannelPair.scenario``, and ``checked_ptilde`` owns the
+    # default input distribution), but importable from this module: the
+    # benchmark's set-ups call ``cli.classify_scenario`` and
+    # ``cli.uniform_nontrivial_ptilde``
     classify_scenario,  # noqa: F401
     farthest_adversary_symbol,
     load_channel,
     povm_from_json,
     read_json,
     ScenarioClass,
-    uniform_nontrivial_ptilde,
+    uniform_nontrivial_ptilde,  # noqa: F401
 )
 from .coding import (
     Codebook,
     ExperimentConfig,
+    NogoReport,
     default_epsilon_target,
     nogo_experiment,
     run_experiment,
@@ -41,7 +44,6 @@ from .coding import (
 from .errors import InputError, ParseError, RegimeError, ResourceError, WrongRegime
 from .scaling import (
     OBJECTIVES,
-    admissible_symbols,
     optimize_ptilde,
     product_measurement_coefficients,
     scaling_report,
@@ -93,11 +95,9 @@ def _parse_ints(raw: str, flag: str) -> list[int]:
         raise ParseError(f"{flag} expects a comma list of integers: {exc}") from exc
 
 
-def _uniform_ptilde(channel, symbols) -> np.ndarray:
-    p = np.zeros(channel.alphabet_size - 1)
-    for x in symbols:
-        p[x - 1] = 1.0 / len(symbols)
-    return p
+def _ptilde(args) -> np.ndarray | None:
+    """``--ptilde`` as a vector, or None (the library's default) when it is not given."""
+    return None if args.ptilde is None else np.asarray(_parse_floats(args.ptilde, "--ptilde"))
 
 
 def cmd_classify(args) -> int:
@@ -127,16 +127,11 @@ def cmd_coefficients(args) -> int:
             except ValueError as exc:
                 raise ParseError(f"--optimize tradeoff weight must be a number: {exc}") from exc
             ptilde, report = optimize_ptilde(channel, objective, *weights)
+        elif args.povm:
+            povm = povm_from_json(read_json(args.povm, "POVM"))
+            report = product_measurement_coefficients(channel, povm, _ptilde(args))
         else:
-            if args.ptilde is not None:
-                ptilde = np.asarray(_parse_floats(args.ptilde, "--ptilde"))
-            else:
-                ptilde = _uniform_ptilde(channel, admissible_symbols(channel))
-            if args.povm:
-                povm = povm_from_json(read_json(args.povm, "POVM"))
-                report = product_measurement_coefficients(channel, povm, ptilde)
-            else:
-                report = scaling_report(channel, ptilde)
+            report = scaling_report(channel, _ptilde(args))
         doc = report.to_json(unit)
         doc["optimized"] = args.optimize or None
         return _emit(args, doc, [COEFFICIENTS_HEADER,
@@ -149,11 +144,7 @@ def cmd_coefficients(args) -> int:
             if value:
                 raise WrongRegime(f"{flag} needs a SquareRootLaw channel; this channel "
                                   "is SqrtNLogN, where only the kappa constant applies")
-        if args.ptilde is not None:
-            ptilde = np.asarray(_parse_floats(args.ptilde, "--ptilde"))
-        else:
-            ptilde = _uniform_ptilde(channel, verdict.sqrtnlogn_symbols)
-        report = sqrtnlogn_coefficient(channel, ptilde)
+        report = sqrtnlogn_coefficient(channel, _ptilde(args))
         doc = report.to_json()
         doc["unit"] = unit  # the leading constant is base-invariant
         return _emit(args, doc, [COEFFICIENTS_HEADER,
@@ -174,20 +165,16 @@ def cmd_simulate(args) -> int:
     knobs = _parse_floats(args.sigma_knobs, "--sigma-knobs")
     if len(knobs) != 3:
         raise ParseError("--sigma-knobs expects three values: varsigma,mu,nu")
-    if args.ptilde is not None:
-        ptilde = np.asarray(_parse_floats(args.ptilde, "--ptilde"))
-    else:
-        ptilde = uniform_nontrivial_ptilde(channel)
     for flag, value in (("--delta", args.delta), ("--epsilon", args.epsilon)):
         if value is not None and not (math.isfinite(value) and value >= 0):
             raise ParseError(f"{flag} must be a finite number >= 0, got {value!r}")
     config = ExperimentConfig(
         channel=channel, n_list=n_list, gamma=args.gamma,
         varsigma=knobs[0], mu=knobs[1], nu=knobs[2],
-        trials=args.trials, seed=args.seed, ptilde=ptilde, workers=_workers())
+        trials=args.trials, seed=args.seed, ptilde=_ptilde(args), workers=_workers())
     epsilon = args.epsilon
     if epsilon is None:
-        epsilon = default_epsilon_target(channel, ptilde, args.gamma)
+        epsilon = default_epsilon_target(channel, config.ptilde, args.gamma)
     print(f"simulate: n={list(n_list)} gamma={args.gamma} trials={args.trials}",
           file=sys.stderr)
     reports = run_experiment(config)
@@ -256,12 +243,8 @@ def cmd_nogo(args) -> int:
     if n >= 2:
         symbols[1, 1] = x_star
     codebook = Codebook(n=n, m_count=2, k_count=1, symbols=symbols)
-    probe = nogo_experiment(channel, codebook, epsilon=1.0)
-    if args.epsilon is not None:
-        grid = [args.epsilon]
-    else:
-        grid = [probe.c_min / f for f in (64.0, 32.0, 16.0, 8.0)]
-    rows = [nogo_experiment(channel, codebook, e) for e in grid]
+    rows: list[NogoReport] = nogo_experiment(
+        channel, codebook, None if args.epsilon is None else [args.epsilon])
 
     return _emit(args, [r.to_json() for r in rows],
                  [NOGO_HEADER] + [",".join(_fmt(v) for v in (

@@ -20,19 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import CqChannelPair, ScenarioClass, require_regime, uniform_nontrivial_ptilde
-from .divergences import (
-    SUPPORT_TOL,
-    helstrom_error,
-    relative_entropy,
-    validate_distribution,
-)
+from .channel import CqChannelPair, ScenarioClass, checked_ptilde, require_regime
+from .divergences import helstrom_error, relative_entropy
 from .errors import (
     AlphaOutOfRange,
     DimensionMismatch,
     IndexMismatch,
     InvalidParameter,
-    NoLeakage,
     ValidationError,
 )
 from .operators import (
@@ -54,6 +48,7 @@ SLICE_ENTRIES = 2 ** 15  # most block entries one stacked decoder call gathers (
 PIECE_SPREAD = 2 ** 40  # moves a block entry across two pieces out of any store
 COUNT_ROUNDING_TOL = 1e-12  # subtracted before a code size is rounded up to a count
 INNOCENT_FIDELITY_TOL = 1e-12  # a codeword of fidelity at least 1 - this does not signal
+NOGO_GRID = (64.0, 32.0, 16.0, 8.0)  # nogo_experiment's default levels, c_min / f for each f
 DECODER_TOL = 1e-8  # most negative element eigenvalue, and largest excess of the sum over I
 
 
@@ -91,26 +86,17 @@ class Codebook:
         return len(set(map(tuple, np.sort(self.symbols, axis=1).tolist())))
 
 
-def _checked_ptilde(channel: CqChannelPair, ptilde) -> np.ndarray:
-    """``ptilde`` checked as a distribution over the non-innocent symbols."""
-    p = validate_distribution(ptilde)
-    if p.size != channel.alphabet_size - 1:
-        raise ValidationError(f"ptilde has {p.size} entries for "
-                              f"{channel.alphabet_size - 1} non-innocent symbols")
-    return p
-
-
 def sample_codebook(channel: CqChannelPair, n: int, m_count: int, k_count: int,
                     gamma: float, ptilde, seed: int) -> Codebook:
     """Sample a codebook with i.i.d. symbols.
 
     Each symbol is innocent with probability ``1 - gamma/sqrt(n)`` and
-    otherwise a non-innocent symbol drawn from ``ptilde``.  Deterministic
-    given ``seed``.
+    otherwise a non-innocent symbol drawn from ``ptilde``
+    (``checked_ptilde``).  Deterministic given ``seed``.
     """
     if n < 1 or m_count < 1 or k_count < 1:
         raise ValidationError(f"need n, M, K >= 1, got {(n, m_count, k_count)}")
-    p = _checked_ptilde(channel, ptilde)
+    p = checked_ptilde(channel, ptilde)
     alpha = gamma / math.sqrt(n)
     if not 0.0 <= alpha < 1.0:
         raise AlphaOutOfRange(f"gamma/sqrt(n) = {alpha!r} outside [0, 1)")
@@ -434,14 +420,10 @@ class ProductBasis:
     def state(self) -> DensityOperator:
         """The n-fold innocent state in this basis: diagonal, held over
         ``strings``, with its spectrum read off the product eigenvalues
-        instead of an eigensolve."""
-        stacks = []
-        for idx in self.strings.groups:
-            stack = np.zeros(idx.shape + idx.shape[-1:], dtype=self.single_states.dtype)
-            diag = np.arange(idx.shape[1])
-            stack[:, diag, diag] = self.eigenvalues[idx]
-            stacks.append(stack)
-        block = DensityOperator(blocks=(self.strings, stacks))
+        instead of an eigensolve.  Its blocks are read off the Kronecker
+        power of the innocent state's ``single_entries`` (``blocks_of``)."""
+        entries = kron_chain([self.single_entries[0]] * self.n).reshape(-1)
+        block = DensityOperator(blocks=(self.strings, self.blocks_of(entries)))
         order = np.argsort(-self.eigenvalues, kind="stable")
         # what DensityOperator.spectrum (a cached_property) would cache
         vars(block)["spectrum"] = Spectrum(eigenvalues=self.eigenvalues[order],
@@ -868,12 +850,14 @@ class ExperimentConfig:
     blocklengths ``n_list``, ``trials``, ``workers`` and the overrides given
     must be counts and ``seed`` an integer >= 0 (``require_count``), and
     ``varsigma``, ``mu`` and ``nu`` finite and in [0, 1) (``InvalidParameter``
-    otherwise); ``ptilde`` (uniform when None) is kept as the checked
-    distribution (an ``InputError`` otherwise); ``gamma`` must
-    be finite with ``0 <= gamma < sqrt(n)`` for every n in ``n_list``, so
-    the innocent symbol keeps a positive weight (``AlphaOutOfRange``
-    otherwise); the code sizes follow the square-root law, so the channel
-    must be classified SquareRootLaw (``WrongRegime`` otherwise).
+    otherwise); ``gamma`` must be finite with ``0 <= gamma < sqrt(n)`` for
+    every n in ``n_list``, so the innocent symbol keeps a positive weight
+    (``AlphaOutOfRange`` otherwise); the code sizes follow the square-root
+    law, so ``ptilde`` is kept as ``checked_ptilde`` for SquareRootLaw
+    returns it: None becomes the uniform distribution over the admissible
+    symbols, a malformed one raises an ``InputError``, and a channel not
+    classified SquareRootLaw, or weight on a symbol that is not
+    admissible, ``WrongRegime``.
     """
 
     channel: CqChannelPair
@@ -908,9 +892,8 @@ class ExperimentConfig:
             raise AlphaOutOfRange(f"gamma must be finite with 0 <= gamma < sqrt(n) for every "
                                   f"blocklength n, got gamma={self.gamma!r} for "
                                   f"n={list(self.n_list)}")
-        object.__setattr__(self, "ptilde", _checked_ptilde(self.channel, (
-            uniform_nontrivial_ptilde(self.channel) if self.ptilde is None else self.ptilde)))
-        require_regime(self.channel, ScenarioClass.SQUARE_ROOT_LAW)
+        object.__setattr__(self, "ptilde", checked_ptilde(
+            self.channel, self.ptilde, ScenarioClass.SQUARE_ROOT_LAW))
 
 
 def require_count(name: str, value, least: int = 1) -> None:
@@ -927,17 +910,16 @@ def code_sizes(channel: CqChannelPair, ptilde, n: int, gamma: float,
     Returns ``(M, K, log_m_raw, log_k_raw)`` with the raw nat-valued sizes
     ``log M = (1 - varsigma) gamma sqrt(n) sum ptilde(x) D(bob_x || bob_0)``
     and ``log K = gamma sqrt(n) [(1 + varsigma) D_willie -
-    (1 - varsigma) D_bob]^+`` rounded up to counts >= 1.  ``WrongRegime``
-    unless the channel is classified SquareRootLaw.
+    (1 - varsigma) D_bob]^+`` rounded up to counts >= 1.  ``ptilde`` is
+    checked by ``checked_ptilde`` for SquareRootLaw, so both weighted
+    divergences are finite: an admissible symbol is contained at both
+    receivers within ``SUPPORT_TOL``, the bound below which
+    ``relative_entropy`` is finite.
     """
-    p = validate_distribution(ptilde)
-    require_regime(channel, ScenarioClass.SQUARE_ROOT_LAW)
+    p = checked_ptilde(channel, ptilde, ScenarioClass.SQUARE_ROOT_LAW)
     summary = channel.summary
     d_bob = summary.weighted(p, summary.bob.divergences)
     d_willie = summary.weighted(p, summary.willie.divergences)
-    if not (math.isfinite(d_bob) and math.isfinite(d_willie)):
-        raise ValidationError("code sizing needs finite divergences: "
-                              "supports must be contained for weighted symbols")
     root = gamma * math.sqrt(n)
     log_m_raw = (1.0 - varsigma) * root * d_bob
     log_k_raw = root * max(0.0, (1.0 + varsigma) * d_willie - (1.0 - varsigma) * d_bob)
@@ -966,10 +948,10 @@ def run_experiment(config: ExperimentConfig, on_decoders=None) -> list[TrialRepo
 
     tasks = []
     for n in config.n_list:
-        bob_basis = ProductBasis(channel.bob_states, n)
-        willie_basis = ProductBasis(channel.willie_states, n)
         m, k, log_m_raw, log_k_raw = code_sizes(channel, p, n, config.gamma,
                                                 config.varsigma)
+        bob_basis = ProductBasis(channel.bob_states, n)
+        willie_basis = ProductBasis(channel.willie_states, n)
         if config.m_override is not None:
             m = config.m_override
         if config.k_override is not None:
@@ -1041,8 +1023,9 @@ def select_best(reports: Sequence[TrialReport], delta_target: float,
 
 
 def default_epsilon_target(channel: CqChannelPair, ptilde, gamma: float) -> float:
-    """Quadratic covertness prediction gamma^2 chi^2(avg non-innocent || innocent) / 2."""
-    return gamma ** 2 * channel.summary.chi2(validate_distribution(ptilde)) / 2.0
+    """Quadratic covertness prediction gamma^2 chi^2(avg non-innocent || innocent) / 2
+    at ``ptilde`` (``checked_ptilde``, which classifies no channel here)."""
+    return gamma ** 2 * channel.summary.chi2(checked_ptilde(channel, ptilde)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -1072,21 +1055,26 @@ class NogoReport:
 
 
 def nogo_experiment(channel: CqChannelPair, codebook: Codebook,
-                    epsilon: float) -> NogoReport:
+                    epsilon=None) -> NogoReport | list[NogoReport]:
     """Detection/reliability trade-off when every adversary state leaks.
 
-    Requires every non-innocent adversary state to have support outside the
-    innocent support, and pure receiver states so codeword blocks are pure.
-    The adversary measures the projector onto the innocent block support; its
+    Requires a channel classified NoGo (``WrongRegime`` otherwise), so that
+    every non-innocent adversary state has support outside the innocent
+    support, and pure receiver states so codeword blocks are pure.  The
+    adversary measures the projector onto the innocent block support; its
     exact error and the leakage constant ``c_min`` then feed the fidelity
     lower bound on the receiver's error.
+
+    ``epsilon`` is one covertness level, or a sequence of them whose reports
+    are returned as a list; None is the sequence ``c_min / f`` for f in
+    ``NOGO_GRID``.  What does not depend on the level is computed once.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValidationError(f"epsilon must be a finite number > 0, got {epsilon!r}")
-    inside_willie = channel.summary.willie.inside
-    for x in channel.non_innocent:
-        if 1.0 - inside_willie[x] <= SUPPORT_TOL:
-            raise NoLeakage(f"willie[{x}] support is contained in the innocent support")
+    one = epsilon is not None and np.ndim(epsilon) == 0
+    levels = None if epsilon is None else [epsilon] if one else list(epsilon)
+    for e in levels or ():
+        if not (math.isfinite(e) and e > 0):
+            raise ValidationError(f"epsilon must be a finite number > 0, got {e!r}")
+    require_regime(channel, ScenarioClass.NO_GO)
     for x in range(channel.alphabet_size):
         if channel.bob_states[x].rank != 1:
             raise ValidationError(f"bob[{x}] must be pure for the fidelity bound")
@@ -1097,7 +1085,7 @@ def nogo_experiment(channel: CqChannelPair, codebook: Codebook,
         for x in range(channel.alphabet_size)])
 
     rows = codebook.symbols
-    detect = np.prod(inside_willie[rows], axis=1)   # Tr{P0^n block_m}
+    detect = np.prod(channel.summary.willie.inside[rows], axis=1)   # Tr{P0^n block_m}
     fidelity = np.prod(np.clip(overlap_bob[rows], 0.0, 1.0), axis=1)
     pe_willie = float(np.mean(detect)) / 2.0
 
@@ -1106,18 +1094,21 @@ def nogo_experiment(channel: CqChannelPair, codebook: Codebook,
         raise ValidationError("every codeword is innocent; leakage constant undefined")
     c_values = (1.0 - detect[signaling]) / (1.0 - fidelity[signaling])
     c_min = float(np.min(c_values))
+    if levels is None:
+        levels = [c_min / f for f in NOGO_GRID]
 
-    bob_bound = max(0.0, 0.25 - math.sqrt(epsilon / c_min))
-
-    admissible = np.flatnonzero(1.0 - fidelity <= 4.0 * epsilon / c_min)
-    pair_total = 0.0
-    for i in range(0, len(admissible) - 1, 2):
-        f_left = fidelity[admissible[i]]
-        f_right = fidelity[admissible[i + 1]]
-        per_pair = (1.0 - math.sqrt(1.0 - f_left) - math.sqrt(1.0 - f_right)) / 2.0
-        pair_total += 2.0 * max(0.0, per_pair)
     rows_total = codebook.m_count * codebook.k_count
-    return NogoReport(epsilon=float(epsilon), pe_willie=pe_willie, c_min=c_min,
-                      bob_bound=bob_bound,
-                      admissible_fraction=len(admissible) / rows_total,
-                      pair_bound=pair_total / rows_total)
+    reports = []
+    for e in levels:
+        admissible = np.flatnonzero(1.0 - fidelity <= 4.0 * e / c_min)
+        pair_total = 0.0
+        for i in range(0, len(admissible) - 1, 2):
+            f_left = fidelity[admissible[i]]
+            f_right = fidelity[admissible[i + 1]]
+            per_pair = (1.0 - math.sqrt(1.0 - f_left) - math.sqrt(1.0 - f_right)) / 2.0
+            pair_total += 2.0 * max(0.0, per_pair)
+        reports.append(NogoReport(epsilon=float(e), pe_willie=pe_willie, c_min=c_min,
+                                  bob_bound=max(0.0, 0.25 - math.sqrt(e / c_min)),
+                                  admissible_fraction=len(admissible) / rows_total,
+                                  pair_bound=pair_total / rows_total))
+    return reports[0] if one else reports

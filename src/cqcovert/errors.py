@@ -83,10 +83,6 @@ class IndexMismatch(InputError):
     pass
 
 
-class NoLeakage(RegimeError):
-    """Impossibility experiment requires leaking adversary supports."""
-
-
 # --- scaling laws ---
 
 class WrongRegime(RegimeError):

@@ -21,23 +21,17 @@ from .channel import (
     CqChannelPair,
     Povm,
     ScenarioClass,
-    SupportRelation,
+    admissible_symbols,
+    checked_ptilde,
     induce_dmc,
     require_regime,
-    support_relations,
 )
 from .coding import require_count
-from .divergences import (
-    SUPPORT_TOL,
-    holevo_information,
-    relative_entropy,
-    validate_distribution,
-)
+from .divergences import holevo_information, relative_entropy
 from .errors import (
     InvalidParameter,
     ResourceError,
     SupportViolationClassical,
-    WrongRegime,
     ZeroChiSquared,
 )
 from .operators import mixture
@@ -72,24 +66,6 @@ class ScalingReport:
         }
 
 
-def admissible_symbols(channel: CqChannelPair) -> list[int]:
-    """Symbols whose Bob and Willie states are both inside the innocent supports."""
-    return [x for x, (b_rel, w_rel) in zip(channel.non_innocent, support_relations(channel))
-            if b_rel is SupportRelation.CONTAINED and w_rel is SupportRelation.CONTAINED]
-
-
-def _srl_ptilde(channel: CqChannelPair, ptilde) -> np.ndarray:
-    # a validated ptilde on a SquareRootLaw channel, weighting admissible symbols only
-    p = validate_distribution(ptilde)
-    require_regime(channel, ScenarioClass.SQUARE_ROOT_LAW)
-    admissible = set(admissible_symbols(channel))
-    for weight, x in zip(p, channel.non_innocent):
-        if weight > 0 and x not in admissible:
-            raise WrongRegime(f"ptilde puts weight on symbol {x} whose supports "
-                              "are not contained")
-    return p
-
-
 def _chi_squared_denominator(channel: CqChannelPair, p: np.ndarray) -> float:
     chi2 = channel.summary.chi2(p)
     if not math.isfinite(chi2) or chi2 <= 0.0:
@@ -98,18 +74,23 @@ def _chi_squared_denominator(channel: CqChannelPair, p: np.ndarray) -> float:
     return chi2
 
 
-def _coefficient_pair(channel: CqChannelPair, p: np.ndarray) -> tuple[float, float]:
-    # (message, key) coefficients without the regime gate
+def _coefficient_pair(channel: CqChannelPair, p: np.ndarray,
+                      bob_divergences: np.ndarray | None = None) -> tuple[float, float]:
+    # (message, key) coefficients without the regime gate; Bob's divergences
+    # are the channel's unless those of a measurement are given
     denom = math.sqrt(_chi_squared_denominator(channel, p) / 2.0)
     summary = channel.summary
-    d_bob = summary.weighted(p, summary.bob.divergences)
+    if bob_divergences is None:
+        bob_divergences = summary.bob.divergences
+    d_bob = summary.weighted(p, bob_divergences)
     d_willie = summary.weighted(p, summary.willie.divergences)
     return d_bob / denom, max(0.0, d_willie - d_bob) / denom
 
 
 def scaling_report(channel: CqChannelPair, ptilde) -> ScalingReport:
-    """Both square-root-law coefficients at a given input distribution."""
-    p = _srl_ptilde(channel, ptilde)
+    """Both square-root-law coefficients at an input distribution
+    (``checked_ptilde`` for SquareRootLaw; None is its default)."""
+    p = checked_ptilde(channel, ptilde, ScenarioClass.SQUARE_ROOT_LAW)
     message, key = _coefficient_pair(channel, p)
     return ScalingReport(message_coeff=message, key_coeff=key, ptilde=p)
 
@@ -128,20 +109,16 @@ def product_measurement_coefficients(channel: CqChannelPair, povm: Povm,
                                      ptilde) -> ScalingReport:
     """Scaling coefficients when Bob is restricted to a per-use measurement.
 
-    The numerators use classical relative entropies of the induced DMC rows;
-    the denominator keeps the quantum chi-squared divergence at Willie.
-    Never better than the joint-measurement coefficients.
+    Bob's divergences in ``_coefficient_pair`` are the classical relative
+    entropies of the induced DMC rows; the denominator keeps the quantum
+    chi-squared divergence at Willie.  Never better than the
+    joint-measurement coefficients.  ``ptilde`` as for ``scaling_report``.
     """
-    p = _srl_ptilde(channel, ptilde)
-    chi2 = _chi_squared_denominator(channel, p)
+    p = checked_ptilde(channel, ptilde, ScenarioClass.SQUARE_ROOT_LAW)
     dmc = induce_dmc(list(channel.bob_states), povm)
     kl = np.array([_classical_kl(dmc[x], dmc[0]) for x in channel.non_innocent])
-    summary = channel.summary
-    num = summary.weighted(p, kl)
-    gap = summary.weighted(p, summary.willie.divergences - kl)
-    denom = math.sqrt(chi2 / 2.0)
-    return ScalingReport(message_coeff=num / denom,
-                         key_coeff=max(0.0, gap) / denom, ptilde=p)
+    message, key = _coefficient_pair(channel, p, kl)
+    return ScalingReport(message_coeff=message, key_coeff=key, ptilde=p)
 
 
 @dataclass(frozen=True)
@@ -172,13 +149,11 @@ def sqrtnlogn_coefficient(channel: CqChannelPair, ptilde) -> SqrtnLognReport:
 
     ``kappa = 1 - Tr{P_0 sum p(x) bob_x}`` with ``P_0`` the innocent-support
     projector at Bob; the reported constant is ``kappa / (2 sqrt(chi2/2))``.
+    ``ptilde`` is checked by ``checked_ptilde`` for SqrtNLogN (None is its
+    default).
     """
-    p = validate_distribution(ptilde)
-    require_regime(channel, ScenarioClass.SQRT_N_LOG_N)
+    p = checked_ptilde(channel, ptilde, ScenarioClass.SQRT_N_LOG_N)
     summary = channel.summary
-    for weight, x in zip(p, channel.non_innocent):
-        if weight > 0 and 1.0 - summary.willie.inside[x] > SUPPORT_TOL:
-            raise WrongRegime(f"ptilde puts weight on symbol {x} leaking at Willie")
     chi2 = _chi_squared_denominator(channel, p)
     kappa = 1.0 - summary.weighted(p, summary.bob.inside[1:])
     kappa = min(max(kappa, 0.0), 1.0)
@@ -302,9 +277,10 @@ def converse_bounds(channel: CqChannelPair, ptilde, mu: float, n: int,
 
     ``log_m_upper = (n chi_bob + 1) / (1 - delta)`` and
     ``log_mk_lower = n chi_willie - epsilon`` in nats.  ``n`` must be a
-    count (``require_count``) and ``epsilon`` finite and >= 0.
+    count (``require_count``) and ``epsilon`` finite and >= 0, and
+    ``ptilde`` passes ``checked_ptilde``.
     """
-    p = validate_distribution(ptilde)
+    p = checked_ptilde(channel, ptilde)
     if not 0.0 <= mu < 1.0:
         raise InvalidParameter(f"mu must lie in [0, 1), got {mu}")
     if not 0.0 <= delta < 1.0:

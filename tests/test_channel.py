@@ -11,20 +11,25 @@ from cqcovert.channel import (
     Povm,
     ScenarioClass,
     SupportRelation,
+    admissible_symbols,
+    average_states,
     channel_from_json,
+    checked_ptilde,
     classify_scenario,
     farthest_adversary_symbol,
     induce_dmc,
     load_channel,
     mixture_feasibility,
-    support_relations,
+    uniform_nontrivial_ptilde,
 )
 from cqcovert.divergences import chi_squared, relative_entropy
 from cqcovert.errors import (
     DimensionMismatch,
+    InvalidDistribution,
     InvalidPovm,
     ParseError,
     ValidationError,
+    WrongRegime,
 )
 from cqcovert.operators import (
     DensityOperator,
@@ -90,19 +95,95 @@ class TestLoadChannel:
 
 class TestSupportRelations:
     def test_contained(self, canonical_channel):
-        rels = support_relations(canonical_channel)
+        rels = canonical_channel.scenario.relations
         assert rels == [(SupportRelation.CONTAINED, SupportRelation.CONTAINED)]
 
     def test_disjoint(self):
         ch = _diag_channel([[1, 0], [0, 1]], [[1, 0], [0, 1]])
-        rels = support_relations(ch)
+        rels = ch.scenario.relations
         assert rels == [(SupportRelation.DISJOINT, SupportRelation.DISJOINT)]
 
     def test_overlapping_leakage(self):
         # half the signal mass escapes the innocent support
         ch = _diag_channel([[1, 0, 0], [0.5, 0.5, 0]], [[1, 0, 0], [0.5, 0.5, 0]])
-        rels = support_relations(ch)
+        rels = ch.scenario.relations
         assert rels == [(SupportRelation.OVERLAPPING, SupportRelation.OVERLAPPING)]
+
+
+def _sqrtnlogn_leak_channel():
+    """SqrtNLogN: symbol 1 leaks at Bob only, symbol 2 leaks at Willie."""
+    return _diag_channel([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]],
+                         [[0.9, 0.1, 0.0], [0.6, 0.4, 0.0], [0.3, 0.3, 0.4]])
+
+
+class TestCheckedPtilde:
+    """One check and one default of an input distribution, with the symbol
+    sets read from the cached verdict."""
+
+    def test_defaults_are_uniform_over_the_regime_symbols(self, willie_leak_channel):
+        ch = willie_leak_channel
+        assert checked_ptilde(ch, None).tolist() == [0.5, 0.5]
+        assert uniform_nontrivial_ptilde(ch).tolist() == [0.5, 0.5]
+        assert admissible_symbols(ch) == (1,)
+        assert checked_ptilde(ch, None, ScenarioClass.SQUARE_ROOT_LAW).tolist() == [1.0, 0.0]
+        snl = _sqrtnlogn_leak_channel()
+        assert snl.scenario.sqrtnlogn_symbols == (1,)
+        assert checked_ptilde(snl, None, ScenarioClass.SQRT_N_LOG_N).tolist() == [1.0, 0.0]
+
+    def test_weight_only_on_the_regime_symbols(self, willie_leak_channel):
+        for ch, regime in ((willie_leak_channel, ScenarioClass.SQUARE_ROOT_LAW),
+                           (_sqrtnlogn_leak_channel(), ScenarioClass.SQRT_N_LOG_N)):
+            assert checked_ptilde(ch, [1.0, 0.0], regime).tolist() == [1.0, 0.0]
+            with pytest.raises(WrongRegime, match=r"symbol 2; .* only the symbols \[1\]"):
+                checked_ptilde(ch, [0.5, 0.5], regime)
+            assert checked_ptilde(ch, [0.5, 0.5]).tolist() == [0.5, 0.5]  # no regime, no rule
+
+    def test_wrong_regime_names_the_class(self, willie_leak_channel):
+        for p in (None, [1.0, 0.0]):
+            with pytest.raises(WrongRegime, match="classified SquareRootLaw"):
+                checked_ptilde(willie_leak_channel, p, ScenarioClass.SQRT_N_LOG_N)
+
+    @pytest.mark.parametrize("ptilde, error", [([0.5, 0.5], DimensionMismatch),
+                                               ([0.5], InvalidDistribution)])
+    def test_malformed_before_the_regime(self, ptilde, error):
+        ch = _diag_channel([[0.9, 0.1], [0.6, 0.4]], [[0.9, 0.1], [0.0, 1.0]])  # NoGo
+        with pytest.raises(error):
+            checked_ptilde(ch, ptilde, ScenarioClass.SQUARE_ROOT_LAW)
+
+    @pytest.mark.parametrize("entry", [
+        "ExperimentConfig", "sample_codebook", "code_sizes", "default_epsilon_target",
+        "scaling_report", "product_measurement_coefficients", "sqrtnlogn_coefficient",
+        "average_states", "converse_bounds"])
+    def test_every_entry_point_rejects_a_wrong_length(self, canonical_channel, entry):
+        from cqcovert import coding, scaling
+        ch, p = canonical_channel, [0.5, 0.5]
+        call = {
+            "ExperimentConfig": lambda: coding.ExperimentConfig(
+                channel=ch, n_list=(3,), gamma=0.5, ptilde=p),
+            "sample_codebook": lambda: coding.sample_codebook(ch, 3, 2, 1, 0.5, p, 0),
+            "code_sizes": lambda: coding.code_sizes(ch, p, 3, 0.5, 0.1),
+            "default_epsilon_target": lambda: coding.default_epsilon_target(ch, p, 0.5),
+            "scaling_report": lambda: scaling.scaling_report(ch, p),
+            "product_measurement_coefficients": lambda: scaling.product_measurement_coefficients(
+                ch, Povm(elements=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))), p),
+            "sqrtnlogn_coefficient": lambda: scaling.sqrtnlogn_coefficient(ch, p),
+            "average_states": lambda: average_states(ch, p),
+            "converse_bounds": lambda: scaling.converse_bounds(ch, p, mu=0.1, n=3, delta=0.1,
+                                                               epsilon=0.1),
+        }[entry]
+        with pytest.raises(DimensionMismatch, match="ptilde has 2 entries for 1 non-innocent"):
+            call()
+
+    def test_no_regime_classifies_no_channel(self, willie_leak_channel, monkeypatch):
+        from cqcovert import channel as channel_module
+        from cqcovert.coding import default_epsilon_target
+        monkeypatch.setattr(channel_module, "classify_scenario",
+                            lambda pair: pytest.fail("the channel was classified"))
+        ch = willie_leak_channel
+        checked_ptilde(ch, None)
+        checked_ptilde(ch, [0.5, 0.5])
+        average_states(ch, uniform_nontrivial_ptilde(ch))
+        default_epsilon_target(ch, uniform_nontrivial_ptilde(ch), 0.5)
 
 
 def _summary_channels():

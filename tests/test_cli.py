@@ -369,6 +369,16 @@ class TestSimulate:
         assert main(["simulate", "--channel", willie_leak_path, "--n", "2", "--gamma", "0.5",
                      "--trials", "1", "--ptilde", "1,0", "--format", "csv"]) == 0
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_default_ptilde_weights_the_admissible_symbols(self, willie_leak_path, tmp_path,
+                                                           fmt):
+        # symbol 2 leaks at Willie, so the default is [1, 0], as in coefficients
+        argv = ["simulate", "--channel", willie_leak_path, "--n", "4,6", "--gamma", "0.5",
+                "--trials", "2", "--seed", "1", "--format", fmt]
+        assert main(argv + ["--out", str(tmp_path / "default")]) == 0
+        assert main(argv + ["--ptilde", "1,0", "--out", str(tmp_path / "given")]) == 0
+        assert (tmp_path / "default").read_bytes() == (tmp_path / "given").read_bytes()
+
     @pytest.mark.parametrize("n", ["0", "-1", "2,0"])
     def test_nonpositive_blocklength_exits_2(self, canonical_path, capsys, n):
         assert main(["simulate", "--channel", canonical_path, "--n", n,
@@ -566,6 +576,46 @@ class TestNogo:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc) == 1
         assert doc[0]["epsilon"] == pytest.approx(0.001)
+
+
+@pytest.mark.parametrize("argv", [["coefficients"],
+                                  ["simulate", "--n", "4", "--trials", "1", "--epsilon", "0.1"],
+                                  ["simulate", "--n", "4", "--trials", "1"]])
+def test_weight_on_a_leaking_symbol_exits_3_before_any_work(willie_leak_path, capsys,
+                                                            monkeypatch, argv):
+    # one check: both commands refuse the same ptilde with the same line, and
+    # simulate prints no progress line
+    monkeypatch.setattr(cli, "run_experiment", lambda *a: pytest.fail("trials ran"))
+    assert main([argv[0], "--channel", willie_leak_path, *argv[1:],
+                 "--ptilde", "0.5,0.5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: ptilde puts weight on symbol 2; a SquareRootLaw code may weight only "
+        "the symbols [1]"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--optimize", "max-message"], ["--bits"]])
+def test_coefficients_derives_the_support_relations_once(tmp_path, monkeypatch, flags):
+    from cqcovert import channel as channel_module
+    calls = []
+    relation = channel_module._relation
+    monkeypatch.setattr(channel_module, "_relation",
+                        lambda inside: calls.append(inside) or relation(inside))
+    path = ROOT / "perfbench" / "channels" / "srl_d3_k6.json"
+    assert main(["coefficients", "--channel", str(path), *flags,
+                 "--out", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == 2 * 6  # Bob and Willie, per non-innocent symbol
+
+
+def test_nogo_runs_one_experiment_for_its_grid(leaking_path, tmp_path, monkeypatch):
+    calls = []
+    experiment = cli.nogo_experiment
+    monkeypatch.setattr(cli, "nogo_experiment",
+                        lambda *args: calls.append(args) or experiment(*args))
+    assert main(["nogo", "--channel", leaking_path, "--out", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == 1
+    assert len(json.loads((tmp_path / "out.json").read_text())) == 4
 
 
 NON_FINITE_CALLS = [["classify"], ["coefficients"], ["simulate", "--n", "2", "--trials", "1"]]

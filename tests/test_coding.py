@@ -38,7 +38,6 @@ from cqcovert.errors import (
     IndexMismatch,
     InputError,
     InvalidParameter,
-    NoLeakage,
     ValidationError,
     WrongRegime,
 )
@@ -503,6 +502,22 @@ class TestCodeSizes:
         assert log_k_raw == pytest.approx(0.5 * 3 * (1.3 * d_willie - 0.7 * d_bob), abs=1e-12)
         assert k == math.ceil(math.exp(log_k_raw) - 1e-12)
 
+    def test_weight_on_a_leaking_symbol_raises_before_any_basis(self, willie_leak_channel,
+                                                                  monkeypatch):
+        # contained at both receivers is exactly where both divergences are finite
+        monkeypatch.setattr(coding, "ProductBasis", lambda *args: pytest.fail(
+            "a product basis was built"))
+        ch = willie_leak_channel
+        for call in (lambda: ExperimentConfig(channel=ch, n_list=(4,), gamma=0.5,
+                                              ptilde=[0.5, 0.5]),
+                     lambda: code_sizes(ch, [0.5, 0.5], n=4, gamma=0.5, varsigma=0.1)):
+            with pytest.raises(WrongRegime, match="weight on symbol 2"):
+                call()
+
+    def test_default_weights_the_admissible_symbols(self, willie_leak_channel):
+        config = ExperimentConfig(channel=willie_leak_channel, n_list=(4,), gamma=0.5)
+        assert config.ptilde.tolist() == [1.0, 0.0]
+
     def test_gamma_zero(self, canonical_channel):
         m, k, log_m_raw, log_k_raw = code_sizes(canonical_channel, [1.0],
                                                 n=4, gamma=0.0, varsigma=0.3)
@@ -693,8 +708,26 @@ class TestNogoExperiment:
     def test_requires_leakage(self, canonical_channel):
         cb = sample_codebook(canonical_channel, n=2, m_count=2, k_count=1,
                              gamma=0.5, ptilde=[1.0], seed=0)
-        with pytest.raises(NoLeakage):
+        with pytest.raises(WrongRegime, match="requires NoGo"):
             nogo_experiment(canonical_channel, cb, epsilon=0.01)
+
+    def test_levels_share_one_computation(self):
+        ch = self._leaking_channel()
+        cb = Codebook(n=2, m_count=2, k_count=1, symbols=np.array([[1, 0], [0, 1]]))
+        grid = nogo_experiment(ch, cb)
+        c_min = grid[0].c_min
+        assert [r.epsilon for r in grid] == [c_min / f for f in coding.NOGO_GRID]
+        levels = [r.epsilon for r in grid] + [0.01]
+        together = nogo_experiment(ch, cb, levels)
+        assert [r.to_json() for r in together] == [
+            nogo_experiment(ch, cb, e).to_json() for e in levels]
+        assert [r.to_json() for r in together[:4]] == [r.to_json() for r in grid]
+
+    @pytest.mark.parametrize("levels", [[0.01, math.nan], [math.inf], [-1.0]])
+    def test_every_level_is_checked_before_any_work(self, canonical_channel, levels):
+        cb = Codebook(n=2, m_count=1, k_count=1, symbols=np.array([[1, 0]]))
+        with pytest.raises(ValidationError, match="epsilon"):
+            nogo_experiment(canonical_channel, cb, levels)  # not a NoGo channel either
 
     def test_requires_pure_receiver_states(self):
         ch = CqChannelPair(

@@ -20,6 +20,7 @@ from cqcovert.divergences import (
 from cqcovert.errors import DimensionMismatch, SupportViolation
 from cqcovert.operators import (
     RANK_TOL,
+    Partition,
     ginibre_state,
     matrix_log,
     matrix_power,
@@ -131,6 +132,24 @@ class TestHelstrom:
             pe = 0.5 * (np.trace(q @ sigma.matrix).real
                         + 1.0 - np.trace(q @ rho.matrix).real)
             assert pe >= best - 1e-10
+
+
+class TestMismatchedPartitions:
+    """A block-held state against one held over another partition (here a
+    dense one) is scored on the assembled difference."""
+
+    def test_block_state_against_a_dense_one(self, rng):
+        corner = ginibre_state(2, rng).matrix
+        partition = Partition(3, (np.array([[2]]), np.array([[0, 1]])))
+        block = DensityOperator(blocks=(partition, [np.array([[[0.3]]]),
+                                                    0.7 * corner[None]]))
+        dense_block = DensityOperator(block.matrix)
+        for _ in range(5):
+            dense = ginibre_state(3, rng)
+            assert block.blocks[0] is not dense.blocks[0]
+            for f in (helstrom_error, trace_distance):
+                assert abs(f(block, dense) - f(dense_block, dense)) <= 1e-12
+                assert abs(f(dense, block) - f(dense, dense_block)) <= 1e-12
 
 
 def _pinsker_gap(rho, sigma):
