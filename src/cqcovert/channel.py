@@ -292,10 +292,9 @@ def _bob_pair_disjoint(channel: CqChannelPair) -> bool:
 def classify_scenario(channel: CqChannelPair) -> ScenarioReport:
     """Place a channel pair in its covertness scaling regime.
 
-    The support relations of each non-innocent symbol to the innocent
-    support, (Bob, Willie), are derived here, once per channel (read them
-    from ``CqChannelPair.scenario``).  Strict covertness first: if no
-    non-innocent symbol keeps Willie's state
+    The (Bob, Willie) support relations of the non-innocent symbols are
+    derived here, once per channel (``CqChannelPair.scenario``).  Strict
+    covertness first: if no non-innocent symbol keeps Willie's state
     inside the innocent support, the verdict is NoGo, annotated with the
     applicable weak-covertness refinements (ConstantBits when two
     non-innocent Bob supports are orthogonal, LogLaw when some Bob support is
@@ -440,27 +439,23 @@ def uniform_nontrivial_ptilde(channel: CqChannelPair) -> np.ndarray:
 
 def checked_ptilde(channel: CqChannelPair, ptilde,
                    regime: ScenarioClass | None = None) -> np.ndarray:
-    """The one check of an input distribution over the non-innocent symbols.
-
-    ``ptilde`` must be a probability vector (``validate_distribution``) of
-    ``alphabet_size - 1`` entries (``DimensionMismatch``).  With a
-    ``regime``, the channel must be classified there (``require_regime``)
-    and ``ptilde`` may weight only the symbols a code of that regime uses
-    (``WrongRegime``): the admissible symbols for SquareRootLaw, where both
-    divergences are finite, and those whose Willie state lies inside the
-    innocent support for SqrtNLogN.  None is the default, ``uniform_ptilde``
-    over the admissible symbols (SquareRootLaw), the ``sqrtnlogn_symbols``
-    (SqrtNLogN), or every non-innocent symbol (no regime).  Only a call
-    with a regime reads the verdict, the cached ``channel.scenario``.
-    """
+    """The one check of an input distribution: a probability vector
+    (``validate_distribution``) with one entry per non-innocent symbol
+    (``DimensionMismatch``).  With a ``regime``, the channel must be
+    classified there (``require_regime``), and ``ptilde`` may weight only
+    the admissible symbols (SquareRootLaw, where both divergences are
+    finite) or those contained at Willie (SqrtNLogN); ``WrongRegime``
+    otherwise.  None is the default: ``uniform_ptilde`` over the
+    admissible symbols, the ``sqrtnlogn_symbols``, or, with no regime,
+    every non-innocent symbol.  Only a call with a regime reads the cached
+    verdict ``channel.scenario``."""
     if ptilde is None:
-        if regime is None:
-            ptilde = uniform_nontrivial_ptilde(channel)
-        else:
+        symbols = channel.non_innocent
+        if regime is not None:
             require_regime(channel, regime)
-            ptilde = uniform_ptilde(channel, admissible_symbols(channel)
-                                    if regime is ScenarioClass.SQUARE_ROOT_LAW
-                                    else channel.scenario.sqrtnlogn_symbols)
+            symbols = (admissible_symbols(channel) if regime is ScenarioClass.SQUARE_ROOT_LAW
+                       else channel.scenario.sqrtnlogn_symbols)
+        ptilde = uniform_ptilde(channel, symbols)
     p = validate_distribution(ptilde)
     if p.size != channel.alphabet_size - 1:
         raise DimensionMismatch(f"ptilde has {p.size} entries for "

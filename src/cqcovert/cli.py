@@ -35,7 +35,6 @@ from .channel import (
 from .coding import (
     Codebook,
     ExperimentConfig,
-    NogoReport,
     default_epsilon_target,
     nogo_experiment,
     run_experiment,
@@ -243,8 +242,7 @@ def cmd_nogo(args) -> int:
     if n >= 2:
         symbols[1, 1] = x_star
     codebook = Codebook(n=n, m_count=2, k_count=1, symbols=symbols)
-    rows: list[NogoReport] = nogo_experiment(
-        channel, codebook, None if args.epsilon is None else [args.epsilon])
+    rows = nogo_experiment(channel, codebook, None if args.epsilon is None else [args.epsilon])
 
     return _emit(args, [r.to_json() for r in rows],
                  [NOGO_HEADER] + [",".join(_fmt(v) for v in (

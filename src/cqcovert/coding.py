@@ -459,7 +459,8 @@ class ProductBasis:
         """The stacks over ``strings`` of an operator held as its ``entries`` in
         the Kronecker product of ``single_entries`` (``_component_strings``)."""
         row, col = self._entry_numbers
-        return [np.take(entries, row[idx][:, :, None] + col[idx][:, None, :])
+        # indexing, not np.take, which would copy the int32 indices to intp whole
+        return [entries[row[idx][:, :, None] + col[idx][:, None, :]]
                 for idx in self.strings.groups]
 
     @cached_property
@@ -854,10 +855,7 @@ class ExperimentConfig:
     every n in ``n_list``, so the innocent symbol keeps a positive weight
     (``AlphaOutOfRange`` otherwise); the code sizes follow the square-root
     law, so ``ptilde`` is kept as ``checked_ptilde`` for SquareRootLaw
-    returns it: None becomes the uniform distribution over the admissible
-    symbols, a malformed one raises an ``InputError``, and a channel not
-    classified SquareRootLaw, or weight on a symbol that is not
-    admissible, ``WrongRegime``.
+    returns it (None is uniform over the admissible symbols).
     """
 
     channel: CqChannelPair
@@ -911,10 +909,9 @@ def code_sizes(channel: CqChannelPair, ptilde, n: int, gamma: float,
     ``log M = (1 - varsigma) gamma sqrt(n) sum ptilde(x) D(bob_x || bob_0)``
     and ``log K = gamma sqrt(n) [(1 + varsigma) D_willie -
     (1 - varsigma) D_bob]^+`` rounded up to counts >= 1.  ``ptilde`` is
-    checked by ``checked_ptilde`` for SquareRootLaw, so both weighted
-    divergences are finite: an admissible symbol is contained at both
-    receivers within ``SUPPORT_TOL``, the bound below which
-    ``relative_entropy`` is finite.
+    checked by ``checked_ptilde`` for SquareRootLaw; both weighted
+    divergences are then finite, since ``relative_entropy`` is finite on
+    exactly the leaks up to ``SUPPORT_TOL`` that make a symbol admissible.
     """
     p = checked_ptilde(channel, ptilde, ScenarioClass.SQUARE_ROOT_LAW)
     summary = channel.summary
@@ -1055,7 +1052,7 @@ class NogoReport:
 
 
 def nogo_experiment(channel: CqChannelPair, codebook: Codebook,
-                    epsilon=None) -> NogoReport | list[NogoReport]:
+                    epsilons=None) -> list[NogoReport]:
     """Detection/reliability trade-off when every adversary state leaks.
 
     Requires a channel classified NoGo (``WrongRegime`` otherwise), so that
@@ -1065,13 +1062,11 @@ def nogo_experiment(channel: CqChannelPair, codebook: Codebook,
     exact error and the leakage constant ``c_min`` then feed the fidelity
     lower bound on the receiver's error.
 
-    ``epsilon`` is one covertness level, or a sequence of them whose reports
-    are returned as a list; None is the sequence ``c_min / f`` for f in
-    ``NOGO_GRID``.  What does not depend on the level is computed once.
+    One report per covertness level of ``epsilons``, by default ``c_min /
+    f`` for f in ``NOGO_GRID``; what does not depend on the level is
+    computed once.
     """
-    one = epsilon is not None and np.ndim(epsilon) == 0
-    levels = None if epsilon is None else [epsilon] if one else list(epsilon)
-    for e in levels or ():
+    for e in epsilons or ():
         if not (math.isfinite(e) and e > 0):
             raise ValidationError(f"epsilon must be a finite number > 0, got {e!r}")
     require_regime(channel, ScenarioClass.NO_GO)
@@ -1094,12 +1089,12 @@ def nogo_experiment(channel: CqChannelPair, codebook: Codebook,
         raise ValidationError("every codeword is innocent; leakage constant undefined")
     c_values = (1.0 - detect[signaling]) / (1.0 - fidelity[signaling])
     c_min = float(np.min(c_values))
-    if levels is None:
-        levels = [c_min / f for f in NOGO_GRID]
+    if epsilons is None:
+        epsilons = [c_min / f for f in NOGO_GRID]
 
     rows_total = codebook.m_count * codebook.k_count
     reports = []
-    for e in levels:
+    for e in epsilons:
         admissible = np.flatnonzero(1.0 - fidelity <= 4.0 * e / c_min)
         pair_total = 0.0
         for i in range(0, len(admissible) - 1, 2):
@@ -1111,4 +1106,4 @@ def nogo_experiment(channel: CqChannelPair, codebook: Codebook,
                                   bob_bound=max(0.0, 0.25 - math.sqrt(e / c_min)),
                                   admissible_fraction=len(admissible) / rows_total,
                                   pair_bound=pair_total / rows_total))
-    return reports[0] if one else reports
+    return reports

@@ -364,14 +364,14 @@ def test_acceptance_10_nogo_bound_on_fully_leaking_channel():
     symbols = np.array([[1, 0], [0, 1]])
     codebook = Codebook(n=2, m_count=2, k_count=1, symbols=symbols)
 
-    probe = nogo_experiment(channel, codebook, epsilon=1e-3)
+    probe = nogo_experiment(channel, codebook, [1e-3])[0]
     # both codewords are fully leaked: detection is perfect
     assert probe.pe_willie == pytest.approx(0.0, abs=1e-12)
     # leakage constant per the decomposition: (1 - 0) / (1 - overlap)
     assert probe.c_min == pytest.approx(1.0 / (1.0 - overlap), abs=1e-12)
 
-    below = nogo_experiment(channel, codebook, epsilon=probe.c_min / 64)
-    boundary = nogo_experiment(channel, codebook, epsilon=probe.c_min / 16)
+    below = nogo_experiment(channel, codebook, [probe.c_min / 64])[0]
+    boundary = nogo_experiment(channel, codebook, [probe.c_min / 16])[0]
     assert below.bob_bound == pytest.approx(0.25 - math.sqrt(1 / 64), abs=1e-12)
     assert below.bob_bound > 0
     assert boundary.bob_bound == pytest.approx(0.0, abs=1e-12)

@@ -681,7 +681,7 @@ class TestNogoExperiment:
         ch = self._leaking_channel()
         symbols = np.array([[0, 0], [1, 0]])
         cb = Codebook(n=2, m_count=2, k_count=1, symbols=symbols)
-        report = nogo_experiment(ch, cb, epsilon=0.01)
+        report = nogo_experiment(ch, cb, [0.01])[0]
         # innocent codeword detected never (term 1/2M), leaked codeword never missed
         assert report.pe_willie == pytest.approx(0.25, abs=1e-12)
 
@@ -689,18 +689,18 @@ class TestNogoExperiment:
         ch = self._leaking_channel()
         symbols = np.array([[1, 1], [1, 0]])
         cb = Codebook(n=2, m_count=2, k_count=1, symbols=symbols)
-        report = nogo_experiment(ch, cb, epsilon=0.01)
+        report = nogo_experiment(ch, cb, [0.01])[0]
         assert report.pe_willie == pytest.approx(0.0, abs=1e-12)
 
     def test_bound_boundary_behavior(self):
         ch = self._leaking_channel()
         symbols = np.array([[1, 0], [0, 1]])
         cb = Codebook(n=2, m_count=2, k_count=1, symbols=symbols)
-        probe = nogo_experiment(ch, cb, epsilon=1e-6)
+        probe = nogo_experiment(ch, cb, [1e-6])[0]
         c_min = probe.c_min
-        at_boundary = nogo_experiment(ch, cb, epsilon=c_min / 16)
-        below = nogo_experiment(ch, cb, epsilon=c_min / 64)
-        above = nogo_experiment(ch, cb, epsilon=c_min / 4)
+        at_boundary = nogo_experiment(ch, cb, [c_min / 16])[0]
+        below = nogo_experiment(ch, cb, [c_min / 64])[0]
+        above = nogo_experiment(ch, cb, [c_min / 4])[0]
         assert at_boundary.bob_bound == pytest.approx(0.0, abs=1e-12)
         assert below.bob_bound == pytest.approx(0.125, abs=1e-12)
         assert above.bob_bound == 0.0
@@ -709,7 +709,7 @@ class TestNogoExperiment:
         cb = sample_codebook(canonical_channel, n=2, m_count=2, k_count=1,
                              gamma=0.5, ptilde=[1.0], seed=0)
         with pytest.raises(WrongRegime, match="requires NoGo"):
-            nogo_experiment(canonical_channel, cb, epsilon=0.01)
+            nogo_experiment(canonical_channel, cb, [0.01])[0]
 
     def test_levels_share_one_computation(self):
         ch = self._leaking_channel()
@@ -720,7 +720,7 @@ class TestNogoExperiment:
         levels = [r.epsilon for r in grid] + [0.01]
         together = nogo_experiment(ch, cb, levels)
         assert [r.to_json() for r in together] == [
-            nogo_experiment(ch, cb, e).to_json() for e in levels]
+            nogo_experiment(ch, cb, [e])[0].to_json() for e in levels]
         assert [r.to_json() for r in together[:4]] == [r.to_json() for r in grid]
 
     @pytest.mark.parametrize("levels", [[0.01, math.nan], [math.inf], [-1.0]])
@@ -736,14 +736,14 @@ class TestNogoExperiment:
         symbols = np.array([[1, 0]])
         cb = Codebook(n=2, m_count=1, k_count=1, symbols=symbols)
         with pytest.raises(ValidationError):
-            nogo_experiment(ch, cb, epsilon=0.01)
+            nogo_experiment(ch, cb, [0.01])[0]
 
     def test_all_innocent_codebook_rejected(self):
         ch = self._leaking_channel()
         symbols = np.zeros((2, 2), dtype=int)
         cb = Codebook(n=2, m_count=2, k_count=1, symbols=symbols)
         with pytest.raises(ValidationError):
-            nogo_experiment(ch, cb, epsilon=0.01)
+            nogo_experiment(ch, cb, [0.01])[0]
 
 
 def _ginibre_pair(dim, seed):
