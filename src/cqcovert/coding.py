@@ -1066,7 +1066,7 @@ def nogo_experiment(channel: CqChannelPair, codebook: Codebook,
     f`` for f in ``NOGO_GRID``; what does not depend on the level is
     computed once.
     """
-    for e in epsilons or ():
+    for e in () if epsilons is None else epsilons:
         if not (math.isfinite(e) and e > 0):
             raise ValidationError(f"epsilon must be a finite number > 0, got {e!r}")
     require_regime(channel, ScenarioClass.NO_GO)

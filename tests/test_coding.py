@@ -718,7 +718,7 @@ class TestNogoExperiment:
         c_min = grid[0].c_min
         assert [r.epsilon for r in grid] == [c_min / f for f in coding.NOGO_GRID]
         levels = [r.epsilon for r in grid] + [0.01]
-        together = nogo_experiment(ch, cb, levels)
+        together = nogo_experiment(ch, cb, np.array(levels))
         assert [r.to_json() for r in together] == [
             nogo_experiment(ch, cb, [e])[0].to_json() for e in levels]
         assert [r.to_json() for r in together[:4]] == [r.to_json() for r in grid]
