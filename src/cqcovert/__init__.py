@@ -7,7 +7,6 @@ from .operators import (
     kron_power,
     make_density,
     matrix_from_json,
-    matrix_inv_sqrt,
     matrix_log,
     matrix_power,
     spectral_decomposition,

@@ -36,7 +36,7 @@ from .operators import (
     DensityOperator,
     make_density,
     matrix_from_json,
-    matrix_inv_sqrt,
+    matrix_power,
     mixture,
     require_hermitian,
 )
@@ -176,7 +176,7 @@ class ChannelSummary:
         that ``chi2(sum_x p_x willie_x || willie_0) = p^T Q p``.  Built as ``L^T L``
         from the real-vectorized ``D_x rho_0^{-1/2}``, so it is symmetric PSD."""
         rho0 = self.willie.states[0]
-        root = matrix_inv_sqrt(rho0.spectrum)
+        root = matrix_power(rho0.spectrum, -0.5)
         cols = [((s.matrix - rho0.matrix) @ root).ravel() for s in self.willie.states[1:]]
         factor = np.column_stack([np.concatenate([c.real, c.imag]) for c in cols])
         return factor.T @ factor

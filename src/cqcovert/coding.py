@@ -511,9 +511,8 @@ class DecoderPovm:
     codeword m's block state ``sigma_m``, traced as the decoder was built:
     it holds the score of the codewords it was built for, the key's M
     codeword ``rows`` with the states of ``basis``, and of no others.  The
-    blocks ``stacks`` (per joint group, the (M, G, s, s) stack of the
-    elements' blocks in the basis's own order) and the full matrices
-    ``elements`` are formed only when asked for.
+    elements' ``pieces`` and the full matrices ``elements`` are formed only
+    when asked for.
     """
 
     def __init__(self, basis: ProductBasis, shared: int, frame: np.ndarray, types: tuple,
@@ -525,40 +524,33 @@ class DecoderPovm:
         self.rows = rows
         self.hits = hits
 
-    @property
-    def m_count(self) -> int:
-        return len(self.types[1])
-
     @cached_property
-    def stacks(self) -> tuple[np.ndarray, ...]:
-        """Per joint group, the (M, G, s, s) stack of the elements' blocks:
-        N is solved again on each piece, the elements are stored as their
-        pieces, layout ``shared``, and each joint block is read back
-        through the frame's index map."""
+    def pieces(self) -> tuple[np.ndarray, ...]:
+        """Per piece size of ``basis.split(shared)``, the (M, H, t, t) stack
+        of the elements on those pieces, in the key's frame: the build's own
+        per-piece solve of ``N P_m N``."""
         store, which, maps = self.types
-        pieces = [_elements(_gather(store, which + 1, maps[:, piece]))
-                  for piece in self.basis.split(self.shared)]
-        own = _append((np.zeros(2, dtype=store[0].dtype), np.zeros(0, dtype=np.intp),
-                       np.zeros(0, dtype=np.intp), store[3]),
-                      [[p[m] for p in pieces] for m in range(self.m_count)],
-                      np.full(self.m_count, self.shared))
-        back = self.basis.reorderings(self.frame[None])[0]  # the frame's index of each index
-        return tuple(_gather(own, np.arange(self.m_count), back[idx])
-                     for idx in self.basis.joint.groups)
+        return tuple(_elements(_gather(store, which + 1, maps[:, piece]))
+                     for piece in self.basis.split(self.shared))
 
     @cached_property
-    def elements(self) -> tuple[np.ndarray, ...]:
-        """The elements as full matrices in ``basis``, zero off their blocks."""
-        return tuple(self.basis.joint.assemble(self.stacks))
+    def elements(self) -> np.ndarray:
+        """The (M, D, D) elements in the computational basis: ``pieces``
+        assembled in the key's frame, their rows and columns gathered back
+        through the frame's index map, and rotated out of ``basis``."""
+        basis = self.basis
+        frame = Partition(basis.joint.dim, basis.split(self.shared)).assemble(self.pieces)
+        back = basis.reorderings(self.frame[None])[0]  # the frame's index of each index
+        return basis.to_original_basis(frame[:, back[:, None], back[None, :]])
 
     def validate(self) -> float:
         """Check PSD elements and sum bounded by identity within
-        ``DECODER_TOL``, one stacked eigensolve per group of equal-size
-        blocks, and return the slack left: ``DECODER_TOL`` less the largest
-        of the elements' most negative eigenvalue, negated, and the sum's
-        excess over the identity."""
+        ``DECODER_TOL``, one stacked eigensolve per piece size of
+        ``pieces``, and return the slack left: ``DECODER_TOL`` less the
+        largest of the elements' most negative eigenvalue, negated, and the
+        sum's excess over the identity."""
         slack = math.inf
-        for stack in self.stacks:
+        for stack in self.pieces:
             lowest = np.linalg.eigvalsh(stack).min(axis=-1)
             if lowest.min() < -DECODER_TOL:
                 i = int(np.argmax((lowest < -DECODER_TOL).any(axis=-1)))
@@ -610,7 +602,9 @@ def build_srm_decoder(codebook: Codebook, channel: CqChannelPair, a: float,
     gathered once, summed into the Gram matrix that N is solved from, and
     sandwiched into ``N P_m N``, whose traces against the codeword states'
     blocks, ``vec(E) . vec(sigma^T)``, are added piece by piece into
-    ``DecoderPovm.hits``, the numbers ``exact_pe_bob`` reads.
+    ``DecoderPovm.hits``, the numbers ``exact_pe_bob`` reads.  No element
+    is kept: ``DecoderPovm.pieces`` solves a key's pieces again, the same
+    way, only when asked for.
 
     ``key`` is one key, or a sequence of keys whose decoders are built
     together and returned as a list: their types are found in one call,

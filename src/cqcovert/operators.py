@@ -186,9 +186,9 @@ class DensityOperator:
 
     A state is eigendecomposed at most once: ``spectrum`` is computed on
     first use and cached, and every matrix function of the state
-    (``matrix_power``, ``matrix_log``, ``matrix_inv_sqrt`` given
-    ``state.spectrum``), its support projector, its rank and the divergences
-    against it read that one spectrum.  Entropies need eigenvalues only:
+    (``matrix_power`` and ``matrix_log`` given ``state.spectrum``), its
+    support projector, its rank and the divergences against it read that
+    one spectrum.  Entropies need eigenvalues only:
     they always read ``eigenvalues_only``, cached the same way.
     """
 
@@ -332,11 +332,6 @@ def matrix_log(a: Operand) -> np.ndarray:
 def matrix_power(a: Operand, c: float) -> np.ndarray:
     """Pseudo-power ``A^c`` (negative and fractional c act on the support only)."""
     return matrix_function(a, lambda w: w ** c)
-
-
-def matrix_inv_sqrt(a: Operand) -> np.ndarray:
-    """Pseudo inverse square root ``A^{-1/2}`` on the support."""
-    return matrix_power(a, -0.5)
 
 
 def eigenvalue_clusters(eigenvalues: np.ndarray) -> np.ndarray:

@@ -202,8 +202,7 @@ def decoders_suite(runs: _Runs) -> SuiteResult:
                 col.record(decoder.validate(), quantity="sub_povm", **context)
             except ValidationError as exc:
                 col.record(-math.inf, quantity="sub_povm", error=str(exc), **context)
-            hits = [np.trace(decoder.basis.to_original_basis(element)
-                             @ product_state(config.channel.bob_states, row).matrix).real
+            hits = [np.trace(element @ product_state(config.channel.bob_states, row).matrix).real
                     for element, row in zip(decoder.elements, codebook.codewords(key))]
             errors.append(float(np.mean(1.0 - np.array(hits))))
         col.record(_agreement(r.pe_bob, float(np.mean(errors))), quantity="pe_bob",

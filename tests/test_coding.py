@@ -43,6 +43,7 @@ from cqcovert.errors import (
 )
 from cqcovert.operators import (
     DensityOperator,
+    Partition,
     hermitian_part,
     kron_chain,
     make_density,
@@ -111,15 +112,13 @@ class TestSrmDecoder:
             block = np.kron(block, canonical_channel.bob_states[x].matrix)
         innocent = kron(*[canonical_channel.bob_states[0].matrix] * 3)
         projector = positive_projector(pinching(innocent, block) - math.exp(0.2) * innocent)
-        element = decoder.basis.to_original_basis(decoder.elements[0])
-        assert np.linalg.norm(element - projector) <= 1e-9
+        assert np.linalg.norm(decoder.elements[0] - projector) <= 1e-9
 
     def test_diagonal_channel_gives_diagonal_decoder(self, canonical_channel):
         cb = sample_codebook(canonical_channel, n=4, m_count=3, k_count=1,
                              gamma=0.6, ptilde=[1.0], seed=2)
         decoder = build_srm_decoder(cb, canonical_channel, a=0.3)
         for e in decoder.elements:
-            e = decoder.basis.to_original_basis(e)
             off_diag = e - np.diag(np.diag(e))
             assert np.linalg.norm(off_diag) <= 1e-10
 
@@ -189,7 +188,7 @@ class TestDecoderBasis:
 
     @staticmethod
     def _dense_srm(cb, ch, a):
-        from cqcovert.operators import matrix_inv_sqrt
+        from cqcovert.operators import matrix_power
         innocent = kron(*[ch.bob_states[0].matrix] * cb.n)
         projectors = []
         for m in range(cb.m_count):
@@ -200,7 +199,7 @@ class TestDecoderBasis:
                                                  - math.exp(a) * innocent))
         if cb.m_count == 1:
             return projectors
-        norm = matrix_inv_sqrt(sum(projectors))
+        norm = matrix_power(sum(projectors), -0.5)
         return [norm @ proj @ norm for proj in projectors]
 
     @pytest.mark.parametrize("m_count", [1, 3])
@@ -214,7 +213,7 @@ class TestDecoderBasis:
             decoder = build_srm_decoder(cb, ch, a=0.15)
             assert isinstance(decoder.basis, ProductBasis)
             for mine, oracle in zip(decoder.elements, self._dense_srm(cb, ch, 0.15)):
-                assert np.linalg.norm(decoder.basis.to_original_basis(mine) - oracle) <= 1e-9
+                assert np.linalg.norm(mine - oracle) <= 1e-9
 
     def test_pe_is_the_same_in_either_basis(self):
         ch = self._channel()
@@ -223,9 +222,8 @@ class TestDecoderBasis:
                                  gamma=0.9, ptilde=[1.0], seed=seed)
             for key in range(2):
                 decoder = build_srm_decoder(cb, ch, a=0.15, key=key)
-                original = [decoder.basis.to_original_basis(e) for e in decoder.elements]
                 assert exact_pe_bob(cb, ch, decoder, key=key) == pytest.approx(
-                    dense_pe(original, ch.bob_states, cb.codewords(key)), abs=1e-12)
+                    dense_pe(decoder.elements, ch.bob_states, cb.codewords(key)), abs=1e-12)
 
 
 class TestExactPeBob:
@@ -243,7 +241,7 @@ class TestExactPeBob:
         decoder.validate()
         assert exact_pe_bob(cb, ch, decoder) <= 1e-10
         for mine, oracle in zip(decoder.elements, matched):
-            assert np.max(np.abs(decoder.basis.to_original_basis(mine) - oracle)) <= 1e-12
+            assert np.max(np.abs(mine - oracle)) <= 1e-12
 
     def test_identical_codewords_cannot_beat_half(self, canonical_channel):
         symbols = np.array([[1, 1, 0], [1, 1, 0]])
@@ -765,7 +763,7 @@ def _dense_pinched_srm(cb, ch, a, key):
     eigenvalues, read from the digits of each index: with distinct
     single-use eigenvalues, two product eigenvectors share an eigenvalue iff
     their indices have the same digits up to order."""
-    from cqcovert.operators import matrix_inv_sqrt
+    from cqcovert.operators import matrix_power
     innocent = kron(*[ch.bob_states[0].matrix] * cb.n)
     u = kron_chain([ch.bob_states[0].spectrum.eigenvectors] * cb.n)
     digits = np.array(list(itertools.product(range(ch.bob_states[0].dim), repeat=cb.n)))
@@ -778,7 +776,7 @@ def _dense_pinched_srm(cb, ch, a, key):
             block = np.kron(block, ch.bob_states[x].matrix)
         pinched = u @ ((u.conj().T @ block @ u) * same) @ u.conj().T
         projectors.append(positive_projector(pinched - math.exp(a) * innocent))
-    norm = matrix_inv_sqrt(sum(projectors))
+    norm = matrix_power(sum(projectors), -0.5)
     return [norm @ proj @ norm for proj in projectors]
 
 
@@ -810,7 +808,7 @@ class TestNonCommutingInvariants:
             decoder = build_srm_decoder(cb, ch, a=0.15, key=key, basis=basis)
             decoder.validate()
             for mine, oracle in zip(decoder.elements, _dense_pinched_srm(cb, ch, 0.15, key)):
-                assert np.max(np.abs(basis.to_original_basis(mine) - oracle)) <= 1e-9
+                assert np.max(np.abs(mine - oracle)) <= 1e-9
 
     @pytest.mark.parametrize("dim, n", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)])
     def test_elements_commute_with_the_innocent_product_state(self, dim, n):
@@ -822,8 +820,7 @@ class TestNonCommutingInvariants:
         largest = 0.0  # some element is not empty, so the check is not vacuous
         for key in range(cb.k_count):
             decoder = build_srm_decoder(cb, ch, a=0.1, key=key)
-            for element in decoder.elements:
-                e = decoder.basis.to_original_basis(element)
+            for e in decoder.elements:
                 largest = max(largest, np.abs(e).max())
                 assert np.abs(e @ innocent - innocent @ e).max() <= 1e-12
         assert largest > 0.1
@@ -835,11 +832,10 @@ class TestNonCommutingInvariants:
         cb = self._codebook(ch, n, 3, 2, seed)
         for key in range(cb.k_count):
             decoder = build_srm_decoder(cb, ch, a=0.1, key=key)
-            dense = [decoder.basis.to_original_basis(e) for e in decoder.elements]
             pe = exact_pe_bob(cb, ch, decoder, key=key)
             assert 0.0 <= pe <= 1.0
-            assert pe == pytest.approx(dense_pe(dense, ch.bob_states, cb.codewords(key)),
-                                       abs=1e-12)
+            assert pe == pytest.approx(
+                dense_pe(decoder.elements, ch.bob_states, cb.codewords(key)), abs=1e-12)
 
     @seeded
     @ginibre_cases
@@ -1069,7 +1065,7 @@ class TestBlockDiagonalEquivalence:
             pe = [exact_pe_bob(cb, ch, d, key=key) for ch, d in zip((split, turned), decoders)]
             assert pe[0] == pytest.approx(pe[1], abs=1e-12)
         # the pinched SRM is unitarily covariant: turning back gives the same element
-        mine, dense = (d.basis.to_original_basis(d.elements[0]) for d in decoders)
+        mine, dense = (d.elements[0] for d in decoders)
         un = kron_chain([u] * n)
         assert np.max(np.abs(un.conj().T @ dense @ un - mine)) <= 1e-9
         basis = ProductBasis(split.willie_states, n)
@@ -1205,6 +1201,20 @@ def _per_row_decoder(cb, a, key, basis):
     return elements, sigma
 
 
+def _frame_elements(decoder):
+    """A decoder's (M, D, D) elements in its key's frame of ``basis``: its
+    ``pieces`` assembled over ``basis.split(shared)``."""
+    basis = decoder.basis
+    return Partition(basis.joint.dim, basis.split(decoder.shared)).assemble(decoder.pieces)
+
+
+def _basis_elements(decoder):
+    """A decoder's (M, D, D) elements in ``basis``'s own order: the frame's
+    rows and columns read back through the frame's index map."""
+    back = decoder.basis.reorderings(decoder.frame[None])[0]
+    return _frame_elements(decoder)[:, back[:, None], back[None, :]]
+
+
 typed_cases = given(kind=st.sampled_from(["qubit", "qutrit", "flag"]), n=st.integers(2, 5),
                     seed=st.integers(0, 2 ** 31 - 1))
 
@@ -1223,8 +1233,8 @@ class TestTypeSharing:
         for key in range(cb.k_count):
             decoder = build_srm_decoder(cb, ch, a=0.1, key=key, basis=basis)
             elements, sigma = _per_row_decoder(cb, 0.1, key, basis)
-            for mine, oracle in zip(decoder.stacks, elements):
-                assert np.max(np.abs(mine - oracle)) <= 1e-12
+            assert np.max(np.abs(_basis_elements(decoder)
+                                 - basis.joint.assemble(elements))) <= 1e-12
             hits = sum(np.sum(e * np.swapaxes(s, -1, -2), axis=(-3, -2, -1)).real
                        for e, s in zip(elements, sigma))
             pe = exact_pe_bob(cb, ch, decoder, key=key)
@@ -1280,7 +1290,7 @@ class TestTypeSharing:
             build_srm_decoder(cb, ch, a=a, key=1, basis=shared)
             mine = build_srm_decoder(cb, ch, a=a, basis=shared)
             fresh = build_srm_decoder(cb, ch, a=a, basis=ProductBasis(ch.bob_states, 4))
-            for x, y in zip(mine.stacks, fresh.stacks):
+            for x, y in zip(mine.pieces, fresh.pieces):
                 assert np.array_equal(x, y)
             assert exact_pe_bob(cb, ch, mine) == exact_pe_bob(cb, ch, fresh)
         # the memo holds one party's types: another channel's Bob needs its own basis
@@ -1320,7 +1330,43 @@ class TestNormalisedDecoder:
             for idx in decoder.basis.joint.groups:
                 assert not np.any(coding._gather(store, which + 1, maps[:, idx]))
             assert exact_pe_bob(cb, ch, decoder) == 1.0
-            assert all(np.all(stack == 0) for stack in decoder.stacks)
+            assert all(np.all(piece == 0) for piece in decoder.pieces)
+
+    def test_validate_names_a_negative_element_and_an_excess_sum(self):
+        ch = _typed_channel("qubit", 3)
+        decoder = build_srm_decoder(_typed_codebook(ch, 4, 3), ch, a=0.1)
+        assert decoder.validate() > 0
+        pieces = decoder.pieces
+        assert any(np.any(piece) for piece in pieces)
+        # element 2 becomes -2 DECODER_TOL times I on its first piece
+        bent = [piece.copy() for piece in pieces]
+        bent[0][2, 0] = -2 * coding.DECODER_TOL * np.eye(bent[0].shape[-1])
+        decoder.pieces = tuple(bent)
+        with pytest.raises(ValidationError, match=r"^decoder element 2 not PSD within 1e-08$"):
+            decoder.validate()
+        # N P_m N sum to a projector, so scaled by 1.01 they exceed I by 0.01
+        decoder.pieces = tuple(1.01 * piece for piece in pieces)
+        with pytest.raises(ValidationError, match=r"^decoder sum exceeds identity by 1\.000e-02$"):
+            decoder.validate()
+
+    @pytest.mark.xfail(strict=True, raises=ValidationError,
+                       reason="ROADMAP item 1: N = w^-1/2 on a Gram eigenvalue just above "
+                              "RANK_TOL amplifies the rounding of N P N")
+    def test_srl_d3_k6_decoder_is_a_sub_povm(self):
+        # the second n=6 trial at seed 2 of simulate --gamma 1 on srl_d3_k6, key 5
+        from pathlib import Path
+        from cqcovert.channel import load_channel
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "channels" / "srl_d3_k6.json"
+        ch = load_channel(str(path))
+        n, config = 6, ExperimentConfig(channel=ch, n_list=(6,), gamma=1.0, seed=2)
+        m, k, _, _ = code_sizes(ch, config.ptilde, n, config.gamma, config.varsigma)
+        assert (m, k) == (2, 9)
+        # the threshold exponent as run_experiment sets it
+        a = ((1.0 - config.nu) * (1.0 - config.mu) * config.gamma * math.sqrt(n)
+             * ch.summary.weighted(config.ptilde, ch.summary.bob.divergences))
+        cb = sample_codebook(ch, n, m, k, config.gamma, config.ptilde,
+                             coding._trial_seed(config.seed, n, 1))
+        build_srm_decoder(cb, ch, a, key=5).validate()
 
 
 def _shared_codebook(ch, n, shared, m_count=3, seed=0):
@@ -1373,10 +1419,10 @@ class TestSharedInnocentSplit:
             assert decoder.shared == c
             decoder.validate()
             for mine, oracle in zip(decoder.elements, _dense_pinched_srm(cb, ch, 0.1, key)):
-                assert np.max(np.abs(basis.to_original_basis(mine) - oracle)) <= 1e-9
+                assert np.max(np.abs(mine - oracle)) <= 1e-9
             elements, sigma = _per_row_decoder(cb, 0.1, key, basis)
-            for mine, oracle in zip(decoder.stacks, elements):
-                assert np.max(np.abs(mine - oracle)) <= 1e-12
+            assert np.max(np.abs(_basis_elements(decoder)
+                                 - basis.joint.assemble(elements))) <= 1e-12
             hits = sum(np.sum(e * np.swapaxes(s, -1, -2), axis=(-3, -2, -1)).real
                        for e, s in zip(elements, sigma))
             assert exact_pe_bob(cb, ch, decoder, key=key) == pytest.approx(
@@ -1440,12 +1486,8 @@ class TestSharedInnocentSplit:
                 w, v = np.linalg.eigh(gram)
                 norm = (v * np.where(w > RANK_TOL, w, np.inf)[..., None, :] ** -0.5) @ dagger(v)
                 whole[:, rows, cols] = norm @ projector @ norm
-            # the elements solved piece by piece, in the basis's own order
-            back = basis.reorderings(decoder.frame[None])[0]
-            for idx, piecewise in zip(basis.joint.groups, decoder.stacks):
-                rows, cols = back[idx][..., :, None], back[idx][..., None, :]
-                assert np.all(piecewise[:, ~mask[rows, cols]] == 0)
-                assert np.max(np.abs(piecewise - whole[:, rows, cols])) <= 1e-10
+            # the elements solved piece by piece
+            assert np.max(np.abs(_frame_elements(decoder) - whole)) <= 1e-10
 
     @pytest.mark.parametrize("kind", ["qubit", "qutrit", "flag"])
     def test_keys_built_together_are_bit_identical_to_one_key_calls(self, kind):
@@ -1462,7 +1504,7 @@ class TestSharedInnocentSplit:
         for key in keys:
             alone = build_srm_decoder(cb, ch, a=0.1, key=key,
                                       basis=ProductBasis(ch.bob_states, n))
-            for mine, theirs in zip(alone.stacks, together[key].stacks):
+            for mine, theirs in zip(alone.pieces, together[key].pieces):
                 assert np.array_equal(mine, theirs)
             assert np.array_equal(alone.hits, together[key].hits)
             assert exact_pe_bob(cb, ch, alone, key=key) == pe[key]
@@ -1615,9 +1657,8 @@ class TestRealGauge:
         assert bob.real == willie.real == (kind in self.REAL)
         for key in range(cb.k_count):
             decoder = build_srm_decoder(cb, ch, a=0.1, key=key, basis=bob)
-            original = [bob.to_original_basis(e) for e in decoder.elements]
             assert exact_pe_bob(cb, ch, decoder, key=key) == pytest.approx(
-                dense_pe(original, ch.bob_states, cb.codewords(key)), abs=1e-12)
+                dense_pe(decoder.elements, ch.bob_states, cb.codewords(key)), abs=1e-12)
         covert_d, pe_willie = covertness_report(cb, ch, willie)
         rho_bar = DensityOperator(dense_average(ch.willie_states, cb.symbols))
         innocent = DensityOperator(kron(*[ch.willie_states[0].matrix] * n))
